@@ -158,7 +158,8 @@ def _verify_sat(verdict: Verdict) -> list:
     return problems
 
 
-def _verify_unsat(verdict: Verdict) -> list:
+def _verify_unsat(verdict: Verdict, skipped: list) -> list:
+    """Problems found in the UNSAT evidence; checks not run go to skipped."""
     problems = []
     if verdict.radical is not None and not verdict.radical.verify():
         problems.append("radical certificate does not recompose to 1")
@@ -168,7 +169,12 @@ def _verify_unsat(verdict: Verdict) -> list:
         ctx = system.ring.field
         m = len(system.xnames)
         total = ctx.q ** (n * m)
-        if total <= VERIFY_TUPLE_CAP:
+        if total > VERIFY_TUPLE_CAP:
+            skipped.append(
+                f"refutation level {n} not re-enumerated: "
+                f"{total} tuples exceed the cap {VERIFY_TUPLE_CAP}"
+            )
+        else:
             elems = list(ctx.elements())
             for digits in itertools.product(elems, repeat=n * m):
                 point = [
@@ -181,16 +187,19 @@ def _verify_unsat(verdict: Verdict) -> list:
                     break
     if verdict.branches:
         for b in verdict.branches:
-            problems.extend(_verify_unsat(b) if b.is_unsat else [])
+            problems.extend(_verify_unsat(b, skipped) if b.is_unsat else [])
     return problems
 
 
-def verify_verdict(verdict: Verdict) -> list:
+def verify_verdict(verdict: Verdict):
+    """(problems, skipped): what the re-check found, and the checks it did
+    not run."""
+    skipped = []
     if verdict.is_sat:
-        return _verify_sat(verdict)
+        return _verify_sat(verdict), skipped
     if verdict.is_unsat:
-        return _verify_unsat(verdict)
-    return []
+        return _verify_unsat(verdict, skipped), skipped
+    return [], ["unknown verdict: no evidence to check"]
 
 
 def format_text(report: dict) -> str:
@@ -204,6 +213,8 @@ def format_text(report: dict) -> str:
         lines.append(f"certificate: {report['certificate']}")
     if "verified" in report:
         lines.append(f"verified: {report['verified']}")
+    for line in report.get("verify_skipped", []):
+        lines.append(f"verify_skipped: {line}")
     for line in report.get("trace", []):
         lines.append(f"  | {line}")
     return "\n".join(lines)
@@ -258,10 +269,12 @@ def run(argv=None) -> int:
 
     report = verdict_to_report(verdict, args.trace)
     if args.verify:
-        problems = verify_verdict(verdict)
+        problems, skipped = verify_verdict(verdict)
         report["verified"] = not problems
         if problems:
             report["verify_problems"] = problems
+        if skipped:
+            report["verify_skipped"] = skipped
     out = (
         json.dumps(report, sort_keys=True)
         if args.format == "json"

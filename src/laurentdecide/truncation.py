@@ -13,6 +13,7 @@ sound while completeness is budget-limited: UNKNOWN is a legal outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .ff import FqContext
 from .hensel import CertificateError, certify_liftable, newton_lift, system_dimension
@@ -38,10 +39,12 @@ class PrecisionSchedule:
 class WeilRestriction:
     """The mod-t^N reduction of a system, expanded over F_q.
 
-    Digit variables are ordered x-major: digit k of original variable j sits
-    at index j*level + k, so enumeration in ring order is lexicographic in
-    the series coordinates.  A tuple over F_q[t]/(t^N) solves the reduced
-    system iff its digit expansion solves the restricted one.
+    Digit variables are ordered digit-major: with m unknowns, digit k of
+    unknown j sits at index k*m + j, so the ring reads X_0, Y_0, X_1, Y_1, ...
+    The coefficient of t^k only involves digits 0..k, so a search in ring
+    order has every t^k equation fully set once digit k of each unknown is.
+    A tuple over F_q[t]/(t^N) solves the reduced system iff its digit
+    expansion solves the restricted one.
     """
 
     original: list
@@ -51,79 +54,117 @@ class WeilRestriction:
 
     def point(self, assignment):
         """Assemble the series point from a digit assignment."""
-        ctx = self.ring.field
         n = self.level
-        m = self.ring.nvars // n if n else 0
-        out = []
-        for j in range(m):
-            coeffs = [assignment[j * n + k] for k in range(n)]
-            out.append(TruncatedSeries(ctx, coeffs, n))
-        return tuple(out)
+        m = self.ring.nvars // n
+        return tuple(
+            TruncatedSeries(self.ring.field, list(assignment[j::m]), n) for j in range(m)
+        )
+
+
+def _accumulate(out: dict, e, c):
+    if e in out:
+        s = out[e] + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    elif c:
+        out[e] = c
+
+
+def _mul_mod(a, b, n):
+    """Product of two vectors of digit term maps, truncated mod t^n."""
+    out = [{} for _ in range(n)]
+    for i in range(min(n, len(a))):
+        if not a[i]:
+            continue
+        for j in range(min(n - i, len(b))):
+            acc = out[i + j]
+            for e1, c1 in a[i].items():
+                for e2, c2 in b[j].items():
+                    _accumulate(acc, tuple(map(add, e1, e2)), c1 * c2)
+    return out
 
 
 def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     """Coefficients of t^0..t^(level-1) of each equation after substituting
-    the digit expansion for every unknown."""
+    the digit expansion for every unknown.
+
+    Each unknown is a vector of digit term maps, one per power of t, and all
+    products are taken mod t^level, so no t-degree at or above the level is
+    ever built.  Powers of each unknown are computed once per call.
+    """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
     ctx = ring.field
-    assert isinstance(ctx, FqContext), "weil restriction runs over F_q[t] systems"
+    if not isinstance(ctx, FqContext):
+        raise TypeError("weil restriction runs over F_q[t] systems")
     tpos = ring.tpos
-    assert tpos is not None, "system ring must carry the t slot"
-    xnames = [n for i, n in enumerate(ring.names) if i != tpos]
-    m = len(xnames)
+    if tpos is None:
+        raise ValueError("system ring must carry the t slot")
+    xslots = [i for i in range(ring.nvars) if i != tpos]
+    m = len(xslots)
 
-    digit_names = [f"{name}_{k}" for name in xnames for k in range(level)]
-    assert len(set(digit_names)) == len(digit_names), "digit name collision"
+    digit_names = [f"{ring.names[i]}_{k}" for k in range(level) for i in xslots]
+    if len(set(digit_names)) != len(digit_names):
+        raise ValueError("digit name collision")
     digits = PolyRing(ctx, digit_names)
-    work = PolyRing(ctx, tuple(digit_names) + ("t",))
+    one = digits.one().terms
 
-    t_img = work.var(work.nvars - 1)
-    images = []
-    xi = 0
-    for i in range(ring.nvars):
-        if i == tpos:
-            images.append(t_img)
-        else:
-            expansion = work.zero()
-            for k in range(level):
-                expansion = expansion + work.var(xi * level + k) * t_img**k
-            images.append(expansion)
-            xi += 1
+    # powers[j][d] = (sum_k X_j_k t^k)^d mod t^level
+    powers = [[[one], [digits.var(k * m + j).terms for k in range(level)]] for j in range(m)]
+
+    def power(j, d):
+        pw = powers[j]
+        while len(pw) <= d:
+            pw.append(_mul_mod(pw[-1], pw[1], level))
+        return pw[d]
 
     restricted = []
     seen = set()
     for f in equations:
-        expanded = f.compose(images, work)
-        for k in range(level):
-            coeff = expanded.coeff_of(work.nvars - 1, k)
-            g = MultiPoly(digits, {e[:-1]: c for e, c in coeff.terms.items()})
-            if not g:
+        coeffs = [{} for _ in range(level)]
+        for e, c in f.terms.items():
+            s = e[tpos]
+            if s >= level:
                 continue
-            if g in seen:
+            vec = [one]
+            for j, i in enumerate(xslots):
+                if e[i]:
+                    vec = _mul_mod(vec, power(j, e[i]), level - s)
+            for k, terms in enumerate(vec[: level - s]):
+                acc = coeffs[k + s]
+                for de, dc in terms.items():
+                    _accumulate(acc, de, dc * c)
+        for terms in coeffs:
+            g = MultiPoly(digits, terms)
+            if not g or g in seen:
                 continue
             seen.add(g)
             restricted.append(g)
     return WeilRestriction(list(equations), level, digits, restricted)
 
 
-def _substitute_var(f: MultiPoly, i: int, value):
-    terms = {}
+def _sparse(f: MultiPoly):
+    """Term map keyed by flat (var, exp, var, exp, ...) tuples, vars ascending."""
+    out = {}
     for e, c in f.terms.items():
-        k = e[i]
-        c2 = c * value**k if k else c
-        if not c2:
-            continue
-        e2 = e[:i] + (0,) + e[i + 1 :]
-        if e2 in terms:
-            s = terms[e2] + c2
-            if s:
-                terms[e2] = s
-            else:
-                del terms[e2]
-        else:
-            terms[e2] = c2
-    return MultiPoly(f.ring, terms)
+        out[tuple(x for i, k in enumerate(e) if k for x in (i, k))] = c
+    return out
+
+
+def _assign(poly: dict, i: int, pw):
+    """Substitute the value with powers pw for variable i, the least variable
+    left in poly."""
+    out = {}
+    for mono, c in poly.items():
+        if mono and mono[0] == i:
+            c = c * pw[mono[1]]
+            if not c:
+                continue
+            mono = mono[2:]
+        _accumulate(out, mono, c)
+    return out
 
 
 class SearchBudgetExceeded(Exception):
@@ -131,38 +172,71 @@ class SearchBudgetExceeded(Exception):
 
 
 def iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
-    """All solutions over F_q in lexicographic enumeration order.
+    """All solutions over F_q, lexicographic in ring variable order.
 
-    Depth-first assignment with early pruning: a branch dies as soon as any
-    fully-instantiated equation is a nonzero constant.  Without a node budget
-    the search is exhaustive; with one, SearchBudgetExceeded fires once the
-    walk exceeds it (callers must then treat the level as undecided).
+    Depth-first assignment of the variables in ring order.  Assigning a
+    variable substitutes it into the equations that still contain it, and
+    only those are checked: the branch dies as soon as one of them is a
+    nonzero constant.  Every visited partial assignment counts as one node,
+    pruned ones and the empty root included.  Without a node budget the
+    search is exhaustive; with one, SearchBudgetExceeded fires once the walk
+    exceeds it (callers must then treat the level as undecided).
     """
-    ctx = ring.field
-    elems = list(ctx.elements())
+    elems = list(ring.field.elements())
     nv = ring.nvars
-    nodes = [0]
+    polys = [_sparse(p) for p in system]
+    users = [[] for _ in range(nv)]
+    for idx, p in enumerate(polys):
+        for i in sorted({i for mono in p for i in mono[::2]}):
+            users[i].append(idx)
+    top = max([0] + [k for p in polys for mono in p for k in mono[1::2]])
+    powers = [[v**k for k in range(top + 1)] for v in elems]
 
-    def dead(polys):
-        return any(p.is_constant() and p for p in polys)
+    def dead(p):
+        return len(p) == 1 and () in p
 
-    def rec(i, polys, acc):
-        nodes[0] += 1
-        if node_budget is not None and nodes[0] > node_budget:
+    def assign(state, i, pw):
+        """state with variable i set, or None once an equation dies."""
+        state = list(state)
+        for idx in users[i]:
+            p = state[idx] = _assign(state[idx], i, pw)
+            if dead(p):
+                return None
+        return state
+
+    nodes = 1
+    if node_budget is not None and nodes > node_budget:
+        raise SearchBudgetExceeded(f"digit search exceeded {node_budget} nodes")
+    if any(dead(p) for p in polys):
+        return
+    if nv == 0:
+        yield ()
+        return
+    # states[i]: the system with variables 0..i-1 set; tried[i]: how many
+    # values of variable i the walk has visited
+    states = [polys] + [None] * nv
+    tried = [0] * nv
+    acc = [None] * nv
+    i = 0
+    while i >= 0:
+        vi = tried[i]
+        if vi == len(elems):
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = vi + 1
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
             raise SearchBudgetExceeded(f"digit search exceeded {node_budget} nodes")
-        if dead(polys):
-            return
-        if i == nv:
-            if all(not p for p in polys):
-                yield tuple(acc)
-            return
-        for v in elems:
-            nxt = [_substitute_var(p, i, v) for p in polys]
-            acc.append(v)
-            yield from rec(i + 1, nxt, acc)
-            acc.pop()
-
-    yield from rec(0, list(system), [])
+        state = assign(states[i], i, powers[vi]) if users[i] else states[i]
+        if state is None:
+            continue
+        acc[i] = elems[vi]
+        if i + 1 == nv:
+            yield tuple(acc)
+        else:
+            states[i + 1] = state
+            i += 1
 
 
 def solve_finite(system, ring: PolyRing):

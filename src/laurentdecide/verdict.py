@@ -28,15 +28,17 @@ class Verdict:
     system: object = None                   # the AffineSystem the witness refers to
 
     def __post_init__(self):
-        assert self.status in (SAT, UNSAT, UNKNOWN)
-        if self.status == SAT:
-            assert self.certificate is not None, "SAT verdicts always carry a certificate"
-        if self.status == UNSAT:
-            assert (
-                self.refuted_at is not None
-                or self.radical is not None
-                or (self.branches and all(b.is_unsat for b in self.branches))
-            ), "UNSAT verdicts always carry evidence"
+        # real exceptions, not asserts: python -O must not drop these guards
+        if self.status not in (SAT, UNSAT, UNKNOWN):
+            raise ValueError(f"unknown verdict status {self.status!r}")
+        if self.status == SAT and self.certificate is None:
+            raise ValueError("SAT verdicts always carry a certificate")
+        if self.status == UNSAT and not (
+            self.refuted_at is not None
+            or self.radical is not None
+            or (self.branches and all(b.is_unsat for b in self.branches))
+        ):
+            raise ValueError("UNSAT verdicts always carry evidence")
 
     @property
     def is_sat(self):

@@ -91,6 +91,40 @@ def test_cli_verify_unsat(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_cli_verify_reports_skipped_refutation(capsys):
+    # level 8 in two unknowns is 3^16 tuples, above the re-enumeration cap
+    code, out = run_cli(["--field", "p=3", "--verify", "exists X, Y. X*X + Y*Y = t^5"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "unsat" and report["refuted_at"] == 8
+    assert report["verified"] is True
+    assert report["verify_skipped"] == [
+        "refutation level 8 not re-enumerated: 43046721 tuples exceed the cap 65536"
+    ]
+    code, out = run_cli(
+        ["--field", "p=3", "--verify", "--format", "text", "exists X, Y. X*X + Y*Y = t^5"],
+        capsys,
+    )
+    assert "verify_skipped: refutation level 8 not re-enumerated" in out
+
+
+def test_cli_verify_unknown_checks_nothing(capsys):
+    code, out = run_cli(
+        ["--field", "p=3", "--max-precision", "1", "--verify", "exists X. X*X = 1+t+t*t*t"],
+        capsys,
+    )
+    assert code == 3
+    report = json.loads(out)
+    assert report["status"] == "unknown"
+    assert report["verify_skipped"] == ["unknown verdict: no evidence to check"]
+
+
+def test_cli_verify_checked_refutation_skips_nothing(capsys):
+    code, out = run_cli(["--field", "p=3", "--verify", "exists X. X*X = t"], capsys)
+    assert code == 0
+    assert "verify_skipped" not in json.loads(out)
+
+
 def test_cli_verify_squarefree_normalized_sat(capsys):
     # the certificate refers to the squarefree replacement (Y - X^2), whose
     # Jacobian is unit-bearing; verification must target that system, not the

@@ -1,15 +1,28 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
+
+import laurentdecide
 from laurentdecide.ff import FqContext
-from laurentdecide.poly import PolyRing
+from laurentdecide.frontend import decide
+from laurentdecide.poly import MultiPoly, PolyRing
 from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
 from laurentdecide.truncation import (
     PrecisionSchedule,
+    SearchBudgetExceeded,
+    WeilRestriction,
     decide_positive,
     iter_solutions,
     solve_finite,
     weil_restrict,
 )
+from test_acceptance import _curated_systems, _random_system
 
 F2 = FqContext(2)
 F3 = FqContext(3)
@@ -224,3 +237,307 @@ def test_sat_never_regresses_with_finer_schedule():
     e = v1.certificate.e
     n = min(v1.witness[0].precision, v2.witness[0].precision) - e
     assert v1.witness[0].coeffs[:n] == v2.witness[0].coeffs[:n]
+
+
+def test_weil_restrict_digit_major_names_and_point():
+    # {X - t, Y - 1} over F_3, N=2: digits X_0, Y_0, X_1, Y_1
+    R = tring(F3, "X", "Y")
+    f = R.from_terms({(1, 0, 0): 1, (0, 0, 1): -1})
+    g = R.from_terms({(0, 1, 0): 1, (0, 0, 0): -1})
+    w = weil_restrict([f, g], R, 2)
+    D = w.ring
+    assert D.names == ("X_0", "Y_0", "X_1", "Y_1")
+    assert w.restricted == [D.var(0), D.var(2) - D.one(), D.var(1) - D.one(), D.var(3)]
+    (sol,) = list(iter_solutions(w.restricted, D))
+    x, y = w.point(sol)
+    assert x == TruncatedSeries(F3, [0, 1], 2)
+    assert y == TruncatedSeries(F3, [1, 0], 2)
+
+
+def test_iter_solutions_node_count():
+    # one node per visited partial assignment, the root and pruned ones
+    # included: AB = 1 over F_3 visits the root, A = 0, 1, 2 (A = 0 dies)
+    # and three B values under each of A = 1, 2
+    D = PolyRing(F3, ("A", "B"))
+    f = D.from_terms({(1, 1): 1, (0, 0): -1})
+    assert len(list(iter_solutions([f], D, node_budget=10))) == 2
+    with pytest.raises(SearchBudgetExceeded):
+        list(iter_solutions([f], D, node_budget=9))
+    with pytest.raises(SearchBudgetExceeded):
+        list(iter_solutions([D.one()], D, node_budget=0))
+    assert list(iter_solutions([D.one()], D, node_budget=1)) == []
+
+
+# -- regressions pinned by verdict and node count -------------------------------
+
+
+def test_norm_form_t5_over_f5_refuted_at_eight():
+    # the x-major search ran out of its 2,000,000-node budget here
+    v = decide("exists X, Y. X*X - 2*Y*Y = t^5", F5)
+    assert v.is_unsat and v.refuted_at == 8
+
+
+def test_digit_major_search_refutes_within_small_budget():
+    # X^2 + Y^2 = t^5 over F_3: -1 is a non-square, so the norm form only
+    # takes even valuations.  Digit-major order refutes level 8 in a few
+    # hundred nodes; the x-major order needs tens of thousands.
+    R = tring(F3, "X", "Y")
+    f = R.from_terms({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 5): -1})
+    v = decide_positive([f], R, search_budget=1_000)
+    assert v.is_unsat and v.refuted_at == 8
+    old = _xmajor_weil_restrict([f], R, 8)
+    with pytest.raises(SearchBudgetExceeded):
+        list(_xmajor_iter_solutions(old.restricted, old.ring, 1_000))
+
+
+# -- differential tests against the x-major layer -------------------------------
+#
+# The three functions below are verbatim copies of the x-major truncation
+# layer that this one replaced (digit k of unknown j at index j*N + k, every
+# polynomial rebuilt at every search node).  They are the oracle.
+
+
+def _xmajor_weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
+    """Coefficients of t^0..t^(level-1) of each equation after substituting
+    the digit expansion for every unknown."""
+    if level < 1:
+        raise ValueError("truncation level must be >= 1")
+    ctx = ring.field
+    assert isinstance(ctx, FqContext), "weil restriction runs over F_q[t] systems"
+    tpos = ring.tpos
+    assert tpos is not None, "system ring must carry the t slot"
+    xnames = [n for i, n in enumerate(ring.names) if i != tpos]
+    m = len(xnames)
+
+    digit_names = [f"{name}_{k}" for name in xnames for k in range(level)]
+    assert len(set(digit_names)) == len(digit_names), "digit name collision"
+    digits = PolyRing(ctx, digit_names)
+    work = PolyRing(ctx, tuple(digit_names) + ("t",))
+
+    t_img = work.var(work.nvars - 1)
+    images = []
+    xi = 0
+    for i in range(ring.nvars):
+        if i == tpos:
+            images.append(t_img)
+        else:
+            expansion = work.zero()
+            for k in range(level):
+                expansion = expansion + work.var(xi * level + k) * t_img**k
+            images.append(expansion)
+            xi += 1
+
+    restricted = []
+    seen = set()
+    for f in equations:
+        expanded = f.compose(images, work)
+        for k in range(level):
+            coeff = expanded.coeff_of(work.nvars - 1, k)
+            g = MultiPoly(digits, {e[:-1]: c for e, c in coeff.terms.items()})
+            if not g:
+                continue
+            if g in seen:
+                continue
+            seen.add(g)
+            restricted.append(g)
+    return WeilRestriction(list(equations), level, digits, restricted)
+
+
+def _xmajor_substitute_var(f: MultiPoly, i: int, value):
+    terms = {}
+    for e, c in f.terms.items():
+        k = e[i]
+        c2 = c * value**k if k else c
+        if not c2:
+            continue
+        e2 = e[:i] + (0,) + e[i + 1 :]
+        if e2 in terms:
+            s = terms[e2] + c2
+            if s:
+                terms[e2] = s
+            else:
+                del terms[e2]
+        else:
+            terms[e2] = c2
+    return MultiPoly(f.ring, terms)
+
+
+def _xmajor_iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
+    """All solutions over F_q in lexicographic enumeration order.
+
+    Depth-first assignment with early pruning: a branch dies as soon as any
+    fully-instantiated equation is a nonzero constant.  Without a node budget
+    the search is exhaustive; with one, SearchBudgetExceeded fires once the
+    walk exceeds it (callers must then treat the level as undecided).
+    """
+    ctx = ring.field
+    elems = list(ctx.elements())
+    nv = ring.nvars
+    nodes = [0]
+
+    def dead(polys):
+        return any(p.is_constant() and p for p in polys)
+
+    def rec(i, polys, acc):
+        nodes[0] += 1
+        if node_budget is not None and nodes[0] > node_budget:
+            raise SearchBudgetExceeded(f"digit search exceeded {node_budget} nodes")
+        if dead(polys):
+            return
+        if i == nv:
+            if all(not p for p in polys):
+                yield tuple(acc)
+            return
+        for v in elems:
+            nxt = [_xmajor_substitute_var(p, i, v) for p in polys]
+            acc.append(v)
+            yield from rec(i + 1, nxt, acc)
+            acc.pop()
+
+    yield from rec(0, list(system), [])
+
+
+def _xmajor_point(assignment, n, m):
+    return tuple(tuple(assignment[j * n : (j + 1) * n]) for j in range(m))
+
+
+def _digit_major(g, ring, n, m):
+    """g with x-major digit index j*n + k moved to digit-major k*m + j."""
+    terms = {}
+    for e, c in g.terms.items():
+        terms[tuple(e[j * n + k] for k in range(n) for j in range(m))] = c
+    return MultiPoly(ring, terms)
+
+
+def _criterion_1_systems():
+    """The systems of the criterion-1 sweep, drawn in its order, as
+    (ctx, ring, equations, curated) tuples."""
+    rng = random.Random(190840)
+    out = []
+    for ctx in (F2, F3):
+        out += [(ctx, ring, eqs, True) for ring, eqs in _curated_systems(ctx)]
+        for m in (1, 2):
+            for _ in range(22):
+                ring, eqs = _random_system(rng, ctx, m)
+                out.append((ctx, ring, eqs, False))
+    return out
+
+
+def _node_count(search, system, ring):
+    """Nodes an exhaustive walk visits: the least budget it stays within."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            list(search(system, ring, hi))
+            break
+        except SearchBudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            list(search(system, ring, mid))
+            hi = mid
+        except SearchBudgetExceeded:
+            lo = mid
+    return hi
+
+
+def test_weil_restrict_matches_xmajor_oracle():
+    # levels up to 8 on all criterion-1 systems, 12 and 16 on the curated
+    # ones (the oracle's compose takes seconds per random system there)
+    cases = []
+    for _, ring, eqs, curated in _criterion_1_systems():
+        levels = (1, 2, 3, 4, 6, 8) + ((12, 16) if curated else ())
+        cases += [(ring, eqs, n) for n in levels]
+    for ring, eqs, n in cases:
+        m = ring.nvars - 1
+        old = _xmajor_weil_restrict(eqs, ring, n)
+        new = weil_restrict(eqs, ring, n)
+        assert new.ring.names == tuple(
+            old.ring.names[j * n + k] for k in range(n) for j in range(m)
+        )
+        assert new.restricted == [_digit_major(g, new.ring, n, m) for g in old.restricted]
+
+
+def test_iter_solutions_matches_xmajor_oracle():
+    # the solution sets, as series points, at every level criterion 1 checks
+    checks = 0
+    for ctx, ring, eqs, _ in _criterion_1_systems():
+        m = ring.nvars - 1
+        for n in (1, 2, 3, 4):
+            if ctx.q ** (n * m) > 7000:
+                continue
+            old = _xmajor_weil_restrict(eqs, ring, n)
+            new = weil_restrict(eqs, ring, n)
+            expected = {
+                _xmajor_point(a, n, m) for a in _xmajor_iter_solutions(old.restricted, old.ring)
+            }
+            got = {
+                tuple(x.coeffs for x in new.point(a))
+                for a in iter_solutions(new.restricted, new.ring)
+            }
+            assert got == expected, f"q={ctx.q} N={n}: {eqs}"
+            checks += 1
+    assert checks > 300
+
+
+def test_iter_solutions_walks_the_oracle_nodes():
+    # in the same variable order, pruning only the touched equations prunes
+    # exactly where rebuilding every equation did, so the node counts (and
+    # hence the meaning of search_budget) match the oracle's
+    for ctx, ring, eqs, _ in _criterion_1_systems()[::4]:
+        for n in (1, 2, 3):
+            if ctx.q ** (n * (ring.nvars - 1)) > 800:
+                continue
+            old = _xmajor_weil_restrict(eqs, ring, n)
+            assert _node_count(iter_solutions, old.restricted, old.ring) == _node_count(
+                _xmajor_iter_solutions, old.restricted, old.ring
+            )
+
+
+# -- soundness guards -------------------------------------------------------------
+
+
+GUARDS = """
+import sys
+from laurentdecide.ff import FqContext
+from laurentdecide.poly import PolyRing, RationalFunctionField
+from laurentdecide.truncation import weil_restrict
+from laurentdecide.verdict import SAT, UNSAT, Verdict
+
+if not sys.flags.optimize:
+    sys.exit("the guards must be exercised under python -O")
+F3 = FqContext(3)
+cases = [
+    (TypeError, lambda: weil_restrict([], PolyRing(RationalFunctionField(F3), ("X",)), 2)),
+    (ValueError, lambda: weil_restrict([], PolyRing(F3, ("X",)), 2)),
+    (ValueError, lambda: weil_restrict([], PolyRing(F3, ("X", "X", "t")), 2)),
+    (ValueError, lambda: Verdict("maybe")),
+    (ValueError, lambda: Verdict(SAT)),
+    (ValueError, lambda: Verdict(UNSAT)),
+]
+for kind, case in cases:
+    try:
+        case()
+    except kind as err:
+        print(f"{kind.__name__}: {err}")
+    else:
+        print("no exception")
+"""
+
+
+def test_soundness_guards_survive_python_O():
+    src = str(Path(laurentdecide.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GUARDS], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "TypeError: weil restriction runs over F_q[t] systems",
+        "ValueError: system ring must carry the t slot",
+        "ValueError: digit name collision",
+        "ValueError: unknown verdict status 'maybe'",
+        "ValueError: SAT verdicts always carry a certificate",
+        "ValueError: UNSAT verdicts always carry evidence",
+    ]
