@@ -299,7 +299,8 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
     scale = unit.inv()
     cof = [c.scale(scale) for c in gb.cofactors[idx]]
     cert = RadicalCertificate(ext, lifted, aux, cof)
-    assert cert.verify(), "cofactor bookkeeping broke"
+    if not cert.verify():
+        raise RuntimeError("radical cofactors do not recompose to 1")
     return True, cert
 
 

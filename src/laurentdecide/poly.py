@@ -35,6 +35,20 @@ class UniPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _make(cls, ctx, cs):
+        """From a list of elements of ctx, without coercion."""
+        while cs and not cs[-1]:
+            cs.pop()
+        f = object.__new__(cls)
+        f.ctx = ctx
+        f.coeffs = tuple(cs)
+        return f
+
+    def _same_field(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("mixed-field arithmetic")
+
+    @classmethod
     def const(cls, ctx, c):
         return cls(ctx, [ctx.elem(c)])
 
@@ -46,7 +60,7 @@ class UniPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs and self.ctx == other.ctx
+        return isinstance(other, UniPoly) and self.coeffs == other.coeffs and self.ctx is other.ctx
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -66,6 +80,7 @@ class UniPoly:
         raise AssertionError("normalized polynomial with no nonzero coefficient")
 
     def __add__(self, other):
+        self._same_field(other)
         n = max(len(self.coeffs), len(other.coeffs))
         z = self.ctx.zero()
         out = []
@@ -73,24 +88,25 @@ class UniPoly:
             a = self.coeffs[i] if i < len(self.coeffs) else z
             b = other.coeffs[i] if i < len(other.coeffs) else z
             out.append(a + b)
-        return UniPoly(self.ctx, out)
+        return UniPoly._make(self.ctx, out)
 
     def __neg__(self):
-        return UniPoly(self.ctx, [-c for c in self.coeffs])
+        return UniPoly._make(self.ctx, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        self._same_field(other)
         if not self or not other:
-            return UniPoly(self.ctx, [])
+            return UniPoly._make(self.ctx, [])
         z = self.ctx.zero()
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
-        return UniPoly(self.ctx, out)
+        return UniPoly._make(self.ctx, out)
 
     def __pow__(self, k: int):
         result = UniPoly.const(self.ctx, 1)
@@ -103,15 +119,17 @@ class UniPoly:
         return result
 
     def divmod(self, other):
+        self._same_field(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        q = UniPoly(self.ctx, [])
+        q = UniPoly._make(self.ctx, [])
         r = self
         inv_lead = other.coeffs[-1].inv()
+        zero = self.ctx.zero()
         while r and len(r.coeffs) >= len(other.coeffs):
             shift = len(r.coeffs) - len(other.coeffs)
             c = r.coeffs[-1] * inv_lead
-            term = UniPoly(self.ctx, [0] * shift + [c])
+            term = UniPoly._make(self.ctx, [zero] * shift + [c])
             q = q + term
             r = r - term * other
         return q, r
@@ -126,14 +144,14 @@ class UniPoly:
         if not self:
             return self
         inv = self.coeffs[-1].inv()
-        return UniPoly(self.ctx, [c * inv for c in self.coeffs])
+        return UniPoly._make(self.ctx, [c * inv for c in self.coeffs])
 
     def derivative(self):
         ctx = self.ctx
         out = []
         for i in range(1, len(self.coeffs)):
             out.append(ctx.from_int(i) * self.coeffs[i])
-        return UniPoly(ctx, out)
+        return UniPoly._make(ctx, out)
 
     def eval(self, x: FqElem) -> FqElem:
         acc = self.ctx.zero()
@@ -149,9 +167,10 @@ class UniPoly:
 
     def pth_root(self) -> "UniPoly":
         p = self.ctx.p
-        assert self.is_pth_power()
+        if not self.is_pth_power():
+            raise ValueError(f"{self!r} is not a p-th power")
         out = [self.coeffs[i].pth_root() for i in range(0, len(self.coeffs), p)]
-        return UniPoly(self.ctx, out)
+        return UniPoly._make(self.ctx, out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -178,7 +197,7 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
     if not a or not b:
-        return UniPoly(a.ctx, [])
+        return UniPoly._make(a.ctx, [])
     return ((a * b) // uni_gcd(a, b)).monic()
 
 
@@ -203,10 +222,10 @@ class RationalFunction:
                 num = num // g
                 den = den // g
             lead_inv = den.coeffs[-1].inv()
-            num = UniPoly(num.ctx, [c * lead_inv for c in num.coeffs])
+            num = UniPoly._make(num.ctx, [c * lead_inv for c in num.coeffs])
             den = den.monic()
         else:
-            den = UniPoly(den.ctx, [1])
+            den = UniPoly.const(den.ctx, 1)
         self.num = num
         self.den = den
 
@@ -309,14 +328,12 @@ class RationalFunctionField:
         return RationalFunction.const(self.ctx, k)
 
     def elem(self, v):
-        if isinstance(v, RationalFunction):
-            return v
-        if isinstance(v, UniPoly):
-            return RationalFunction.from_unipoly(v)
-        if isinstance(v, FqElem):
-            return RationalFunction.from_unipoly(UniPoly(self.ctx, [v]))
-        if isinstance(v, int):
-            return self.from_int(v)
+        if isinstance(v, (RationalFunction, UniPoly)):
+            if v.ctx is not self.ctx:
+                raise ValueError("element from a different field")
+            return v if isinstance(v, RationalFunction) else RationalFunction.from_unipoly(v)
+        if isinstance(v, (FqElem, int)):
+            return RationalFunction.const(self.ctx, v)
         raise TypeError(f"cannot coerce {v!r} into F_q(t)")
 
     def __repr__(self):
@@ -387,10 +404,6 @@ class PolyRing:
         return MultiPoly(self, {(0,) * self.nvars: c})
 
     def _coeff(self, c):
-        if isinstance(c, int):
-            return self.field.from_int(c)
-        if isinstance(self.field, FqContext):
-            return self.field.elem(c)
         return self.field.elem(c)
 
     def var(self, i: int):
@@ -429,7 +442,7 @@ class MultiPoly:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def _check(self, other):
-        if not isinstance(other, MultiPoly) or other.ring != self.ring:
+        if not isinstance(other, MultiPoly) or (other.ring is not self.ring and other.ring != self.ring):
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other):
@@ -685,7 +698,8 @@ def to_rational_coeffs(f: MultiPoly) -> MultiPoly:
     ring = f.ring
     tpos = ring.tpos
     ctx = ring.field
-    assert isinstance(ctx, FqContext)
+    if not isinstance(ctx, FqContext):
+        raise TypeError("to_rational_coeffs takes a polynomial over F_q")
     if tpos is None:
         target = PolyRing(RationalFunctionField(ctx), ring.names)
         return f.compose([target.var(i) for i in range(ring.nvars)], target)
@@ -716,7 +730,8 @@ def clear_denominators(equations):
     out = []
     for f in equations:
         ring = f.ring
-        assert isinstance(ring.field, RationalFunctionField)
+        if not isinstance(ring.field, RationalFunctionField):
+            raise TypeError("clear_denominators takes polynomials over F_q(t)")
         ctx = ring.field.ctx
         target = PolyRing(ctx, ring.names + ("t",))
         if not f:

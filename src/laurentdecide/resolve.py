@@ -62,8 +62,10 @@ class AffineSystem:
     inequation: MultiPoly | None = None
 
     def __post_init__(self):
-        assert isinstance(self.ring.field, FqContext)
-        assert self.ring.tpos == self.ring.nvars - 1, "t is the last ring variable"
+        if not isinstance(self.ring.field, FqContext):
+            raise TypeError("affine systems live over F_q[t]")
+        if self.ring.tpos != self.ring.nvars - 1:
+            raise ValueError("t is the last ring variable")
         self.equations = [f for f in self.equations if f]
 
     @property
@@ -180,7 +182,8 @@ def descend(system: AffineSystem, u: MultiPoly) -> AffineSystem:
         raise ValueError("descent center vanishes on the whole locus")
     before = dimension(buchberger(eqs_rat, ring=rring))
     after = dimension(buchberger(eqs_rat + [u_rat], ring=rring))
-    assert after is None or after < before, "descent must drop the dimension"
+    if not (after is None or after < before):
+        raise RuntimeError("descent must drop the dimension")
     return AffineSystem(system.ring, system.equations + [u], system.inequation)
 
 
@@ -217,7 +220,8 @@ def _sat_with_inequation(system, pos, dim, config, trace):
         return Verdict(UNKNOWN, reason="perturbation-budget-exhausted", trace=trace)
     final_witness, final_cert = out
     gval = _g_valuation(system, final_witness)
-    assert val_exact(gval)
+    if not val_exact(gval):
+        raise RuntimeError("perturbed witness leaves the inequation valuation inexact")
     trace.append(f"inequation attained exact valuation {gval}")
     return Verdict(
         SAT,
@@ -431,8 +435,8 @@ def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_m
     x, y = rring.var(0), rring.var(1)
     translated = curve.compose([x + rring.const(a), y + rring.const(b)], rring)
     mu = min(sum(e) for e in translated.terms)
-    if prev_mult is not None:
-        assert mu <= prev_mult, "blow-up multiplicity must not increase"
+    if prev_mult is not None and mu > prev_mult:
+        raise RuntimeError("blow-up multiplicity must not increase")
     charts = blow_up_origin(translated)
 
     g_rat = to_rational_coeffs(g) if g is not None else None
@@ -488,7 +492,8 @@ def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_m
         [to_rational_coeffs(f) for f in center_eqs], ring=rring
     )
     center_dim = dimension(center_gb)
-    assert center_dim is None or center_dim < report.dimension, "descent must drop dimension"
+    if not (center_dim is None or center_dim < report.dimension):
+        raise RuntimeError("descent must drop the dimension")
     trace.append("descending to the blow-up center")
     v_center = decide_existential(center_system, config, trace, depth + 1, None)
     if v_center.is_sat:

@@ -35,7 +35,11 @@ def val_exact(v) -> bool:
 
 
 class TruncatedSeries:
-    """An element of F_q[t]/(t^N): N stored coefficients plus the precision N."""
+    """An element of F_q[t]/(t^N): N stored coefficients plus the precision N.
+
+    The constructor coerces its coefficients into ctx; arithmetic builds its
+    results from elements of ctx directly and checks the context once per
+    operation."""
 
     __slots__ = ("ctx", "coeffs", "precision")
 
@@ -50,6 +54,19 @@ class TruncatedSeries:
         self.ctx = ctx
         self.coeffs = tuple(cs[:precision])
         self.precision = precision
+
+    @classmethod
+    def _make(cls, ctx, coeffs, precision):
+        """From precision elements of ctx, without coercion."""
+        x = object.__new__(cls)
+        x.ctx = ctx
+        x.coeffs = tuple(coeffs)
+        x.precision = precision
+        return x
+
+    def _same_field(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("mixed-field arithmetic")
 
     @classmethod
     def zero(cls, ctx, precision):
@@ -84,18 +101,20 @@ class TruncatedSeries:
         return hash((self.coeffs, self.precision))
 
     def __add__(self, other):
+        self._same_field(other)
         n = min(self.precision, other.precision)
-        return TruncatedSeries(
+        return TruncatedSeries._make(
             self.ctx, [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n
         )
 
     def __neg__(self):
-        return TruncatedSeries(self.ctx, [-a for a in self.coeffs], self.precision)
+        return TruncatedSeries._make(self.ctx, [-a for a in self.coeffs], self.precision)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        self._same_field(other)
         n = min(self.precision, other.precision)
         z = self.ctx.zero()
         out = [z] * n
@@ -105,7 +124,7 @@ class TruncatedSeries:
             for j, b in enumerate(other.coeffs[: n - i]):
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.ctx, out, n)
+        return TruncatedSeries._make(self.ctx, out, n)
 
     def __pow__(self, k: int):
         result = TruncatedSeries.one(self.ctx, self.precision)
@@ -120,7 +139,7 @@ class TruncatedSeries:
     def truncate(self, n: int) -> "TruncatedSeries":
         if n > self.precision:
             raise ValueError(f"cannot raise precision {self.precision} to {n}")
-        return TruncatedSeries(self.ctx, self.coeffs[:n], n)
+        return TruncatedSeries._make(self.ctx, self.coeffs[:n], n)
 
     def __repr__(self):
         parts = []
@@ -157,7 +176,7 @@ def invert_unit(a: TruncatedSeries) -> TruncatedSeries:
         for i in range(1, k + 1):
             acc = acc + a.coeffs[i] * out[k - i]
         out.append(-(inv0 * acc))
-    return TruncatedSeries(a.ctx, out, a.precision)
+    return TruncatedSeries._make(a.ctx, out, a.precision)
 
 
 def shift_right(a: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -171,7 +190,7 @@ def shift_right(a: TruncatedSeries, e: int) -> TruncatedSeries:
         raise ValueError("division by t^e with nonzero low coefficients")
     if a.precision - e < 1:
         raise ValueError("shift consumes all precision")
-    return TruncatedSeries(a.ctx, a.coeffs[e:], a.precision - e)
+    return TruncatedSeries._make(a.ctx, a.coeffs[e:], a.precision - e)
 
 
 def expand_rational(r: RationalFunction, n: int) -> TruncatedSeries:
@@ -193,7 +212,7 @@ def expand_rational(r: RationalFunction, n: int) -> TruncatedSeries:
         for i in range(1, k + 1):
             acc = acc - den[i] * out[k - i]
         out.append(acc * inv0)
-    return TruncatedSeries(ctx, out, n)
+    return TruncatedSeries._make(ctx, out, n)
 
 
 def evaluate(f: MultiPoly, point) -> TruncatedSeries:
@@ -210,12 +229,15 @@ def evaluate(f: MultiPoly, point) -> TruncatedSeries:
         raise ValueError("series evaluation needs at least the t coordinate")
     precision = point[0].precision
     ctx = point[0].ctx
+    if ring.field is not ctx:
+        raise ValueError("polynomial and point over different fields")
     for x in point:
         if x.precision != precision:
             raise ValueError("mixed precisions in evaluation point")
+    zeros = [ctx.zero()] * (precision - 1)
     acc = TruncatedSeries.zero(ctx, precision)
     for e, c in f.terms.items():
-        term = TruncatedSeries.constant(ctx, c, precision)
+        term = TruncatedSeries._make(ctx, [c] + zeros, precision)
         for i, k in enumerate(e):
             if k:
                 term = term * point[i] ** k

@@ -234,3 +234,23 @@ def test_evaluate_precision_mismatch():
     g = R2.var(0) + R2.var(1)
     with pytest.raises(ValueError):
         evaluate(g, [S(F3, [1], 2), S(F3, [1], 3)])  # mixed precision
+
+
+# -- field mixing is checked once per polynomial or series operation ---------
+
+F5 = FqContext(5)
+R3, R5 = PolyRing(F3, ("X", "t")), PolyRing(F5, ("X", "t"))
+MIXED = {
+    "multipoly-add": lambda: R3.var(0) + R5.var(0),
+    "multipoly-mul": lambda: R3.var(0) * R5.var(0),
+    "series-add": lambda: S(F3, [1, 1]) + S(F5, [1, 1]),
+    "series-mul": lambda: S(F3, [1, 1]) * S(F5, [1, 1]),
+    "unipoly-add": lambda: UniPoly(F3, [1, 1]) + UniPoly(F5, [1, 1]),
+    "evaluate": lambda: evaluate(R3.var(0), [S(F5, [0, 1]), S(F5, [0, 1])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED))
+def test_mixed_fields_raise(case):
+    with pytest.raises(ValueError):
+        MIXED[case]()

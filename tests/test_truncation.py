@@ -501,13 +501,17 @@ def test_iter_solutions_walks_the_oracle_nodes():
 GUARDS = """
 import sys
 from laurentdecide.ff import FqContext
-from laurentdecide.poly import PolyRing, RationalFunctionField
+from laurentdecide.poly import PolyRing, RationalFunctionField, clear_denominators, to_rational_coeffs
+from laurentdecide.resolve import AffineSystem, decide_existential, descend
 from laurentdecide.truncation import weil_restrict
 from laurentdecide.verdict import SAT, UNSAT, Verdict
 
 if not sys.flags.optimize:
     sys.exit("the guards must be exercised under python -O")
 F3 = FqContext(3)
+R = PolyRing(F3, ("X", "Y", "t"))
+X, Y = R.var(0), R.var(1)
+Q = PolyRing(RationalFunctionField(F3), ("X",))
 cases = [
     (TypeError, lambda: weil_restrict([], PolyRing(RationalFunctionField(F3), ("X",)), 2)),
     (ValueError, lambda: weil_restrict([], PolyRing(F3, ("X",)), 2)),
@@ -515,6 +519,15 @@ cases = [
     (ValueError, lambda: Verdict("maybe")),
     (ValueError, lambda: Verdict(SAT)),
     (ValueError, lambda: Verdict(UNSAT)),
+    (TypeError, lambda: to_rational_coeffs(Q.var(0))),
+    (TypeError, lambda: clear_denominators([X])),
+    (TypeError, lambda: AffineSystem(Q, [])),
+    (ValueError, lambda: AffineSystem(PolyRing(F3, ("t", "X")), [])),
+    # the locus is the line X = 0 plus the point (1, 0): X misses the point
+    # but cuts out the whole line
+    (RuntimeError, lambda: descend(AffineSystem(R, [X * (X - R.one()), X * Y]), X)),
+    # the cusp has multiplicity 2 at its singular point
+    (RuntimeError, lambda: decide_existential(AffineSystem(R, [Y * Y - X * X * X]), _prev_mult=1)),
 ]
 for kind, case in cases:
     try:
@@ -540,4 +553,10 @@ def test_soundness_guards_survive_python_O():
         "ValueError: unknown verdict status 'maybe'",
         "ValueError: SAT verdicts always carry a certificate",
         "ValueError: UNSAT verdicts always carry evidence",
+        "TypeError: to_rational_coeffs takes a polynomial over F_q",
+        "TypeError: clear_denominators takes polynomials over F_q(t)",
+        "TypeError: affine systems live over F_q[t]",
+        "ValueError: t is the last ring variable",
+        "RuntimeError: descent must drop the dimension",
+        "RuntimeError: blow-up multiplicity must not increase",
     ]
