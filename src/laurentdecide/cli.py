@@ -15,9 +15,9 @@ import json
 import sys
 
 from .ff import FqContext
-from .frontend import ParseError, _term_to_poly, decide, parse_term_text
+from .frontend import ParseError, _term_to_poly, affine_system, decide, parse_term_text
 from .hensel import PerturbBudget, certify_liftable
-from .poly import PolyRing, RationalFunctionField, clear_denominators
+from .poly import PolyRing, RationalFunctionField
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .series import (
     TruncatedSeries,
@@ -87,14 +87,7 @@ def load_system_file(path: str, ctx: FqContext) -> AffineSystem:
             ineq_factors.append(poly)
         else:
             raise ValueError(f"unknown system line kind {kind!r}")
-    equations = clear_denominators(eqs_rat) if eqs_rat else []
-    g = None
-    if ineq_factors:
-        product = ineq_factors[0]
-        for h in ineq_factors[1:]:
-            product = product * h
-        (g,) = clear_denominators([product])
-    return AffineSystem(ring, equations, g)
+    return affine_system(ring, eqs_rat, ineq_factors)
 
 
 def _branch_summary(branch: Verdict) -> dict:

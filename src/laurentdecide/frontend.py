@@ -504,15 +504,20 @@ def to_systems(sentence: Sentence, ctx: FqContext):
             one = rring.one()
             systems.append(AffineSystem(ring, clear_denominators([one])))
             continue
-        equations = clear_denominators(eqs_rat) if eqs_rat else []
-        g = None
-        if ineq_factors:
-            product = ineq_factors[0]
-            for h in ineq_factors[1:]:
-                product = product * h
-            (g,) = clear_denominators([product])
-        systems.append(AffineSystem(ring, equations, g))
+        systems.append(affine_system(ring, eqs_rat, ineq_factors))
     return systems
+
+
+def affine_system(ring, eqs_rat, ineq_factors) -> AffineSystem:
+    """The system eqs_rat = 0, prod(ineq_factors) != 0 over F_q(t)[X], with
+    denominators cleared into ring (the X variables plus the t slot)."""
+    g = None
+    if ineq_factors:
+        product = ineq_factors[0]
+        for h in ineq_factors[1:]:
+            product = product * h
+        (g,) = clear_denominators([product])
+    return AffineSystem(ring, clear_denominators(eqs_rat), g)
 
 
 def decide(sentence, ctx: FqContext, config: RunConfig | None = None) -> Verdict:

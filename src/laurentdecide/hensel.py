@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .ideal import buchberger, dimension, extend_ring, normal_form
+from .ideal import _rabinowitsch, buchberger, dimension, normal_form
 from .poly import det_matrix, jacobian, to_rational_coeffs
 from .series import (
     TruncatedSeries,
@@ -85,41 +85,18 @@ def _residuals(equations, point, precision=None):
     return [evaluate(f, pt) for f in equations]
 
 
-_saturation_cache = {}
-
-
 def _saturation_ok(equations, rows, det_poly):
-    """Every equation outside rows lies in (rows) : det^inf over F_q(t).
-
-    Depends only on the equations and the symbolic minor, not on the point,
-    so results are memoized across candidate points."""
+    """Every equation outside rows lies in (rows) : det^inf over F_q(t)."""
     others = [i for i in range(len(equations)) if i not in rows]
     if not others:
         return True
-    key = (tuple(equations), tuple(rows), det_poly)
-    cached = _saturation_cache.get(key)
-    if cached is not None:
-        return cached
-    result = _saturation_check(equations, rows, det_poly, others)
-    _saturation_cache[key] = result
-    return result
-
-
-def _saturation_check(equations, rows, det_poly, others):
-    row_rat = [to_rational_coeffs(equations[i]) for i in rows]
     det_rat = to_rational_coeffs(det_poly)
     if not det_rat:
         return False
-    base_ring = det_rat.ring
-    ext, lift = extend_ring(base_ring, "Zsat")
-    z = ext.var(ext.nvars - 1)
-    gens = [lift(f) for f in row_rat] + [ext.one() - z * lift(det_rat)]
-    gb = buchberger(gens, ring=ext)
-    for i in others:
-        f = lift(to_rational_coeffs(equations[i]))
-        if normal_form(f, gb):
-            return False
-    return True
+    rat = [to_rational_coeffs(equations[i]) for i in list(rows) + others]
+    lifted, aux = _rabinowitsch(rat, det_rat, "Zsat")
+    gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
+    return not any(normal_form(f, gb) for f in lifted[len(rows) :])
 
 
 def _minor_search(equations, point, k, exclude_col=None):

@@ -7,6 +7,13 @@ dimension, and squarefree parts (including the characteristic-p deflation
 cases).  Coefficients over F_q(t) are exact RationalFunction values: the
 Jacobian criterion is unreliable over imperfect fields, so nothing here may
 round or specialize.
+
+One division routine, reduce_poly, serves normal forms, quotients, exact
+division and every reduction inside Buchberger; sugar and cofactors are read
+off its quotients.  Buchberger keeps representation vectors over the input
+generators only under track=True, which only certified radical membership
+asks for.  Radical membership and the saturation guard of the Hensel layer
+share one Rabinowitsch construction, _rabinowitsch.
 """
 
 from __future__ import annotations
@@ -30,37 +37,39 @@ def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def reduce_poly(f: MultiPoly, basis, with_quotients=False):
-    """Full multivariate division of f by the ordered basis.
+def reduce_poly(f: MultiPoly, divisors, with_quotients=False):
+    """Full multivariate division of f by the ordered list of divisors.
 
-    Returns the normal form r, and with_quotients also the list q with
-    f = sum q_i * basis_i + r.  No term of r is divisible by any basis
-    leading term.  Deterministic: divisors tried in list order, the leading
-    reducible term is always peeled first.
+    Returns the normal form r, and with_quotients also the list of quotients
+    with f = sum quotients[i] * divisors[i] + r.  No term of r is divisible
+    by any divisor's leading term.  Deterministic: divisors are tried in list
+    order and the leading reducible term is always peeled first.  Each step
+    (divisor i, shift, factor) records the term factor * x^shift of
+    quotients[i]; the peeled leading monomials strictly decrease, so no shift
+    repeats within one quotient.
     """
     ring = f.ring
-    quotients = [ring.zero() for _ in basis] if with_quotients else None
-    lead = [(g.lead_monomial(), g.lead_coeff()) for g in basis]
+    steps = [{} for _ in divisors]
+    lead = [(g.lead_monomial(), g.lead_coeff()) for g in divisors]
     r_terms = {}
     work = f
     while work:
         m = work.lead_monomial()
         c = work.terms[m]
-        for i, g in enumerate(basis):
+        for i, g in enumerate(divisors):
             lm, lc = lead[i]
             if _divides(lm, m):
                 factor = c * lc.inv()
                 shift = _mono_sub(m, lm)
                 work = work - g.mul_term(shift, factor)
-                if with_quotients:
-                    quotients[i] = quotients[i] + MultiPoly(ring, {shift: factor})
+                steps[i][shift] = factor
                 break
         else:
             r_terms[m] = c
             work = work - MultiPoly(ring, {m: c})
     r = MultiPoly(ring, r_terms)
     if with_quotients:
-        return r, quotients
+        return r, [MultiPoly(ring, q) for q in steps]
     return r
 
 
@@ -87,7 +96,8 @@ class GroebnerBasis:
 
 
 class _Tracked:
-    """A working polynomial with its representation over the input gens."""
+    """A working polynomial with its sugar and, when tracking, its
+    representation over the input generators (None otherwise)."""
 
     __slots__ = ("poly", "rep", "sugar")
 
@@ -97,38 +107,28 @@ class _Tracked:
         self.sugar = sugar
 
 
-def _tracked_reduce(f: _Tracked, basis, ring):
-    """Reduce f.poly by basis (list of _Tracked), updating the representation."""
-    work = f.poly
-    rep = list(f.rep)
-    sugar = f.sugar
-    r_terms = {}
-    lead = [(g.poly.lead_monomial(), g.poly.lead_coeff()) for g in basis]
-    while work:
-        m = work.lead_monomial()
-        c = work.terms[m]
-        for i, g in enumerate(basis):
-            lm, lc = lead[i]
-            if _divides(lm, m):
-                factor = c * lc.inv()
-                shift = _mono_sub(m, lm)
-                work = work - g.poly.mul_term(shift, factor)
-                for k in range(len(rep)):
-                    if g.rep[k]:
-                        rep[k] = rep[k] - g.rep[k].mul_term(shift, factor)
-                sugar = max(sugar, g.sugar + sum(shift))
-                break
-        else:
-            r_terms[m] = c
-            work = work - MultiPoly(ring, {m: c})
-    return _Tracked(MultiPoly(ring, r_terms), rep, sugar)
+def _tracked_reduce(f: _Tracked, basis):
+    """Reduce f.poly by basis (list of _Tracked); the sugar and the
+    representation follow from the quotients."""
+    r, quotients = reduce_poly(f.poly, [g.poly for g in basis], with_quotients=True)
+    used = [(g, q) for g, q in zip(basis, quotients) if q]
+    sugar = max([f.sugar] + [g.sugar + q.total_degree() for g, q in used])
+    rep = f.rep
+    if rep is not None:
+        rep = list(rep)
+        for g, q in used:
+            for k, gk in enumerate(g.rep):
+                if gk:
+                    rep[k] = rep[k] - gk * q
+    return _Tracked(r, rep, sugar)
 
 
 def buchberger(generators, ring: PolyRing | None = None, track: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the given generators (grevlex).
 
     Sugar pair selection, coprime-leading-term skip.  With track=True each
-    output generator carries cofactors over the input list.
+    output generator carries cofactors over the input list; without it no
+    representation is built at all.
     """
     gens = list(generators)
     if ring is None:
@@ -137,13 +137,6 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
         ring = gens[0].ring
     one = ring.one()
     zero = ring.zero()
-
-    work = []
-    for i, g in enumerate(gens):
-        if not g:
-            continue
-        rep = [one if k == i else zero for k in range(len(gens))]
-        work.append(_Tracked(g, rep, g.total_degree()))
 
     basis = []
     pairs = []
@@ -161,11 +154,13 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
             )
             heapq.heappush(pairs, (sugar, grevlex_key(lcm), i, j))
 
-    for f in work:
-        basis.append(f)
+    for i, g in enumerate(gens):
+        if not g:
+            continue
+        rep = [one if k == i else zero for k in range(len(gens))] if track else None
+        basis.append(_Tracked(g, rep, g.total_degree()))
         add_pairs(len(basis) - 1)
 
-    nrep = len(gens)
     while pairs:
         sugar, _, i, j = heapq.heappop(pairs)
         fi, fj = basis[i], basis[j]
@@ -177,23 +172,20 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
         si = _mono_sub(lcm, lm_i)
         sj = _mono_sub(lcm, lm_j)
         s = fi.poly.mul_term(si, ci) - fj.poly.mul_term(sj, cj)
-        rep = [zero] * nrep
-        for k in range(nrep):
-            a = fi.rep[k].mul_term(si, ci) if fi.rep[k] else zero
-            b = fj.rep[k].mul_term(sj, cj) if fj.rep[k] else zero
-            rep[k] = a - b
-        cand = _tracked_reduce(_Tracked(s, rep, sugar), basis, ring)
+        rep = None
+        if track:
+            rep = [a.mul_term(si, ci) - b.mul_term(sj, cj) for a, b in zip(fi.rep, fj.rep)]
+        cand = _tracked_reduce(_Tracked(s, rep, sugar), basis)
         if cand.poly:
             basis.append(cand)
             add_pairs(len(basis) - 1)
 
-    reduced = _interreduce(basis, ring, nrep)
-    generators_out = [t.poly for t in reduced]
+    reduced = _interreduce(basis)
     cof = [t.rep for t in reduced] if track else None
-    return GroebnerBasis(ring, generators_out, cof)
+    return GroebnerBasis(ring, [t.poly for t in reduced], cof)
 
 
-def _interreduce(basis, ring, nrep):
+def _interreduce(basis):
     """Minimalize, tail-reduce, make monic, sort by leading monomial."""
     items = [t for t in basis if t.poly]
     # minimal: drop any generator whose LT is divisible by another's LT
@@ -212,17 +204,17 @@ def _interreduce(basis, ring, nrep):
             others = minimal[:idx] + minimal[idx + 1 :]
             if not others:
                 continue
-            red = _tracked_reduce(minimal[idx], others, ring)
+            red = _tracked_reduce(minimal[idx], others)
             if red.poly != minimal[idx].poly:
                 changed = True
-            assert red.poly, "minimal generator reduced to zero"
+            if not red.poly:
+                raise RuntimeError("minimal generator reduced to zero")
             minimal[idx] = red
     out = []
     for t in minimal:
         inv = t.poly.lead_coeff().inv()
-        poly = t.poly.scale(inv)
-        rep = [r.scale(inv) for r in t.rep]
-        out.append(_Tracked(poly, rep, t.sugar))
+        rep = [r.scale(inv) for r in t.rep] if t.rep is not None else None
+        out.append(_Tracked(t.poly.scale(inv), rep, t.sugar))
     out.sort(key=lambda t: grevlex_key(t.poly.lead_monomial()))
     return out
 
@@ -257,24 +249,21 @@ class RadicalCertificate:
         return acc == self.ring.one()
 
 
-def _fresh_name(base, taken):
-    if base not in taken:
-        return base
-    k = 2
-    while f"{base}{k}" in taken:
-        k += 1
-    return f"{base}{k}"
-
-
-def extend_ring(ring: PolyRing, base_name: str):
-    """Ring with one fresh variable appended; returns (new_ring, lift)."""
-    name = _fresh_name(base_name, set(ring.names))
-    new_ring = PolyRing(ring.field, ring.names + (name,))
+def _rabinowitsch(gens, g: MultiPoly, base_name: str):
+    """(lifted gens, 1 - Z*g): the Rabinowitsch generators of
+    (gens) + (1 - Z*g) in g's ring with one fresh variable Z appended, named
+    base_name, or base_name2, base_name3, ... if that is taken.  Their ideal
+    meets the original ring in the saturation (gens) : g^inf."""
+    ring = g.ring
+    name, k = base_name, 2
+    while name in ring.names:
+        name, k = f"{base_name}{k}", k + 1
+    ext = PolyRing(ring.field, ring.names + (name,))
 
     def lift(f):
-        return MultiPoly(new_ring, {e + (0,): c for e, c in f.terms.items()})
+        return MultiPoly(ext, {e + (0,): c for e, c in f.terms.items()})
 
-    return new_ring, lift
+    return [lift(f) for f in gens], ext.one() - ext.var(ring.nvars) * lift(g)
 
 
 def radical_membership(g: MultiPoly, generators, with_certificate=False):
@@ -282,12 +271,7 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
     closure)?  Rabinowitsch: 1 in (gens) + (1 - Z*g)."""
     if isinstance(generators, GroebnerBasis):
         generators = generators.generators
-    gens = [f for f in generators if f]
-    ring = g.ring
-    ext, lift = extend_ring(ring, "Zrad")
-    lifted = [lift(f) for f in gens]
-    z = ext.var(ext.nvars - 1)
-    aux = ext.one() - z * lift(g)
+    lifted, aux = _rabinowitsch([f for f in generators if f], g, "Zrad")
     gb = buchberger(lifted + [aux], track=with_certificate)
     member = gb.contains_one()
     if not with_certificate:
@@ -298,7 +282,7 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
     unit = gb.generators[idx].constant_value()
     scale = unit.inv()
     cof = [c.scale(scale) for c in gb.cofactors[idx]]
-    cert = RadicalCertificate(ext, lifted, aux, cof)
+    cert = RadicalCertificate(aux.ring, lifted, aux, cof)
     if not cert.verify():
         raise RuntimeError("radical cofactors do not recompose to 1")
     return True, cert
@@ -353,9 +337,6 @@ class _Frac:
 
     def __bool__(self):
         return bool(self.num)
-
-    def __add__(self, other):
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
         return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
@@ -500,18 +481,6 @@ def _inflate(f: MultiPoly, x: int, p: int):
         e2 = list(e)
         e2[x] *= p
         terms[tuple(e2)] = c
-    return MultiPoly(f.ring, terms)
-
-
-def _poly_pth_root(f: MultiPoly, p: int):
-    """The p-th root when f is visibly a p-th power: all exponents divisible
-    by p and all coefficients p-th powers; None otherwise."""
-    for e, c in f.terms.items():
-        if any(k % p for k in e):
-            return None
-        if not c.is_pth_power():
-            return None
-    terms = {tuple(k // p for k in e): c.pth_root() for e, c in f.terms.items()}
     return MultiPoly(f.ring, terms)
 
 

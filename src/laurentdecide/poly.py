@@ -153,12 +153,6 @@ class UniPoly:
             out.append(ctx.from_int(i) * self.coeffs[i])
         return UniPoly._make(ctx, out)
 
-    def eval(self, x: FqElem) -> FqElem:
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def is_pth_power(self) -> bool:
         """p-th powers in F_q[t] are exactly the polynomials in t^p
         (coefficients are automatic: F_q is perfect)."""
@@ -410,9 +404,6 @@ class PolyRing:
         e = [0] * self.nvars
         e[i] = 1
         return MultiPoly(self, {tuple(e): self.field.one()})
-
-    def var_named(self, name: str):
-        return self.var(self.names.index(name))
 
     def from_terms(self, terms: dict):
         out = {}
@@ -682,15 +673,6 @@ def det_matrix(matrix, one):
 
 def total_degree(f: MultiPoly) -> int:
     return f.total_degree()
-
-
-def attach_t(ring: PolyRing) -> PolyRing:
-    """The ring over F_q with the t slot appended (idempotent)."""
-    if isinstance(ring.field, RationalFunctionField):
-        return PolyRing(ring.field.ctx, ring.names + ("t",))
-    if ring.tpos is not None:
-        return ring
-    return PolyRing(ring.field, ring.names + ("t",))
 
 
 def to_rational_coeffs(f: MultiPoly) -> MultiPoly:

@@ -404,7 +404,7 @@ def _decide_by_truncation(normalized, eqs, g, dim, config, trace):
             return val_exact(valuation(evaluate(g_poly, pt)))
 
     pos = decide_positive(
-        eqs, ring, schedule, config.candidate_cap, trace, config.search_budget, accept
+        eqs, ring, schedule, config.candidate_cap, trace, config.search_budget, accept, dim
     )
     if not pos.is_sat or g is None:
         return pos

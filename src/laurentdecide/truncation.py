@@ -252,6 +252,7 @@ def decide_positive(
     trace: list | None = None,
     search_budget: int | None = 2_000_000,
     accept=None,
+    dim=None,
 ) -> Verdict:
     """Decide a pure equation system (no inequation) over F_q[[t]].
 
@@ -265,13 +266,17 @@ def decide_positive(
     failing it are remembered but the search keeps going, deeper levels
     included; the first remembered witness is returned when nothing better
     turns up.  Refutation is independent of accept.
+
+    dim is the Krull dimension of the equations over F_q(t) when the caller
+    already has it; None computes it.
     """
     if schedule is None:
         schedule = PrecisionSchedule()
     if trace is None:
         trace = []
     eqs = [f for f in equations if f]
-    dim = system_dimension(eqs, ring)
+    if dim is None:
+        dim = system_dimension(eqs, ring)
     blocked_by_budget = False
     fallback = None
     for level in schedule.levels():

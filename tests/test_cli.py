@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,10 +205,14 @@ def test_cli_determinism_across_threads(capsys):
 
 
 def test_cli_entrypoint_subprocess():
+    # the child interpreter does not inherit pytest's pythonpath setting
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-m", "laurentdecide.cli", "--field", "p=3", "exists X. X = t"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "sat"

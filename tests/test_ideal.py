@@ -9,6 +9,7 @@ from laurentdecide.ideal import (
     ideal_membership,
     normal_form,
     radical_membership,
+    reduce_poly,
     squarefree_part,
 )
 from laurentdecide.poly import PolyRing, RationalFunction, RationalFunctionField, UniPoly
@@ -359,3 +360,110 @@ def test_squarefree_mixed_exponent_char3():
     f = (R.var(0) ** 3 - R.const(t)) ** 2
     s = squarefree_part(f)
     assert s == (R.var(0) ** 3 - R.const(t)).monic()
+
+
+# -- differential test against the two-loop implementation -------------------
+
+
+def _criterion_6_ideals():
+    """The 50 random ideals of criterion 6 (test_acceptance), same seed."""
+    rng = random.Random(60609)
+    out = []
+    while len(out) < 50:
+        nv = rng.choice((2, 3))
+        R = PolyRing(F3, tuple("XYZ"[:nv]))
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            terms = {}
+            for _ in range(rng.randrange(1, 4)):
+                e = tuple(rng.randrange(3) for _ in range(nv))
+                if sum(e) > 3:
+                    continue
+                terms[e] = rng.randrange(3)
+            f = R.from_terms(terms)
+            if f:
+                gens.append(f)
+        if gens:
+            out.append((gens, None))
+    R2 = PolyRing(F3, ("X", "Y"))
+    x, y = R2.var(0), R2.var(1)
+    for g, gens in [
+        (x, [x**2]),
+        (x, [y]),
+        (R2.one(), [x - R2.one(), x]),
+        (y - x**2, [(y - x**2) ** 2]),
+        (x + y, [x * y]),
+    ]:
+        out.append((gens, g))
+    out += [([x * y - R2.one()], None), ([x, y], None), ([R2.one()], None)]
+    return out
+
+
+def _idempotent_random_ideals():
+    """The ideals of test_buchberger_idempotent_random, same seed."""
+    rng = random.Random(1234)
+    R = ring(F3, "X", "Y")
+    out = []
+    for _ in range(25):
+        gens = [rand_poly(rng, R) for _ in range(rng.randrange(1, 4))]
+        if any(gens):
+            out.append((gens, None))
+    return out
+
+
+def _fuzz_system_ideals():
+    """Equations and inequation over F_q(t) of every system to_systems builds
+    from the seeded sentences of test_fuzz_sentences_f3 and _f2."""
+    from test_fuzz import random_sentence
+
+    from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
+    from laurentdecide.poly import to_rational_coeffs
+
+    out = []
+    for seed, ctx in ((777001, F3), (424242, F2)):
+        rng = random.Random(seed)
+        for _ in range(45):
+            sentence = eliminate_valuation_atoms(parse(random_sentence(rng)))
+            for system in to_systems(sentence, ctx):
+                gens = [to_rational_coeffs(f) for f in system.equations if f]
+                g = system.inequation
+                if gens:
+                    out.append((gens, to_rational_coeffs(g) if g is not None else None))
+    return out
+
+
+def test_groebner_layer_matches_two_loop_oracle():
+    import ideal_oracle as old
+
+    cases = _criterion_6_ideals() + _idempotent_random_ideals() + _fuzz_system_ideals()
+    assert len(cases) > 150
+    certificates = 0
+    for gens, g in cases:
+        R = gens[0].ring
+        gb = buchberger(gens, ring=R)
+        tracked = buchberger(gens, ring=R, track=True)
+        want = old.buchberger(gens, ring=R, track=True)
+        assert gb.cofactors is None
+        assert gb.generators == want.generators == tracked.generators
+        assert tracked.cofactors == want.cofactors
+        # division by the basis and by the raw generator list, with quotients
+        probes = [gens[0] * gens[-1]] + [f + R.one() for f in gens]
+        if g is not None:
+            probes.append(g)
+        divisors = [f for f in gens if f]
+        for f in probes:
+            expect = old.reduce_poly(f, gb.generators, with_quotients=True)
+            assert normal_form(f, gb, with_quotients=True) == expect
+            expect = old.reduce_poly(f, divisors, with_quotients=True)
+            assert reduce_poly(f, divisors, with_quotients=True) == expect
+        h = R.one() if g is None else g
+        got = radical_membership(h, gens, with_certificate=True)
+        expect = old.radical_membership(h, gens, with_certificate=True)
+        assert got[0] == expect[0] == radical_membership(h, gens)
+        if expect[1] is not None:
+            certificates += 1
+            assert (got[1].ring, got[1].lifted_gens, got[1].aux, got[1].cofactors) == (
+                expect[1].ring, expect[1].lifted_gens, expect[1].aux, expect[1].cofactors
+            )
+    assert certificates >= 10
+
