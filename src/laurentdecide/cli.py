@@ -249,9 +249,7 @@ def run(argv=None) -> int:
         if args.system_file and text:
             raise ValueError("give either a sentence or --system-file, not both")
         if args.system_file:
-            system = load_system_file(args.system_file, ctx)
-            verdict = decide_existential(system, config)
-            verdict.system = system
+            verdict = decide_existential(load_system_file(args.system_file, ctx), config)
         elif text:
             verdict = decide(text, ctx, config)
         else:

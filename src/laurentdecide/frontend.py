@@ -535,8 +535,6 @@ def decide(sentence, ctx: FqContext, config: RunConfig | None = None) -> Verdict
         trace.append(f"disjunct {i}: {len(system.equations)} equation(s)"
                      + (", inequation present" if system.inequation is not None else ""))
         v = decide_existential(system, config, trace)
-        if v.system is None:
-            v.system = system
         if v.is_sat:
             trace.append(f"disjunct {i} is satisfiable")
             return Verdict(

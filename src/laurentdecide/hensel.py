@@ -30,6 +30,7 @@ from .series import (
     val_exact,
     val_ge,
     valuation,
+    valuation_at,
 )
 
 
@@ -103,8 +104,6 @@ def _minor_search(equations, point, k, exclude_col=None):
     """Deterministic minor choice: minimal determinant valuation, then
     lexicographic (rows, cols); saturation-checked.  Returns
     (rows, cols, e) or None."""
-    if k == 0:
-        return ((), (), 0) if _saturation_empty(equations) else None
     ring = equations[0].ring
     xvars = _x_indices(ring)
     m = len(xvars)
@@ -138,12 +137,13 @@ def _saturation_empty(equations):
     return all(not f for f in equations)
 
 
-def certify_liftable(equations, point, dim=None, precision=None):
+def certify_liftable(equations, point, dim=None, precision=None, exclude_col=None):
     """HenselCertificate for the point, or None.
 
     Conditions: every residual valuation >= N (the point precision), some
     size-(m-d) Jacobian minor with determinant valuation e satisfying N > 2e,
-    and the saturation guard for equations outside the minor rows.
+    and the saturation guard for equations outside the minor rows.  A minor
+    may not use the unknown at position exclude_col, when given.
     """
     equations = [f for f in equations if f]
     if precision is None:
@@ -167,7 +167,7 @@ def certify_liftable(equations, point, dim=None, precision=None):
         if not _saturation_empty(equations):
             return None
         return HenselCertificate((), (), 0, n_prec)
-    found = _minor_search(equations, point, k)
+    found = _minor_search(equations, point, k, exclude_col)
     if found is None:
         return None
     rows, cols, e = found
@@ -276,37 +276,29 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
     Perturbs one free coordinate (outside the certificate's bound columns) by
     c*t^M, then re-solves the bound coordinates by Newton.  Deterministic
     order: depths M increasing, then directions by coordinate index, then
-    scalars in field-enumeration order.  The minor and its valuation are
-    recomputed after every perturbation.
+    scalars in field-enumeration order.  Every perturbed point is certified
+    afresh, at the precision its residuals reach, by a minor avoiding the
+    perturbed coordinate.
     """
     equations = [f for f in equations if f]
-    precision = point[0].precision if point else 1
-    gring = g.ring
-    ctx = gring.field
-
-    def g_value(xs):
-        return evaluate(g, series_point(gring, xs, xs[0].precision if xs else precision))
-
-    if point:
-        if val_exact(valuation(g_value(point))):
-            return point, certificate
-    else:
+    if not point:
         # closed system: g is a constant in t
         return (point, certificate) if g else None
+    if val_exact(valuation_at(g, point)):
+        return point, certificate
+    precision = point[0].precision
 
     if dim is None and equations:
         dim = system_dimension(equations, equations[0].ring)
     if equations and dim is None:
         return None  # empty locus cannot carry a certified point
-    m = len(point)
     bound = set(certificate.cols)
-    ring = equations[0].ring if equations else gring
+    ring = equations[0].ring if equations else g.ring
     xvars = _x_indices(ring)
-    free = [j for j in xvars if j not in bound]
-    free = free[: budget.directions]
+    free = [j for j in xvars if j not in bound][: budget.directions]
     if not free:
         return None
-    nonzero_scalars = [c for c in ctx.elements() if c]
+    nonzero_scalars = [c for c in g.ring.field.elements() if c]
     xpos = {v: i for i, v in enumerate(xvars)}
 
     m0 = max(1, 2 * certificate.e + 1)
@@ -320,25 +312,25 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
                     for i, x in enumerate(point)
                 ]
                 if not equations:
-                    if val_exact(valuation(g_value(xs))):
+                    if val_exact(valuation_at(g, xs)):
                         return tuple(xs), certificate
                     continue
-                res = _residuals(equations, xs)
-                vals = [valuation(r) for r in res]
-                floor = min((v if val_exact(v) else v.n) for v in vals)
-                k = m - dim
-                found = _minor_search(equations, xs, k, exclude_col=xpos[j])
-                if found is None:
+                # residual valuations never exceed the precision
+                floor = min(
+                    (v if val_exact(v) else v.n) for v in map(valuation, _residuals(equations, xs))
+                )
+                if floor < 1:
                     continue
-                rows, cols, e2 = found
-                if not floor > 2 * e2:
+                cert2 = certify_liftable(
+                    equations, [x.truncate(floor) for x in xs], dim, exclude_col=xpos[j]
+                )
+                if cert2 is None:
                     continue
-                cert2 = HenselCertificate(rows, cols, e2, min(floor, precision))
                 try:
                     lifted = newton_lift(equations, xs, cert2, precision)
                 except CertificateError:
                     continue
-                if val_exact(valuation(g_value(list(lifted)))):
+                if val_exact(valuation_at(g, lifted)):
                     final = certify_liftable(equations, list(lifted), dim)
                     if final is not None:
                         return tuple(lifted), final

@@ -434,7 +434,8 @@ def _gcd_in_x(f: MultiPoly, g: MultiPoly, x: int):
         return ring.one()
     cont = _content_in(cleared, x)
     prim = exact_divide(cleared, cont)
-    assert prim is not None
+    if prim is None:
+        raise RuntimeError("the content divides the polynomial")
     return _normalize_unit(prim)
 
 
@@ -466,7 +467,8 @@ def gcd_multivariate(f: MultiPoly, g: MultiPoly):
 
 
 def _deflate(f: MultiPoly, x: int, p: int):
-    assert all(e[x] % p == 0 for e in f.terms)
+    if any(e[x] % p for e in f.terms):
+        raise RuntimeError("deflation needs exponents divisible by p")
     terms = {}
     for e, c in f.terms.items():
         e2 = list(e)
@@ -525,7 +527,8 @@ def squarefree_part(f: MultiPoly, main_var: int | None = None) -> MultiPoly:
     x = main_var if main_var is not None and f.degree_in(main_var) > 0 else vs[0]
     cont = _content_in(f, x)
     prim = exact_divide(f, cont)
-    assert prim is not None
+    if prim is None:
+        raise RuntimeError("the content divides the polynomial")
     head = squarefree_part(cont) if not cont.is_constant() else f.ring.one()
     tail = _squarefree_primitive(prim, x)
     return _normalize_unit(head * tail)
@@ -549,7 +552,8 @@ def _squarefree_primitive(f: MultiPoly, x: int) -> MultiPoly:
     if g.is_constant():
         return _normalize_unit(f)
     w = exact_divide(f, g)
-    assert w is not None
+    if w is None:
+        raise RuntimeError("gcd(f, f') divides f")
     # strip the factors of w out of g; what remains collects the factors with
     # exponent divisible by p or with vanishing x-derivative, so it has zero
     # x-derivative itself and recurses through the deflation branch
@@ -559,8 +563,10 @@ def _squarefree_primitive(f: MultiPoly, x: int) -> MultiPoly:
         if e.is_constant():
             break
         c = exact_divide(c, e)
-        assert c is not None
+        if c is None:
+            raise RuntimeError("a gcd divides its argument")
     if c.is_constant():
         return _normalize_unit(w)
-    assert not c.partial(x), "residual repeated part must be x-inseparable"
+    if c.partial(x):
+        raise RuntimeError("residual repeated part must be x-inseparable")
     return _normalize_unit(w * _squarefree_primitive(c, x))

@@ -9,11 +9,17 @@ inequation is present.  Singular plane curves are blown up at rational
 singular points, charts are decided recursively, and the exceptional centre
 descends to a lower-dimensional system.  Everything else is an honest
 UNKNOWN: verdicts must stay sound.
+
+A system is immutable and owns the views derived from its equations: their
+F_q(t) form, one Groebner basis over F_q(t) and its dimension, each computed
+at most once.  Every step that adjoins equations to lower the dimension (the
+blow-up centre, say) goes through the one routine `descend`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .ff import FqContext
@@ -34,7 +40,7 @@ from .poly import (
     jacobian,
     to_rational_coeffs,
 )
-from .series import evaluate, expand_rational, series_point, val_exact, valuation
+from .series import expand_rational, val_exact, valuation_at
 from .truncation import PrecisionSchedule, decide_positive
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
@@ -50,11 +56,13 @@ class RunConfig:
     search_budget: int = 2_000_000  # digit-search nodes per truncation level
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineSystem:
     """Equations f_1..f_n plus at most one inequation g != 0, over F_q[t][X].
 
-    The ring carries the t slot as its last variable.
+    The ring carries the t slot as its last variable.  Zero equations are
+    dropped.  The views `rational`, `basis` and `dim` are computed on first
+    use and kept with the object.
     """
 
     ring: PolyRing
@@ -66,7 +74,7 @@ class AffineSystem:
             raise TypeError("affine systems live over F_q[t]")
         if self.ring.tpos != self.ring.nvars - 1:
             raise ValueError("t is the last ring variable")
-        self.equations = [f for f in self.equations if f]
+        object.__setattr__(self, "equations", [f for f in self.equations if f])
 
     @property
     def xnames(self):
@@ -75,12 +83,29 @@ class AffineSystem:
     def rational_ring(self):
         return PolyRing(RationalFunctionField(self.ring.field), self.xnames)
 
+    @cached_property
+    def rational(self):
+        """The equations over F_q(t); bases and radical certificates of this
+        system are built from these generators."""
+        return [to_rational_coeffs(f) for f in self.equations]
+
+    @cached_property
+    def basis(self):
+        """Reduced Groebner basis of the equations over F_q(t)."""
+        return buchberger(self.rational, ring=self.rational_ring())
+
+    @cached_property
+    def dim(self):
+        """Krull dimension of the locus over F_q(t); None when it is empty."""
+        return dimension(self.basis)
+
 
 @dataclass
 class RegularityReport:
     status: str  # "regular" | "singular" | "inconclusive"
     dimension: int | None = None
     singular_locus: list | None = None  # generators over F_q(t) (equations + minors)
+    locus_dimension: int | None = None  # dimension of the singular locus
 
 
 @dataclass
@@ -92,7 +117,7 @@ class BlowupChart:
     exceptional: MultiPoly   # chart equation of the exceptional divisor
 
 
-def regularity_check(system: AffineSystem, gb=None, dim=None) -> RegularityReport:
+def regularity_check(system: AffineSystem) -> RegularityReport:
     """Spread out (t a variable over the perfect F_q), compute the non-smooth
     locus via size-(m-d) Jacobian minors, and test whether it meets the
     generic fibre: 1 in (equations + minors) over F_q(t) means Regular.
@@ -106,16 +131,13 @@ def regularity_check(system: AffineSystem, gb=None, dim=None) -> RegularityRepor
     m = len(system.xnames)
     if not eqs:
         return RegularityReport("regular", dimension=m)
-    eqs_rat = [to_rational_coeffs(f) for f in eqs]
-    if gb is None:
-        gb = buchberger(eqs_rat, ring=eqs_rat[0].ring)
+    dim = system.dim
     if dim is None:
-        dim = dimension(gb)
-    assert dim is not None, "emptiness is decided before the regularity check"
+        raise ValueError("emptiness is decided before the regularity check")
     k = m - dim
     # unmixedness: codimension matched by SOME generating set of that size
     equidimensional = (
-        len(eqs) == 1 or dim == 0 or k == len(eqs) or k == len(gb.generators)
+        len(eqs) == 1 or dim == 0 or k == len(eqs) or k == len(system.basis.generators)
     )
     if not equidimensional:
         return RegularityReport("inconclusive", dimension=dim)
@@ -127,12 +149,14 @@ def regularity_check(system: AffineSystem, gb=None, dim=None) -> RegularityRepor
             det = det_matrix([[jac[i][j] for j in cols] for i in rows], ring.one())
             if det:
                 minors.append(det)
-    locus = eqs_rat + [to_rational_coeffs(h) for h in minors]
+    locus = system.rational + [to_rational_coeffs(h) for h in minors]
     locus = [h for h in locus if h]
-    gb_locus = buchberger(locus, ring=eqs_rat[0].ring)
+    gb_locus = buchberger(locus, ring=system.rational_ring())
     if gb_locus.contains_one():
         return RegularityReport("regular", dimension=dim)
-    return RegularityReport("singular", dimension=dim, singular_locus=locus)
+    return RegularityReport(
+        "singular", dimension=dim, singular_locus=locus, locus_dimension=dimension(gb_locus)
+    )
 
 
 def blow_up_origin(curve: MultiPoly):
@@ -143,7 +167,8 @@ def blow_up_origin(curve: MultiPoly):
     curve recovers strict * exceptional^mu identically.
     """
     ring = curve.ring
-    assert ring.nvars == 2, "blow-ups are implemented for plane curves"
+    if ring.nvars != 2:
+        raise ValueError("blow-ups are implemented for plane curves")
     if not curve:
         raise ValueError("cannot blow up the zero polynomial")
     mu = min(sum(e) for e in curve.terms)
@@ -155,7 +180,8 @@ def blow_up_origin(curve: MultiPoly):
         total = curve.compose(images, ring)
         terms = {}
         for e, c in total.terms.items():
-            assert e[div_slot] >= mu
+            if e[div_slot] < mu:
+                raise RuntimeError("the exceptional divisor divides the total transform mu times")
             e2 = list(e)
             e2[div_slot] -= mu
             terms[tuple(e2)] = c
@@ -172,32 +198,20 @@ def blow_up_origin(curve: MultiPoly):
     return charts
 
 
-def descend(system: AffineSystem, u: MultiPoly) -> AffineSystem:
-    """Adjoin u to the equations (the locus away from u is handled elsewhere);
-    the dimension must strictly decrease."""
-    eqs_rat = [to_rational_coeffs(f) for f in system.equations]
-    u_rat = to_rational_coeffs(u)
-    rring = system.rational_ring()
-    if radical_membership(u_rat, eqs_rat):
-        raise ValueError("descent center vanishes on the whole locus")
-    before = dimension(buchberger(eqs_rat, ring=rring))
-    after = dimension(buchberger(eqs_rat + [u_rat], ring=rring))
-    if not (after is None or after < before):
+def descend(system: AffineSystem, *centre: MultiPoly) -> AffineSystem:
+    """Adjoin the centre polynomials to the equations (the locus away from
+    them is handled elsewhere).  None may vanish on the whole locus, and the
+    dimension must strictly decrease."""
+    for u in centre:
+        if radical_membership(to_rational_coeffs(u), system.rational):
+            raise ValueError("descent center vanishes on the whole locus")
+    lower = AffineSystem(system.ring, system.equations + list(centre), system.inequation)
+    if not (lower.dim is None or lower.dim < system.dim):
         raise RuntimeError("descent must drop the dimension")
-    return AffineSystem(system.ring, system.equations + [u], system.inequation)
+    return lower
 
 
-def _g_valuation(system: AffineSystem, witness):
-    g = system.inequation
-    if not witness:
-        # no unknowns: g is a polynomial in t alone, valuation is exact
-        return min(e[system.ring.tpos] for e in g.terms)
-    precision = witness[0].precision
-    pt = series_point(system.ring, list(witness), precision)
-    return valuation(evaluate(g, pt))
-
-
-def _sat_with_inequation(system, pos, dim, config, trace):
+def _sat_with_inequation(system, pos, config, trace):
     """Perturb a certified solution until the inequation has exact valuation."""
     eqs = system.equations
     g = system.inequation
@@ -209,17 +223,17 @@ def _sat_with_inequation(system, pos, dim, config, trace):
     if witness and target > witness[0].precision:
         try:
             witness = newton_lift(eqs, list(witness), cert, target)
-            cert2 = certify_liftable(eqs, list(witness), dim, precision=target)
+            cert2 = certify_liftable(eqs, list(witness), system.dim, precision=target)
             if cert2 is not None:
                 cert = cert2
         except CertificateError:
             witness = pos.witness
-    out = smooth_perturb(eqs, list(witness), cert, g, budget, dim=dim)
+    out = smooth_perturb(eqs, list(witness), cert, g, budget, dim=system.dim)
     if out is None:
         trace.append("perturbation budget exhausted without meeting the inequation")
         return Verdict(UNKNOWN, reason="perturbation-budget-exhausted", trace=trace)
     final_witness, final_cert = out
-    gval = _g_valuation(system, final_witness)
+    gval = valuation_at(g, final_witness)
     if not val_exact(gval):
         raise RuntimeError("perturbed witness leaves the inequation valuation inexact")
     trace.append(f"inequation attained exact valuation {gval}")
@@ -232,14 +246,12 @@ def _sat_with_inequation(system, pos, dim, config, trace):
     )
 
 
-def _constant_singular_points(eqs_rat, locus):
+def _constant_singular_points(locus):
     """F_q-rational points of the singular locus, in enumeration order."""
-    rring = eqs_rat[0].ring
-    ctx = rring.field.ctx
-    field = rring.field
+    field = locus[0].ring.field
     out = []
-    for a in ctx.elements():
-        for b in ctx.elements():
+    for a in field.ctx.elements():
+        for b in field.ctx.elements():
             pa, pb = field.elem(a), field.elem(b)
             if all(not h.eval_coeffs([pa, pb]) for h in locus):
                 out.append((a, b))
@@ -272,100 +284,97 @@ def decide_existential(
     _prev_mult: int | None = None,
 ) -> Verdict:
     """SAT/UNSAT/UNKNOWN for: do the equations vanish and the inequation not,
-    somewhere on F_q[[t]]^m?"""
+    somewhere on F_q[[t]]^m?
+
+    The verdict refers to the normalized system, which it carries as
+    `system`, so certificates and refutation levels verify against it."""
     if config is None:
         config = RunConfig()
     if trace is None:
         trace = []
-    ring = system.ring
-    eqs = [f for f in system.equations if f]
-    g = system.inequation
-    rring = system.rational_ring()
+    normalized = _normalize(system, trace)
+    out = _decide_normalized(normalized, config, trace, _depth, _prev_mult)
+    if out.system is None:
+        out.system = normalized
+    return out
 
+
+def _normalize(system, trace):
+    """Drop a nonzero constant inequation and take equation-wise squarefree
+    parts (zero sets unchanged); when the reduced basis is principal the
+    system IS a hypersurface in disguise (e.g. {X, X*Y}).  Settles in at most
+    two rounds, and returns the input object when nothing changes."""
+    ring = system.ring
+    g = system.inequation
     if g is not None and g.is_constant():
         gc = to_rational_coeffs(g).constant_value() if g else None
         if g and gc:
             trace.append("inequation is a nonzero constant, dropped")
             g = None
-        # a zero inequation is handled by the radical test below
-
-    # normalization: equation-wise squarefree parts (zero sets unchanged),
-    # and when the reduced basis is principal the system IS a hypersurface in
-    # disguise (e.g. {X, X*Y}); the loop settles in at most two rounds
+        # a zero inequation is handled by the radical test
+    if g is not system.inequation:
+        system = AffineSystem(ring, system.equations, g)
     while True:
         replaced = []
         changed = False
-        for f in eqs:
-            rat = to_rational_coeffs(f)
-            if rat.is_constant():
-                replaced.append(f)
-                continue
-            sf = squarefree_part(rat)
-            if sf.monic() != rat.monic():
-                changed = True
-                (f,) = clear_denominators([sf])
+        for f, rat in zip(system.equations, system.rational):
+            if not rat.is_constant():
+                sf = squarefree_part(rat)
+                if sf.monic() != rat.monic():
+                    changed = True
+                    (f,) = clear_denominators([sf])
             replaced.append(f)
         if changed:
             trace.append("replaced equations by their squarefree parts")
-        eqs = replaced
-        eqs_rat = [to_rational_coeffs(f) for f in eqs]
-        gb = buchberger(eqs_rat, ring=rring)
-        if len(gb.generators) == 1 and len(eqs) > 1:
+            system = AffineSystem(ring, replaced, g)
+        gens = system.basis.generators
+        if len(gens) == 1 and len(system.equations) > 1:
             trace.append("equations collapse to a principal ideal")
-            eqs = clear_denominators([gb.generators[0]])
+            system = AffineSystem(ring, clear_denominators([gens[0]]), g)
             continue
-        break
+        return system
 
-    # all verdicts below refer to the normalized equations, so certificates
-    # and refutation levels verify against this system
-    normalized = AffineSystem(ring, eqs, g)
 
-    if gb.contains_one():
-        _, cert = radical_membership(rring.one(), eqs_rat, with_certificate=True)
+def _decide_normalized(system, config, trace, depth, prev_mult):
+    """The verdict on a normalized system; decide_existential attaches it."""
+    g = system.inequation
+    if system.basis.contains_one():
+        _, cert = radical_membership(
+            system.rational_ring().one(), system.rational, with_certificate=True
+        )
         trace.append("equations generate the unit ideal over F_q(t)")
-        return Verdict(UNSAT, radical=cert, trace=trace, system=normalized)
-    dim = dimension(gb)
+        return Verdict(UNSAT, radical=cert, trace=trace)
 
     if g is not None:
-        g_rat = to_rational_coeffs(g)
-        member, rcert = radical_membership(g_rat, eqs_rat, with_certificate=True)
+        member, rcert = radical_membership(
+            to_rational_coeffs(g), system.rational, with_certificate=True
+        )
         if member:
             trace.append("inequation vanishes identically on the locus")
-            return Verdict(UNSAT, radical=rcert, trace=trace, system=normalized)
+            return Verdict(UNSAT, radical=rcert, trace=trace)
 
-    report = regularity_check(normalized, gb=gb, dim=dim)
+    report = regularity_check(system)
     trace.append(f"regularity: {report.status} (dimension {report.dimension})")
 
     if report.status == "regular":
-        out = _decide_by_truncation(normalized, eqs, g, dim, config, trace)
-        out.system = normalized
-        return out
+        return _decide_by_truncation(system, config, trace)
 
-    plane_curve = len(system.xnames) == 2 and len(eqs) == 1
+    plane_curve = len(system.xnames) == 2 and len(system.equations) == 1
     if report.status == "singular" and plane_curve:
-        out = _decide_singular_curve(
-            normalized, eqs_rat, report, config, trace, _depth, _prev_mult
-        )
-        if out.system is None:
-            out.system = normalized
+        out = _decide_singular_curve(system, report, config, trace, depth, prev_mult)
         if not out.is_unknown:
             return out
     else:
-        out = Verdict(
-            UNKNOWN,
-            reason="resolution-out-of-scope" if report.status == "singular" else "inconclusive-regularity",
-            trace=trace,
-            system=normalized,
-        )
+        reason = "resolution-out-of-scope" if report.status == "singular" else "inconclusive-regularity"
+        out = Verdict(UNKNOWN, reason=reason, trace=trace)
 
     # sound fallback for singular/inconclusive loci: truncation refutation
     # needs no smoothness, and the saturation-guarded certificate is
     # self-contained, so a decided outcome here is trustworthy even without
     # a resolution
     trace.append(f"{out.reason}: trying the direct truncation decision anyway")
-    direct = _decide_by_truncation(normalized, eqs, g, dim, config, trace)
+    direct = _decide_by_truncation(system, config, trace)
     if not direct.is_unknown:
-        direct.system = normalized
         return direct
 
     # solutions sitting on the singular locus form a strictly smaller system;
@@ -374,48 +383,44 @@ def decide_existential(
     if (
         report.status == "singular"
         and report.singular_locus
-        and _depth < config.max_blowups
+        and depth < config.max_blowups
+        and report.locus_dimension is not None
+        and report.locus_dimension < report.dimension
     ):
-        sing_eqs = clear_denominators(report.singular_locus)
-        sing_gb = buchberger(report.singular_locus, ring=rring)
-        sing_dim = dimension(sing_gb)
-        if sing_dim is not None and sing_dim < report.dimension:
-            trace.append("descending to the singular locus")
-            v_sing = decide_existential(
-                AffineSystem(ring, sing_eqs, g), config, trace, _depth + 1
-            )
-            if v_sing.is_sat:
-                return v_sing
+        trace.append("descending to the singular locus")
+        v_sing = decide_existential(
+            AffineSystem(system.ring, clear_denominators(report.singular_locus), g),
+            config,
+            trace,
+            depth + 1,
+        )
+        if v_sing.is_sat:
+            return v_sing
     return out
 
 
-def _decide_by_truncation(normalized, eqs, g, dim, config, trace):
+def _decide_by_truncation(system, config, trace):
     """Level-deepening decision of the equations plus optional inequation."""
-    ring = normalized.ring
-    schedule = PrecisionSchedule(config.max_precision)
+    g = system.inequation
     accept = None
     if g is not None:
-        g_poly = g
 
         def accept(witness):
-            if not witness:
-                return bool(g_poly)  # x-free g: a nonzero polynomial in t
-            pt = series_point(ring, list(witness), witness[0].precision)
-            return val_exact(valuation(evaluate(g_poly, pt)))
+            return val_exact(valuation_at(g, witness))
 
-    pos = decide_positive(
-        eqs, ring, schedule, config.candidate_cap, trace, config.search_budget, accept, dim
-    )
+    schedule = PrecisionSchedule(config.max_precision)
+    pos = decide_positive(system.equations, system.ring, schedule, config.candidate_cap,
+                          trace, config.search_budget, accept, system.dim)
     if not pos.is_sat or g is None:
         return pos
-    gval = _g_valuation(normalized, pos.witness)
+    gval = valuation_at(g, pos.witness)
     if val_exact(gval):
         pos.inequation_valuation = gval
         return pos
-    return _sat_with_inequation(normalized, pos, dim, config, trace)
+    return _sat_with_inequation(system, pos, config, trace)
 
 
-def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_mult):
+def _decide_singular_curve(system, report, config, trace, depth, prev_mult):
     ring = system.ring
     rring = system.rational_ring()
     g = system.inequation
@@ -423,9 +428,8 @@ def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_m
         trace.append(f"blow-up depth cap {config.max_blowups} reached")
         return Verdict(UNKNOWN, reason="blowup-depth-exhausted", trace=trace)
 
-    curve = eqs_rat[0]
-    locus = report.singular_locus
-    centers = _constant_singular_points(eqs_rat, locus)
+    curve = system.rational[0]
+    centers = _constant_singular_points(report.singular_locus)
     if not centers:
         trace.append("singular locus has no F_q-rational point: cannot pick a center")
         return Verdict(UNKNOWN, reason="non-rational-singular-center", trace=trace)
@@ -444,10 +448,7 @@ def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_m
 
     branches = []
     for chart in charts:
-        images = [
-            chart.back_map[0] + rring.const(a),
-            chart.back_map[1] + rring.const(b),
-        ]
+        images = [back + rring.const(c) for back, c in zip(chart.back_map, (a, b))]
         chart_eqs = clear_denominators([chart.strict])
         chart_g = None
         if g_rat is not None:
@@ -461,10 +462,9 @@ def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_m
         v = decide_existential(chart_system, config, trace, depth + 1, mu)
         if v.is_sat:
             mapped = _map_chart_witness(chart, center_rational, v.witness, ring)
-            cert = certify_liftable(system.equations, list(mapped), report.dimension)
-            gval = _g_valuation(system, mapped) if g is not None else None
-            g_ok = g is None or val_exact(gval)
-            if cert is not None and g_ok:
+            cert = certify_liftable(system.equations, list(mapped), system.dim)
+            gval = valuation_at(g, mapped) if g is not None else None
+            if cert is not None and (g is None or val_exact(gval)):
                 trace.append(f"chart {chart.index} witness mapped back and re-certified")
                 return Verdict(
                     SAT,
@@ -472,7 +472,6 @@ def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_m
                     certificate=cert,
                     inequation_valuation=gval,
                     trace=trace,
-                    system=system,
                 )
             trace.append(
                 f"chart {chart.index} witness failed re-certification on the base"
@@ -481,19 +480,7 @@ def _decide_singular_curve(system, eqs_rat, report, config, trace, depth, prev_m
         branches.append(v)
 
     # the charts cover everything except the centre itself: decide it exactly
-    center_eqs = list(system.equations)
-    for i, c in enumerate((a, b)):
-        u = ring.var(i) - ring.const(c)
-        u_rat = to_rational_coeffs(u)
-        if not radical_membership(u_rat, eqs_rat):
-            center_eqs.append(u)
-    center_system = AffineSystem(ring, center_eqs, g)
-    center_gb = buchberger(
-        [to_rational_coeffs(f) for f in center_eqs], ring=rring
-    )
-    center_dim = dimension(center_gb)
-    if not (center_dim is None or center_dim < report.dimension):
-        raise RuntimeError("descent must drop the dimension")
+    center_system = descend(system, ring.var(0) - ring.const(a), ring.var(1) - ring.const(b))
     trace.append("descending to the blow-up center")
     v_center = decide_existential(center_system, config, trace, depth + 1, None)
     if v_center.is_sat:

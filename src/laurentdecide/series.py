@@ -245,6 +245,15 @@ def evaluate(f: MultiPoly, point) -> TruncatedSeries:
     return acc
 
 
+def valuation_at(f: MultiPoly, witness):
+    """Valuation of f (over F_q, with t slot) at a witness for its unknowns.
+    With no unknowns f is a polynomial in t alone: its exact t-valuation."""
+    ring = f.ring
+    if not witness:
+        return min(e[ring.tpos] for e in f.terms)
+    return valuation(evaluate(f, series_point(ring, list(witness), witness[0].precision)))
+
+
 def coeff_to_json(c):
     """FqElem as an int for prime fields, else the coordinate vector."""
     return c.coords[0] if c.ctx.n == 1 else list(c.coords)

@@ -216,3 +216,33 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "sat"
+
+
+@pytest.mark.parametrize(
+    "equation, status",
+    [("(X*X - t)^2", "unsat"), ("(X - 1)^2*(X - 1 - t)", "sat")],
+)
+def test_system_file_verifies_the_normalized_system(tmp_path, capsys, equation, status):
+    # the verdict refers to the squarefree part; re-checking it against the
+    # input's repeated factor would find a mod-t^2 solution of (X^2 - t)^2 and
+    # no liftable minor at X = 1 on (X - 1)^2*(X - 1 - t)
+    path = tmp_path / "square.system"
+    path.write_text(f"vars X\neq {equation}\n", encoding="utf-8")
+    code, out = run_cli(["--field", "p=3", "--system-file", str(path), "--verify"], capsys)
+    report = json.loads(out)
+    assert (code, report["status"], report["verified"]) == (0, status, True)
+    assert "verify_problems" not in report
+
+
+def test_cli_verifies_a_perturbed_witness(capsys):
+    # candidate cap 1 keeps the witness X = 0, which misses the inequation,
+    # so the engine perturbs it to X = t
+    code, out = run_cli(
+        ["--field", "p=3", "--candidate-cap", "1", "--max-precision", "8", "--verify",
+         "exists X, Y. Y = 0 & ~(X = 0)"],
+        capsys,
+    )
+    report = json.loads(out)
+    assert (code, report["status"], report["verified"]) == (0, "sat", True)
+    assert report["witness"] == [[0, 1, 0, 0, 0, 0, 0, 0], [0] * 8]
+    assert report["inequation_valuation"] == 1

@@ -1,0 +1,59 @@
+"""Differential test of the decision loop against committed verdict trees.
+
+tests/data/decision_golden.json was written by tests/make_decision_golden.py
+before the loop was rewritten so that a system owns its F_q(t) view, basis
+and dimension, with one descent, one certification and one inequation
+valuation routine.  Every record must stay identical: verdicts, refutation
+levels, certificates, witnesses, radical cofactors, attached systems and
+trace text.
+"""
+
+import json
+from collections import Counter
+
+import make_decision_golden as golden
+
+from laurentdecide import hensel, resolve
+
+
+def _count_calls(monkeypatch, calls, module, name, key=None):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args, **kwargs) if key else name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_decision_loop_matches_golden(monkeypatch):
+    calls = Counter()
+    for name in ("descend", "_sat_with_inequation", "_decide_singular_curve", "valuation_at"):
+        _count_calls(monkeypatch, calls, resolve, name)
+    _count_calls(
+        monkeypatch,
+        calls,
+        hensel,
+        "certify_liftable",
+        key=lambda *a, exclude_col=None, **k: (
+            "certify_perturbed" if exclude_col is not None else "certify_liftable"
+        ),
+    )
+    expected = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+    actual = golden.golden_records()
+
+    assert actual["resolution"] == expected["resolution"]
+    assert actual["verdicts"].keys() == expected["verdicts"].keys()
+    for label, record in expected["verdicts"].items():
+        assert actual["verdicts"][label] == record, label
+
+    # every rewritten path ran: the blow-up centre through descend, the
+    # perturbation certified through certify_liftable, the inequation
+    # helper, and the singular-locus descent read off the regularity report
+    assert calls["descend"] >= 2
+    assert calls["_decide_singular_curve"] >= 2
+    assert calls["_sat_with_inequation"] >= 1
+    assert calls["certify_perturbed"] >= 1
+    assert calls["valuation_at"] >= 1
+    cone = actual["verdicts"]["cone"]["verdict"]
+    assert "descending to the singular locus" in cone["trace"]

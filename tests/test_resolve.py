@@ -187,6 +187,77 @@ def test_descend_rejects_radical_member():
         descend(AffineSystem(R, [f]), R.var(1))
 
 
+def test_descend_adjoins_every_centre_polynomial():
+    # the blow-up centre of the node XY = 0: both coordinates at once
+    R = tring(F3, "X", "Y")
+    x, y = R.var(0), R.var(1)
+    sys = AffineSystem(R, [x * y], x - R.one())
+    out = descend(sys, x, y)
+    assert out.equations == [x * y, x, y]
+    assert out.inequation is sys.inequation
+    assert (sys.dim, out.dim) == (1, 0)
+    # each centre polynomial is checked on its own
+    with pytest.raises(ValueError):
+        descend(AffineSystem(R, [y]), x, y)
+
+
+# -- system views ----------------------------------------------------------------
+
+
+def test_system_views_are_computed_once(monkeypatch):
+    import laurentdecide.resolve as resolve
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(resolve, "buchberger", counted)
+    R = tring(F3, "X", "Y")
+    sys = AffineSystem(R, [R.var(0) * R.var(1), R.zero()])
+    assert len(sys.equations) == 1  # zero equations are dropped
+    assert sys.rational is sys.rational
+    assert sys.basis is sys.basis and sys.dim == 1
+    assert len(calls) == 1
+    assert [repr(f) for f in sys.rational] == [repr(to_rational_coeffs(sys.equations[0]))]
+    with pytest.raises(AttributeError):
+        sys.equations = []
+
+
+def test_decide_keeps_a_normalized_input_system():
+    # nothing to normalize: the verdict carries the input object, views and all
+    R = tring(F3, "X")
+    sys = AffineSystem(R, [R.var(0) - R.var(1)])
+    v = decide_existential(sys)
+    assert v.is_sat and v.system is sys
+    # a repeated factor is normalized away, into a new system
+    sq = AffineSystem(R, [(R.var(0) - R.var(1)) ** 2])
+    v2 = decide_existential(sq)
+    assert v2.system is not sq and v2.system.equations == sys.equations
+
+
+def test_singular_report_carries_the_locus_dimension():
+    R = tring(F3, "X", "Y")
+    f = R.from_terms({(0, 2, 0): 1, (3, 0, 0): -1})  # the cusp, singular at 0
+    report = regularity_check(AffineSystem(R, [f]))
+    assert (report.status, report.dimension, report.locus_dimension) == ("singular", 1, 0)
+
+
+def test_decide_perturbs_a_witness_missing_the_inequation():
+    # with one candidate per level the certified witness is X = 0, Y = 0,
+    # where X = 0 fails the inequation; perturbing X by t meets it
+    from laurentdecide.frontend import decide
+    from laurentdecide.resolve import RunConfig
+
+    v = decide("exists X, Y. Y = 0 & ~(X = 0)", F3, RunConfig(candidate_cap=1, max_precision=8))
+    assert v.is_sat
+    assert [repr(x) for x in v.witness] == ["(t + O(t^8))", "(0 + O(t^8))"]
+    assert v.inequation_valuation == 1
+    cert = v.certificate
+    assert (cert.rows, cert.cols, cert.e, cert.precision) == ((0,), (1,), 0, 8)
+    assert "inequation attained exact valuation 1" in v.trace
+
 # -- decide_existential ------------------------------------------------------------
 
 

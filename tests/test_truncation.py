@@ -502,7 +502,7 @@ GUARDS = """
 import sys
 from laurentdecide.ff import FqContext
 from laurentdecide.poly import PolyRing, RationalFunctionField, clear_denominators, to_rational_coeffs
-from laurentdecide.resolve import AffineSystem, decide_existential, descend
+from laurentdecide.resolve import AffineSystem, blow_up_origin, decide_existential, descend, regularity_check
 from laurentdecide.truncation import weil_restrict
 from laurentdecide.verdict import SAT, UNSAT, Verdict
 
@@ -512,6 +512,7 @@ F3 = FqContext(3)
 R = PolyRing(F3, ("X", "Y", "t"))
 X, Y = R.var(0), R.var(1)
 Q = PolyRing(RationalFunctionField(F3), ("X",))
+Q3 = PolyRing(RationalFunctionField(F3), ("X", "Y", "Z"))
 cases = [
     (TypeError, lambda: weil_restrict([], PolyRing(RationalFunctionField(F3), ("X",)), 2)),
     (ValueError, lambda: weil_restrict([], PolyRing(F3, ("X",)), 2)),
@@ -528,6 +529,9 @@ cases = [
     (RuntimeError, lambda: descend(AffineSystem(R, [X * (X - R.one()), X * Y]), X)),
     # the cusp has multiplicity 2 at its singular point
     (RuntimeError, lambda: decide_existential(AffineSystem(R, [Y * Y - X * X * X]), _prev_mult=1)),
+    # the unit ideal has no dimension to test regularity at
+    (ValueError, lambda: regularity_check(AffineSystem(R, [R.one()]))),
+    (ValueError, lambda: blow_up_origin(Q3.var(0) * Q3.var(1) - Q3.var(2) ** 2)),
 ]
 for kind, case in cases:
     try:
@@ -559,4 +563,6 @@ def test_soundness_guards_survive_python_O():
         "ValueError: t is the last ring variable",
         "RuntimeError: descent must drop the dimension",
         "RuntimeError: blow-up multiplicity must not increase",
+        "ValueError: emptiness is decided before the regularity check",
+        "ValueError: blow-ups are implemented for plane curves",
     ]
