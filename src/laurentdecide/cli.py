@@ -61,7 +61,10 @@ def parse_budget(text: str) -> PerturbBudget:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"malformed perturb budget {text!r}, expected DxM")
-    return PerturbBudget(int(parts[0]), int(parts[1]))
+    budget = PerturbBudget(int(parts[0]), int(parts[1]))
+    if budget.directions < 1 or budget.depth < 1:
+        raise ValueError("budgets must be >= 1")
+    return budget
 
 
 def load_system_file(path: str, ctx: FqContext) -> AffineSystem:

@@ -321,9 +321,6 @@ class FqElem:
             return ctx._elems[0 if k else 1]
         return ctx._exp[ctx._log[self.code] * k % (ctx.q - 1)]
 
-    def is_pth_power(self) -> bool:
-        return True  # finite fields are perfect
-
     def pth_root(self) -> "FqElem":
         """The unique p-th root (finite fields are perfect): a^(p^(n-1))."""
         return self ** (self.ctx.p ** (self.ctx.n - 1))

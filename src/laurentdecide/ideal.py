@@ -1,12 +1,13 @@
-"""Groebner-basis services over F_q and F_q(t).
+"""Groebner-basis services over F_q and F_q(t), and squarefree parts over F_q.
 
 Buchberger with the sugar selection strategy and the coprime-leading-term
 criterion, reduced bases, normal forms with quotient tracking, Rabinowitsch
 radical membership with explicit cofactor certificates, staircase Krull
-dimension, and squarefree parts (including the characteristic-p deflation
-cases).  Coefficients over F_q(t) are exact RationalFunction values: the
+dimension.  Coefficients over F_q(t) are exact rational functions: the
 Jacobian criterion is unreliable over imperfect fields, so nothing here may
-round or specialize.
+round or specialize.  Squarefree parts and the gcds under them work over the
+perfect field F_q with t as one more variable, where every polynomial whose
+partials all vanish is a p-th power.
 
 One division routine, reduce_poly, serves normal forms, quotients, exact
 division and every reduction inside Buchberger; sugar and cofactors are read
@@ -22,7 +23,8 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-from .poly import MultiPoly, PolyRing, RationalFunctionField, grevlex_key
+from .ff import FqContext
+from .poly import MultiPoly, PolyRing, grevlex_key
 
 
 def _divides(a, b):
@@ -312,8 +314,8 @@ def dimension(gb: GroebnerBasis, nvars: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# exact division and gcd helpers (private: contents need a recursive gcd,
-# which the public surface deliberately does not expose)
+# exact division and gcds over F_q (contents need a recursive gcd, which the
+# public surface deliberately does not expose)
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly):
@@ -326,54 +328,12 @@ def exact_divide(f: MultiPoly, g: MultiPoly):
     return q
 
 
-class _Frac:
-    """Unreduced fraction of MultiPolys, enough for a Euclidean pass."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __sub__(self, other):
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError
-        return _Frac(self.num * other.den, self.den * other.num)
-
-
-def _as_x_coeffs(f: MultiPoly, x: int):
-    """f as a map degree-in-x -> coefficient MultiPoly (x slot zeroed)."""
-    out = {}
-    for e, c in f.terms.items():
-        k = e[x]
-        e2 = list(e)
-        e2[x] = 0
-        key = tuple(e2)
-        bucket = out.setdefault(k, {})
-        bucket[key] = bucket[key] + c if key in bucket else c
-        if not bucket[key]:
-            del bucket[key]
-    return {k: MultiPoly(f.ring, terms) for k, terms in out.items() if terms}
-
-
-def _content_in(f: MultiPoly, x: int):
-    """gcd of the coefficients of f as a polynomial in x."""
-    coeffs = list(_as_x_coeffs(f, x).values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        cont = gcd_multivariate(cont, c)
-        if cont.is_constant():
-            break
-    return _normalize_unit(cont)
+def _quotient(f: MultiPoly, g: MultiPoly):
+    """f / g for a g known to divide f (a content, a gcd, a factor)."""
+    q = exact_divide(f, g)
+    if q is None:
+        raise RuntimeError("a known divisor does not divide")
+    return q
 
 
 def _normalize_unit(f: MultiPoly):
@@ -383,190 +343,135 @@ def _normalize_unit(f: MultiPoly):
     return f.scale(f.lead_coeff().inv())
 
 
+def _as_x_coeffs(f: MultiPoly, x: int):
+    """f as a map degree-in-x -> coefficient MultiPoly (x slot zeroed)."""
+    out = {}
+    for e, c in f.terms.items():
+        out.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1 :]] = c
+    return {k: MultiPoly(f.ring, terms) for k, terms in out.items()}
+
+
+def _content_in(f: MultiPoly, x: int):
+    """gcd of the coefficients of f as a polynomial in x."""
+    cont = f.ring.zero()
+    for c in _as_x_coeffs(f, x).values():
+        cont = gcd_multivariate(cont, c)
+        if cont.is_constant():
+            break
+    return cont
+
+
+def _pseudo_remainder(a: MultiPoly, b: MultiPoly, x: int):
+    """Lazy pseudo-remainder of a by b in x: while r has x-degree dr >= db,
+    r becomes r*lc(b) - c*x^(dr-db)*b, with c the x^dr coefficient of r."""
+    db = b.degree_in(x)
+    lb = b.coeff_of(x, db)
+    one = b.ring.field.one()
+    r = a
+    while r and r.degree_in(x) >= db:
+        dr = r.degree_in(x)
+        shift = tuple(dr - db if i == x else 0 for i in range(b.ring.nvars))
+        r = r * lb - r.coeff_of(x, dr) * b.mul_term(shift, one)
+    return r
+
+
 def _gcd_in_x(f: MultiPoly, g: MultiPoly, x: int):
-    """Primitive gcd of two polynomials viewed univariately in x, by Euclid
-    over the fraction field of the remaining variables."""
-    ring = f.ring
-    one = ring.one()
-
-    def to_frac(h):
-        cs = _as_x_coeffs(h, x)
-        return {k: _Frac(c, one) for k, c in cs.items()}
-
-    def deg(fr):
-        return max(fr) if fr else -1
-
-    def normalize(fr):
-        return {k: v for k, v in fr.items() if v}
-
-    a, b = to_frac(f), to_frac(g)
-    if deg(a) < deg(b):
-        a, b = b, a
-    while b:
-        # a mod b in Frac[x]
-        da, db = deg(a), deg(b)
-        lead_b = b[db]
-        r = dict(a)
-        while r and deg(r) >= db:
-            dr = deg(r)
-            factor = r[dr] / lead_b
-            for k, v in b.items():
-                kk = k + dr - db
-                r[kk] = (r.get(kk) - v * factor) if kk in r else _Frac(-(v * factor).num, (v * factor).den)
-            r = normalize(r)
-        a, b = b, r
-    # clear fractions: multiply by the product of denominators
-    den_prod = one
-    for v in a.values():
-        den_prod = den_prod * v.den
-    terms = {}
-    for k, v in a.items():
-        scaled = v.num * exact_divide(den_prod, v.den)
-        for e, c in scaled.terms.items():
-            e2 = list(e)
-            e2[x] += k
-            key = tuple(e2)
-            terms[key] = terms[key] + c if key in terms else c
-    cleared = MultiPoly(ring, {e: c for e, c in terms.items() if c})
-    if not cleared:
-        return ring.zero()
-    if cleared.degree_in(x) == 0:
-        return ring.one()
-    cont = _content_in(cleared, x)
-    prim = exact_divide(cleared, cont)
-    if prim is None:
-        raise RuntimeError("the content divides the polynomial")
-    return _normalize_unit(prim)
+    """gcd of two polynomials primitive in x and of positive x-degree, by the
+    primitive pseudo-remainder sequence over D[x], D the polynomials in the
+    other variables (Brown & Collins, J. ACM 18, 1971)."""
+    a, b = (f, g) if f.degree_in(x) >= g.degree_in(x) else (g, f)
+    while True:
+        r = _pseudo_remainder(a, b, x)
+        if not r:
+            return _normalize_unit(b)
+        if r.degree_in(x) == 0:
+            return f.ring.one()
+        a, b = b, _quotient(r, _content_in(r, x))
 
 
 def gcd_multivariate(f: MultiPoly, g: MultiPoly):
-    """Deterministic gcd up to a field unit (leading coefficient 1)."""
+    """Deterministic gcd up to a field unit (leading coefficient 1), over a
+    field F_q.  The main variable is the one of least degree in f and g;
+    ties go to the higher index."""
     if not f:
         return _normalize_unit(g)
     if not g:
         return _normalize_unit(f)
-    vs = sorted(set(f.variables()) | set(g.variables()))
-    if not vs:
+    if f.is_constant() or g.is_constant():
         return f.ring.one()
-    x = vs[-1]  # occurs in at least one of f, g
-    dfx, dgx = f.degree_in(x), g.degree_in(x)
-    if dfx == 0:
+    vs = set(f.variables()) | set(g.variables())
+    x = min(vs, key=lambda v: (max(f.degree_in(v), g.degree_in(v)), -v))
+    if f.degree_in(x) == 0:
         return gcd_multivariate(f, _content_in(g, x))
-    if dgx == 0:
+    if g.degree_in(x) == 0:
         return gcd_multivariate(_content_in(f, x), g)
     cf, cg = _content_in(f, x), _content_in(g, x)
-    pf = exact_divide(f, cf)
-    pg = exact_divide(g, cg)
-    c = gcd_multivariate(cf, cg)
-    h = _gcd_in_x(pf, pg, x)
-    return _normalize_unit(c * h)
+    h = _gcd_in_x(_quotient(f, cf), _quotient(g, cg), x)
+    return _normalize_unit(gcd_multivariate(cf, cg) * h)
 
 
 # ---------------------------------------------------------------------------
 # squarefree part
 
 
-def _deflate(f: MultiPoly, x: int, p: int):
-    if any(e[x] % p for e in f.terms):
-        raise RuntimeError("deflation needs exponents divisible by p")
-    terms = {}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        e2[x] //= p
-        terms[tuple(e2)] = c
-    return MultiPoly(f.ring, terms)
+def squarefree_part(f: MultiPoly) -> MultiPoly:
+    """The product of the distinct irreducible factors of f over the perfect
+    field F_q, each taken once (leading coefficient 1); t, when f's ring has
+    the slot, is a variable like the others.
 
-
-def _inflate(f: MultiPoly, x: int, p: int):
-    terms = {}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        e2[x] *= p
-        terms[tuple(e2)] = c
-    return MultiPoly(f.ring, terms)
-
-
-def _pth_root_of_deflation(g: MultiPoly, x: int, p: int):
-    """Given g with f = g(x^p), the h with f = h^p, if one is visible.
-
-    f = h^p forces h = sum b x^k with b^p the x^k-coefficient of g: the
-    x exponent survives untouched while every other exponent divides by p
-    and every coefficient takes a p-th root.  None when the pattern fails
-    (then f is not a p-th power over this coefficient field).
+    Yun-style (Yun, SYMSAC 1976): G = gcd(f, every partial of f) keeps the
+    factors whose multiplicity p divides whole and the others once less, so
+    w = f / G holds each of the others once.  Stripping w's factors out of G
+    leaves a polynomial with every exponent divisible by p, which is h^p with
+    h read off coefficientwise by p-th roots (F_q is perfect); recurse on h.
     """
-    terms = {}
-    for e, c in g.terms.items():
-        if any(k % p for i, k in enumerate(e) if i != x):
-            return None
-        if not c.is_pth_power():
-            return None
-        e2 = tuple(k if i == x else k // p for i, k in enumerate(e))
-        terms[e2] = c.pth_root()
-    return MultiPoly(g.ring, terms)
-
-
-def _char(ring: PolyRing) -> int:
-    field = ring.field
-    if isinstance(field, RationalFunctionField):
-        return field.ctx.p
-    return field.p
-
-
-def squarefree_part(f: MultiPoly, main_var: int | None = None) -> MultiPoly:
-    """A polynomial with the same zero locus as f (over any field extension)
-    and, outside the documented deflation corner, no repeated factors.
-
-    Characteristic-p inputs with vanishing derivative are deflated
-    (f = g(x^p)); visible p-th powers take coefficientwise roots.
-    """
+    ctx = f.ring.field
+    if not isinstance(ctx, FqContext):
+        raise TypeError("squarefree_part takes a polynomial over F_q")
     if not f:
         raise ValueError("squarefree part of the zero polynomial")
     if f.is_constant():
         return f.ring.one()
-    vs = f.variables()
-    x = main_var if main_var is not None and f.degree_in(main_var) > 0 else vs[0]
-    cont = _content_in(f, x)
-    prim = exact_divide(f, cont)
-    if prim is None:
-        raise RuntimeError("the content divides the polynomial")
-    head = squarefree_part(cont) if not cont.is_constant() else f.ring.one()
-    tail = _squarefree_primitive(prim, x)
-    return _normalize_unit(head * tail)
-
-
-def _squarefree_primitive(f: MultiPoly, x: int) -> MultiPoly:
-    p = _char(f.ring)
-    if f.degree_in(x) == 0:
-        return f if not f.is_constant() else f.ring.one()
-    d = f.partial(x)
-    if not d:
-        # f = g(x^p); a visible p-th root strips the whole power, otherwise
-        # repeated factors of f show up as repeated factors of g
-        g = _deflate(f, x, p)
-        root = _pth_root_of_deflation(g, x, p)
-        if root is not None:
-            return squarefree_part(root, x)
-        s = squarefree_part(g, x)
-        return _inflate(s, x, p)
-    g = gcd_multivariate(f, d)
-    if g.is_constant():
-        return _normalize_unit(f)
-    w = exact_divide(f, g)
-    if w is None:
-        raise RuntimeError("gcd(f, f') divides f")
-    # strip the factors of w out of g; what remains collects the factors with
-    # exponent divisible by p or with vanishing x-derivative, so it has zero
-    # x-derivative itself and recurses through the deflation branch
-    c = g
+    G = f
+    for v in f.variables():
+        G = gcd_multivariate(G, f.partial(v))
+        if G.is_constant():
+            return _normalize_unit(f)
+    w = _quotient(f, G)
+    c = G
     while True:
         e = gcd_multivariate(c, w)
         if e.is_constant():
             break
-        c = exact_divide(c, e)
-        if c is None:
-            raise RuntimeError("a gcd divides its argument")
+        c = _quotient(c, e)
     if c.is_constant():
         return _normalize_unit(w)
-    if c.partial(x):
-        raise RuntimeError("residual repeated part must be x-inseparable")
-    return _normalize_unit(w * _squarefree_primitive(c, x))
+    p = ctx.p
+    if any(k % p for e in c.terms for k in e):
+        raise RuntimeError("the stripped repeated part must be a p-th power")
+    h = MultiPoly(f.ring, {tuple(k // p for k in e): a.pth_root() for e, a in c.terms.items()})
+    return _normalize_unit(w * squarefree_part(h))
+
+
+def squarefree_equation(f: MultiPoly) -> MultiPoly:
+    """The squarefree part of an equation f over F_q[X, t] with its F_q[t]
+    content divided out, scaled so that the F_q[t] coefficient of its
+    grevlex-leading X-monomial is monic in t.  This is the form
+    clear_denominators gives the F_q(t)-monic squarefree part of f."""
+    s = squarefree_part(f)
+    ring = s.ring
+    tpos = ring.tpos
+
+    def x_part(e):
+        return e[:tpos] + e[tpos + 1 :]
+
+    t_coeffs = {}
+    for e, c in s.terms.items():
+        t_coeffs.setdefault(x_part(e), {})[tuple(k if i == tpos else 0 for i, k in enumerate(e))] = c
+    cont = ring.zero()
+    for terms in t_coeffs.values():
+        cont = gcd_multivariate(cont, MultiPoly(ring, terms))
+    prim = _quotient(s, cont)
+    lead_x = max(t_coeffs, key=grevlex_key)
+    lead = max((e for e in prim.terms if x_part(e) == lead_x), key=lambda e: e[tpos])
+    return prim.scale(prim.terms[lead].inv())

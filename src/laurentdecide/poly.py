@@ -153,19 +153,6 @@ class UniPoly:
             out.append(ctx.from_int(i) * self.coeffs[i])
         return UniPoly._make(ctx, out)
 
-    def is_pth_power(self) -> bool:
-        """p-th powers in F_q[t] are exactly the polynomials in t^p
-        (coefficients are automatic: F_q is perfect)."""
-        p = self.ctx.p
-        return all(not c for i, c in enumerate(self.coeffs) if i % p)
-
-    def pth_root(self) -> "UniPoly":
-        p = self.ctx.p
-        if not self.is_pth_power():
-            raise ValueError(f"{self!r} is not a p-th power")
-        out = [self.coeffs[i].pth_root() for i in range(0, len(self.coeffs), p)]
-        return UniPoly._make(self.ctx, out)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -287,12 +274,6 @@ class RationalFunction:
 
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
-
-    def is_pth_power(self) -> bool:
-        return self.num.is_pth_power() and self.den.is_pth_power()
-
-    def pth_root(self):
-        return RationalFunction(self.num.pth_root(), self.den.pth_root())
 
     def __repr__(self):
         if self.den.degree() == 0:

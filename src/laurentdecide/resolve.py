@@ -30,7 +30,7 @@ from .hensel import (
     newton_lift,
     smooth_perturb,
 )
-from .ideal import buchberger, dimension, radical_membership, squarefree_part
+from .ideal import buchberger, dimension, radical_membership, squarefree_equation
 from .poly import (
     MultiPoly,
     PolyRing,
@@ -300,29 +300,32 @@ def decide_existential(
 
 
 def _normalize(system, trace):
-    """Drop a nonzero constant inequation and take equation-wise squarefree
-    parts (zero sets unchanged); when the reduced basis is principal the
-    system IS a hypersurface in disguise (e.g. {X, X*Y}).  Settles in at most
-    two rounds, and returns the input object when nothing changes."""
+    """Drop a nonzero constant inequation and replace each equation that has
+    an X variable by its squarefree part over F_q[X, t] with the F_q[t]
+    content divided out (zero sets over F_q((t)) unchanged), when that lowers
+    its total X-degree; when the reduced basis is principal the system IS a
+    hypersurface in disguise (e.g. {X, X*Y}).  Settles in at most two rounds,
+    and returns the input object when nothing changes."""
     ring = system.ring
     g = system.inequation
-    if g is not None and g.is_constant():
-        gc = to_rational_coeffs(g).constant_value() if g else None
-        if g and gc:
-            trace.append("inequation is a nonzero constant, dropped")
-            g = None
-        # a zero inequation is handled by the radical test
-    if g is not system.inequation:
+    # a zero inequation stays: the radical test handles it
+    if g is not None and g.is_constant() and g:
+        trace.append("inequation is a nonzero constant, dropped")
+        g = None
         system = AffineSystem(ring, system.equations, g)
+
+    def x_degree(f):
+        return max(sum(e) - e[-1] for e in f.terms)
+
     while True:
         replaced = []
         changed = False
-        for f, rat in zip(system.equations, system.rational):
-            if not rat.is_constant():
-                sf = squarefree_part(rat)
-                if sf.monic() != rat.monic():
+        for f in system.equations:
+            if x_degree(f) > 0:
+                sf = squarefree_equation(f)
+                if x_degree(sf) < x_degree(f):
                     changed = True
-                    (f,) = clear_denominators([sf])
+                    f = sf
             replaced.append(f)
         if changed:
             trace.append("replaced equations by their squarefree parts")

@@ -246,3 +246,26 @@ def test_cli_verifies_a_perturbed_witness(capsys):
     assert (code, report["status"], report["verified"]) == (0, "sat", True)
     assert report["witness"] == [[0, 1, 0, 0, 0, 0, 0, 0], [0] * 8]
     assert report["inequation_valuation"] == 1
+
+
+@pytest.mark.parametrize("budget", ["-1x16", "0x0", "8x0", "0x16"])
+def test_cli_rejects_non_positive_perturb_budget(capsys, budget):
+    with pytest.raises(ValueError, match="budgets must be >= 1"):
+        parse_budget(budget)
+    code = run(["--field", "p=3", f"--perturb-budget={budget}", "exists X. X = t"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budgets must be >= 1" in captured.err
+
+
+def test_cli_verifies_t_content_beside_a_cube(capsys):
+    # t*X^3*(Y^2 - t) over F_3: the squarefree part X*(Y^2 - t) has the
+    # liftable point X = 0, Y = 1
+    code, out = run_cli(
+        ["--field", "p=3", "--verify", "exists X, Y. t*X^3*(Y*Y - t) = 0 & ~(Y = 0)"], capsys
+    )
+    report = json.loads(out)
+    assert (code, report["status"], report["verified"]) == (0, "sat", True)
+    assert report["witness"] == [[0, 0], [1, 0]]
+    assert "verify_problems" not in report

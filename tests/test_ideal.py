@@ -10,6 +10,7 @@ from laurentdecide.ideal import (
     normal_form,
     radical_membership,
     reduce_poly,
+    squarefree_equation,
     squarefree_part,
 )
 from laurentdecide.poly import PolyRing, RationalFunction, RationalFunctionField, UniPoly
@@ -290,10 +291,12 @@ def test_gcd_random_products():
 
 
 # -- squarefree part -----------------------------------------------------------------
+# squarefree parts live over F_q[X, t]: t is one more variable over the perfect
+# field F_q
 
 
 def test_squarefree_parabola_square():
-    R = rational_ring(F3, "X", "Y")
+    R = ring(F3, "X", "Y", "t")
     x, y = R.var(0), R.var(1)
     f = (y - x**2) ** 2
     s = squarefree_part(f)
@@ -301,35 +304,35 @@ def test_squarefree_parabola_square():
 
 
 def test_squarefree_xp_minus_t():
-    # X^p - t over F_p(t): derivative vanishes, t is not a p-th power,
-    # the polynomial is already squarefree
+    # X^p - t: every partial but the one in t vanishes, and the polynomial is
+    # already squarefree
     for ctx in (F2, F3, F5):
-        R = rational_ring(ctx, "X")
-        t = RationalFunction(UniPoly(ctx, [0, 1]), UniPoly.const(ctx, 1))
-        f = R.var(0) ** ctx.p - R.const(t)
+        R = ring(ctx, "X", "t")
+        f = R.var(0) ** ctx.p - R.var(1)
         assert squarefree_part(f) == f.monic()
+        assert squarefree_equation(f) == f
 
 
 def test_squarefree_x_squared():
-    R = rational_ring(F3, "X")
+    R = ring(F3, "X", "t")
     x = R.var(0)
     assert squarefree_part(x**2) == x
-    # and over F_2, where the derivative route is unavailable
-    R2 = rational_ring(F2, "X")
+    # and over F_2, where X^2 is a p-th power
+    R2 = ring(F2, "X", "t")
     assert squarefree_part(R2.var(0) ** 2) == R2.var(0)
 
 
 def test_squarefree_visible_pth_power_with_t():
-    # (X^2 + t)^2 over F_2(t): deflation sees coefficients 1, t^2 and takes roots
-    R = rational_ring(F2, "X")
-    t = RationalFunction(UniPoly(F2, [0, 1]), UniPoly.const(F2, 1))
-    f = (R.var(0) ** 2 + R.const(t)) ** 2
-    assert squarefree_part(f) == (R.var(0) ** 2 + R.const(t))
+    # (X^2 + t)^2 over F_2 is a square: every exponent is even
+    R = ring(F2, "X", "t")
+    x, t = R.var(0), R.var(1)
+    f = (x**2 + t) ** 2
+    assert squarefree_part(f) == x**2 + t
 
 
 def test_squarefree_content_case():
-    # Y^2 * (X - 1)^2: content handling must strip both squares
-    R = rational_ring(F3, "X", "Y")
+    # Y^2 * (X - 1)^2: both squares go
+    R = ring(F3, "X", "Y", "t")
     x, y = R.var(0), R.var(1)
     f = y**2 * (x - R.one()) ** 2
     s = squarefree_part(f)
@@ -337,8 +340,7 @@ def test_squarefree_content_case():
 
 
 def test_squarefree_divides_and_radical():
-    rng = random.Random(404)
-    R = rational_ring(F3, "X", "Y")
+    R = ring(F3, "X", "Y", "t")
     x, y = R.var(0), R.var(1)
     cases = [
         (y - x**2) ** 2,
@@ -353,13 +355,37 @@ def test_squarefree_divides_and_radical():
 
 
 def test_squarefree_mixed_exponent_char3():
-    # (X^3 - t)^2 over F_3(t): derivative vanishes; deflation gives (U - t)^2,
-    # not a visible cube; recursing on the deflation removes the square
-    R = rational_ring(F3, "X")
-    t = RationalFunction(UniPoly(F3, [0, 1]), UniPoly.const(F3, 1))
-    f = (R.var(0) ** 3 - R.const(t)) ** 2
-    s = squarefree_part(f)
-    assert s == (R.var(0) ** 3 - R.const(t)).monic()
+    # (X^3 - t)^2 over F_3: the square of an inseparable factor
+    R = ring(F3, "X", "t")
+    x, t = R.var(0), R.var(1)
+    f = (x**3 - t) ** 2
+    assert squarefree_part(f) == (x**3 - t).monic()
+
+
+def test_squarefree_t_content_beside_pth_power():
+    # t^3 * X^5 over F_5: the t-content and the fifth power both go
+    R = ring(F5, "X", "t")
+    x, t = R.var(0), R.var(1)
+    f = t**3 * x**5
+    assert squarefree_part(f) == t * x
+    assert squarefree_equation(f) == x
+
+
+def test_squarefree_t_content_beside_square_char2():
+    R = ring(F2, "X", "t")
+    x, t = R.var(0), R.var(1)
+    h = x * t**2 + t**2 + R.one()
+    f = t * x**2 * h**2
+    assert squarefree_equation(f) == x * h
+
+
+def test_squarefree_equation_is_primitive_with_t_monic_lead():
+    # (t^2 + 1)*(2*t*X^2 + t^2*Y)^2 over F_3: the content t*(t^2 + 1) goes, and
+    # the F_3[t] coefficient of the leading X-monomial X^2 becomes monic in t
+    R = ring(F3, "X", "Y", "t")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    f = (t**2 + R.one()) * (R.const(2) * t * x**2 + t**2 * y) ** 2
+    assert squarefree_equation(f) == x**2 + R.const(2) * t * y
 
 
 # -- differential test against the two-loop implementation -------------------
@@ -467,3 +493,91 @@ def test_groebner_layer_matches_two_loop_oracle():
             )
     assert certificates >= 10
 
+
+
+# -- differential test against the F_q(t) squarefree part ---------------------
+
+
+def _x_degree(f):
+    """Total degree in the X variables of a polynomial whose last slot is t."""
+    return max(sum(e) - e[-1] for e in f.terms)
+
+
+def _corpus_equations():
+    """Every equation with an X variable of every system to_systems builds
+    from the criterion-8 corpus and the seeded test_fuzz sentences."""
+    from make_decision_golden import sentence_corpus
+
+    from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
+
+    out = []
+    for _, ctx, text, _ in sentence_corpus():
+        for system in to_systems(eliminate_valuation_atoms(parse(text)), ctx):
+            out += [f for f in system.equations if _x_degree(f) > 0]
+    return out
+
+
+def _random_products(rng, ctx, count):
+    """Seeded products of one or two random factors in 1-3 unknowns and t,
+    each raised to the power 1, 2 or p, some times a power of t."""
+    elems = list(ctx.elements())
+    out = []
+    while len(out) < count:
+        m = rng.randrange(1, 4)
+        R = PolyRing(ctx, tuple("XYZ"[:m]) + ("t",))
+        f = R.one()
+        for _ in range(rng.randrange(1, 3)):
+            terms = {}
+            for _ in range(rng.randrange(1, 3)):
+                e = [0] * (m + 1)
+                for _ in range(rng.randrange(1, 3)):
+                    e[rng.randrange(m + 1)] += 1
+                terms[tuple(e)] = rng.choice(elems[1:])
+            terms[(0,) * (m + 1)] = rng.choice(elems)
+            f = f * R.from_terms(terms) ** rng.choice((1, 2, ctx.p))
+        if rng.random() < 0.4:
+            f = f * R.var(m) ** rng.randrange(1, ctx.p + 2)
+        if f and _x_degree(f) > 0:
+            out.append(f)
+    return out
+
+
+def _is_squarefree(f):
+    g = f
+    for v in range(f.ring.nvars):
+        g = gcd_multivariate(g, f.partial(v))
+    return g.is_constant()
+
+
+def test_squarefree_matches_rational_function_oracle():
+    import squarefree_oracle as old
+
+    from laurentdecide.poly import clear_denominators, to_rational_coeffs
+
+    rng = random.Random(7077)
+    inputs = _corpus_equations()
+    n_corpus = len(inputs)
+    for ctx in (F2, F3, F5, FqContext(2, 2), FqContext(3, 2)):
+        inputs += _random_products(rng, ctx, 40)
+    agreed = repaired = 0
+    for f in inputs:
+        s = squarefree_part(f)
+        new = squarefree_equation(f)
+        new_changed = _x_degree(new) < _x_degree(f)
+        rat = to_rational_coeffs(f)
+        sf = old.squarefree_part(rat)
+        (want,) = clear_denominators([sf])
+        if _is_squarefree(want):
+            agreed += 1
+            assert (new, new_changed) == (want, sf.monic() != rat.monic()), f
+        else:
+            repaired += 1
+            assert exact_divide(f, s) is not None, f
+            power = s
+            while exact_divide(power, f) is None:
+                assert power.total_degree() <= f.total_degree() * s.total_degree(), f
+                power = power * s
+        assert _is_squarefree(s) and _is_squarefree(new), f
+        assert exact_divide(s, new) is not None, f
+    assert n_corpus > 150
+    assert agreed > 150 and repaired >= 5

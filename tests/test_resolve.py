@@ -343,6 +343,27 @@ def test_decide_squarefree_normalization():
     assert any("squarefree" in line for line in v.trace)
 
 
+def test_decide_t_content_beside_a_cube_char3():
+    # t*X^3*(Y^2 - t) over F_3 normalizes to X*(Y^2 - t): the point X = 0,
+    # Y = 1 is smooth on it and meets Y != 0
+    from laurentdecide.frontend import decide
+
+    v = decide("exists X, Y. t*X^3*(Y*Y - t) = 0 & ~(Y = 0)", F3)
+    assert v.is_sat
+    assert [repr(x) for x in v.witness] == ["(0 + O(t^2))", "(1 + O(t^2))"]
+    assert v.inequation_valuation == 0
+    x, y = v.system.ring.var(0), v.system.ring.var(1)
+    assert v.system.equations == [x * y * y - x * v.system.ring.var(2)]
+
+
+def test_decide_t_content_beside_a_fifth_power_char5():
+    from laurentdecide.frontend import decide
+
+    v = decide("exists X, Y. t*X^5*(Y*Y - t) = 0", F5)
+    assert v.is_sat
+    assert [repr(x) for x in v.witness] == ["(0 + O(t^2))", "(1 + O(t^2))"]
+
+
 def test_decide_closed_constants():
     R = PolyRing(F3, ("t",))
     # t^2 = 0 is false; t^2 != 0 is true

@@ -501,6 +501,7 @@ def test_iter_solutions_walks_the_oracle_nodes():
 GUARDS = """
 import sys
 from laurentdecide.ff import FqContext
+from laurentdecide.ideal import squarefree_part
 from laurentdecide.poly import PolyRing, RationalFunctionField, clear_denominators, to_rational_coeffs
 from laurentdecide.resolve import AffineSystem, blow_up_origin, decide_existential, descend, regularity_check
 from laurentdecide.truncation import weil_restrict
@@ -532,6 +533,8 @@ cases = [
     # the unit ideal has no dimension to test regularity at
     (ValueError, lambda: regularity_check(AffineSystem(R, [R.one()]))),
     (ValueError, lambda: blow_up_origin(Q3.var(0) * Q3.var(1) - Q3.var(2) ** 2)),
+    # squarefree parts are taken over the perfect field F_q, t a variable
+    (TypeError, lambda: squarefree_part(Q.var(0) ** 2)),
 ]
 for kind, case in cases:
     try:
@@ -565,4 +568,5 @@ def test_soundness_guards_survive_python_O():
         "RuntimeError: blow-up multiplicity must not increase",
         "ValueError: emptiness is decided before the regularity check",
         "ValueError: blow-ups are implemented for plane curves",
+        "TypeError: squarefree_part takes a polynomial over F_q",
     ]
