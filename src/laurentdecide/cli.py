@@ -21,8 +21,7 @@ from .poly import PolyRing, RationalFunctionField
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .series import (
     TruncatedSeries,
-    evaluate,
-    series_point,
+    point_table,
     val_exact,
     val_ge,
     valuation,
@@ -138,15 +137,12 @@ def _verify_sat(verdict: Verdict) -> list:
         return ["no system attached to the verdict"]
     witness = list(verdict.witness)
     precision = witness[0].precision if witness else verdict.certificate.precision
-    for f in system.equations:
-        res = evaluate(f, series_point(system.ring, witness, precision)) if witness else None
-        if witness and not val_ge(valuation(res), precision):
-            problems.append(f"residual of {f!r} below witness precision")
-    if system.inequation is not None and witness:
-        gval = valuation(
-            evaluate(system.inequation, series_point(system.ring, witness, precision))
-        )
-        if not val_exact(gval):
+    if witness:
+        at = point_table(system.ring, witness, precision)
+        for f in system.equations:
+            if not val_ge(valuation(at(f)), precision):
+                problems.append(f"residual of {f!r} below witness precision")
+        if system.inequation is not None and not val_exact(valuation(at(system.inequation))):
             problems.append("inequation value not exactly valued at the witness")
     fresh = certify_liftable(system.equations, witness, precision=precision)
     if fresh is None:
@@ -177,8 +173,8 @@ def _verify_unsat(verdict: Verdict, skipped: list) -> list:
                     TruncatedSeries(ctx, list(digits[j * n : (j + 1) * n]), n)
                     for j in range(m)
                 ]
-                pt = series_point(system.ring, point, n)
-                if all(not evaluate(f, pt) for f in system.equations):
+                at = point_table(system.ring, point, n)
+                if all(not at(f) for f in system.equations):
                     problems.append(f"refutation level {n} admits a mod-t^{n} solution")
                     break
     if verdict.branches:

@@ -23,9 +23,8 @@ from .ideal import _rabinowitsch, buchberger, dimension, normal_form
 from .poly import det_matrix, jacobian, to_rational_coeffs
 from .series import (
     TruncatedSeries,
-    evaluate,
     invert_unit,
-    series_point,
+    point_table,
     shift_right,
     val_exact,
     val_ge,
@@ -82,8 +81,8 @@ def _residuals(equations, point, precision=None):
     ring = equations[0].ring
     if precision is None:
         precision = point[0].precision
-    pt = series_point(ring, point, precision)
-    return [evaluate(f, pt) for f in equations]
+    at = point_table(ring, point, precision)
+    return [at(f) for f in equations]
 
 
 def _saturation_ok(equations, rows, det_poly):
@@ -100,10 +99,10 @@ def _saturation_ok(equations, rows, det_poly):
     return not any(normal_form(f, gb) for f in lifted[len(rows) :])
 
 
-def _minor_search(equations, point, k, exclude_col=None):
-    """Deterministic minor choice: minimal determinant valuation, then
-    lexicographic (rows, cols); saturation-checked.  Returns
-    (rows, cols, e) or None."""
+def _minor_search(equations, at, k, exclude_col=None):
+    """Deterministic minor choice at the point of the table at: minimal
+    determinant valuation, then lexicographic (rows, cols);
+    saturation-checked.  Returns (rows, cols, e) or None."""
     ring = equations[0].ring
     xvars = _x_indices(ring)
     m = len(xvars)
@@ -111,8 +110,7 @@ def _minor_search(equations, point, k, exclude_col=None):
     if k > n or k > m:
         return None
     jac = jacobian(equations, xvars)
-    pt = series_point(ring, point, point[0].precision)
-    jac_at = [[evaluate(entry, pt) for entry in row] for row in jac]
+    jac_at = [[at(entry) for entry in row] for row in jac]
     candidates = []
     for rows in combinations(range(n), k):
         for cols_idx in combinations(range(m), k):
@@ -160,14 +158,15 @@ def certify_liftable(equations, point, dim=None, precision=None, exclude_col=Non
     k = m - dim
     if k < 0:
         return None
-    for r in _residuals(equations, point, n_prec):
-        if not val_ge(valuation(r), n_prec):
+    at = point_table(ring, point, n_prec)
+    for f in equations:
+        if not val_ge(valuation(at(f)), n_prec):
             return None
     if k == 0:
         if not _saturation_empty(equations):
             return None
         return HenselCertificate((), (), 0, n_prec)
-    found = _minor_search(equations, point, k, exclude_col)
+    found = _minor_search(equations, at, k, exclude_col)
     if found is None:
         return None
     rows, cols, e = found
@@ -217,7 +216,8 @@ def newton_lift(equations, point, certificate, target, trace=None):
     prev_min = None
     max_iter = 2 * (target.bit_length() + 4)
     for _ in range(max_iter):
-        res = _residuals(equations, xs)
+        at = point_table(ring, xs, work_prec)
+        res = [at(f) for f in equations]
         vals_all = [valuation(r) for r in res]
         if all(val_ge(v, target) for v in vals_all):
             return tuple(x.truncate(target) for x in xs)
@@ -230,8 +230,7 @@ def newton_lift(equations, point, certificate, target, trace=None):
         prev_min = v_min
         if not v_min > 2 * e:
             raise CertificateError("residual valuation fell inside the minor gap")
-        pt = series_point(ring, xs, work_prec)
-        j_at = [[evaluate(entry, pt) for entry in row] for row in jac_sub]
+        j_at = [[at(entry) for entry in row] for row in jac_sub]
         det = det_matrix(j_at, None)
         vdet = valuation(det)
         if vdet != e:

@@ -146,13 +146,6 @@ class UniPoly:
         inv = self.coeffs[-1].inv()
         return UniPoly._make(self.ctx, [c * inv for c in self.coeffs])
 
-    def derivative(self):
-        ctx = self.ctx
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(ctx.from_int(i) * self.coeffs[i])
-        return UniPoly._make(ctx, out)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

@@ -80,7 +80,8 @@ class TruncatedSeries:
     def t(cls, ctx, precision):
         if precision < 2:
             return cls.zero(ctx, precision)
-        return cls(ctx, [0, 1], precision)
+        z = ctx.zero()
+        return cls._make(ctx, [z, ctx.one()] + [z] * (precision - 2), precision)
 
     @classmethod
     def constant(cls, ctx, c, precision):
@@ -215,34 +216,86 @@ def expand_rational(r: RationalFunction, n: int) -> TruncatedSeries:
     return TruncatedSeries._make(ctx, out, n)
 
 
-def evaluate(f: MultiPoly, point) -> TruncatedSeries:
-    """Evaluate a polynomial over F_q (t as a slot) at a series point.
+# the table of a coordinate equal to the series t: its powers are shifts
+_SHIFT = "shift"
 
-    The point supplies one series per ring variable; the t slot, if present,
-    must be given the series t.  All precisions must agree, and the result
-    carries that shared precision.
+
+class PointTable:
+    """Polynomials over F_q (t as a slot) evaluated at one series point.
+
+    The point supplies one series per ring variable, all of one precision,
+    which every value carries.  Each coordinate's powers are built on first
+    use by successive multiplication, only up to the highest exponent asked
+    for, and serve every later term and polynomial evaluated at the point.  A
+    coordinate equal to the series t has no table: t^s is a shift.  A term's
+    coefficient scales its monomial's value digit by digit.  The table lives
+    as long as the caller holds it, one point only.
     """
-    ring = f.ring
-    if len(point) != ring.nvars:
-        raise ValueError(f"need {ring.nvars} coordinates, got {len(point)}")
-    if not point:
-        raise ValueError("series evaluation needs at least the t coordinate")
-    precision = point[0].precision
-    ctx = point[0].ctx
-    if ring.field is not ctx:
-        raise ValueError("polynomial and point over different fields")
-    for x in point:
-        if x.precision != precision:
-            raise ValueError("mixed precisions in evaluation point")
-    zeros = [ctx.zero()] * (precision - 1)
-    acc = TruncatedSeries.zero(ctx, precision)
-    for e, c in f.terms.items():
-        term = TruncatedSeries._make(ctx, [c] + zeros, precision)
-        for i, k in enumerate(e):
-            if k:
-                term = term * point[i] ** k
-        acc = acc + term
-    return acc
+
+    __slots__ = ("ctx", "precision", "point", "powers")
+
+    def __init__(self, ring, point):
+        if len(point) != ring.nvars:
+            raise ValueError(f"need {ring.nvars} coordinates, got {len(point)}")
+        if not point:
+            raise ValueError("series evaluation needs at least the t coordinate")
+        precision = point[0].precision
+        ctx = point[0].ctx
+        if ring.field is not ctx:
+            raise ValueError("polynomial and point over different fields")
+        for x in point:
+            if x.precision != precision:
+                raise ValueError("mixed precisions in evaluation point")
+        self.ctx = ctx
+        self.precision = precision
+        self.point = point
+        # powers[i]: None until coordinate i is used, then [None, x, x^2, ...],
+        # or _SHIFT when x is the series t
+        self.powers = [None] * len(point)
+
+    def _powers_of(self, i):
+        x = self.point[i]
+        if x.ctx is not self.ctx:
+            raise ValueError("mixed-field arithmetic")
+        c = x.coeffs
+        is_t = not c[0] and (len(c) == 1 or c[1] is x.ctx.one() and not any(c[2:]))
+        pw = self.powers[i] = _SHIFT if is_t else [None, x]
+        return pw
+
+    def __call__(self, f: MultiPoly) -> TruncatedSeries:
+        """The value of f, a polynomial over the ring the table was built for."""
+        ctx, n, powers = self.ctx, self.precision, self.powers
+        acc = [ctx.zero()] * n
+        for e, c in f.terms.items():
+            shift = 0
+            value = None
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                pw = powers[i]
+                if pw is None:
+                    pw = self._powers_of(i)
+                if pw is _SHIFT:
+                    shift += k
+                    continue
+                while len(pw) <= k:
+                    pw.append(pw[-1] * pw[1])
+                value = pw[k] if value is None else value * pw[k]
+            if shift >= n:
+                continue
+            if value is None:
+                acc[shift] = acc[shift] + c
+                continue
+            for j, b in enumerate(value.coeffs[: n - shift], shift):
+                if b:
+                    acc[j] = acc[j] + c * b
+        return TruncatedSeries._make(ctx, acc, n)
+
+
+def evaluate(f: MultiPoly, point) -> TruncatedSeries:
+    """Evaluate a polynomial over F_q (t as a slot) at a series point; see
+    PointTable, which evaluates several polynomials at one point."""
+    return PointTable(f.ring, point)(f)
 
 
 def valuation_at(f: MultiPoly, witness):
@@ -251,7 +304,7 @@ def valuation_at(f: MultiPoly, witness):
     ring = f.ring
     if not witness:
         return min(e[ring.tpos] for e in f.terms)
-    return valuation(evaluate(f, series_point(ring, list(witness), witness[0].precision)))
+    return valuation(point_table(ring, witness, witness[0].precision)(f))
 
 
 def coeff_to_json(c):
@@ -268,6 +321,11 @@ def witness_to_json(witness):
         "precision": witness[0].precision,
         "coords": [[coeff_to_json(c) for c in x.coeffs] for x in witness],
     }
+
+
+def point_table(ring, xs, precision) -> PointTable:
+    """The table of the point with unknowns xs and t in the ring's slot."""
+    return PointTable(ring, series_point(ring, xs, precision))
 
 
 def series_point(f_ring, xs, precision):

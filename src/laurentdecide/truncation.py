@@ -57,7 +57,7 @@ class WeilRestriction:
         n = self.level
         m = self.ring.nvars // n
         return tuple(
-            TruncatedSeries(self.ring.field, list(assignment[j::m]), n) for j in range(m)
+            TruncatedSeries._make(self.ring.field, assignment[j::m], n) for j in range(m)
         )
 
 

@@ -32,6 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "decision_golden.json"
 
 F3 = FqContext(3)
 F5 = FqContext(5)
+F7 = FqContext(7)
 FUZZ_CONFIG = RunConfig(max_precision=16, candidate_cap=64)
 
 # sentences that reach the singular-locus descent, the blow-up centre and the
@@ -41,6 +42,29 @@ EXTRA = [
     ("centre-node", F3, "exists X, Y. X*Y = 0 & ~(X = 1)", None),
     ("centre-circle", F3, "exists X, Y. X*X + Y*Y = 0 & ~(X = 0)", None),
     ("perturb", F3, "exists X, Y. Y = 0 & ~(X = 0)", RunConfig(candidate_cap=1, max_precision=8)),
+]
+
+
+# the lift-candidates shapes, a the least non-square and c = 1: even-power
+# norm forms X^2 - a*Y^2 = t^k (SAT, a certified and lifted witness) and the
+# singular cones X^2 - a*Y^2 = t*Z^2 with Z != 0 (F_2 writes X^2 + Y^2) at
+# their max_precision, whose candidates all fail certification
+LEAST_NON_SQUARE = {3: 2, 5: 2, 7: 3}
+NORM_FORMS = [
+    (f"lift-p{p}-k{k}", ctx, f"exists X, Y. X*X - {LEAST_NON_SQUARE[p]}*Y*Y = 1*t^{k}", None)
+    for p, ctx, ks in ((3, F3, (2, 4, 6)), (5, F5, (2, 4, 6)), (7, F7, (2, 4)))
+    for k in ks
+]
+CONES = [
+    (
+        f"cone-p{p}",
+        ctx,
+        "exists X, Y, Z. "
+        + ("X*X + Y*Y" if p == 2 else f"X*X - {LEAST_NON_SQUARE[p]}*Y*Y")
+        + " = t*Z*Z & ~(Z = 0)",
+        RunConfig(max_precision=max_precision),
+    )
+    for p, ctx, max_precision in ((2, FqContext(2), 32), (3, F3, 16), (5, F5, 8), (7, F7, 8))
 ]
 
 
@@ -64,7 +88,7 @@ def fuzz_corpus():
 def sentence_corpus():
     """(label, field, sentence, config) for every decided sentence."""
     items = [(label, ctx, text, None) for label, ctx, text, _ in CRITERION_8]
-    return items + fuzz_corpus() + EXTRA
+    return items + fuzz_corpus() + EXTRA + NORM_FORMS + CONES
 
 
 def _reprs(polys):

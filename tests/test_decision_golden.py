@@ -3,9 +3,10 @@
 tests/data/decision_golden.json was written by tests/make_decision_golden.py
 before the loop was rewritten so that a system owns its F_q(t) view, basis
 and dimension, with one descent, one certification and one inequation
-valuation routine.  Every record must stay identical: verdicts, refutation
-levels, certificates, witnesses, radical cofactors, attached systems and
-trace text.
+valuation routine; the lift-candidates norm forms and cones were added
+before series-point evaluation moved to one power table per point.  Every
+record must stay identical: verdicts, refutation levels, certificates,
+witnesses, radical cofactors, attached systems and trace text.
 """
 
 import json

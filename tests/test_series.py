@@ -1,11 +1,13 @@
 import random
 
 import pytest
+import series_oracle
 
 from laurentdecide.ff import FqContext
 from laurentdecide.poly import PolyRing, RationalFunction, UniPoly
 from laurentdecide.series import (
     AtLeast,
+    PointTable,
     TruncatedSeries,
     evaluate,
     expand_rational,
@@ -254,3 +256,113 @@ MIXED = {
 def test_mixed_fields_raise(case):
     with pytest.raises(ValueError):
         MIXED[case]()
+
+
+# -- point evaluation against the per-term powering it replaced ---------------
+
+ORACLE_FIELDS = [F2, F3, F5, FqContext(2, 2), FqContext(3, 2)]
+
+
+def _random_poly(rng, ring):
+    elems = list(ring.field.elements())
+    terms = {
+        tuple(rng.randrange(7) for _ in range(ring.nvars)): rng.choice(elems)
+        for _ in range(rng.randrange(0, 6))
+    }
+    return ring.from_terms(terms)
+
+
+def _random_series(rng, ctx, n):
+    elems = list(ctx.elements())
+    return S(ctx, [rng.choice(elems) for _ in range(n)], n)
+
+
+def test_evaluate_matches_oracle_on_random_polynomials():
+    """One table per point, shared by several polynomials, equals the
+    oracle's per-term powering; so does evaluate at points whose t slot holds
+    an arbitrary series, and series_point equals the oracle's."""
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(400):
+        ctx = rng.choice(ORACLE_FIELDS)
+        m = rng.randint(1, 3)
+        names = [f"X{i}" for i in range(m)]
+        if rng.random() < 0.7:
+            names.insert(rng.randrange(m + 1), "t")
+        ring = PolyRing(ctx, names)
+        n = rng.randint(1, 16)
+        xs = [_random_series(rng, ctx, n) for _ in range(m)]
+        if rng.random() < 0.2:
+            xs[0] = TruncatedSeries.t(ctx, n)  # an unknown equal to t
+        polys = [_random_poly(rng, ring) for _ in range(3)]
+        point = series_point(ring, xs, n)
+        assert point == series_oracle.series_point(ring, xs, n)
+        table = PointTable(ring, point)
+        for f in polys:
+            assert table(f) == series_oracle.evaluate(f, point)
+            checked += 1
+        if ring.tpos is not None:
+            # the generic path: the t slot holds an arbitrary series, mostly not t
+            point = list(point)
+            point[ring.tpos] = _random_series(rng, ctx, n)
+            for f in polys:
+                assert evaluate(f, point) == series_oracle.evaluate(f, point)
+                checked += 1
+    assert checked > 1500
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err), str(err)
+    return None
+
+
+def test_evaluate_errors_match_oracle():
+    R = PolyRing(F3, ("X", "Y", "t"))
+    x, y = R.var(0), R.var(1)
+    f = x * x + y
+    cases = [
+        (f, [S(F3, [1, 1], 2)] * 2),  # arity
+        (PolyRing(F3, ()).one(), []),  # no coordinates
+        (f, [S(F3, [1, 1], 2), S(F3, [1, 1, 1], 3), S(F3, [0, 1], 2)]),  # mixed precision
+        (f, [S(F5, [1, 1], 2), S(F3, [1, 1], 2), S(F3, [0, 1], 2)]),  # point over F_5
+        (f, [S(F3, [1, 1], 2), S(F5, [1, 1], 2), S(F3, [0, 1], 2)]),  # Y over F_5
+        (x, [S(F3, [1, 1], 2), S(F5, [1, 1], 2), S(F3, [0, 1], 2)]),  # unused Y over F_5
+        (f, [S(F3, [1, 1], 2), S(F5, [0, 1], 2), S(F3, [0, 1], 2)]),  # Y = t over F_5
+    ]
+    for g, point in cases:
+        expected = _raised(lambda: series_oracle.evaluate(g, point))
+        assert _raised(lambda: evaluate(g, point)) == expected
+    assert [_raised(lambda: evaluate(g, p)) is None for g, p in cases] == [
+        False, False, False, False, False, True, False
+    ]
+
+
+def test_point_table_builds_each_power_once(monkeypatch):
+    """X^5*Y^3 + 2*X^4 + t^7*Y at precision 8 takes X^2..X^5, Y^2, Y^3 and the
+    product X^5*Y^3: the coefficient 2 is a scale and t^7 a shift, so no other
+    series product runs.  A second polynomial at the same point reuses the
+    powers."""
+    R = PolyRing(F3, ("X", "Y", "t"))
+    f = R.from_terms({(5, 3, 0): 1, (4, 0, 0): 2, (0, 1, 7): 1})
+    g = R.from_terms({(3, 1, 0): 1, (2, 0, 1): 1})
+    point = series_point(R, [S(F3, [1, 2, 0, 1], 8), S(F3, [2, 1, 1], 8)], 8)
+    mul = TruncatedSeries.__mul__
+    products = []
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    fv = evaluate(f, point)
+    assert len(products) == 7
+    table = PointTable(R, point)
+    assert table(f) == fv
+    gv = table(g)
+    assert len(products) == 7 + 7 + 1  # then X^3*Y only
+    monkeypatch.undo()
+    assert fv == series_oracle.evaluate(f, point)
+    assert gv == series_oracle.evaluate(g, point)
