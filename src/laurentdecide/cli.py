@@ -15,7 +15,14 @@ import json
 import sys
 
 from .ff import FqContext
-from .frontend import ParseError, _term_to_poly, affine_system, decide, parse_term_text
+from .frontend import (
+    ParseError,
+    _term_to_poly,
+    affine_system,
+    decide,
+    parse_term_text,
+    parse_variables,
+)
 from .hensel import PerturbBudget, certify_liftable
 from .poly import PolyRing, RationalFunctionField
 from .resolve import AffineSystem, RunConfig, decide_existential
@@ -71,9 +78,10 @@ def load_system_file(path: str, ctx: FqContext) -> AffineSystem:
     optional "neq <poly>" lines (merged into one product inequation)."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [ln.strip() for ln in handle if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("vars"):
+    header = lines[0].split(None, 1) if lines else []
+    if not header or header[0] != "vars":
         raise ValueError("system file must start with a 'vars' header")
-    names = lines[0].split()[1:]
+    names = parse_variables(header[1] if len(header) > 1 else "")
     rring = PolyRing(RationalFunctionField(ctx), tuple(names))
     ring = PolyRing(ctx, tuple(names) + ("t",))
     var_index = {name: i for i, name in enumerate(names)}

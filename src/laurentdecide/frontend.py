@@ -160,6 +160,19 @@ def _tokenize(text):
     return tokens
 
 
+def _declare(variables, tok):
+    """Append the variable name of the token to variables: a word that is
+    neither a uniformizer name nor a keyword, declared once."""
+    kind, name, col = tok
+    if kind != "word":
+        raise ParseError("expected a variable name", col)
+    if name in _UNIFORMIZER_NAMES or name in ("exists", "O"):
+        raise ParseError(f"{name!r} cannot be a variable", col)
+    if name in variables:
+        raise ParseError(f"duplicate variable {name!r}", col)
+    variables.append(name)
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -186,13 +199,7 @@ class _Parser:
             self.next()
             while True:
                 tok = self.next()
-                if tok[0] != "word":
-                    raise ParseError("expected a variable name", tok[2])
-                if tok[1] in _UNIFORMIZER_NAMES or tok[1] in ("exists", "O"):
-                    raise ParseError(f"{tok[1]!r} cannot be a variable", tok[2])
-                if tok[1] in variables:
-                    raise ParseError(f"duplicate variable {tok[1]!r}", tok[2])
-                variables.append(tok[1])
+                _declare(variables, tok)
                 if self.peek()[0] == ",":
                     self.next()
                     continue
@@ -306,6 +313,15 @@ class _Parser:
 def parse(text: str) -> Sentence:
     """Parse a sentence: [exists <vars> .] <formula>."""
     return _Parser(text).parse_sentence()
+
+
+def parse_variables(text: str):
+    """Parse a list of variable names separated by blanks (the header of a
+    system file), under the rules of a sentence's exists clause."""
+    variables = []
+    for tok in _tokenize(text)[:-1]:
+        _declare(variables, tok)
+    return variables
 
 
 def parse_term_text(text: str):
@@ -433,6 +449,8 @@ def _term_to_poly(term, ring: PolyRing, var_index):
         t = RationalFunction.from_unipoly(UniPoly.t_power(ctx, 1, 1))
         return ring.const(t)
     if isinstance(term, TVar):
+        if term.name not in var_index:
+            raise ParseError(f"unbound variable {term.name!r}", 1)
         return ring.var(var_index[term.name])
     if isinstance(term, TOp):
         left = _term_to_poly(term.left, ring, var_index)
@@ -450,7 +468,7 @@ def _term_to_poly(term, ring: PolyRing, var_index):
                 raise ParseError("division by a variable term is not allowed", 1)
             c = right.constant_value()
             if not c:
-                raise ZeroDivisionError("division by the zero constant")
+                raise ParseError("division by zero", 1)
             return left.scale(c.inv())
         raise AssertionError(f"unknown operator {term.op}")
     raise AssertionError(f"unknown term node {term!r}")

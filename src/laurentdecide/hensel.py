@@ -85,94 +85,111 @@ def _residuals(equations, point, precision=None):
     return [at(f) for f in equations]
 
 
-def _saturation_ok(equations, rows, det_poly):
-    """Every equation outside rows lies in (rows) : det^inf over F_q(t)."""
-    others = [i for i in range(len(equations)) if i not in rows]
-    if not others:
-        return True
-    det_rat = to_rational_coeffs(det_poly)
-    if not det_rat:
-        return False
-    rat = [to_rational_coeffs(equations[i]) for i in list(rows) + others]
-    lifted, aux = _rabinowitsch(rat, det_rat, "Zsat")
-    gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
-    return not any(normal_form(f, gb) for f in lifted[len(rows) :])
+class MinorTable:
+    """The point-independent half of certify_liftable for one system.
 
+    Built from the equations (zero ones dropped) and their Krull dimension d
+    over F_q(t), None for an empty locus: the x indices, the minor size
+    k = m - d, the Jacobian and the (rows, cols) index pairs of every size-k
+    minor in lexicographic order.  The pairs are empty when no minor can
+    certify: an empty locus, k <= 0 (a nonzero equation bounds d below m), or
+    k above the number of equations or unknowns.  A minor's saturation-guard
+    answer is computed on its first use, from its determinant polynomial, and
+    kept.  A caller certifying many points of one system builds one table
+    and hands it to every certify_liftable call; the table lives as long as
+    the caller holds it.
+    """
 
-def _minor_search(equations, at, k, exclude_col=None):
-    """Deterministic minor choice at the point of the table at: minimal
-    determinant valuation, then lexicographic (rows, cols);
-    saturation-checked.  Returns (rows, cols, e) or None."""
-    ring = equations[0].ring
-    xvars = _x_indices(ring)
-    m = len(xvars)
-    n = len(equations)
-    if k > n or k > m:
-        return None
-    jac = jacobian(equations, xvars)
-    jac_at = [[at(entry) for entry in row] for row in jac]
-    candidates = []
-    for rows in combinations(range(n), k):
-        for cols_idx in combinations(range(m), k):
-            if exclude_col is not None and exclude_col in cols_idx:
+    def __init__(self, equations, dim):
+        self.equations = [f for f in equations if f]
+        n = len(self.equations)
+        self.ring = self.equations[0].ring if n else None
+        self.xvars = _x_indices(self.ring) if n else []
+        m = len(self.xvars)
+        k = None if dim is None else m - dim
+        if k is not None and 0 < k <= min(n, m):
+            self.jacobian = jacobian(self.equations, self.xvars)
+            self.pairs = [
+                (rows, cols)
+                for rows in combinations(range(n), k)
+                for cols in combinations(range(m), k)
+            ]
+        else:
+            self.jacobian, self.pairs = [], []
+        self._saturated = {}
+
+    def saturated(self, rows, cols):
+        """Every equation outside rows lies in (rows) : det^inf over F_q(t),
+        det the (rows, cols) minor of the Jacobian."""
+        key = (rows, cols)
+        if key not in self._saturated:
+            self._saturated[key] = self._saturation_ok(rows, cols)
+        return self._saturated[key]
+
+    def _saturation_ok(self, rows, cols):
+        others = [i for i in range(len(self.equations)) if i not in rows]
+        if not others:
+            return True
+        det_poly = det_matrix([[self.jacobian[i][j] for j in cols] for i in rows], self.ring.one())
+        det_rat = to_rational_coeffs(det_poly)
+        if not det_rat:
+            return False
+        rat = [to_rational_coeffs(self.equations[i]) for i in list(rows) + others]
+        lifted, aux = _rabinowitsch(rat, det_rat, "Zsat")
+        gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
+        return not any(normal_form(f, gb) for f in lifted[len(rows) :])
+
+    def choose(self, at, precision, exclude_col=None):
+        """The certificate of the minor choice at the point of the table at:
+        minimal determinant valuation e, then lexicographic (rows, cols),
+        among the saturated minors avoiding the unknown at position
+        exclude_col; None unless precision > 2e."""
+        jac_at = [
+            [at(entry) if j != exclude_col else None for j, entry in enumerate(row)]
+            for row in self.jacobian
+        ]
+        minors = []
+        for rows, cols in self.pairs:
+            if exclude_col in cols:
                 continue
-            sub = [[jac_at[i][j] for j in cols_idx] for i in rows]
-            det = det_matrix(sub, None)
-            v = valuation(det)
+            v = valuation(det_matrix([[jac_at[i][j] for j in cols] for i in rows], None))
             if val_exact(v):
-                candidates.append((v, rows, cols_idx))
-    candidates.sort()
-    for e, rows, cols_idx in candidates:
-        det_poly = det_matrix([[jac[i][j] for j in cols_idx] for i in rows], ring.one())
-        if _saturation_ok(equations, rows, det_poly):
-            return rows, tuple(xvars[j] for j in cols_idx), e
-    return None
+                minors.append((v, rows, cols))
+        minors.sort()
+        for e, rows, cols in minors:
+            if not precision > 2 * e:
+                return None  # every later minor has e at least as large
+            if self.saturated(rows, cols):
+                return HenselCertificate(rows, tuple(self.xvars[j] for j in cols), e, precision)
+        return None
 
 
-def _saturation_empty(equations):
-    """k = 0 case: with no bound equations the branch is the whole space, so
-    every equation must already be zero."""
-    return all(not f for f in equations)
-
-
-def certify_liftable(equations, point, dim=None, precision=None, exclude_col=None):
+def certify_liftable(equations, point, dim=None, precision=None, exclude_col=None, table=None):
     """HenselCertificate for the point, or None.
 
     Conditions: every residual valuation >= N (the point precision), some
     size-(m-d) Jacobian minor with determinant valuation e satisfying N > 2e,
     and the saturation guard for equations outside the minor rows.  A minor
-    may not use the unknown at position exclude_col, when given.
+    may not use the unknown at position exclude_col, when given.  table is
+    the MinorTable of these equations and dimension, when the caller holds
+    one; otherwise the call builds its own.
     """
-    equations = [f for f in equations if f]
     if precision is None:
         precision = point[0].precision if point else 1
-    if not equations:
+    if table is None:
+        equations = [f for f in equations if f]
+        if equations and dim is None:
+            dim = system_dimension(equations, equations[0].ring)
+        table = MinorTable(equations, dim)
+    if not table.equations:
         return HenselCertificate((), (), 0, precision)
-    ring = equations[0].ring
-    n_prec = precision
-    if dim is None:
-        dim = system_dimension(equations, ring)
-    if dim is None:
-        return None  # empty locus over the algebraic closure of F_q(t)
-    m = len(_x_indices(ring))
-    k = m - dim
-    if k < 0:
+    if not table.pairs:
         return None
-    at = point_table(ring, point, n_prec)
-    for f in equations:
-        if not val_ge(valuation(at(f)), n_prec):
+    at = point_table(table.ring, point, precision)
+    for f in table.equations:
+        if not val_ge(valuation(at(f)), precision):
             return None
-    if k == 0:
-        if not _saturation_empty(equations):
-            return None
-        return HenselCertificate((), (), 0, n_prec)
-    found = _minor_search(equations, at, k, exclude_col)
-    if found is None:
-        return None
-    rows, cols, e = found
-    if not n_prec > 2 * e:
-        return None
-    return HenselCertificate(rows, tuple(cols), e, n_prec)
+    return table.choose(at, precision, exclude_col)
 
 
 def _col_positions(ring, cols):
@@ -299,6 +316,7 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
         return None
     nonzero_scalars = [c for c in g.ring.field.elements() if c]
     xpos = {v: i for i, v in enumerate(xvars)}
+    table = MinorTable(equations, dim)
 
     m0 = max(1, 2 * certificate.e + 1)
     for mm in range(m0, m0 + budget.depth):
@@ -321,7 +339,11 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
                 if floor < 1:
                     continue
                 cert2 = certify_liftable(
-                    equations, [x.truncate(floor) for x in xs], dim, exclude_col=xpos[j]
+                    equations,
+                    [x.truncate(floor) for x in xs],
+                    dim,
+                    exclude_col=xpos[j],
+                    table=table,
                 )
                 if cert2 is None:
                     continue
@@ -330,7 +352,7 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
                 except CertificateError:
                     continue
                 if val_exact(valuation_at(g, lifted)):
-                    final = certify_liftable(equations, list(lifted), dim)
+                    final = certify_liftable(equations, list(lifted), dim, table=table)
                     if final is not None:
                         return tuple(lifted), final
     return None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .ff import FqContext
-from .hensel import CertificateError, certify_liftable, newton_lift, system_dimension
+from .hensel import CertificateError, MinorTable, certify_liftable, newton_lift, system_dimension
 from .poly import MultiPoly, PolyRing
 from .series import TruncatedSeries
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -268,7 +268,8 @@ def decide_positive(
     turns up.  Refutation is independent of accept.
 
     dim is the Krull dimension of the equations over F_q(t) when the caller
-    already has it; None computes it.
+    already has it; None computes it.  Every certification of the call shares
+    one MinorTable of the equations.
     """
     if schedule is None:
         schedule = PrecisionSchedule()
@@ -277,6 +278,7 @@ def decide_positive(
     eqs = [f for f in equations if f]
     if dim is None:
         dim = system_dimension(eqs, ring)
+    table = MinorTable(eqs, dim)
     blocked_by_budget = False
     fallback = None
     for level in schedule.levels():
@@ -297,7 +299,7 @@ def decide_positive(
                     trace.append(f"level {level}: candidate cap {candidate_cap} reached")
                     break
                 point = restriction.point(assignment)
-                cert = certify_liftable(eqs, list(point), dim, precision=level)
+                cert = certify_liftable(eqs, list(point), dim, precision=level, table=table)
                 if cert is None:
                     continue
                 target = 2 * max(level, cert.e + 1)
@@ -313,7 +315,7 @@ def decide_positive(
                 except CertificateError as err:
                     trace.append(f"level {level}: lift rejected a candidate ({err})")
                     continue
-                final = certify_liftable(eqs, list(lifted), dim, precision=target)
+                final = certify_liftable(eqs, list(lifted), dim, precision=target, table=table)
                 if final is None:
                     continue
                 if accept is not None and not accept(lifted):

@@ -269,3 +269,51 @@ def test_cli_verifies_t_content_beside_a_cube(capsys):
     assert (code, report["status"], report["verified"]) == (0, "sat", True)
     assert report["witness"] == [[0, 0], [1, 0]]
     assert "verify_problems" not in report
+
+
+@pytest.mark.parametrize(
+    "header, equation, message",
+    [
+        ("vars pi", "pi*pi - 1", "'pi' cannot be a variable"),
+        ("vars w", "w - 1", "'w' cannot be a variable"),
+        ("vars t", "t - 1", "'t' cannot be a variable"),
+        ("vars exists", "exists - 1", "'exists' cannot be a variable"),
+        ("vars O", "O - 1", "'O' cannot be a variable"),
+        ("vars X Y X", "X - 1", "duplicate variable 'X'"),
+        ("vars X, Y", "X - 1", "expected a variable name"),
+        ("vars X", "Y - 1", "unbound variable 'Y'"),
+    ],
+)
+def test_system_file_rejects_bad_variable_names(tmp_path, capsys, header, equation, message):
+    # the term parser reads t, w and pi as the uniformizer, so a file that
+    # declared pi would decide pi*pi - 1 = 0 about t and answer a verified
+    # unsat although pi = 1 solves it
+    path = tmp_path / "names.system"
+    path.write_text(f"{header}\neq {equation}\n", encoding="utf-8")
+    code = run(["--field", "p=3", "--verify", "--system-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    ["exists X. X/0 = 1", "exists X. X = 1/0", "O(1/0)", "exists X. X/3 = 1",
+     "exists X. X = 1/(t - t)"],
+)
+def test_cli_rejects_division_by_zero(capsys, sentence):
+    code = run(["--field", "p=3", sentence])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "division by zero" in captured.err
+
+
+def test_system_file_rejects_division_by_zero(tmp_path, capsys):
+    path = tmp_path / "zero.system"
+    path.write_text("vars X\neq X/0 - 1\n", encoding="utf-8")
+    code = run(["--field", "p=3", "--system-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "division by zero" in captured.err

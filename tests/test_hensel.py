@@ -1,4 +1,14 @@
+import random
+from collections import Counter
+
+import hensel_oracle
+import make_decision_golden as golden
+import pytest
+from test_acceptance import _curated_systems, _random_system
+
+from laurentdecide import hensel, resolve, truncation
 from laurentdecide.ff import FqContext
+from laurentdecide.frontend import decide
 from laurentdecide.hensel import (
     PerturbBudget,
     certify_liftable,
@@ -8,6 +18,7 @@ from laurentdecide.hensel import (
 )
 from laurentdecide.poly import PolyRing
 from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
+from laurentdecide.truncation import PrecisionSchedule, decide_positive
 
 F3 = FqContext(3)
 
@@ -211,3 +222,105 @@ def test_smooth_perturb_determinism():
     b = smooth_perturb([f], point, cert, g, PerturbBudget())
     assert a is not None and b is not None
     assert a[0] == b[0] and a[1] == b[1]
+
+
+# ---------------------------------------------------------------------------
+# minor table: differential test against the per-call routine it replaces
+
+
+def _saturation_system():
+    # the system of test_certify_saturation_guard: every candidate Y = 0
+    # mod t^N has a minor of valuation 1 in each row, and the saturation
+    # guard rejects both (rows, cols)
+    R = tring(F3, "Y")
+    y, t = R.var(0), R.var(1)
+    a = y**2 - t
+    return R, [y * a, a * (y + t**40)]
+
+
+def _differential(monkeypatch, modules):
+    """Patch certify_liftable in the given modules so that every call is also
+    answered by the oracle; returns the list of (exclude_col, certificate)
+    pairs seen."""
+    seen = []
+    real = hensel.certify_liftable
+
+    def checked(equations, point, dim=None, precision=None, exclude_col=None, table=None):
+        cert = real(equations, point, dim, precision, exclude_col, table=table)
+        expected = hensel_oracle.certify_liftable(equations, point, dim, precision, exclude_col)
+        assert cert == expected, (equations, point, dim, precision, exclude_col)
+        seen.append((exclude_col, cert))
+        return cert
+
+    for module in modules:
+        monkeypatch.setattr(module, "certify_liftable", checked)
+    return seen
+
+
+def test_minor_table_matches_oracle_on_criterion_1_sweep(monkeypatch):
+    seen = _differential(monkeypatch, [truncation])
+    rng = random.Random(190840)
+    for ctx in (FqContext(2), F3):
+        systems = _curated_systems(ctx)
+        for m in (1, 2):
+            systems += [_random_system(rng, ctx, m) for _ in range(22)]
+        systems.append(_saturation_system())
+        for ring, eqs in systems:
+            decide_positive(eqs, ring, PrecisionSchedule(4), candidate_cap=32)
+    assert sum(cert is not None for _, cert in seen) >= 20
+    assert sum(cert is None for _, cert in seen) >= 20
+
+
+# the lift-candidates shapes, and the sentence whose witness is perturbed
+SHAPES = golden.NORM_FORMS + golden.CONES + [x for x in golden.EXTRA if x[0] == "perturb"]
+
+
+@pytest.mark.parametrize("label, ctx, sentence, config", SHAPES, ids=[x[0] for x in SHAPES])
+def test_minor_table_matches_oracle_on_lift_candidates_shapes(
+    monkeypatch, label, ctx, sentence, config
+):
+    seen = _differential(monkeypatch, [truncation, hensel, resolve])
+    decide(sentence, ctx, config)
+    assert seen
+    if label == "perturb":
+        # the perturbed points are certified by minors avoiding one column
+        assert any(col is not None for col, _ in seen)
+
+
+def test_minor_table_saturation_rejections_match_oracle():
+    R, eqs = _saturation_system()
+    dim = system_dimension(eqs, R)
+    table = hensel.MinorTable(eqs, dim)
+    assert table.pairs == [((0,), (0,)), ((1,), (0,))]
+    for n in (3, 4, 6, 8):
+        point = [S(F3, [0] * n, n)]
+        assert certify_liftable(eqs, point, dim, table=table) is None
+        assert hensel_oracle.certify_liftable(eqs, point, dim) is None
+    assert [table.saturated(rows, cols) for rows, cols in table.pairs] == [False, False]
+
+
+def test_minor_table_lives_for_one_decide_positive_call(monkeypatch):
+    R, eqs = _saturation_system()
+    dim = system_dimension(eqs, R)
+    calls = Counter()
+    real_buchberger = hensel.buchberger
+    real_saturated = hensel.MinorTable.saturated
+
+    def counted_buchberger(*args, **kwargs):
+        calls["buchberger"] += 1
+        return real_buchberger(*args, **kwargs)
+
+    def counted_saturated(table, rows, cols):
+        calls["guard"] += 1
+        return real_saturated(table, rows, cols)
+
+    monkeypatch.setattr(hensel, "buchberger", counted_buchberger)
+    monkeypatch.setattr(hensel.MinorTable, "saturated", counted_saturated)
+    schedule = PrecisionSchedule(8)
+    decide_positive(eqs, R, schedule, dim=dim)
+    # one saturation Groebner basis per (rows, cols), however many
+    # candidates reach the guard
+    assert calls["guard"] > 2 * 2
+    assert calls["buchberger"] == 2
+    decide_positive(eqs, R, schedule, dim=dim)
+    assert calls["buchberger"] == 4
