@@ -75,29 +75,42 @@ def parse_budget(text: str) -> PerturbBudget:
 
 def load_system_file(path: str, ctx: FqContext) -> AffineSystem:
     """System file: header "vars X1 X2 ...", then "eq <poly>" lines and
-    optional "neq <poly>" lines (merged into one product inequation)."""
+    optional "neq <poly>" lines (merged into one product inequation).  Blank
+    lines and lines starting with # are skipped; parse errors name the file
+    line and the column within it."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle if ln.strip() and not ln.strip().startswith("#")]
-    header = lines[0].split(None, 1) if lines else []
-    if not header or header[0] != "vars":
+        lines = []
+        for number, raw in enumerate(handle, 1):
+            line = raw.rstrip()
+            body = line.lstrip()
+            if body and not body.startswith("#"):
+                kind = body.split(None, 1)[0]
+                # index where the text after the kind word starts
+                lines.append((number, line, kind, len(line) - len(body) + len(kind)))
+    if not lines or lines[0][2] != "vars":
         raise ValueError("system file must start with a 'vars' header")
-    names = parse_variables(header[1] if len(header) > 1 else "")
+    number, line, _, start = lines[0]
+    names = _at_line(number, parse_variables, line, start)
     rring = PolyRing(RationalFunctionField(ctx), tuple(names))
     ring = PolyRing(ctx, tuple(names) + ("t",))
     var_index = {name: i for i, name in enumerate(names)}
-    eqs_rat = []
-    ineq_factors = []
-    for line in lines[1:]:
-        kind, _, rest = line.partition(" ")
-        term = parse_term_text(rest)
-        poly = _term_to_poly(term, rring, var_index)
-        if kind == "eq":
-            eqs_rat.append(poly)
-        elif kind == "neq":
-            ineq_factors.append(poly)
-        else:
-            raise ValueError(f"unknown system line kind {kind!r}")
-    return affine_system(ring, eqs_rat, ineq_factors)
+    polys = {"eq": [], "neq": []}
+    for number, line, kind, start in lines[1:]:
+        if kind not in polys:
+            raise ParseError(f"unknown system line kind {kind!r}", start - len(kind) + 1, number)
+        if not line[start:].strip():
+            raise ParseError(f"{kind!r} line has no polynomial", start + 1, number)
+        term = _at_line(number, parse_term_text, line, start)
+        polys[kind].append(_at_line(number, _term_to_poly, term, rring, var_index))
+    return affine_system(ring, polys["eq"], polys["neq"])
+
+
+def _at_line(number, parse, *args):
+    """parse(*args), with a parse error placed at the file line number."""
+    try:
+        return parse(*args)
+    except ParseError as err:
+        raise ParseError(err.message, err.column, number) from None
 
 
 def _branch_summary(branch: Verdict) -> dict:

@@ -13,7 +13,7 @@ y^2 + y = w*w'^2,  which forces v(s) = -1 - v(w') < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ff import FqContext
 from .poly import (
@@ -28,9 +28,13 @@ from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
 
 class ParseError(ValueError):
-    def __init__(self, message, column):
-        super().__init__(f"{message} at column {column}")
-        self.column = column
+    """A parse error at a column (1-based) of the text, and at a line of a
+    file when line is given."""
+
+    def __init__(self, message, column, line=None):
+        where = f"column {column}" if line is None else f"line {line}, column {column}"
+        super().__init__(f"{message} at {where}")
+        self.message, self.column = message, column
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,7 @@ class TConst:
 @dataclass(frozen=True)
 class TVar:
     name: str
+    col: int = field(default=1, compare=False, repr=False)  # of its token
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,7 @@ class TOp:
     op: str  # + - * / ^
     left: object
     right: object
+    col: int = field(default=1, compare=False, repr=False)  # of the operator token
 
 
 @dataclass(frozen=True)
@@ -98,11 +104,12 @@ class Sentence:
     formula: object
 
     def unbound_variables(self):
+        """The TVar nodes of names the sentence does not bind, in order."""
         bound = set(self.variables)
 
         def walk_term(t):
             if isinstance(t, TVar):
-                yield t.name
+                yield t
             elif isinstance(t, TOp):
                 yield from walk_term(t.left)
                 yield from walk_term(t.right)
@@ -119,7 +126,7 @@ class Sentence:
             elif isinstance(f, InRing):
                 yield from walk_term(f.term)
 
-        return [v for v in walk(self.formula) if v not in bound]
+        return [v for v in walk(self.formula) if v.name not in bound]
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +135,10 @@ class Sentence:
 _UNIFORMIZER_NAMES = {"t", "w", "pi"}
 
 
-def _tokenize(text):
+def _tokenize(text, start=0):
+    """The tokens of text[start:], with their columns (1-based) in text."""
     tokens = []
-    i = 0
+    i = start
     n = len(text)
     while i < n:
         ch = text[i]
@@ -174,8 +182,8 @@ def _declare(variables, tok):
 
 
 class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
+    def __init__(self, text, start=0):
+        self.tokens = _tokenize(text, start)
         self.pos = 0
 
     def peek(self):
@@ -214,7 +222,7 @@ class _Parser:
         sentence = Sentence(variables, formula)
         unbound = sentence.unbound_variables()
         if unbound:
-            raise ParseError(f"unbound variable {unbound[0]!r}", 1)
+            raise ParseError(f"unbound variable {unbound[0].name!r}", unbound[0].col)
         return sentence
 
     def parse_formula(self):
@@ -269,15 +277,15 @@ class _Parser:
     def parse_term(self):
         left = self.parse_product()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            left = TOp(op, left, self.parse_product())
+            op, _, col = self.next()
+            left = TOp(op, left, self.parse_product(), col)
         return left
 
     def parse_product(self):
         left = self.parse_factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            left = TOp(op, left, self.parse_factor())
+            op, _, col = self.next()
+            left = TOp(op, left, self.parse_factor(), col)
         return left
 
     def parse_factor(self):
@@ -285,14 +293,14 @@ class _Parser:
         if kind == "-":
             self.next()
             inner = self.parse_factor()
-            return TOp("-", TNum(0), inner)
+            return TOp("-", TNum(0), inner, col)
         base = self.parse_base()
         while self.peek()[0] == "^":
-            self.next()
+            col = self.next()[2]
             tok = self.next()
             if tok[0] != "num":
                 raise ParseError("exponent must be an integer literal", tok[2])
-            base = TOp("^", base, TNum(tok[1]))
+            base = TOp("^", base, TNum(tok[1]), col)
         return base
 
     def parse_base(self):
@@ -302,11 +310,13 @@ class _Parser:
         if kind == "word":
             if value in _UNIFORMIZER_NAMES:
                 return TUnif()
-            return TVar(value)
+            return TVar(value, col)
         if kind == "(":
             inner = self.parse_term()
             self.expect(")")
             return inner
+        if kind == "end":
+            raise ParseError("unexpected end of input", col)
         raise ParseError(f"unexpected token {value!r}", col)
 
 
@@ -315,18 +325,20 @@ def parse(text: str) -> Sentence:
     return _Parser(text).parse_sentence()
 
 
-def parse_variables(text: str):
+def parse_variables(text: str, start=0):
     """Parse a list of variable names separated by blanks (the header of a
-    system file), under the rules of a sentence's exists clause."""
+    system file), under the rules of a sentence's exists clause.  Parsing
+    starts at index start; error columns count from the start of text."""
     variables = []
-    for tok in _tokenize(text)[:-1]:
+    for tok in _tokenize(text, start)[:-1]:
         _declare(variables, tok)
     return variables
 
 
-def parse_term_text(text: str):
-    """Parse a bare polynomial term (for system files)."""
-    p = _Parser(text)
+def parse_term_text(text: str, start=0):
+    """Parse a bare polynomial term (for system files), starting at index
+    start; error columns, in term nodes too, count from the start of text."""
+    p = _Parser(text, start)
     term = p.parse_term()
     tok = p.peek()
     if tok[0] != "end":
@@ -439,8 +451,7 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
 
 
 def _term_to_poly(term, ring: PolyRing, var_index):
-    field = ring.field
-    ctx = field.ctx
+    ctx = ring.field.ctx
     if isinstance(term, TNum):
         return ring.const(term.value)
     if isinstance(term, TConst):
@@ -450,7 +461,7 @@ def _term_to_poly(term, ring: PolyRing, var_index):
         return ring.const(t)
     if isinstance(term, TVar):
         if term.name not in var_index:
-            raise ParseError(f"unbound variable {term.name!r}", 1)
+            raise ParseError(f"unbound variable {term.name!r}", term.col)
         return ring.var(var_index[term.name])
     if isinstance(term, TOp):
         left = _term_to_poly(term.left, ring, var_index)
@@ -465,10 +476,10 @@ def _term_to_poly(term, ring: PolyRing, var_index):
             return left * right
         if term.op == "/":
             if not right.is_constant():
-                raise ParseError("division by a variable term is not allowed", 1)
+                raise ParseError("division by a variable term is not allowed", term.col)
             c = right.constant_value()
             if not c:
-                raise ParseError("division by zero", 1)
+                raise ParseError("division by zero", term.col)
             return left.scale(c.inv())
         raise AssertionError(f"unknown operator {term.op}")
     raise AssertionError(f"unknown term node {term!r}")

@@ -93,11 +93,13 @@ class MinorTable:
     k = m - d, the Jacobian and the (rows, cols) index pairs of every size-k
     minor in lexicographic order.  The pairs are empty when no minor can
     certify: an empty locus, k <= 0 (a nonzero equation bounds d below m), or
-    k above the number of equations or unknowns.  A minor's saturation-guard
-    answer is computed on its first use, from its determinant polynomial, and
-    kept.  A caller certifying many points of one system builds one table
-    and hands it to every certify_liftable call; the table lives as long as
-    the caller holds it.
+    k above the number of equations or unknowns.  At a point, gap_minors
+    scans the minor valuations and keeps those in the gap N > 2e; choose
+    runs the saturation guard over them.  A minor's guard answer is computed
+    on its first use, from its determinant polynomial, and kept.  A caller
+    certifying many points of one system builds one table and hands it to
+    every certify_liftable call; the table lives as long as the caller holds
+    it.
     """
 
     def __init__(self, equations, dim):
@@ -116,6 +118,10 @@ class MinorTable:
             ]
         else:
             self.jacobian, self.pairs = [], []
+        # the ring variables the equations use: a coordinate of one of them
+        # over another field is an error even when no minor lies in the gap
+        # and the residuals are never evaluated
+        self.used = {i for f in self.equations for e in f.terms for i, a in enumerate(e) if a}
         self._saturated = {}
 
     def saturated(self, rows, cols):
@@ -139,11 +145,11 @@ class MinorTable:
         gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
         return not any(normal_form(f, gb) for f in lifted[len(rows) :])
 
-    def choose(self, at, precision, exclude_col=None):
-        """The certificate of the minor choice at the point of the table at:
-        minimal determinant valuation e, then lexicographic (rows, cols),
-        among the saturated minors avoiding the unknown at position
-        exclude_col; None unless precision > 2e."""
+    def gap_minors(self, at, precision, exclude_col=None):
+        """(e, rows, cols) of every minor avoiding the unknown at position
+        exclude_col whose determinant has exact valuation e at the point of
+        the table at with precision > 2e, sorted: minimal e first, then
+        lexicographic (rows, cols)."""
         jac_at = [
             [at(entry) if j != exclude_col else None for j, entry in enumerate(row)]
             for row in self.jacobian
@@ -153,12 +159,15 @@ class MinorTable:
             if exclude_col in cols:
                 continue
             v = valuation(det_matrix([[jac_at[i][j] for j in cols] for i in rows], None))
-            if val_exact(v):
+            if val_exact(v) and precision > 2 * v:
                 minors.append((v, rows, cols))
         minors.sort()
+        return minors
+
+    def choose(self, minors, precision):
+        """The certificate of the first of the gap minors, in their order,
+        that passes the saturation guard; None when none does."""
         for e, rows, cols in minors:
-            if not precision > 2 * e:
-                return None  # every later minor has e at least as large
             if self.saturated(rows, cols):
                 return HenselCertificate(rows, tuple(self.xvars[j] for j in cols), e, precision)
         return None
@@ -167,15 +176,23 @@ class MinorTable:
 def certify_liftable(equations, point, dim=None, precision=None, exclude_col=None, table=None):
     """HenselCertificate for the point, or None.
 
-    Conditions: every residual valuation >= N (the point precision), some
-    size-(m-d) Jacobian minor with determinant valuation e satisfying N > 2e,
-    and the saturation guard for equations outside the minor rows.  A minor
-    may not use the unknown at position exclude_col, when given.  table is
-    the MinorTable of these equations and dimension, when the caller holds
-    one; otherwise the call builds its own.
+    Conditions: some size-(m-d) Jacobian minor with determinant valuation e
+    satisfying N > 2e (N the point precision), every residual valuation
+    >= N, and the saturation guard for equations outside the minor rows.  A
+    minor may not use the unknown at position exclude_col, when given.  The
+    tests run cheapest first: the minor valuations, which need only the
+    Jacobian entries at the point; the residuals, only when some minor lies
+    in the gap; the guard (a Groebner basis per minor, kept in the table),
+    only when every residual passes.  precision, when given, must be the
+    point's.  table is the MinorTable of these equations and dimension,
+    when the caller holds one; otherwise the call builds its own.
     """
     if precision is None:
         precision = point[0].precision if point else 1
+    elif point and point[0].precision != precision:
+        raise ValueError(
+            f"precision {precision} disagrees with the point's precision {point[0].precision}"
+        )
     if table is None:
         equations = [f for f in equations if f]
         if equations and dim is None:
@@ -186,10 +203,15 @@ def certify_liftable(equations, point, dim=None, precision=None, exclude_col=Non
     if not table.pairs:
         return None
     at = point_table(table.ring, point, precision)
+    if any(at.point[i].ctx is not at.ctx for i in table.used):
+        raise ValueError("mixed-field arithmetic")
+    minors = table.gap_minors(at, precision, exclude_col)
+    if not minors:
+        return None
     for f in table.equations:
         if not val_ge(valuation(at(f)), precision):
             return None
-    return table.choose(at, precision, exclude_col)
+    return table.choose(minors, precision)
 
 
 def _col_positions(ring, cols):

@@ -317,3 +317,32 @@ def test_system_file_rejects_division_by_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "division by zero" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # header columns count from the start of the line, not from after 'vars'
+        ("vars X Y X\neq X - 1\n", "duplicate variable 'X' at line 1, column 10"),
+        ("vars X, Y\neq X - 1\n", "expected a variable name at line 1, column 7"),
+        # term columns count from the start of the line; comments and blank
+        # lines keep their line numbers
+        ("# cusp\nvars X\n\n  eq X + Y\n", "unbound variable 'Y' at line 4, column 10"),
+        ("vars X\neq X/0 - 1\n", "division by zero at line 2, column 5"),
+        ("vars X\neq X/X\n", "division by a variable term is not allowed at line 2, column 5"),
+        ("vars X\neq X = 1\n", "unexpected trailing input '=' at line 2, column 6"),
+        # a line with no polynomial says so
+        ("vars X\neq X\nneq\n", "'neq' line has no polynomial at line 3, column 4"),
+        ("vars X\neq   \n", "'eq' line has no polynomial at line 2, column 3"),
+        # the line kind is checked before its term is parsed
+        ("vars X\nfoo X/0\n", "unknown system line kind 'foo' at line 2, column 1"),
+    ],
+)
+def test_system_file_errors_name_the_line_and_column(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.system"
+    path.write_text(text, encoding="utf-8")
+    code = run(["--field", "p=3", "--system-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

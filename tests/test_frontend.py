@@ -61,6 +61,30 @@ def test_parse_unbound_variable():
     assert "unbound" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "sentence, message",
+    [
+        ("exists X, Y. X*Y = 1 + X/0", "division by zero at column 25"),
+        ("exists X. X = 1/(t - t)", "division by zero at column 16"),
+        ("exists X. 1/X = t", "division by a variable term is not allowed at column 12"),
+        ("exists X. X = Y", "unbound variable 'Y' at column 15"),
+        ("exists X. X = 1 & ~(Y*X = 0)", "unbound variable 'Y' at column 21"),
+        ("exists X. X = ", "unexpected end of input at column 15"),
+    ],
+)
+def test_term_errors_report_the_column_of_their_token(sentence, message):
+    # division errors point at the '/' and unbound variables at the name;
+    # both used to say column 1
+    with pytest.raises(ParseError) as info:
+        to_systems(eliminate_valuation_atoms(parse(sentence)), F3)
+    assert str(info.value) == message
+
+
+def test_term_nodes_compare_without_their_columns():
+    assert parse("exists X. X*X = 1").formula.left == TOp("*", TVar("X"), TVar("X"))
+    assert parse("exists X.   X =  1").formula.left.col == 13
+
+
 def test_parse_closed_sentence():
     s = parse("O(t) & ~O(1/t)")
     assert s.variables == []

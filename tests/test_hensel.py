@@ -5,6 +5,7 @@ import hensel_oracle
 import make_decision_golden as golden
 import pytest
 from test_acceptance import _curated_systems, _random_system
+from test_series import _raised
 
 from laurentdecide import hensel, resolve, truncation
 from laurentdecide.ff import FqContext
@@ -17,7 +18,14 @@ from laurentdecide.hensel import (
     system_dimension,
 )
 from laurentdecide.poly import PolyRing
-from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
+from laurentdecide.series import (
+    TruncatedSeries,
+    evaluate,
+    point_table,
+    series_point,
+    val_ge,
+    valuation,
+)
 from laurentdecide.truncation import PrecisionSchedule, decide_positive
 
 F3 = FqContext(3)
@@ -324,3 +332,157 @@ def test_minor_table_lives_for_one_decide_positive_call(monkeypatch):
     assert calls["buchberger"] == 2
     decide_positive(eqs, R, schedule, dim=dim)
     assert calls["buchberger"] == 4
+
+
+# ---------------------------------------------------------------------------
+# fail-fast order: the gap minors first, then the residuals, then the guard
+
+
+F5 = FqContext(5)
+
+
+def _cusp_system(ctx):
+    R = tring(ctx, "X", "Y")
+    x, y = R.var(0), R.var(1)
+    return R, [y**2 - x**3]
+
+
+def _cone_system():
+    # X^2 - 2Y^2 = tZ^2 over F_3, of dimension 2
+    R = tring(F3, "X", "Y", "Z")
+    x, y, z, t = (R.var(i) for i in range(4))
+    return R, [x**2 - R.const(2) * y**2 - t * z**2]
+
+
+def _gap_order_systems():
+    """The cusps and the norm forms X^2 - 2Y^2 = t^2 over F_3 and F_5, the
+    cone and the two-equation saturation system, each with its ring."""
+    out = []
+    for ctx in (F3, F5):
+        R = tring(ctx, "X", "Y")
+        x, y, t = R.var(0), R.var(1), R.var(2)
+        out += [_cusp_system(ctx), (R, [x**2 - R.const(2) * y**2 - t**2])]
+    return out + [_cone_system(), _saturation_system()]
+
+
+def _random_point(rng, ctx, m, n):
+    """m coordinates mod t^n whose digits are mostly zero, so that minor and
+    residual valuations spread over the gap boundary."""
+    elems = list(ctx.elements())
+    return [
+        S(ctx, [rng.choice(elems) if rng.random() < 0.3 else 0 for _ in range(n)], n)
+        for _ in range(m)
+    ]
+
+
+def test_gap_order_matches_oracle_off_the_solutions():
+    # points the digit search never yields: residuals below the precision,
+    # with or without a minor in the gap, and minors avoiding each column
+    rng = random.Random(20260)
+    seen = Counter()
+    for R, eqs in _gap_order_systems():
+        ctx = R.field
+        m = R.nvars - 1
+        dim = system_dimension(eqs, R)
+        table = hensel.MinorTable(eqs, dim)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            point = _random_point(rng, ctx, m, n)
+            for exclude_col in [None] + list(range(m)):
+                cert = certify_liftable(eqs, point, dim, exclude_col=exclude_col, table=table)
+                expected = hensel_oracle.certify_liftable(eqs, point, dim, None, exclude_col)
+                assert cert == expected, (eqs, point, exclude_col)
+                if exclude_col is None:
+                    # the same answer from a call that builds its own table
+                    assert certify_liftable(eqs, point, precision=n) == cert
+                at = point_table(R, point, n)
+                gap = bool(table.gap_minors(at, n, exclude_col))
+                residuals_pass = all(val_ge(valuation(at(f)), n) for f in eqs)
+                seen[gap, residuals_pass, exclude_col is None] += 1
+    # each of: a gap minor and a failing residual, both failing, passing
+    # residuals without a gap minor (the cone near its vertex), and both
+    # passing; with and without an excluded column
+    for gap, residuals_pass in ((True, False), (False, False), (False, True), (True, True)):
+        for free in (True, False):
+            assert seen[gap, residuals_pass, free] >= 3, (gap, residuals_pass, free, seen)
+
+
+def test_gap_order_raises_as_the_oracle_does():
+    R, (cusp,) = _cusp_system(F3)
+    _, (cone,) = _cone_system()
+    x, y = R.var(0), R.var(1)
+    a, b = S(F3, [1, 1, 0, 2], 4), S(F3, [0, 0, 1, 0], 4)
+    zero = S(F3, [0] * 4, 4)
+    cases = [
+        ([cusp], [a]),  # arity
+        ([cusp], [a, b, zero]),  # arity
+        ([cone], [a, b]),  # arity
+        ([cusp], [a, S(F3, [1, 1, 0], 3)]),  # mixed precisions
+        ([cone], [zero, zero, S(F3, [0] * 5, 5)]),  # mixed precisions, no gap minor
+        ([cusp], [S(F5, [1, 0, 0, 1], 4), b]),  # the point over F_5
+        ([cusp], [a, S(F5, [1, 0, 0, 1], 4)]),  # Y over F_5, gap minor 2Y
+        ([cone], [zero, zero, S(F5, [1, 0, 0, 0], 4)]),  # Z over F_5, no gap minor
+        # X^2 - Y^3 at X = 0: 2X has no exact valuation and the Y-partial
+        # -3Y^2 vanishes over F_3, so the gap scan never reads Y; the
+        # residual would, and the oracle raises
+        ([x**2 - y**3], [zero, S(F5, [1, 0, 0, 1], 4)]),
+        ([x**2 - y**3], [zero, S(F5, [0, 1, 0, 0], 4)]),
+    ]
+    for eqs, point in cases:
+        for exclude_col in (None, 0):
+            expected = _raised(
+                lambda: hensel_oracle.certify_liftable(eqs, point, None, None, exclude_col)
+            )
+            assert expected is not None
+            got = _raised(lambda: certify_liftable(eqs, point, exclude_col=exclude_col))
+            assert got == expected
+
+
+@pytest.mark.parametrize("x_digits", [[0] * 8, [0, 0, 0, 0, 1, 0, 0, 0]], ids=["zero", "t^4"])
+def test_a_cone_point_without_a_gap_minor_takes_no_series_products(monkeypatch, x_digits):
+    # the Jacobian of X^2 - 2Y^2 - tZ^2 is linear and vanishes mod t^4 at
+    # these points, so no minor has N > 2e at N = 8; the residual, whose
+    # three squares the certificate would need, is never evaluated
+    _, (cone,) = _cone_system()
+    point = [S(F3, x_digits, 8), S(F3, [0] * 8, 8), S(F3, [0] * 8, 8)]
+    calls = Counter()
+    mul = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    assert certify_liftable([cone], point, 2) is None
+    assert calls["mul"] == 0
+
+
+def test_a_failing_residual_runs_no_saturation_guard(monkeypatch):
+    # Y = 1 on the saturation system: both minors -t + ... have valuation 1
+    # in the gap at N = 4, and the residual 1 - t fails, so no Groebner basis
+    R, eqs = _saturation_system()
+    dim = system_dimension(eqs, R)
+    table = hensel.MinorTable(eqs, dim)
+    point = [S(F3, [1, 0, 0, 0], 4)]
+    assert [e for e, _, _ in table.gap_minors(point_table(R, point, 4), 4)] == [1, 1]
+    calls = Counter()
+    real_buchberger = hensel.buchberger
+
+    def counted_buchberger(*args, **kwargs):
+        calls["buchberger"] += 1
+        return real_buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(hensel, "buchberger", counted_buchberger)
+    assert certify_liftable(eqs, point, dim, table=table) is None
+    assert certify_liftable(eqs, point, dim) is None
+    assert calls["buchberger"] == 0
+    assert table._saturated == {}
+
+
+@pytest.mark.parametrize("precision", [2, 8])
+def test_certify_rejects_a_precision_the_point_does_not_have(precision):
+    R, eqs = sqrt_system()
+    point = [S(F3, [1, 2, 1, 1], 4)]
+    with pytest.raises(ValueError, match=f"precision {precision} .* precision 4"):
+        certify_liftable(eqs, point, precision=precision)
+    assert certify_liftable(eqs, point, precision=4) == certify_liftable(eqs, point)
