@@ -48,7 +48,7 @@ from .resolve import (
     descend,
     regularity_check,
 )
-from .series import AtLeast, TruncatedSeries, evaluate, expand_rational, invert_unit, valuation
+from .series import AtLeast, TruncatedSeries, evaluate, invert_unit, valuation
 from .truncation import (
     PrecisionSchedule,
     WeilRestriction,
@@ -95,7 +95,6 @@ __all__ = [
     "dimension",
     "eliminate_valuation_atoms",
     "evaluate",
-    "expand_rational",
     "fq_context",
     "ideal_membership",
     "invert_unit",

@@ -38,6 +38,8 @@ from .verdict import Verdict
 
 SCHEMA = "laurent-decide/1"
 VERIFY_TUPLE_CAP = 1 << 16
+# nothing re-checks that the charts and the centre cover a blown-up curve
+BLOWUP_SKIPPED = "blow-up decomposition not re-checked"
 
 
 def parse_field_spec(text: str) -> FqContext:
@@ -199,6 +201,9 @@ def _verify_unsat(verdict: Verdict, skipped: list) -> list:
                     problems.append(f"refutation level {n} admits a mod-t^{n} solution")
                     break
     if verdict.branches:
+        # a system's own case split is a blow-up (the disjunction has no system)
+        if system is not None and BLOWUP_SKIPPED not in skipped:
+            skipped.append(BLOWUP_SKIPPED)
         for b in verdict.branches:
             problems.extend(_verify_unsat(b, skipped) if b.is_unsat else [])
     return problems

@@ -253,9 +253,13 @@ class _Parser:
                 inner = self.parse_formula()
                 self.expect(")")
                 return inner
-            except ParseError:
+            except ParseError as formula_error:
                 self.pos = save
-                return self.parse_atom()
+                try:
+                    return self.parse_atom()
+                except ParseError as atom_error:
+                    # report the attempt that got furthest
+                    raise max(atom_error, formula_error, key=lambda e: e.column) from None
         return self.parse_atom()
 
     def parse_atom(self):

@@ -70,15 +70,6 @@ class UniPoly:
             raise ValueError("degree of zero polynomial")
         return len(self.coeffs) - 1
 
-    def valuation(self) -> int:
-        """t-adic valuation: index of the first nonzero coefficient."""
-        if not self.coeffs:
-            raise ValueError("valuation of zero polynomial")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("normalized polynomial with no nonzero coefficient")
-
     def __add__(self, other):
         self._same_field(other)
         n = max(len(self.coeffs), len(other.coeffs))
@@ -259,14 +250,6 @@ class RationalFunction:
             base = base * base
             k >>= 1
         return result
-
-    def t_valuation(self) -> int:
-        if not self.num:
-            raise ValueError("valuation of zero")
-        return self.num.valuation() - self.den.valuation()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
 
     def __repr__(self):
         if self.den.degree() == 0:
@@ -559,12 +542,12 @@ class MultiPoly:
         """Substitute images[i] (a MultiPoly in target) for variable i.
 
         Coefficients are carried over by target's coefficient coercion, so
-        this also implements the F_q[t] <-> F_q(t) retags when the image of
+        this also implements the F_q[t] -> F_q(t) retag when the image of
         the t slot is provided.
         """
         result = target.zero()
         for e, c in self.terms.items():
-            term = target.const(_convert_coeff(c, self.ring.field, target.field))
+            term = target.const(c)
             for i, k in enumerate(e):
                 if k:
                     term = term * images[i] ** k
@@ -599,20 +582,6 @@ class MultiPoly:
                 head = "" if cs == "1" else (cs if "/" not in cs and "+" not in cs and " " not in cs else f"({cs})") + "*"
                 parts.append(head + "*".join(factors))
         return " + ".join(parts)
-
-
-def _convert_coeff(c, src_field, dst_field):
-    if src_field == dst_field:
-        return c
-    if isinstance(dst_field, RationalFunctionField):
-        return dst_field.elem(c)
-    if isinstance(c, RationalFunction):
-        if not c:
-            return dst_field.zero()
-        if not c.is_polynomial() or c.num.degree() > 0:
-            raise ValueError("t-dependent coefficient cannot land in F_q; clear denominators instead")
-        return dst_field.elem(c.num.coeffs[0])
-    return dst_field.elem(c)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ singular points, charts are decided recursively, and the exceptional centre
 descends to a lower-dimensional system.  Everything else is an honest
 UNKNOWN: verdicts must stay sound.
 
+Systems, singular loci, blow-up charts and back maps all live over the
+system's own ring F_q[X, t]: a centre is an F_q-point and a back map has
+coefficient 1, so none of them needs a fraction.  F_q(t) enters only where
+the generic fibre is asked about, at the Groebner and radical-membership
+calls.
+
 A system is immutable and owns the views derived from its equations: their
 F_q(t) form, one Groebner basis over F_q(t) and its dimension, each computed
 at most once.  Every step that adjoins equations to lower the dimension (the
@@ -40,7 +46,7 @@ from .poly import (
     jacobian,
     to_rational_coeffs,
 )
-from .series import expand_rational, val_exact, valuation_at
+from .series import point_table, val_exact, valuation_at
 from .truncation import PrecisionSchedule, decide_positive
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
@@ -104,14 +110,14 @@ class AffineSystem:
 class RegularityReport:
     status: str  # "regular" | "singular" | "inconclusive"
     dimension: int | None = None
-    singular_locus: list | None = None  # generators over F_q(t) (equations + minors)
+    singular_locus: list | None = None  # equations + minors, over F_q[X, t]
     locus_dimension: int | None = None  # dimension of the singular locus
 
 
 @dataclass
 class BlowupChart:
     index: int
-    strict: MultiPoly        # strict transform, F_q(t) coefficients
+    strict: MultiPoly        # strict transform, in the curve's ring
     multiplicity: int
     back_map: tuple          # images of the original two coordinates
     exceptional: MultiPoly   # chart equation of the exceptional divisor
@@ -149,35 +155,37 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
             det = det_matrix([[jac[i][j] for j in cols] for i in rows], ring.one())
             if det:
                 minors.append(det)
-    locus = system.rational + [to_rational_coeffs(h) for h in minors]
-    locus = [h for h in locus if h]
-    gb_locus = buchberger(locus, ring=system.rational_ring())
+    gb_locus = buchberger(
+        system.rational + [to_rational_coeffs(h) for h in minors], ring=system.rational_ring()
+    )
     if gb_locus.contains_one():
         return RegularityReport("regular", dimension=dim)
     return RegularityReport(
-        "singular", dimension=dim, singular_locus=locus, locus_dimension=dimension(gb_locus)
+        "singular", dimension=dim, singular_locus=eqs + minors, locus_dimension=dimension(gb_locus)
     )
 
 
 def blow_up_origin(curve: MultiPoly):
-    """Blow up a plane curve at the origin: two affine charts.
+    """Blow up a plane curve in the unknowns X, Y at the origin: two affine
+    charts.  A t slot after them (F_q[X, Y, t]) is carried through unchanged.
 
     Chart 0 substitutes Y = X*Y' and divides by X^mu; chart 1 substitutes
     X = Y*X' and divides by Y^mu.  Substituting a chart's back map into the
     curve recovers strict * exceptional^mu identically.
     """
     ring = curve.ring
-    if ring.nvars != 2:
+    if ring.nvars != 2 + (ring.tpos == 2):
         raise ValueError("blow-ups are implemented for plane curves")
     if not curve:
         raise ValueError("cannot blow up the zero polynomial")
-    mu = min(sum(e) for e in curve.terms)
+    mu = min(e[0] + e[1] for e in curve.terms)
     if mu < 1:
         raise ValueError("curve does not pass through the origin")
     x, y = ring.var(0), ring.var(1)
+    t_slot = [ring.var(2)] if ring.nvars == 3 else []
     charts = []
     for index, images, div_slot in ((0, [x, x * y], 0), (1, [y * x, y], 1)):
-        total = curve.compose(images, ring)
+        total = curve.compose(images + t_slot, ring)
         terms = {}
         for e, c in total.terms.items():
             if e[div_slot] < mu:
@@ -196,6 +204,17 @@ def blow_up_origin(curve: MultiPoly):
             )
         )
     return charts
+
+
+def _blow_up_at(curve, centre):
+    """The blow-up charts of a plane curve over F_q[X, Y, t] at the F_q-point
+    centre = (a, b), each with its back map through the centre: the images
+    of X, Y and t as polynomials in the chart's coordinates."""
+    ring = curve.ring
+    x, y, t = ring.var(0), ring.var(1), ring.var(2)
+    a, b = (ring.const(c) for c in centre)
+    charts = blow_up_origin(curve.compose([x + a, y + b, t], ring))
+    return [(chart, [chart.back_map[0] + a, chart.back_map[1] + b, t]) for chart in charts]
 
 
 def descend(system: AffineSystem, *centre: MultiPoly) -> AffineSystem:
@@ -247,33 +266,18 @@ def _sat_with_inequation(system, pos, config, trace):
 
 
 def _constant_singular_points(locus):
-    """F_q-rational points of the singular locus, in enumeration order."""
-    field = locus[0].ring.field
+    """F_q-rational points of the singular locus (generators over
+    F_q[X, Y, t]), in enumeration order: (a, b) is one when every generator
+    vanishes identically in t at X = a, Y = b."""
+    ring = locus[0].ring
+    t = ring.var(ring.tpos)
     out = []
-    for a in field.ctx.elements():
-        for b in field.ctx.elements():
-            pa, pb = field.elem(a), field.elem(b)
-            if all(not h.eval_coeffs([pa, pb]) for h in locus):
+    for a in ring.field.elements():
+        for b in ring.field.elements():
+            at = [ring.const(a), ring.const(b), t]
+            if not any(h.compose(at, ring) for h in locus):
                 out.append((a, b))
     return out
-
-
-def _map_chart_witness(chart, center, witness, ring):
-    """Chart witness -> original coordinates: center + back_map(witness)."""
-    precision = witness[0].precision
-    a, b = center
-    u, w = witness
-    images = []
-    for const, back in zip((a, b), chart.back_map):
-        acc = expand_rational(const, precision)
-        for e, c in back.terms.items():
-            term = expand_rational(c, precision)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * (u if i == 0 else w) ** k
-            acc = acc + term
-        images.append(acc)
-    return tuple(images)
 
 
 def decide_existential(
@@ -392,7 +396,7 @@ def _decide_normalized(system, config, trace, depth, prev_mult):
     ):
         trace.append("descending to the singular locus")
         v_sing = decide_existential(
-            AffineSystem(system.ring, clear_denominators(report.singular_locus), g),
+            AffineSystem(system.ring, report.singular_locus, g),
             config,
             trace,
             depth + 1,
@@ -425,13 +429,11 @@ def _decide_by_truncation(system, config, trace):
 
 def _decide_singular_curve(system, report, config, trace, depth, prev_mult):
     ring = system.ring
-    rring = system.rational_ring()
     g = system.inequation
     if depth >= config.max_blowups:
         trace.append(f"blow-up depth cap {config.max_blowups} reached")
         return Verdict(UNKNOWN, reason="blowup-depth-exhausted", trace=trace)
 
-    curve = system.rational[0]
     centers = _constant_singular_points(report.singular_locus)
     if not centers:
         trace.append("singular locus has no F_q-rational point: cannot pick a center")
@@ -439,32 +441,20 @@ def _decide_singular_curve(system, report, config, trace, depth, prev_mult):
     a, b = centers[0]
     trace.append(f"blowing up the singular point ({a!r}, {b!r})")
 
-    x, y = rring.var(0), rring.var(1)
-    translated = curve.compose([x + rring.const(a), y + rring.const(b)], rring)
-    mu = min(sum(e) for e in translated.terms)
+    charts = _blow_up_at(system.equations[0], (a, b))
+    mu = charts[0][0].multiplicity
     if prev_mult is not None and mu > prev_mult:
         raise RuntimeError("blow-up multiplicity must not increase")
-    charts = blow_up_origin(translated)
-
-    g_rat = to_rational_coeffs(g) if g is not None else None
-    center_rational = (rring.field.elem(a), rring.field.elem(b))
 
     branches = []
-    for chart in charts:
-        images = [back + rring.const(c) for back, c in zip(chart.back_map, (a, b))]
-        chart_eqs = clear_denominators([chart.strict])
-        chart_g = None
-        if g_rat is not None:
-            pulled = g_rat.compose(images, rring)
-            if pulled:
-                (chart_g,) = clear_denominators([pulled])
-            else:
-                chart_g = ring.zero()
-        chart_system = AffineSystem(ring, chart_eqs, chart_g)
+    for chart, images in charts:
+        chart_g = g.compose(images, ring) if g is not None else None
+        chart_system = AffineSystem(ring, [chart.strict], chart_g)
         trace.append(f"descending into blow-up chart {chart.index} (multiplicity {mu})")
         v = decide_existential(chart_system, config, trace, depth + 1, mu)
         if v.is_sat:
-            mapped = _map_chart_witness(chart, center_rational, v.witness, ring)
+            at = point_table(ring, v.witness, v.witness[0].precision)
+            mapped = (at(images[0]), at(images[1]))
             cert = certify_liftable(system.equations, list(mapped), system.dim)
             gval = valuation_at(g, mapped) if g is not None else None
             if cert is not None and (g is None or val_exact(gval)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ff import FqContext
-from .poly import MultiPoly, RationalFunction
+from .poly import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -192,28 +192,6 @@ def shift_right(a: TruncatedSeries, e: int) -> TruncatedSeries:
     if a.precision - e < 1:
         raise ValueError("shift consumes all precision")
     return TruncatedSeries._make(a.ctx, a.coeffs[e:], a.precision - e)
-
-
-def expand_rational(r: RationalFunction, n: int) -> TruncatedSeries:
-    """t-adic expansion of an element of F_q(t) lying in F_q[[t]]."""
-    ctx = r.ctx
-    if not r.num:
-        return TruncatedSeries.zero(ctx, n)
-    if r.t_valuation() < 0:
-        raise ValueError(f"{r!r} has negative t-adic valuation, not integral")
-    w = r.den.valuation()
-    num = list(r.num.coeffs[w:]) if w else list(r.num.coeffs)
-    den = list(r.den.coeffs[w:]) if w else list(r.den.coeffs)
-    num += [ctx.zero()] * max(0, n - len(num))
-    den += [ctx.zero()] * max(0, n - len(den))
-    inv0 = den[0].inv()
-    out = []
-    for k in range(n):
-        acc = num[k]
-        for i in range(1, k + 1):
-            acc = acc - den[i] * out[k - i]
-        out.append(acc * inv0)
-    return TruncatedSeries._make(ctx, out, n)
 
 
 # the table of a coordinate equal to the series t: its powers are shifts

@@ -127,6 +127,19 @@ def test_cli_verify_checked_refutation_skips_nothing(capsys):
     assert "verify_skipped" not in json.loads(out)
 
 
+def test_cli_verify_names_the_unchecked_blow_up(capsys):
+    # refuted by blowing up the origin: both charts at level 1, the centre by
+    # radical membership; nothing re-checks that these cover the curve
+    code, out = run_cli(
+        ["--field", "p=3", "--verify", "exists X, Y. X*X + Y*Y = 0 & ~(X = 0)"], capsys
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "unsat" and report["verified"] is True
+    assert len(report["disjuncts"][0]["branches"]) == 3
+    assert report["verify_skipped"] == ["blow-up decomposition not re-checked"]
+
+
 def test_cli_verify_squarefree_normalized_sat(capsys):
     # the certificate refers to the squarefree replacement (Y - X^2), whose
     # Jacobian is unit-bearing; verification must target that system, not the

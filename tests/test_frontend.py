@@ -55,6 +55,23 @@ def test_parse_error_position():
     assert "column 15" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "sentence, column",
+    [
+        # the formula reading of the parenthesis gets further than the atom
+        # reading, which stops at '=' (column 14)
+        ("exists X. (X = )", 16),
+        ("exists X. (X = 1", 17),
+        # a term-level parenthesis: the atom reading gets further
+        ("exists X. (X + 1) * = 0", 21),
+    ],
+)
+def test_parenthesis_errors_report_the_furthest_attempt(sentence, column):
+    with pytest.raises(ParseError) as info:
+        parse(sentence)
+    assert info.value.column == column
+
+
 def test_parse_unbound_variable():
     with pytest.raises(ParseError) as info:
         parse("exists X. X = Y")

@@ -1,3 +1,6 @@
+import random
+
+import blowup_oracle
 import pytest
 
 from laurentdecide.ff import FqContext
@@ -10,12 +13,22 @@ from laurentdecide.poly import (
 )
 from laurentdecide.resolve import (
     AffineSystem,
+    _blow_up_at,
+    _constant_singular_points,
     blow_up_origin,
     decide_existential,
     descend,
     regularity_check,
 )
-from laurentdecide.series import evaluate, series_point, val_exact, val_ge, valuation
+from laurentdecide.series import (
+    TruncatedSeries,
+    evaluate,
+    point_table,
+    series_point,
+    val_exact,
+    val_ge,
+    valuation,
+)
 
 F2 = FqContext(2)
 F3 = FqContext(3)
@@ -52,7 +65,7 @@ def test_regularity_cusp_singular():
     assert report.dimension == 1
     # the singular locus must pin the origin: X and Y vanish on it
     rr = rational_ring(F5, "X", "Y")
-    locus_gb = buchberger(report.singular_locus, ring=rr)
+    locus_gb = buchberger([to_rational_coeffs(h) for h in report.singular_locus], ring=rr)
     assert radical_membership(rr.var(0), locus_gb.generators)
     assert radical_membership(rr.var(1), locus_gb.generators)
 
@@ -156,6 +169,118 @@ def test_tacnode_resolves_in_exactly_two():
     for chart in second:
         sys = AffineSystem(T, clear_denominators([chart.strict]))
         assert regularity_check(sys).status == "regular"
+
+
+# -- blow-ups over F_q[X, Y, t] against the F_q(t) construction ------------------
+
+
+def test_blow_up_carries_the_t_slot():
+    T = tring(F3, "X", "Y")
+    x, y, t = T.var(0), T.var(1), T.var(2)
+    f = y**2 - t * x**3
+    c0, c1 = blow_up_origin(f)
+    assert c0.multiplicity == 2
+    assert c0.strict == y**2 - t * x
+    assert c1.strict == T.one() - t * x**3 * y
+    for chart in (c0, c1):
+        pullback = f.compose(list(chart.back_map) + [t], T)
+        assert pullback == chart.strict * chart.exceptional**chart.multiplicity
+    # mu counts X and Y only: t*X*Y has multiplicity 2 at the origin
+    assert blow_up_origin(t * x * y)[0].multiplicity == 2
+
+
+def _random_elem(rng, ctx):
+    return rng.choice(list(ctx.elements()))
+
+
+def _random_poly(rng, T, degree, terms):
+    ctx = T.field
+    return T.from_terms(
+        {
+            (rng.randrange(degree + 1), rng.randrange(degree + 1), rng.randrange(2)): _random_elem(rng, ctx)
+            for _ in range(terms)
+        }
+    )
+
+
+def _check_against_blowup_oracle(system, center, rng, witnesses=3, n=5):
+    """Chart equations, pulled-back inequations and mapped chart witnesses
+    of the blow-up at center agree with the F_q(t) construction."""
+    ring = system.ring
+    ctx = ring.field
+    rfield = system.rational_ring().field
+    center_rational = tuple(rfield.elem(c) for c in center)
+    new = _blow_up_at(system.equations[0], center)
+    old = blowup_oracle.charts_at(system, center)
+    assert len(new) == len(old) == 2
+    for (chart, images), (old_chart, old_eqs, old_g) in zip(new, old):
+        assert (chart.index, chart.multiplicity) == (old_chart.index, old_chart.multiplicity)
+        assert [chart.strict] == old_eqs
+        if system.inequation is not None:
+            assert system.inequation.compose(images, ring) == old_g
+        for _ in range(witnesses):
+            witness = [
+                TruncatedSeries(ctx, [_random_elem(rng, ctx) for _ in range(n)], n) for _ in range(2)
+            ]
+            at = point_table(ring, witness, n)
+            mapped = (at(images[0]), at(images[1]))
+            assert mapped == blowup_oracle.map_chart_witness(old_chart, center_rational, witness, ring)
+
+
+def _singular_points_against_oracle(system):
+    """The F_q-points of the singular locus agree with the F_q(t) reading;
+    returns them."""
+    report = regularity_check(system)
+    old = blowup_oracle.constant_singular_points(blowup_oracle.singular_locus(system))
+    if report.status == "singular":
+        assert report.singular_locus[0].ring == system.ring
+        assert _constant_singular_points(report.singular_locus) == old
+    else:
+        # the locus meets no fibre, so no F_q-point lies on it
+        assert report.status == "regular" and old == []
+    return old
+
+
+def test_blow_up_matches_the_rational_oracle_on_classic_singularities():
+    rng = random.Random(11)
+    for ctx in (F3, F5):
+        T = tring(ctx, "X", "Y")
+        x, y, t, one, two = T.var(0), T.var(1), T.var(2), T.one(), T.const(2)
+        curves = {
+            "cusp": y**2 - x**3,
+            "tacnode": y**2 - x**4,
+            "node": y**2 - x**2 - x**3,
+            "twisted cusp": y**2 - t * x**3,
+            "moved cusp": (y - two) ** 2 - (x - one) ** 3,
+        }
+        for name, f in curves.items():
+            for g in (None, x, x - one + t * y, (y - two) * x):
+                system = AffineSystem(T, [f], g)
+                points = _singular_points_against_oracle(system)
+                assert points, name
+                _check_against_blowup_oracle(system, points[0], rng)
+
+
+def test_blow_up_matches_the_rational_oracle_on_random_curves():
+    rng = random.Random(2024)
+    checked = singular = 0
+    for _ in range(50):
+        ctx = rng.choice((F2, F3, F5))
+        T = tring(ctx, "X", "Y")
+        center = (_random_elem(rng, ctx), _random_elem(rng, ctx))
+        f = _random_poly(rng, T, 3, rng.randrange(2, 6))
+        # move the curve through the centre: subtract its value there
+        at_center = [T.const(center[0]), T.const(center[1]), T.var(2)]
+        f = f - f.compose(at_center, T)
+        if not any(e[0] + e[1] for e in f.terms):
+            continue
+        g = _random_poly(rng, T, 2, rng.randrange(1, 4)) if rng.randrange(3) else None
+        system = AffineSystem(T, [f], g)
+        _check_against_blowup_oracle(system, center, rng)
+        points = _singular_points_against_oracle(system)
+        singular += bool(points)
+        checked += 1
+    assert checked >= 40 and singular >= 5, (checked, singular)
 
 
 # -- descend ---------------------------------------------------------------------

@@ -4,13 +4,12 @@ import pytest
 import series_oracle
 
 from laurentdecide.ff import FqContext
-from laurentdecide.poly import PolyRing, RationalFunction, UniPoly
+from laurentdecide.poly import PolyRing, UniPoly
 from laurentdecide.series import (
     AtLeast,
     PointTable,
     TruncatedSeries,
     evaluate,
-    expand_rational,
     invert_unit,
     series_point,
     shift_right,
@@ -143,49 +142,6 @@ def test_invert_unit_is_involution():
     for _ in range(40):
         a = S(F3, [rng.randrange(1, 3)] + [rng.randrange(3) for _ in range(5)], 6)
         assert invert_unit(invert_unit(a)) == a
-
-
-# -- rational expansion ---------------------------------------------------------
-
-
-def rf(num, den):
-    return RationalFunction(UniPoly(F3, num), UniPoly(F3, den))
-
-
-def test_expand_geometric():
-    # 1/(1-t) -> 1 + t + t^2 (long-division oracle below)
-    s = expand_rational(rf([1], [1, 2]), 3)
-    assert s.coeffs == tuple(F3.elem(c) for c in (1, 1, 1))
-
-
-def test_expand_t_cancellation():
-    s = expand_rational(rf([0, 0, 1], [0, 1]), 2)
-    assert s.coeffs == tuple(F3.elem(c) for c in (0, 1))
-
-
-def test_expand_non_integral_raises():
-    with pytest.raises(ValueError):
-        expand_rational(rf([1], [0, 1]), 3)
-
-
-def test_expand_denominator_times_series_is_numerator():
-    rng = random.Random(23)
-    for _ in range(40):
-        num = [rng.randrange(3) for _ in range(3)]
-        den = [rng.randrange(1, 3)] + [rng.randrange(3) for _ in range(2)]
-        if not any(num):
-            continue
-        r = rf(num, den)
-        n = 6
-        s = expand_rational(r, n)
-        dseries = S(F3, [c.coords[0] for c in r.den.coeffs], n)
-        nseries = S(F3, [c.coords[0] for c in r.num.coeffs], n)
-        assert dseries * s == nseries
-
-
-def test_expand_truncation_consistency():
-    r = rf([1, 1], [1, 0, 2])
-    assert expand_rational(r, 6).truncate(3) == expand_rational(r, 3)
 
 
 def test_shift_right():
