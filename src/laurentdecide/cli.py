@@ -17,14 +17,14 @@ import sys
 from .ff import FqContext
 from .frontend import (
     ParseError,
-    _term_to_poly,
-    affine_system,
+    cleared_system,
     decide,
     parse_term_text,
     parse_variables,
+    term_pair,
 )
 from .hensel import PerturbBudget, certify_liftable
-from .poly import PolyRing, RationalFunctionField
+from .poly import PolyRing
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .series import (
     TruncatedSeries,
@@ -79,7 +79,10 @@ def load_system_file(path: str, ctx: FqContext) -> AffineSystem:
     """System file: header "vars X1 X2 ...", then "eq <poly>" lines and
     optional "neq <poly>" lines (merged into one product inequation).  Blank
     lines and lines starting with # are skipped; parse errors name the file
-    line and the column within it."""
+    line and the column within it.  Terms are built over F_q[X, t] by the
+    sentence front end's builder (frontend.term_pair) and cleared once each,
+    never over F_q(t); unlike a sentence, a constant eq or neq line is kept
+    as it is."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = []
         for number, raw in enumerate(handle, 1):
@@ -93,18 +96,17 @@ def load_system_file(path: str, ctx: FqContext) -> AffineSystem:
         raise ValueError("system file must start with a 'vars' header")
     number, line, _, start = lines[0]
     names = _at_line(number, parse_variables, line, start)
-    rring = PolyRing(RationalFunctionField(ctx), tuple(names))
     ring = PolyRing(ctx, tuple(names) + ("t",))
     var_index = {name: i for i, name in enumerate(names)}
-    polys = {"eq": [], "neq": []}
+    pairs = {"eq": [], "neq": []}
     for number, line, kind, start in lines[1:]:
-        if kind not in polys:
+        if kind not in pairs:
             raise ParseError(f"unknown system line kind {kind!r}", start - len(kind) + 1, number)
         if not line[start:].strip():
             raise ParseError(f"{kind!r} line has no polynomial", start + 1, number)
         term = _at_line(number, parse_term_text, line, start)
-        polys[kind].append(_at_line(number, _term_to_poly, term, rring, var_index))
-    return affine_system(ring, polys["eq"], polys["neq"])
+        pairs[kind].append(_at_line(number, term_pair, term, ring, var_index))
+    return cleared_system(ring, pairs["eq"], pairs["neq"])
 
 
 def _at_line(number, parse, *args):

@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ff import FqContext
-from .poly import (
-    PolyRing,
-    RationalFunction,
-    RationalFunctionField,
-    UniPoly,
-    clear_denominators,
-)
+from .poly import MultiPoly, PolyRing, RationalFunction, UniPoly, uni_gcd
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
@@ -48,7 +42,9 @@ class TNum:
 
 @dataclass(frozen=True)
 class TConst:
-    value: RationalFunction  # an explicit F_q(t) constant (AST-level injections)
+    # an explicit F_q(t) constant (AST-level injections); the system builder
+    # takes it as the pair (num, den) over F_q[X, t], not as an F_q(t) value
+    value: RationalFunction
 
 
 @dataclass(frozen=True)
@@ -197,7 +193,8 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", tok[2])
         return tok
 
     def parse_sentence(self):
@@ -454,39 +451,110 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
 # systems
 
 
-def _term_to_poly(term, ring: PolyRing, var_index):
-    ctx = ring.field.ctx
+# A term is built as a pair (N, d) standing for N/d: N over the system's
+# ring F_q[X, t] and d a nonzero polynomial in t alone.  Nothing is reduced
+# on the way; an equation is cleared once at the end, and the cleared
+# polynomial depends on N/d only, not on the pair that stands for it.
+
+
+def _x_free(f):
+    """Whether f over F_q[X, t] (t the last slot) has no X in any term."""
+    return all(sum(e) == e[-1] for e in f.terms)
+
+
+def _t_poly(ring, u):
+    """The polynomial u in t as an element of ring (t the last slot)."""
+    zero = (0,) * (ring.nvars - 1)
+    return ring.from_terms({zero + (k,): c for k, c in enumerate(u.coeffs)})
+
+
+def _uni(ctx, coeffs):
+    """The polynomial in t with the coefficients of the map t-exponent -> c."""
+    return UniPoly(ctx, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+
+
+def _combine(op, a, b):
+    """The pair of a op b, op one of + - *."""
+    (n1, d1), (n2, d2) = a, b
+    if op == "*":
+        return n1 * n2, d1 * d2
+    if d1 != d2:
+        n1, n2, d1 = n1 * d2, n2 * d1, d1 * d2
+    return (n1 + n2 if op == "+" else n1 - n2), d1
+
+
+def term_pair(term, ring: PolyRing, var_index):
+    """The term as a pair (N, d) standing for N/d, N over ring = F_q[X, t]
+    and d a nonzero polynomial in t alone; division by an X-free term
+    multiplies across.  Errors carry the column of their token."""
     if isinstance(term, TNum):
-        return ring.const(term.value)
+        return ring.const(term.value), ring.one()
     if isinstance(term, TConst):
-        return ring.const(term.value)
+        return _t_poly(ring, term.value.num), _t_poly(ring, term.value.den)
     if isinstance(term, TUnif):
-        t = RationalFunction.from_unipoly(UniPoly.t_power(ctx, 1, 1))
-        return ring.const(t)
+        return ring.var(ring.tpos), ring.one()
     if isinstance(term, TVar):
         if term.name not in var_index:
             raise ParseError(f"unbound variable {term.name!r}", term.col)
-        return ring.var(var_index[term.name])
+        return ring.var(var_index[term.name]), ring.one()
     if isinstance(term, TOp):
-        left = _term_to_poly(term.left, ring, var_index)
+        left = term_pair(term.left, ring, var_index)
         if term.op == "^":
-            return left ** term.right.value
-        right = _term_to_poly(term.right, ring, var_index)
-        if term.op == "+":
-            return left + right
-        if term.op == "-":
-            return left - right
-        if term.op == "*":
-            return left * right
+            k = term.right.value
+            return left[0] ** k, left[1] ** k
+        right = term_pair(term.right, ring, var_index)
         if term.op == "/":
-            if not right.is_constant():
+            if not _x_free(right[0]):
                 raise ParseError("division by a variable term is not allowed", term.col)
-            c = right.constant_value()
-            if not c:
+            if not right[0]:
                 raise ParseError("division by zero", term.col)
-            return left.scale(c.inv())
+            return left[0] * right[1], left[1] * right[0]
+        if term.op in ("+", "-", "*"):
+            return _combine(term.op, left, right)
         raise AssertionError(f"unknown operator {term.op}")
     raise AssertionError(f"unknown term node {term!r}")
+
+
+def _cleared(pair):
+    """N*L/d for the pair (N, d), where L = monic(d / gcd(d, c)) and c is the
+    F_q[t] content of N: N/d scaled by the lcm of its reduced coefficient
+    denominators.  That is N divided by gcd(d, c) and by the leading
+    coefficient of d."""
+    n, d = pair
+    if not n:
+        return n
+    ctx = n.ring.field
+    den = _uni(ctx, {e[-1]: c for e, c in d.terms.items()})
+    scale = den.coeffs[-1].inv()
+    if den.degree() == 0:
+        return n if scale is ctx.one() else n.scale(scale)
+    columns = {}
+    for e, c in n.terms.items():
+        columns.setdefault(e[:-1], {})[e[-1]] = c
+    columns = {x: _uni(ctx, ts) for x, ts in columns.items()}
+    g = den
+    for u in columns.values():
+        g = uni_gcd(g, u)
+        if g.degree() == 0:
+            break
+    terms = {}
+    for x, u in columns.items():
+        for k, c in enumerate((u // g if g.degree() else u).coeffs):
+            if c:
+                terms[x + (k,)] = c * scale
+    return MultiPoly(n.ring, terms)
+
+
+def cleared_system(ring, equations, inequation_factors) -> AffineSystem:
+    """The system N/d = 0 for each pair of equations, and the product of the
+    pairs of inequation_factors != 0, each cleared once into ring."""
+    g = None
+    if inequation_factors:
+        product = inequation_factors[0]
+        for factor in inequation_factors[1:]:
+            product = _combine("*", product, factor)
+        g = _cleared(product)
+    return AffineSystem(ring, [_cleared(f) for f in equations], g)
 
 
 def _dnf(formula):
@@ -498,59 +566,39 @@ def _dnf(formula):
 
 
 def to_systems(sentence: Sentence, ctx: FqContext):
-    """Disjunctive normal form, one AffineSystem per disjunct: equalities as
-    f = 0 with denominators cleared, negated equalities merged into a single
-    product inequation."""
-    rring = PolyRing(RationalFunctionField(ctx), tuple(sentence.variables))
+    """Disjunctive normal form, one AffineSystem per disjunct over the ring
+    F_q[X, t]: equalities as f = 0, negated equalities merged into a single
+    product inequation.  Each side of an atom is built as a pair (N, d) over
+    F_q[X, t] (see term_pair) and each equation is cleared once, so nothing
+    is built over F_q(t)."""
     ring = PolyRing(ctx, tuple(sentence.variables) + ("t",))
     var_index = {name: i for i, name in enumerate(sentence.variables)}
     systems = []
     for disjunct in _dnf(sentence.formula):
-        eqs_rat = []
+        eqs = []
         ineq_factors = []
         infeasible = False
         for literal in disjunct:
-            if isinstance(literal, Eq):
-                f = _term_to_poly(literal.left, rring, var_index) - _term_to_poly(
-                    literal.right, rring, var_index
-                )
-                if f.is_constant():
-                    if f:
-                        infeasible = True
-                        break
-                    continue  # 0 = 0
-                eqs_rat.append(f)
-            elif isinstance(literal, Not) and isinstance(literal.inner, Eq):
-                inner = literal.inner
-                gi = _term_to_poly(inner.left, rring, var_index) - _term_to_poly(
-                    inner.right, rring, var_index
-                )
-                if gi.is_constant():
-                    if not gi:
-                        infeasible = True  # ~(0 = 0)
-                        break
-                    continue  # nonzero constant != 0 is always true
-                ineq_factors.append(gi)
-            else:
+            negated = isinstance(literal, Not)
+            atom = literal.inner if negated else literal
+            if not isinstance(atom, Eq):
                 raise AssertionError("to_systems needs an O-free literal matrix")
+            f = _combine(
+                "-", term_pair(atom.left, ring, var_index), term_pair(atom.right, ring, var_index)
+            )
+            if _x_free(f[0]):
+                # a nonzero constant = 0 and ~(0 = 0) are false; 0 = 0 and a
+                # nonzero constant != 0 are true
+                if bool(f[0]) != negated:
+                    infeasible = True
+                    break
+                continue
+            (ineq_factors if negated else eqs).append(f)
         if infeasible:
-            one = rring.one()
-            systems.append(AffineSystem(ring, clear_denominators([one])))
+            systems.append(AffineSystem(ring, [ring.one()]))
             continue
-        systems.append(affine_system(ring, eqs_rat, ineq_factors))
+        systems.append(cleared_system(ring, eqs, ineq_factors))
     return systems
-
-
-def affine_system(ring, eqs_rat, ineq_factors) -> AffineSystem:
-    """The system eqs_rat = 0, prod(ineq_factors) != 0 over F_q(t)[X], with
-    denominators cleared into ring (the X variables plus the t slot)."""
-    g = None
-    if ineq_factors:
-        product = ineq_factors[0]
-        for h in ineq_factors[1:]:
-            product = product * h
-        (g,) = clear_denominators([product])
-    return AffineSystem(ring, clear_denominators(eqs_rat), g)
 
 
 def decide(sentence, ctx: FqContext, config: RunConfig | None = None) -> Verdict:

@@ -14,7 +14,7 @@ Systems, singular loci, blow-up charts and back maps all live over the
 system's own ring F_q[X, t]: a centre is an F_q-point and a back map has
 coefficient 1, so none of them needs a fraction.  F_q(t) enters only where
 the generic fibre is asked about, at the Groebner and radical-membership
-calls.
+calls, and not for a regularity check that a unit minor settles.
 
 A system is immutable and owns the views derived from its equations: their
 F_q(t) form, one Groebner basis over F_q(t) and its dimension, each computed
@@ -128,6 +128,10 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
     locus via size-(m-d) Jacobian minors, and test whether it meets the
     generic fibre: 1 in (equations + minors) over F_q(t) means Regular.
 
+    A nonzero minor in t alone (dF/dt = -k*c*t^(k-1) for F = G(X) - c*t^k
+    with p not dividing k, say) is a unit of F_q(t), so it settles Regular
+    over F_q[X, t] before any conversion or Groebner basis.
+
     Requires an established equidimensional dimension: a hypersurface, a
     zero-dimensional locus, or codimension = number of given equations
     (unmixedness); anything else is Inconclusive.
@@ -155,6 +159,8 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
             det = det_matrix([[jac[i][j] for j in cols] for i in rows], ring.one())
             if det:
                 minors.append(det)
+    if any(all(sum(e) == e[-1] for e in h.terms) for h in minors):
+        return RegularityReport("regular", dimension=dim)
     gb_locus = buchberger(
         system.rational + [to_rational_coeffs(h) for h in minors], ring=system.rational_ring()
     )

@@ -72,6 +72,13 @@ def test_parenthesis_errors_report_the_furthest_attempt(sentence, column):
     assert info.value.column == column
 
 
+def test_expect_names_the_end_of_input():
+    # the token kind at the end of the text used to print as "found None"
+    with pytest.raises(ParseError) as info:
+        parse("exists X. (X = 1")
+    assert str(info.value) == "expected ')', found end of input at column 17"
+
+
 def test_parse_unbound_variable():
     with pytest.raises(ParseError) as info:
         parse("exists X. X = Y")
@@ -313,3 +320,4 @@ def test_dnf_size_bounded_by_clause_product():
     )
     disjuncts = _dnf(nnf(s.formula))
     assert len(disjuncts) == 8
+

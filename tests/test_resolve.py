@@ -2,8 +2,11 @@ import random
 
 import blowup_oracle
 import pytest
+import regularity_oracle
 
+from laurentdecide import resolve
 from laurentdecide.ff import FqContext
+from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
 from laurentdecide.ideal import buchberger, dimension, radical_membership
 from laurentdecide.poly import (
     PolyRing,
@@ -606,3 +609,55 @@ def test_verdict_trichotomy_exclusive():
         v = decide_existential(sys)
         assert v.status in ("sat", "unsat", "unknown")
         assert [v.is_sat, v.is_unsat, v.is_unknown].count(True) == 1
+
+
+# -- the unit-minor shortcut of the regularity check -----------------------------
+
+
+NON_SQUARES = {3: (2,), 5: (2, 3), 7: (3, 5, 6)}
+
+
+def _system(text, ctx):
+    (system,) = to_systems(eliminate_valuation_atoms(parse(text)), ctx)
+    return system
+
+
+def _regularity_cases():
+    # norm forms X^2 - a*Y^2 = c*t^k: dF/dt = -k*c*t^(k-1) is a unit minor
+    # unless p | k, when the Groebner path decides
+    for p, non_squares in NON_SQUARES.items():
+        ctx = FqContext(p)
+        for a in non_squares:
+            for c in (1, p - 1):
+                for k in range(1, 8):
+                    yield ctx, f"exists X, Y. X*X - {a}*Y*Y = {c}*t^{k}"
+    yield F5, "exists X, Y. Y*Y = X^3"  # cusp
+    yield F5, "exists X, Y. Y*Y = X^4"  # tacnode
+    yield F3, "exists X, Y. Y*Y = X^3 + t"
+    # two equations: a unit 2x2 minor, and a locus with no minor in t alone
+    yield F3, "exists X, Y, Z. X = t*Z & Y = Z*Z + t"
+    yield F5, "exists X, Y, Z. X*X = Y*Z & Y*Y = X*Z"
+
+
+@pytest.mark.parametrize(
+    "ctx, text", list(_regularity_cases()), ids=lambda v: v if isinstance(v, str) else repr(v)
+)
+def test_regularity_shortcut_matches_the_groebner_path(ctx, text):
+    system = _system(text, ctx)
+    assert regularity_check(system) == regularity_oracle.regularity_check(system)
+
+
+@pytest.mark.parametrize("k, calls", [(1, 0), (3, 1)])
+def test_unit_minor_skips_the_regularity_basis(monkeypatch, k, calls):
+    # over F_3, dF/dt = -k*t^(k-1) is a unit for k = 1 and vanishes for k = 3
+    system = _system(f"exists X, Y. X*X - 2*Y*Y = t^{k}", F3)
+    assert system.dim == 1  # the system's own basis, built before the check
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(resolve, "buchberger", counting)
+    assert regularity_check(system).status == "regular"
+    assert len(seen) == calls
