@@ -24,7 +24,7 @@ from .frontend import (
     term_pair,
 )
 from .hensel import PerturbBudget, certify_liftable
-from .poly import PolyRing
+from .poly import MultiPoly, PolyRing, to_rational_coeffs
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .series import (
     TruncatedSeries,
@@ -175,12 +175,38 @@ def _verify_sat(verdict: Verdict) -> list:
     return problems
 
 
+def _radical_problems(cert, system) -> list:
+    """Problems with a radical certificate of the system: its cofactors must
+    recompose to 1, its generators must be the system's equations over
+    F_q(t), in order, and its auxiliary generator must be 1 - Z*g, with g
+    the system's inequation or g = 1 for the unit ideal."""
+    problems = [] if cert.verify() else ["radical certificate does not recompose to 1"]
+    if system is None:
+        return problems
+    ext = cert.ring
+    if ext.names[:-1] != system.xnames:
+        return problems + ["radical certificate lives over another ring"]
+
+    def lift(f):
+        return MultiPoly(ext, {e + (0,): c for e, c in to_rational_coeffs(f).terms.items()})
+
+    if cert.lifted_gens != [lift(f) for f in system.equations]:
+        problems.append("radical certificate generators are not the system's equations")
+    z = ext.var(ext.nvars - 1)
+    allowed = [ext.one() - z]
+    if system.inequation is not None:
+        allowed.append(ext.one() - z * lift(system.inequation))
+    if cert.aux not in allowed:
+        problems.append("radical certificate speaks about another inequation")
+    return problems
+
+
 def _verify_unsat(verdict: Verdict, skipped: list) -> list:
     """Problems found in the UNSAT evidence; checks not run go to skipped."""
     problems = []
-    if verdict.radical is not None and not verdict.radical.verify():
-        problems.append("radical certificate does not recompose to 1")
     system = verdict.system
+    if verdict.radical is not None:
+        problems.extend(_radical_problems(verdict.radical, system))
     if verdict.refuted_at is not None and system is not None:
         n = verdict.refuted_at
         ctx = system.ring.field

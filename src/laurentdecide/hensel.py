@@ -59,15 +59,28 @@ class PerturbBudget:
     depth: int = 16
 
 
-def system_dimension(equations, ring):
-    """Krull dimension of the equations over F_q(t) (None = empty locus)."""
-    rational = [to_rational_coeffs(f) for f in equations if f]
-    if not rational:
+def system_dimension(equations, ring, basis=None):
+    """Krull dimension of the locus of the equations over F_q(t), None when
+    it is empty; the one routine for every dimension and emptiness question.
+
+    At most one equation needs no Groebner basis: none leaves all m unknowns
+    free; one equation f is a unit of F_q(t)[X] when it has no X-term (an
+    empty locus) and cuts out a hypersurface of dimension m - 1 otherwise.
+    Two or more are read off the reduced basis over F_q(t): basis() when the
+    caller keeps one, a fresh one otherwise.
+    """
+    eqs = [f for f in equations if f]
+    m = len(_x_indices(ring))
+    if not eqs:
+        return m
+    if len(eqs) == 1:
         tpos = ring.tpos
-        nx = ring.nvars - (1 if tpos is not None else 0)
-        return nx
-    gb = buchberger(rational, ring=rational[0].ring)
-    return dimension(gb)
+        has_x = any(k for e in eqs[0].terms for i, k in enumerate(e) if i != tpos)
+        return m - 1 if has_x else None
+    if basis is None:
+        rational = [to_rational_coeffs(f) for f in eqs]
+        return dimension(buchberger(rational, ring=rational[0].ring))
+    return dimension(basis())
 
 
 def _x_indices(ring):

@@ -458,20 +458,31 @@ def squarefree_equation(f: MultiPoly) -> MultiPoly:
     content divided out, scaled so that the F_q[t] coefficient of its
     grevlex-leading X-monomial is monic in t.  This is the form
     clear_denominators gives the F_q(t)-monic squarefree part of f."""
-    s = squarefree_part(f)
-    ring = s.ring
-    tpos = ring.tpos
+    prim = primitive_part(squarefree_part(f))
+    tpos = prim.ring.tpos
 
     def x_part(e):
         return e[:tpos] + e[tpos + 1 :]
 
+    lead_x = max((x_part(e) for e in prim.terms), key=grevlex_key)
+    lead = max((e for e in prim.terms if x_part(e) == lead_x), key=lambda e: e[tpos])
+    return prim.scale(prim.terms[lead].inv())
+
+
+def primitive_part(f: MultiPoly) -> MultiPoly:
+    """A nonzero f over F_q[X, t] divided by its content, the gcd in F_q[t]
+    of its coefficients as a polynomial in X.  By Gauss's lemma a primitive
+    divisor over F_q(t) of a polynomial over F_q[X, t] divides it over
+    F_q[X, t]."""
+    ring = f.ring
+    tpos = ring.tpos
     t_coeffs = {}
-    for e, c in s.terms.items():
-        t_coeffs.setdefault(x_part(e), {})[tuple(k if i == tpos else 0 for i, k in enumerate(e))] = c
+    for e, c in f.terms.items():
+        x_part = e[:tpos] + e[tpos + 1 :]
+        t_coeffs.setdefault(x_part, {})[tuple(k if i == tpos else 0 for i, k in enumerate(e))] = c
     cont = ring.zero()
     for terms in t_coeffs.values():
         cont = gcd_multivariate(cont, MultiPoly(ring, terms))
-    prim = _quotient(s, cont)
-    lead_x = max(t_coeffs, key=grevlex_key)
-    lead = max((e for e in prim.terms if x_part(e) == lead_x), key=lambda e: e[tpos])
-    return prim.scale(prim.terms[lead].inv())
+        if cont.is_constant():
+            return f
+    return _quotient(f, cont)

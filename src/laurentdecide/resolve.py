@@ -12,14 +12,19 @@ UNKNOWN: verdicts must stay sound.
 
 Systems, singular loci, blow-up charts and back maps all live over the
 system's own ring F_q[X, t]: a centre is an F_q-point and a back map has
-coefficient 1, so none of them needs a fraction.  F_q(t) enters only where
-the generic fibre is asked about, at the Groebner and radical-membership
-calls, and not for a regularity check that a unit minor settles.
+coefficient 1, so none of them needs a fraction.  A normalized system with at
+most one equation is answered over F_q[X, t] as well: its emptiness and
+dimension come from the X-degree of the equation, and whether g vanishes on
+its locus from one exact division (Gauss's lemma).  F_q(t) enters only where
+the generic fibre of two or more equations is asked about, where a singular
+locus or a saturation guard needs a Groebner basis, and where a radical
+certificate is written down; a unit minor settles regularity without it.
 
 A system is immutable and owns the views derived from its equations: their
 F_q(t) form, one Groebner basis over F_q(t) and its dimension, each computed
-at most once.  Every step that adjoins equations to lower the dimension (the
-blow-up centre, say) goes through the one routine `descend`.
+at most once and the basis only when a question needs it.  Every step that
+adjoins equations to lower the dimension (the blow-up centre, say) goes
+through the one routine `descend`.
 """
 
 from __future__ import annotations
@@ -35,8 +40,16 @@ from .hensel import (
     certify_liftable,
     newton_lift,
     smooth_perturb,
+    system_dimension,
 )
-from .ideal import buchberger, dimension, radical_membership, squarefree_equation
+from .ideal import (
+    buchberger,
+    dimension,
+    exact_divide,
+    primitive_part,
+    radical_membership,
+    squarefree_equation,
+)
 from .poly import (
     MultiPoly,
     PolyRing,
@@ -102,8 +115,9 @@ class AffineSystem:
 
     @cached_property
     def dim(self):
-        """Krull dimension of the locus over F_q(t); None when it is empty."""
-        return dimension(self.basis)
+        """Krull dimension of the locus over F_q(t); None when it is empty.
+        The basis is built only for two or more equations."""
+        return system_dimension(self.equations, self.ring, lambda: self.basis)
 
 
 @dataclass
@@ -223,12 +237,34 @@ def _blow_up_at(curve, centre):
     return [(chart, [chart.back_map[0] + a, chart.back_map[1] + b, t]) for chart in charts]
 
 
+def vanishes_on_locus(system: AffineSystem, g: MultiPoly, with_certificate=False):
+    """Does g vanish on the whole locus of a normalized system over the
+    algebraic closure of F_q(t)?  Answers as radical_membership does.
+
+    With no equation g must be 0.  A normalized equation f has no repeated
+    factor of positive X-degree, so its primitive part f0 generates a radical
+    ideal over F_q(t), and g vanishes on the locus iff f0 divides g, over
+    F_q[X, t] by Gauss's lemma.  Rabinowitsch's Groebner test runs only for
+    two or more equations, and for a certificate, which is built only when g
+    does vanish.
+    """
+    eqs = system.equations
+    if len(eqs) > 1:
+        return radical_membership(to_rational_coeffs(g), system.rational, with_certificate)
+    member = exact_divide(g, primitive_part(eqs[0])) is not None if eqs else not g
+    if not with_certificate:
+        return member
+    if not member:
+        return False, None
+    return radical_membership(to_rational_coeffs(g), system.rational, with_certificate=True)
+
+
 def descend(system: AffineSystem, *centre: MultiPoly) -> AffineSystem:
-    """Adjoin the centre polynomials to the equations (the locus away from
-    them is handled elsewhere).  None may vanish on the whole locus, and the
-    dimension must strictly decrease."""
+    """Adjoin the centre polynomials to the equations of a normalized system
+    (the locus away from them is handled elsewhere).  None may vanish on the
+    whole locus, and the dimension must strictly decrease."""
     for u in centre:
-        if radical_membership(to_rational_coeffs(u), system.rational):
+        if vanishes_on_locus(system, u):
             raise ValueError("descent center vanishes on the whole locus")
     lower = AffineSystem(system.ring, system.equations + list(centre), system.inequation)
     if not (lower.dim is None or lower.dim < system.dim):
@@ -313,9 +349,10 @@ def _normalize(system, trace):
     """Drop a nonzero constant inequation and replace each equation that has
     an X variable by its squarefree part over F_q[X, t] with the F_q[t]
     content divided out (zero sets over F_q((t)) unchanged), when that lowers
-    its total X-degree; when the reduced basis is principal the system IS a
-    hypersurface in disguise (e.g. {X, X*Y}).  Settles in at most two rounds,
-    and returns the input object when nothing changes."""
+    its total X-degree; when two or more equations have a principal reduced
+    basis the system IS a hypersurface in disguise (e.g. {X, X*Y}), and no
+    basis is built for fewer.  Settles in at most two rounds, and returns the
+    input object when nothing changes."""
     ring = system.ring
     g = system.inequation
     # a zero inequation stays: the radical test handles it
@@ -340,10 +377,9 @@ def _normalize(system, trace):
         if changed:
             trace.append("replaced equations by their squarefree parts")
             system = AffineSystem(ring, replaced, g)
-        gens = system.basis.generators
-        if len(gens) == 1 and len(system.equations) > 1:
+        if len(system.equations) > 1 and len(system.basis.generators) == 1:
             trace.append("equations collapse to a principal ideal")
-            system = AffineSystem(ring, clear_denominators([gens[0]]), g)
+            system = AffineSystem(ring, clear_denominators(system.basis.generators), g)
             continue
         return system
 
@@ -351,7 +387,7 @@ def _normalize(system, trace):
 def _decide_normalized(system, config, trace, depth, prev_mult):
     """The verdict on a normalized system; decide_existential attaches it."""
     g = system.inequation
-    if system.basis.contains_one():
+    if system.dim is None:
         _, cert = radical_membership(
             system.rational_ring().one(), system.rational, with_certificate=True
         )
@@ -359,9 +395,7 @@ def _decide_normalized(system, config, trace, depth, prev_mult):
         return Verdict(UNSAT, radical=cert, trace=trace)
 
     if g is not None:
-        member, rcert = radical_membership(
-            to_rational_coeffs(g), system.rational, with_certificate=True
-        )
+        member, rcert = vanishes_on_locus(system, g, with_certificate=True)
         if member:
             trace.append("inequation vanishes identically on the locus")
             return Verdict(UNSAT, radical=rcert, trace=trace)

@@ -2,12 +2,22 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from laurentdecide.cli import load_system_file, parse_budget, parse_field_spec, run
+from laurentdecide.cli import (
+    load_system_file,
+    parse_budget,
+    parse_field_spec,
+    run,
+    verify_verdict,
+)
 from laurentdecide.ff import FqContext
+from laurentdecide.frontend import decide
+
+F3 = FqContext(3)
 
 
 def run_cli(args, capsys):
@@ -138,6 +148,48 @@ def test_cli_verify_names_the_unchecked_blow_up(capsys):
     assert report["status"] == "unsat" and report["verified"] is True
     assert len(report["disjuncts"][0]["branches"]) == 3
     assert report["verify_skipped"] == ["blow-up decomposition not re-checked"]
+
+
+def _radical_branch(text, ctx):
+    verdict = decide(text, ctx)
+    (branch,) = verdict.branches
+    assert branch.radical is not None and verify_verdict(verdict) == ([], [])
+    return verdict, branch
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # the certificates live over different rings
+        ("exists X. X*X = 1 & ~(X*X - 1 = 0)", "exists X, Y. X = 0 & Y = 1 & ~(X*Y = 0)"),
+        # one ring: the generators and the inequation differ
+        ("exists X. X*X = 1 & ~(X*X - 1 = 0)", "exists X. X = 1 & ~(X - 1 = 0)"),
+    ],
+)
+def test_verify_rejects_a_radical_certificate_of_another_system(first, second):
+    # each certificate recomposes to 1 on its own generators, so only the
+    # check against the branch's system can tell that they were swapped
+    a, branch_a = _radical_branch(first, F3)
+    b, branch_b = _radical_branch(second, F3)
+    branch_a.radical, branch_b.radical = branch_b.radical, branch_a.radical
+    for verdict in (a, b):
+        problems, _ = verify_verdict(verdict)
+        assert problems and all("radical certificate" in p for p in problems), problems
+
+
+def test_verify_names_each_foreign_part_of_a_radical_certificate():
+    _, own = _radical_branch("exists X. X = 1 & ~(X - 1 = 0)", F3)
+    _, other = _radical_branch("exists X. X*X = 1 & ~(X*X - 1 = 0)", F3)
+    # the unit-ideal certificate of X = 0 & X = 1 uses g = 1 and passes
+    _radical_branch("exists X. X = 0 & X = 1", F3)
+    cert = own.radical
+    own.radical = replace(cert, lifted_gens=other.radical.lifted_gens)
+    assert verify_verdict(own)[0] == [
+        "radical certificate does not recompose to 1",
+        "radical certificate generators are not the system's equations",
+    ]
+    own.radical = replace(cert, aux=other.radical.aux)
+    assert verify_verdict(own)[0][-1] == "radical certificate speaks about another inequation"
 
 
 def test_cli_verify_squarefree_normalized_sat(capsys):

@@ -651,7 +651,7 @@ def test_regularity_shortcut_matches_the_groebner_path(ctx, text):
 def test_unit_minor_skips_the_regularity_basis(monkeypatch, k, calls):
     # over F_3, dF/dt = -k*t^(k-1) is a unit for k = 1 and vanishes for k = 3
     system = _system(f"exists X, Y. X*X - 2*Y*Y = t^{k}", F3)
-    assert system.dim == 1  # the system's own basis, built before the check
+    assert system.dim == 1  # read before the check; one equation needs no basis
     seen = []
 
     def counting(*args, **kwargs):

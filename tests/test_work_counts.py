@@ -1,11 +1,14 @@
-"""Groebner work, counted per call site, against the upper bounds committed
-in data/work_counts.json.  The counts are deterministic, so a change that
-adds work shows here without timing noise; a change that removes work
-should lower the bounds to its new counts.
+"""Work, counted per call site, against the upper bounds committed in
+data/work_counts.json.  The counts are deterministic, so a change that adds
+work shows here without timing noise; a change that removes work should
+lower the bounds to its new counts.
 
-A call site is the module whose binding of `buchberger` was called:
-`resolve` (system bases and the regularity check), `hensel` (certificate
-saturation and dimensions) and `ideal` (radical membership).
+A call site is the module whose binding of the counted function was called.
+For `buchberger`: `resolve` (system bases and the regularity check),
+`hensel` (certificate saturation and dimensions) and `ideal` (radical
+membership).  For `certify_liftable`: `truncation` (candidates of the digit
+search and their Newton lifts), `hensel` (perturbed points) and `resolve`
+(witnesses lifted for an inequation and mapped back from blow-up charts).
 """
 
 import json
@@ -15,43 +18,79 @@ from pathlib import Path
 import pytest
 from test_acceptance import CORPUS as CRITERION_8
 
-from laurentdecide import hensel, ideal, resolve
+from laurentdecide import hensel, ideal, resolve, truncation
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
+from laurentdecide.resolve import RunConfig
 
 BOUNDS = json.loads((Path(__file__).parent / "data" / "work_counts.json").read_text())
-SITES = {"resolve": resolve, "hensel": hensel, "ideal": ideal}
+SITES = {
+    "buchberger": {"resolve": resolve, "hensel": hensel, "ideal": ideal},
+    "certify_liftable": {"truncation": truncation, "hensel": hensel, "resolve": resolve},
+}
 
+F2, F3, F5, F7 = FqContext(2), FqContext(3), FqContext(5), FqContext(7)
 # norm forms X^2 - a*Y^2 = c*t^k with k odd, a the least non-square, c = 1:
 # every one is refuted by the digit search
 NORM_SHAPES = [(3, 2, 1), (3, 2, 3), (3, 2, 5), (3, 2, 7), (5, 2, 1), (5, 2, 3),
                (7, 3, 1), (7, 3, 3)]
+# the singular cones X^2 - a*Y^2 = t*Z^2 & Z != 0 (X^2 + Y^2 over F_2), each
+# at the precision cap it is benchmarked with, and one-equation systems whose
+# inequation does (the first four) and does not vanish on the locus; the last
+# two have two equations, where the Groebner route stays
+CONES = [(F2, "X*X + Y*Y", 32), (F3, "X*X - 2*Y*Y", 16), (F5, "X*X - 2*Y*Y", 8),
+         (F7, "X*X - 3*Y*Y", 8)]
+INEQUATIONS = [
+    (F3, "exists X. t*X = 0 & ~(X = 0)"),
+    (F3, "exists X, Y. X*Y = 0 & ~(X*Y*Y = 0)"),
+    (F5, "exists X, Y. t*X*X - t*Y = 0 & ~(X*X*X - X*Y = 0)"),
+    (F3, "exists X. X*X = 1 & ~(X*X - 1 = 0)"),
+    (F3, "exists X. X*X*X = t & ~(X = 1)"),
+    (F3, "exists X, Y. X*Y = t & ~(X = 0)"),
+    (F5, "exists X, Y. Y*Y = X*X*X & ~(X = 0)"),
+    (F3, "exists X, Y. X = Y & Y = t & ~(X = t)"),
+    (F3, "exists X, Y. X = Y & Y*Y = t + 1 & ~(X = 1)"),
+]
 CORPORA = {
-    "criterion-8": [(ctx, text) for _, ctx, text, _ in CRITERION_8],
-    "norm-refute": [(FqContext(p), f"exists X, Y. X*X - {a}*Y*Y = 1*t^{k}")
+    "criterion-8": [(ctx, text, None) for _, ctx, text, _ in CRITERION_8],
+    "norm-refute": [(FqContext(p), f"exists X, Y. X*X - {a}*Y*Y = 1*t^{k}", None)
                     for p, a, k in NORM_SHAPES],
+    "inequations": [(ctx, f"exists X, Y, Z. {form} = t*Z*Z & ~(Z = 0)",
+                     RunConfig(max_precision=cap)) for ctx, form, cap in CONES]
+                   + [(ctx, text, None) for ctx, text in INEQUATIONS],
 }
 
 
-def buchberger_calls(monkeypatch, sentences):
+@pytest.fixture(scope="module", params=sorted(CORPORA))
+def work(request):
+    """(corpus, {function: {site: calls}}) for one pass over the corpus."""
     counts = Counter()
-    for site, module in SITES.items():
+    with pytest.MonkeyPatch.context() as patch:
+        for name, sites in SITES.items():
+            for site, module in sites.items():
 
-        def counting(*args, _site=site, _real=module.buchberger, **kwargs):
-            counts[_site] += 1
-            return _real(*args, **kwargs)
+                def counting(*args, _key=(name, site), _real=getattr(module, name), **kwargs):
+                    counts[_key] += 1
+                    return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "buchberger", counting)
-    for ctx, text in sentences:
-        decide(text, ctx)
-    monkeypatch.undo()
-    return {site: counts[site] for site in SITES}
+                patch.setattr(module, name, counting)
+        for ctx, text, config in CORPORA[request.param]:
+            decide(text, ctx, config)
+    return request.param, {name: {site: counts[name, site] for site in sites}
+                           for name, sites in SITES.items()}
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_buchberger_calls_stay_within_their_bounds(monkeypatch, corpus):
-    counts = buchberger_calls(monkeypatch, CORPORA[corpus])
-    bounds = BOUNDS["buchberger_calls"][corpus]
-    assert set(bounds) == set(SITES)
-    over = {site: (counts[site], bounds[site]) for site in SITES if counts[site] > bounds[site]}
+def _over_bounds(work, name):
+    corpus, counts = work
+    bounds = BOUNDS[f"{name}_calls"][corpus]
+    assert set(bounds) == set(SITES[name])
+    over = {site: (n, bounds[site]) for site, n in counts[name].items() if n > bounds[site]}
     assert not over, f"{corpus}: (count, bound) over the bound: {over}"
+
+
+def test_buchberger_calls_stay_within_their_bounds(work):
+    _over_bounds(work, "buchberger")
+
+
+def test_certify_liftable_calls_stay_within_their_bounds(work):
+    _over_bounds(work, "certify_liftable")
