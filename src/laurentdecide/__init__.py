@@ -33,7 +33,6 @@ from .poly import (
     RationalFunction,
     RationalFunctionField,
     UniPoly,
-    clear_denominators,
     jacobian,
     to_rational_coeffs,
     total_degree,
@@ -87,7 +86,6 @@ __all__ = [
     "blow_up_origin",
     "buchberger",
     "certify_liftable",
-    "clear_denominators",
     "decide",
     "decide_existential",
     "decide_positive",

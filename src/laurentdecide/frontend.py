@@ -8,7 +8,8 @@ arbitrary F_q(t) values, so O(c) for a constant c is a real condition.  The
 positive atom O(s) becomes  exists y: y^2 + y = w*s^2  (solvable exactly when
 w*s^2 has odd positive valuation or is zero, i.e. when s is integral); the
 negative atom uses the inverse trick  exists w', y: w*s*w' = 1 and
-y^2 + y = w*w'^2,  which forces v(s) = -1 - v(w') < 0.
+y^2 + y = w*w'^2,  which forces v(s) = -1 - v(w') < 0.  Systems are built
+over F_q[X, t]; F_q(t) appears here only as the type of an explicit constant.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ff import FqContext
-from .poly import MultiPoly, PolyRing, RationalFunction, UniPoly, uni_gcd
+from .ideal import exact_divide, gcd_multivariate, t_content
+from .poly import PolyRing, RationalFunction
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
@@ -142,15 +144,16 @@ def _tokenize(text, start=0):
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        # ASCII only: str.isdigit and isalnum also take other scripts' digits
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", int(text[i:j]), col))
             i = j
-        elif ch.isalpha():
+        elif ch.isascii() and ch.isalpha():
             j = i
-            while j < n and text[j].isalnum():
+            while j < n and text[j].isascii() and text[j].isalnum():
                 j += 1
             word = text[i:j]
             tokens.append(("word", word, col))
@@ -468,11 +471,6 @@ def _t_poly(ring, u):
     return ring.from_terms({zero + (k,): c for k, c in enumerate(u.coeffs)})
 
 
-def _uni(ctx, coeffs):
-    """The polynomial in t with the coefficients of the map t-exponent -> c."""
-    return UniPoly(ctx, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
-
-
 def _combine(op, a, b):
     """The pair of a op b, op one of + - *."""
     (n1, d1), (n2, d2) = a, b
@@ -516,33 +514,18 @@ def term_pair(term, ring: PolyRing, var_index):
 
 
 def _cleared(pair):
-    """N*L/d for the pair (N, d), where L = monic(d / gcd(d, c)) and c is the
-    F_q[t] content of N: N/d scaled by the lcm of its reduced coefficient
-    denominators.  That is N divided by gcd(d, c) and by the leading
-    coefficient of d."""
+    """N/d scaled by the lcm of its reduced coefficient denominators, for the
+    pair (N, d): N divided by gcd(d, c), c the F_q[t] content of N, and by
+    the leading coefficient of d."""
     n, d = pair
     if not n:
         return n
-    ctx = n.ring.field
-    den = _uni(ctx, {e[-1]: c for e, c in d.terms.items()})
-    scale = den.coeffs[-1].inv()
-    if den.degree() == 0:
-        return n if scale is ctx.one() else n.scale(scale)
-    columns = {}
-    for e, c in n.terms.items():
-        columns.setdefault(e[:-1], {})[e[-1]] = c
-    columns = {x: _uni(ctx, ts) for x, ts in columns.items()}
-    g = den
-    for u in columns.values():
-        g = uni_gcd(g, u)
-        if g.degree() == 0:
-            break
-    terms = {}
-    for x, u in columns.items():
-        for k, c in enumerate((u // g if g.degree() else u).coeffs):
-            if c:
-                terms[x + (k,)] = c * scale
-    return MultiPoly(n.ring, terms)
+    scale = d.lead_coeff().inv()
+    if not d.is_constant():
+        g = gcd_multivariate(d, t_content(n))
+        if not g.is_constant():
+            n = exact_divide(n, g)
+    return n if scale is scale.ctx.one() else n.scale(scale)
 
 
 def cleared_system(ring, equations, inequation_factors) -> AffineSystem:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ideal import _rabinowitsch, buchberger, dimension, normal_form
-from .poly import det_matrix, jacobian, to_rational_coeffs
+from .poly import det_matrix, jacobian
 from .series import (
     TruncatedSeries,
     invert_unit,
@@ -77,10 +77,7 @@ def system_dimension(equations, ring, basis=None):
         tpos = ring.tpos
         has_x = any(k for e in eqs[0].terms for i, k in enumerate(e) if i != tpos)
         return m - 1 if has_x else None
-    if basis is None:
-        rational = [to_rational_coeffs(f) for f in eqs]
-        return dimension(buchberger(rational, ring=rational[0].ring))
-    return dimension(basis())
+    return dimension(buchberger(eqs, ring=ring) if basis is None else basis())
 
 
 def _x_indices(ring):
@@ -150,11 +147,11 @@ class MinorTable:
         if not others:
             return True
         det_poly = det_matrix([[self.jacobian[i][j] for j in cols] for i in rows], self.ring.one())
-        det_rat = to_rational_coeffs(det_poly)
-        if not det_rat:
+        if not det_poly:
             return False
-        rat = [to_rational_coeffs(self.equations[i]) for i in list(rows) + others]
-        lifted, aux = _rabinowitsch(rat, det_rat, "Zsat")
+        eqs = [self.equations[i] for i in list(rows) + others]
+        # Z goes after t: the Groebner routines read (X, t, Z) as F_q(t)[X, Z]
+        lifted, aux = _rabinowitsch(eqs, det_poly, "Zsat")
         gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
         return not any(normal_form(f, gb) for f in lifted[len(rows) :])
 

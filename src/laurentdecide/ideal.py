@@ -1,20 +1,25 @@
-"""Groebner-basis services over F_q and F_q(t), and squarefree parts over F_q.
+"""Groebner-basis services over F_q(t), and squarefree parts over F_q.
+
+The engine meets F_q(t) here only.  The Groebner routines (buchberger,
+normal_form, radical_membership, and dimension through their bases) read a
+ring with a t slot, F_q[X, t], as F_q[t][X]: each input polynomial is
+converted to F_q(t)[X] once at entry, and bases, normal forms and radical
+certificates are over F_q(t).  Its coefficients are exact rational
+functions: the Jacobian criterion is unreliable over imperfect fields, so
+nothing here may round or specialize.  Squarefree parts, contents and gcds
+work over the perfect field F_q with t as one more variable, where every
+polynomial whose partials all vanish is a p-th power.
 
 Buchberger with the sugar selection strategy and the coprime-leading-term
 criterion, reduced bases, normal forms with quotient tracking, Rabinowitsch
 radical membership with explicit cofactor certificates, staircase Krull
-dimension.  Coefficients over F_q(t) are exact rational functions: the
-Jacobian criterion is unreliable over imperfect fields, so nothing here may
-round or specialize.  Squarefree parts and the gcds under them work over the
-perfect field F_q with t as one more variable, where every polynomial whose
-partials all vanish is a p-th power.
-
-One division routine, reduce_poly, serves normal forms, quotients, exact
-division and every reduction inside Buchberger; sugar and cofactors are read
-off its quotients.  Buchberger keeps representation vectors over the input
-generators only under track=True, which only certified radical membership
-asks for.  Radical membership and the saturation guard of the Hensel layer
-share one Rabinowitsch construction, _rabinowitsch.
+dimension.  One division routine, reduce_poly, serves normal forms,
+quotients, exact division and every reduction inside Buchberger; sugar and
+cofactors are read off its quotients.  Buchberger keeps representation
+vectors over the input generators only under track=True, which only
+certified radical membership asks for.  Radical membership and the
+saturation guard of the Hensel layer share one Rabinowitsch construction,
+_rabinowitsch.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ff import FqContext
-from .poly import MultiPoly, PolyRing, grevlex_key
+from .poly import MultiPoly, PolyRing, grevlex_key, to_rational_coeffs
 
 
 def _divides(a, b):
@@ -37,6 +42,12 @@ def _mono_sub(a, b):
 
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _read(f: MultiPoly):
+    """f as the Groebner routines read it: over F_q(t)[X] when its ring has
+    a t slot, as it stands otherwise."""
+    return f if f.ring.tpos is None else to_rational_coeffs(f)
 
 
 def reduce_poly(f: MultiPoly, divisors, with_quotients=False):
@@ -126,17 +137,20 @@ def _tracked_reduce(f: _Tracked, basis):
 
 
 def buchberger(generators, ring: PolyRing | None = None, track: bool = False) -> GroebnerBasis:
-    """Reduced Groebner basis of the given generators (grevlex).
+    """Reduced Groebner basis of the given generators (grevlex), over
+    F_q(t)[X] when their ring is F_q[X, t].
 
     Sugar pair selection, coprime-leading-term skip.  With track=True each
     output generator carries cofactors over the input list; without it no
     representation is built at all.
     """
-    gens = list(generators)
+    gens = [_read(f) for f in generators]
     if ring is None:
         if not gens:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = gens[0].ring
+    elif ring.tpos is not None:
+        ring = to_rational_coeffs(ring.zero()).ring
     one = ring.one()
     zero = ring.zero()
 
@@ -222,7 +236,7 @@ def _interreduce(basis):
 
 
 def normal_form(f: MultiPoly, gb: GroebnerBasis, with_quotients=False):
-    return reduce_poly(f, gb.generators, with_quotients)
+    return reduce_poly(_read(f), gb.generators, with_quotients)
 
 
 def ideal_membership(f: MultiPoly, gb: GroebnerBasis) -> bool:
@@ -270,10 +284,11 @@ def _rabinowitsch(gens, g: MultiPoly, base_name: str):
 
 def radical_membership(g: MultiPoly, generators, with_certificate=False):
     """Does g vanish on the zero locus of the generators (over the algebraic
-    closure)?  Rabinowitsch: 1 in (gens) + (1 - Z*g)."""
+    closure)?  Rabinowitsch: 1 in (gens) + (1 - Z*g).  The certificate lives
+    over g's ring with Z appended, over F_q(t) for a ring with a t slot."""
     if isinstance(generators, GroebnerBasis):
         generators = generators.generators
-    lifted, aux = _rabinowitsch([f for f in generators if f], g, "Zrad")
+    lifted, aux = _rabinowitsch([_read(f) for f in generators if f], _read(g), "Zrad")
     gb = buchberger(lifted + [aux], track=with_certificate)
     member = gb.contains_one()
     if not with_certificate:
@@ -454,11 +469,28 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
 
 
 def squarefree_equation(f: MultiPoly) -> MultiPoly:
-    """The squarefree part of an equation f over F_q[X, t] with its F_q[t]
-    content divided out, scaled so that the F_q[t] coefficient of its
-    grevlex-leading X-monomial is monic in t.  This is the form
-    clear_denominators gives the F_q(t)-monic squarefree part of f."""
-    prim = primitive_part(squarefree_part(f))
+    """The squarefree part of an equation f over F_q[X, t] in the form of
+    primitive_monic."""
+    return primitive_monic(squarefree_part(f))
+
+
+def principal_generator(equations) -> MultiPoly:
+    """The generator of equations over F_q[X, t] whose ideal over F_q(t)[X]
+    is principal: their gcd, which generates it, in the form of
+    primitive_monic (by Gauss's lemma the gcd over F_q[X, t] is the one over
+    F_q(t)[X] times a content)."""
+    h = equations[0]
+    for f in equations[1:]:
+        h = gcd_multivariate(h, f)
+    return primitive_monic(h)
+
+
+def primitive_monic(f: MultiPoly) -> MultiPoly:
+    """The primitive part of a nonzero f over F_q[X, t], scaled so that the
+    F_q[t] coefficient of its grevlex-leading X-monomial is monic in t: the
+    F_q(t)-monic associate of f times the lcm of its denominators, the same
+    for every associate of f over F_q(t)."""
+    prim = primitive_part(f)
     tpos = prim.ring.tpos
 
     def x_part(e):
@@ -469,11 +501,10 @@ def squarefree_equation(f: MultiPoly) -> MultiPoly:
     return prim.scale(prim.terms[lead].inv())
 
 
-def primitive_part(f: MultiPoly) -> MultiPoly:
-    """A nonzero f over F_q[X, t] divided by its content, the gcd in F_q[t]
-    of its coefficients as a polynomial in X.  By Gauss's lemma a primitive
-    divisor over F_q(t) of a polynomial over F_q[X, t] divides it over
-    F_q[X, t]."""
+def t_content(f: MultiPoly) -> MultiPoly:
+    """The content of a nonzero f over F_q[X, t]: the gcd in F_q[t] of its
+    coefficients as a polynomial in X, with leading coefficient 1; a
+    constant when f is primitive."""
     ring = f.ring
     tpos = ring.tpos
     t_coeffs = {}
@@ -484,5 +515,13 @@ def primitive_part(f: MultiPoly) -> MultiPoly:
     for terms in t_coeffs.values():
         cont = gcd_multivariate(cont, MultiPoly(ring, terms))
         if cont.is_constant():
-            return f
-    return _quotient(f, cont)
+            break
+    return cont
+
+
+def primitive_part(f: MultiPoly) -> MultiPoly:
+    """A nonzero f over F_q[X, t] divided by its t_content.  By Gauss's
+    lemma a primitive divisor over F_q(t) of a polynomial over F_q[X, t]
+    divides it over F_q[X, t]."""
+    cont = t_content(f)
+    return f if cont.is_constant() else _quotient(f, cont)

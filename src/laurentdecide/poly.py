@@ -4,9 +4,10 @@ Two coefficient domains share one term representation:
 
   * over F_q, the uniformizer t is a distinguished extra exponent slot
     (a variable named "t"), so "spreading out" t is a retag, not a
-    conversion;
-  * over F_q(t), coefficients are exact RationalFunction values
-    (reduced fractions of univariate polynomials in t).
+    conversion; the engine's systems live here, over F_q[X, t];
+  * over F_q(t), coefficients are exact RationalFunction values (reduced
+    fractions of univariate polynomials in t), used only inside module
+    ideal (see to_rational_coeffs) and in its radical certificates.
 
 The term order is graded reverse lexicographic everywhere; the zero
 polynomial is the empty term map.
@@ -51,10 +52,6 @@ class UniPoly:
     @classmethod
     def const(cls, ctx, c):
         return cls(ctx, [ctx.elem(c)])
-
-    @classmethod
-    def t_power(cls, ctx, k: int, c=1):
-        return cls(ctx, [0] * k + [c])
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -160,12 +157,6 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    if not a or not b:
-        return UniPoly._make(a.ctx, [])
-    return ((a * b) // uni_gcd(a, b)).monic()
-
-
 # ---------------------------------------------------------------------------
 # the field F_q(t)
 
@@ -200,7 +191,10 @@ class RationalFunction:
 
     @classmethod
     def from_unipoly(cls, f: UniPoly):
-        return cls(f, UniPoly.const(f.ctx, 1))
+        """f/1, reduced as it stands: no gcd is taken."""
+        r = object.__new__(cls)
+        r.num, r.den = f, UniPoly.const(f.ctx, 1)
+        return r
 
     @classmethod
     def const(cls, ctx, c):
@@ -619,59 +613,21 @@ def total_degree(f: MultiPoly) -> int:
 
 
 def to_rational_coeffs(f: MultiPoly) -> MultiPoly:
-    """Retag a poly over F_q with t slot into F_q(t) coefficients (X vars only)."""
+    """f over F_q[X, t] read over F_q(t)[X]: the t slot is dropped, and the
+    terms of each X-monomial become one coefficient in F_q[t].  A ring
+    without a t slot keeps its variables and gets constant coefficients."""
     ring = f.ring
-    tpos = ring.tpos
     ctx = ring.field
     if not isinstance(ctx, FqContext):
         raise TypeError("to_rational_coeffs takes a polynomial over F_q")
-    if tpos is None:
-        target = PolyRing(RationalFunctionField(ctx), ring.names)
-        return f.compose([target.var(i) for i in range(ring.nvars)], target)
-    names = tuple(n for i, n in enumerate(ring.names) if i != tpos)
-    target = PolyRing(RationalFunctionField(ctx), names)
-    out = {}
+    tpos = ring.tpos
+    zero = ctx.zero()
+    columns = {}
     for e, c in f.terms.items():
-        et = e[tpos]
-        e2 = tuple(k for i, k in enumerate(e) if i != tpos)
-        coeff = RationalFunction.from_unipoly(UniPoly.t_power(ctx, et, 1)).__mul__(
-            RationalFunction.from_unipoly(UniPoly(ctx, [c]))
-        )
-        if e2 in out:
-            s = out[e2] + coeff
-            if s:
-                out[e2] = s
-            else:
-                del out[e2]
-        else:
-            out[e2] = coeff
-    return MultiPoly(target, out)
-
-
-def clear_denominators(equations):
-    """Scale each equation over F_q(t)[X] by the lcm of its coefficient
-    denominators, yielding equations over F_q[t][X] (t as a slot) with the
-    same zero set over F_q((t))."""
-    out = []
-    for f in equations:
-        ring = f.ring
-        if not isinstance(ring.field, RationalFunctionField):
-            raise TypeError("clear_denominators takes polynomials over F_q(t)")
-        ctx = ring.field.ctx
-        target = PolyRing(ctx, ring.names + ("t",))
-        if not f:
-            out.append(target.zero())
-            continue
-        lcm = UniPoly.const(ctx, 1)
-        for c in f.terms.values():
-            lcm = uni_lcm(lcm, c.den)
-        terms = {}
-        for e, c in f.terms.items():
-            scaled = c.num * (lcm // c.den)
-            for k, ck in enumerate(scaled.coeffs):
-                if not ck:
-                    continue
-                e2 = e + (k,)
-                terms[e2] = ck
-        out.append(MultiPoly(target, terms))
-    return out
+        x, k = (e, 0) if tpos is None else (e[:tpos] + e[tpos + 1 :], e[tpos])
+        column = columns.setdefault(x, [])
+        column.extend([zero] * (k + 1 - len(column)))
+        column[k] = c
+    names = ring.names if tpos is None else ring.names[:tpos] + ring.names[tpos + 1 :]
+    out = {x: RationalFunction.from_unipoly(UniPoly._make(ctx, cs)) for x, cs in columns.items()}
+    return MultiPoly(PolyRing(RationalFunctionField(ctx), names), out)

@@ -10,21 +10,22 @@ singular points, charts are decided recursively, and the exceptional centre
 descends to a lower-dimensional system.  Everything else is an honest
 UNKNOWN: verdicts must stay sound.
 
-Systems, singular loci, blow-up charts and back maps all live over the
-system's own ring F_q[X, t]: a centre is an F_q-point and a back map has
-coefficient 1, so none of them needs a fraction.  A normalized system with at
-most one equation is answered over F_q[X, t] as well: its emptiness and
-dimension come from the X-degree of the equation, and whether g vanishes on
-its locus from one exact division (Gauss's lemma).  F_q(t) enters only where
-the generic fibre of two or more equations is asked about, where a singular
-locus or a saturation guard needs a Groebner basis, and where a radical
-certificate is written down; a unit minor settles regularity without it.
+Everything here lives over the system's own ring F_q[X, t]: systems,
+singular loci, blow-up charts and back maps (a centre is an F_q-point and a
+back map has coefficient 1), and the generator of a principal collapse (a
+gcd).  A normalized system with at most one equation is answered there as
+well: its emptiness and dimension come from the X-degree of the equation,
+and whether g vanishes on its locus from one exact division (Gauss's lemma);
+a unit minor settles regularity.  The questions about the generic fibre that
+need a Groebner basis are asked of module ideal with these polynomials, and
+ideal reads them over F_q(t); the radical certificates it returns are the
+only F_q(t) values this module passes on.
 
-A system is immutable and owns the views derived from its equations: their
-F_q(t) form, one Groebner basis over F_q(t) and its dimension, each computed
-at most once and the basis only when a question needs it.  Every step that
-adjoins equations to lower the dimension (the blow-up centre, say) goes
-through the one routine `descend`.
+A system is immutable and owns the views derived from its equations: one
+Groebner basis over F_q(t) and its dimension, each computed at most once and
+the basis only when a question needs it.  Every step that adjoins equations
+to lower the dimension (the blow-up centre, say) goes through the one
+routine `descend`.
 """
 
 from __future__ import annotations
@@ -47,18 +48,11 @@ from .ideal import (
     dimension,
     exact_divide,
     primitive_part,
+    principal_generator,
     radical_membership,
     squarefree_equation,
 )
-from .poly import (
-    MultiPoly,
-    PolyRing,
-    RationalFunctionField,
-    clear_denominators,
-    det_matrix,
-    jacobian,
-    to_rational_coeffs,
-)
+from .poly import MultiPoly, PolyRing, det_matrix, jacobian
 from .series import point_table, val_exact, valuation_at
 from .truncation import PrecisionSchedule, decide_positive
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -80,8 +74,8 @@ class AffineSystem:
     """Equations f_1..f_n plus at most one inequation g != 0, over F_q[t][X].
 
     The ring carries the t slot as its last variable.  Zero equations are
-    dropped.  The views `rational`, `basis` and `dim` are computed on first
-    use and kept with the object.
+    dropped.  The views `basis` and `dim` are computed on first use and kept
+    with the object.
     """
 
     ring: PolyRing
@@ -99,19 +93,10 @@ class AffineSystem:
     def xnames(self):
         return self.ring.names[:-1]
 
-    def rational_ring(self):
-        return PolyRing(RationalFunctionField(self.ring.field), self.xnames)
-
-    @cached_property
-    def rational(self):
-        """The equations over F_q(t); bases and radical certificates of this
-        system are built from these generators."""
-        return [to_rational_coeffs(f) for f in self.equations]
-
     @cached_property
     def basis(self):
         """Reduced Groebner basis of the equations over F_q(t)."""
-        return buchberger(self.rational, ring=self.rational_ring())
+        return buchberger(self.equations, ring=self.ring)
 
     @cached_property
     def dim(self):
@@ -144,7 +129,7 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
 
     A nonzero minor in t alone (dF/dt = -k*c*t^(k-1) for F = G(X) - c*t^k
     with p not dividing k, say) is a unit of F_q(t), so it settles Regular
-    over F_q[X, t] before any conversion or Groebner basis.
+    before any Groebner basis.
 
     Requires an established equidimensional dimension: a hypersurface, a
     zero-dimensional locus, or codimension = number of given equations
@@ -175,9 +160,7 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
                 minors.append(det)
     if any(all(sum(e) == e[-1] for e in h.terms) for h in minors):
         return RegularityReport("regular", dimension=dim)
-    gb_locus = buchberger(
-        system.rational + [to_rational_coeffs(h) for h in minors], ring=system.rational_ring()
-    )
+    gb_locus = buchberger(eqs + minors, ring=ring)
     if gb_locus.contains_one():
         return RegularityReport("regular", dimension=dim)
     return RegularityReport(
@@ -250,13 +233,13 @@ def vanishes_on_locus(system: AffineSystem, g: MultiPoly, with_certificate=False
     """
     eqs = system.equations
     if len(eqs) > 1:
-        return radical_membership(to_rational_coeffs(g), system.rational, with_certificate)
+        return radical_membership(g, eqs, with_certificate)
     member = exact_divide(g, primitive_part(eqs[0])) is not None if eqs else not g
     if not with_certificate:
         return member
     if not member:
         return False, None
-    return radical_membership(to_rational_coeffs(g), system.rational, with_certificate=True)
+    return radical_membership(g, eqs, with_certificate=True)
 
 
 def descend(system: AffineSystem, *centre: MultiPoly) -> AffineSystem:
@@ -350,9 +333,10 @@ def _normalize(system, trace):
     an X variable by its squarefree part over F_q[X, t] with the F_q[t]
     content divided out (zero sets over F_q((t)) unchanged), when that lowers
     its total X-degree; when two or more equations have a principal reduced
-    basis the system IS a hypersurface in disguise (e.g. {X, X*Y}), and no
-    basis is built for fewer.  Settles in at most two rounds, and returns the
-    input object when nothing changes."""
+    basis the system IS a hypersurface in disguise (e.g. {X, X*Y}), and their
+    gcd replaces them (principal_generator); no basis is built for fewer.
+    Settles in at most two rounds, and returns the input object when nothing
+    changes."""
     ring = system.ring
     g = system.inequation
     # a zero inequation stays: the radical test handles it
@@ -379,7 +363,7 @@ def _normalize(system, trace):
             system = AffineSystem(ring, replaced, g)
         if len(system.equations) > 1 and len(system.basis.generators) == 1:
             trace.append("equations collapse to a principal ideal")
-            system = AffineSystem(ring, clear_denominators(system.basis.generators), g)
+            system = AffineSystem(ring, [principal_generator(system.equations)], g)
             continue
         return system
 
@@ -388,9 +372,7 @@ def _decide_normalized(system, config, trace, depth, prev_mult):
     """The verdict on a normalized system; decide_existential attaches it."""
     g = system.inequation
     if system.dim is None:
-        _, cert = radical_membership(
-            system.rational_ring().one(), system.rational, with_certificate=True
-        )
+        _, cert = radical_membership(system.ring.one(), system.equations, with_certificate=True)
         trace.append("equations generate the unit ideal over F_q(t)")
         return Verdict(UNSAT, radical=cert, trace=trace)
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from frontend_oracle import clear_denominators
+
 from laurentdecide.poly import (
     MultiPoly,
-    clear_denominators,
+    PolyRing,
+    RationalFunctionField,
     det_matrix,
     jacobian,
     to_rational_coeffs,
@@ -75,7 +78,7 @@ def singular_locus(system):
             det = det_matrix([[jac[i][j] for j in cols] for i in rows], ring.one())
             if det:
                 minors.append(det)
-    locus = system.rational + [to_rational_coeffs(h) for h in minors]
+    locus = [to_rational_coeffs(h) for h in eqs + minors]
     return [h for h in locus if h]
 
 
@@ -95,10 +98,10 @@ def charts_at(system, center):
     """[(chart, chart equations, chart inequation)] of the blow-up of the
     plane curve system at the F_q-point center, built over F_q(t)."""
     ring = system.ring
-    rring = system.rational_ring()
+    rring = PolyRing(RationalFunctionField(ring.field), system.xnames)
     g = system.inequation
     a, b = center
-    curve = system.rational[0]
+    curve = to_rational_coeffs(system.equations[0])
     x, y = rring.var(0), rring.var(1)
     translated = curve.compose([x + rring.const(a), y + rring.const(b)], rring)
     charts = blow_up_origin(translated)

@@ -4,7 +4,9 @@ atom was built over F_q(t)[X], copied verbatim.  Each side of an atom becomes
 a polynomial with reduced F_q(t) coefficients, the sides are subtracted there,
 and clear_denominators scales the difference by the lcm of its coefficient
 denominators into F_q[X, t].  The system-file route is the body of
-load_system_file after its lines are parsed."""
+load_system_file after its lines are parsed.  clear_denominators and uni_lcm
+left the package when its F_q(t) generators did; the copies here also serve
+the fixtures of other tests that write F_q(t) polynomials over F_q[X, t]."""
 
 from __future__ import annotations
 
@@ -26,9 +28,15 @@ from laurentdecide.poly import (
     RationalFunction,
     RationalFunctionField,
     UniPoly,
-    uni_lcm,
+    uni_gcd,
 )
 from laurentdecide.resolve import AffineSystem
+
+
+def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
+    if not a or not b:
+        return UniPoly._make(a.ctx, [])
+    return ((a * b) // uni_gcd(a, b)).monic()
 
 
 def clear_denominators(equations):
@@ -67,7 +75,7 @@ def _term_to_poly(term, ring: PolyRing, var_index):
     if isinstance(term, TConst):
         return ring.const(term.value)
     if isinstance(term, TUnif):
-        t = RationalFunction.from_unipoly(UniPoly.t_power(ctx, 1, 1))
+        t = RationalFunction.from_unipoly(UniPoly(ctx, [0, 1]))
         return ring.const(t)
     if isinstance(term, TVar):
         if term.name not in var_index:

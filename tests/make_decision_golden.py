@@ -20,11 +20,12 @@ from pathlib import Path
 
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
-from laurentdecide.poly import PolyRing, RationalFunctionField, clear_denominators
+from laurentdecide.poly import PolyRing, RationalFunctionField
 from laurentdecide.resolve import AffineSystem, RunConfig, blow_up_origin, regularity_check
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from frontend_oracle import clear_denominators  # noqa: E402
 from test_acceptance import CORPUS as CRITERION_8  # noqa: E402
 from test_fuzz import CONSTS, random_sentence  # noqa: E402
 

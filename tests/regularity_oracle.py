@@ -8,7 +8,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from laurentdecide.ideal import buchberger, dimension
-from laurentdecide.poly import det_matrix, jacobian, to_rational_coeffs
+from laurentdecide.poly import (
+    PolyRing,
+    RationalFunctionField,
+    det_matrix,
+    jacobian,
+    to_rational_coeffs,
+)
 from laurentdecide.resolve import AffineSystem, RegularityReport
 
 
@@ -45,7 +51,8 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
             if det:
                 minors.append(det)
     gb_locus = buchberger(
-        system.rational + [to_rational_coeffs(h) for h in minors], ring=system.rational_ring()
+        [to_rational_coeffs(h) for h in eqs + minors],
+        ring=PolyRing(RationalFunctionField(ring.field), system.xnames),
     )
     if gb_locus.contains_one():
         return RegularityReport("regular", dimension=dim)

@@ -91,6 +91,13 @@ def test_cli_parse_error_exit_code(capsys):
     assert "column" in err
 
 
+def test_cli_non_ascii_digit_is_a_parse_error(capsys):
+    code = run(["--field", "p=3", "exists X. X = \u00b2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unexpected character '\u00b2' at column 15" in err
+
+
 def test_cli_verify_sat(capsys):
     code, out = run_cli(["--field", "p=3", "--verify", "exists X. X*X = 1 + t"], capsys)
     assert code == 0

@@ -104,6 +104,25 @@ def test_term_errors_report_the_column_of_their_token(sentence, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "sentence, message",
+    [
+        # a superscript two used to escape as a bare ValueError from int()
+        ("exists X. X = \u00b2", "unexpected character '\u00b2' at column 15"),
+        # an Arabic-Indic digit one used to read as 1 (and answer SAT)
+        ("exists X. X*X = \u0661", "unexpected character '\u0661' at column 17"),
+        ("exists X. X = 1\u0661", "unexpected character '\u0661' at column 16"),
+        ("exists X\u0661. X = 1", "unexpected character '\u0661' at column 9"),
+        ("exists \u00c9. \u00c9 = 1", "unexpected character '\u00c9' at column 8"),
+    ],
+)
+def test_integers_and_names_are_ascii(sentence, message):
+    with pytest.raises(ParseError) as info:
+        parse(sentence)
+    assert str(info.value) == message
+
+
+
 def test_term_nodes_compare_without_their_columns():
     assert parse("exists X. X*X = 1").formula.left == TOp("*", TVar("X"), TVar("X"))
     assert parse("exists X.   X =  1").formula.left.col == 13
@@ -262,7 +281,7 @@ def test_decide_negative_inring_of_variable_unsat():
 
 def test_ground_valuation_bank_small():
     # spot-checks of the criterion-4 bank shape: c * t^k integral iff k >= 0
-    t = RationalFunction.from_unipoly(UniPoly.t_power(F3, 1, 1))
+    t = RationalFunction.from_unipoly(UniPoly(F3, [0, 1]))
     for k in (-2, -1, 0, 1, 2):
         x = t**k
         s = Sentence([], InRing(TConst(x)))

@@ -551,8 +551,9 @@ def _is_squarefree(f):
 
 def test_squarefree_matches_rational_function_oracle():
     import squarefree_oracle as old
+    from frontend_oracle import clear_denominators
 
-    from laurentdecide.poly import clear_denominators, to_rational_coeffs
+    from laurentdecide.poly import to_rational_coeffs
 
     rng = random.Random(7077)
     inputs = _corpus_equations()

@@ -120,7 +120,7 @@ def test_the_sources_are_covered():
 def test_answers_over_the_polynomial_ring_match_the_groebner_route(system):
     rational = [to_rational_coeffs(f) for f in system.equations]
     if rational:
-        gb = buchberger(rational, ring=system.rational_ring())
+        gb = buchberger(rational, ring=rational[0].ring)
         expected_dim = dimension(gb)
         assert gb.contains_one() == (system.dim is None)
     else:

@@ -502,7 +502,7 @@ GUARDS = """
 import sys
 from laurentdecide.ff import FqContext
 from laurentdecide.ideal import squarefree_part
-from laurentdecide.poly import PolyRing, RationalFunctionField, clear_denominators, to_rational_coeffs
+from laurentdecide.poly import PolyRing, RationalFunctionField, to_rational_coeffs
 from laurentdecide.resolve import AffineSystem, blow_up_origin, decide_existential, descend, regularity_check
 from laurentdecide.truncation import weil_restrict
 from laurentdecide.verdict import SAT, UNSAT, Verdict
@@ -522,7 +522,6 @@ cases = [
     (ValueError, lambda: Verdict(SAT)),
     (ValueError, lambda: Verdict(UNSAT)),
     (TypeError, lambda: to_rational_coeffs(Q.var(0))),
-    (TypeError, lambda: clear_denominators([X])),
     (TypeError, lambda: AffineSystem(Q, [])),
     (ValueError, lambda: AffineSystem(PolyRing(F3, ("t", "X")), [])),
     # the locus is the line X = 0 plus the point (1, 0): X misses the point
@@ -561,7 +560,6 @@ def test_soundness_guards_survive_python_O():
         "ValueError: SAT verdicts always carry a certificate",
         "ValueError: UNSAT verdicts always carry evidence",
         "TypeError: to_rational_coeffs takes a polynomial over F_q",
-        "TypeError: clear_denominators takes polynomials over F_q(t)",
         "TypeError: affine systems live over F_q[t]",
         "ValueError: t is the last ring variable",
         "RuntimeError: descent must drop the dimension",
