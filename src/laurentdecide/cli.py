@@ -47,10 +47,14 @@ def parse_field_spec(text: str) -> FqContext:
     p = None
     n = 1
     modulus = None
+    seen = set()
     for part in text.split():
         if "=" not in part:
             raise ValueError(f"malformed field component {part!r}")
         key, value = part.split("=", 1)
+        if key in seen:
+            raise ValueError(f"field component {key!r} given twice")
+        seen.add(key)
         if key == "p":
             p = int(value)
         elif key == "n":
@@ -171,7 +175,7 @@ def _verify_sat(verdict: Verdict) -> list:
             problems.append("inequation value not exactly valued at the witness")
     fresh = certify_liftable(system.equations, witness, precision=precision)
     if fresh is None:
-        problems.append("independent re-certification failed")
+        problems.append("re-certification by the engine's certify_liftable failed")
     return problems
 
 
@@ -280,7 +284,7 @@ def build_arg_parser():
     ap.add_argument("--candidate-cap", type=int, default=256)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--threads", type=int, default=1, help="worker count (reserved; execution is deterministic)")
-    ap.add_argument("--verify", action="store_true", help="independently re-check the verdict")
+    ap.add_argument("--verify", action="store_true", help="re-check the verdict's evidence with the engine's own routines")
     ap.add_argument("--trace", action="store_true", help="include the decision trace")
     return ap
 

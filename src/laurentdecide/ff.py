@@ -105,6 +105,7 @@ class FqContext:
     """The field F_q = F_p^n with a fixed monic irreducible modulus.
 
     Interned: FqContext(p, n, modulus) returns the one context of that field.
+    A modulus given for n = 1 must still be monic of degree 1.
     """
 
     _interned: dict = {}
@@ -124,6 +125,10 @@ class FqContext:
             raise ValueError(f"p = {p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
+        if modulus is not None:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree n = {n}")
         self.p = p
         self.n = n
         self.q = q = p**n
@@ -139,9 +144,6 @@ class FqContext:
             raise ValueError(f"extension field of order {q} exceeds the table limit {MAX_TABLE_Q}")
         if modulus is None:
             modulus = _smallest_irreducible(p, n)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
         if not _is_irreducible(list(modulus), p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus

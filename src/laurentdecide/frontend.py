@@ -460,17 +460,6 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
 # polynomial depends on N/d only, not on the pair that stands for it.
 
 
-def _x_free(f):
-    """Whether f over F_q[X, t] (t the last slot) has no X in any term."""
-    return all(sum(e) == e[-1] for e in f.terms)
-
-
-def _t_poly(ring, u):
-    """The polynomial u in t as an element of ring (t the last slot)."""
-    zero = (0,) * (ring.nvars - 1)
-    return ring.from_terms({zero + (k,): c for k, c in enumerate(u.coeffs)})
-
-
 def _combine(op, a, b):
     """The pair of a op b, op one of + - *."""
     (n1, d1), (n2, d2) = a, b
@@ -488,7 +477,8 @@ def term_pair(term, ring: PolyRing, var_index):
     if isinstance(term, TNum):
         return ring.const(term.value), ring.one()
     if isinstance(term, TConst):
-        return _t_poly(ring, term.value.num), _t_poly(ring, term.value.den)
+        num, den = term.value.num, term.value.den
+        return ring.t_poly(dict(enumerate(num.coeffs))), ring.t_poly(dict(enumerate(den.coeffs)))
     if isinstance(term, TUnif):
         return ring.var(ring.tpos), ring.one()
     if isinstance(term, TVar):
@@ -502,7 +492,7 @@ def term_pair(term, ring: PolyRing, var_index):
             return left[0] ** k, left[1] ** k
         right = term_pair(term.right, ring, var_index)
         if term.op == "/":
-            if not _x_free(right[0]):
+            if right[0].x_degree() > 0:
                 raise ParseError("division by a variable term is not allowed", term.col)
             if not right[0]:
                 raise ParseError("division by zero", term.col)
@@ -569,7 +559,7 @@ def to_systems(sentence: Sentence, ctx: FqContext):
             f = _combine(
                 "-", term_pair(atom.left, ring, var_index), term_pair(atom.right, ring, var_index)
             )
-            if _x_free(f[0]):
+            if f[0].x_degree() <= 0:
                 # a nonzero constant = 0 and ~(0 = 0) are false; 0 = 0 and a
                 # nonzero constant != 0 are true
                 if bool(f[0]) != negated:

@@ -70,19 +70,12 @@ def system_dimension(equations, ring, basis=None):
     caller keeps one, a fresh one otherwise.
     """
     eqs = [f for f in equations if f]
-    m = len(_x_indices(ring))
+    m = len(ring.xslots)
     if not eqs:
         return m
     if len(eqs) == 1:
-        tpos = ring.tpos
-        has_x = any(k for e in eqs[0].terms for i, k in enumerate(e) if i != tpos)
-        return m - 1 if has_x else None
+        return m - 1 if eqs[0].x_degree() > 0 else None
     return dimension(buchberger(eqs, ring=ring) if basis is None else basis())
-
-
-def _x_indices(ring):
-    tpos = ring.tpos
-    return [i for i in range(ring.nvars) if i != tpos]
 
 
 def _residuals(equations, point, precision=None):
@@ -116,7 +109,7 @@ class MinorTable:
         self.equations = [f for f in equations if f]
         n = len(self.equations)
         self.ring = self.equations[0].ring if n else None
-        self.xvars = _x_indices(self.ring) if n else []
+        self.xvars = self.ring.xslots if n else ()
         m = len(self.xvars)
         k = None if dim is None else m - dim
         if k is not None and 0 < k <= min(n, m):
@@ -224,12 +217,6 @@ def certify_liftable(equations, point, dim=None, precision=None, exclude_col=Non
     return table.choose(minors, precision)
 
 
-def _col_positions(ring, cols):
-    """Positions of the certificate's bound variables within the x vector."""
-    xvars = _x_indices(ring)
-    return [xvars.index(c) for c in cols]
-
-
 def newton_lift(equations, point, certificate, target, trace=None):
     """Lift the certified point to residual valuations >= target.
 
@@ -259,7 +246,7 @@ def newton_lift(equations, point, certificate, target, trace=None):
             raise CertificateError("empty-minor certificate with nonzero residual")
         return tuple(x.truncate(target) for x in xs)
 
-    col_pos = _col_positions(ring, certificate.cols)
+    col_pos = [ring.xslots.index(c) for c in certificate.cols]
     jac_sub = [[equations[i].partial(c) for c in certificate.cols] for i in rows]
 
     prev_min = None
@@ -342,7 +329,7 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
         return None  # empty locus cannot carry a certified point
     bound = set(certificate.cols)
     ring = equations[0].ring if equations else g.ring
-    xvars = _x_indices(ring)
+    xvars = ring.xslots
     free = [j for j in xvars if j not in bound][: budget.directions]
     if not free:
         return None

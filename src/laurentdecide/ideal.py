@@ -351,13 +351,6 @@ def _quotient(f: MultiPoly, g: MultiPoly):
     return q
 
 
-def _normalize_unit(f: MultiPoly):
-    """Scale so the grevlex leading coefficient is 1 (deterministic rep)."""
-    if not f:
-        return f
-    return f.scale(f.lead_coeff().inv())
-
-
 def _as_x_coeffs(f: MultiPoly, x: int):
     """f as a map degree-in-x -> coefficient MultiPoly (x slot zeroed)."""
     out = {}
@@ -398,7 +391,7 @@ def _gcd_in_x(f: MultiPoly, g: MultiPoly, x: int):
     while True:
         r = _pseudo_remainder(a, b, x)
         if not r:
-            return _normalize_unit(b)
+            return b.monic()
         if r.degree_in(x) == 0:
             return f.ring.one()
         a, b = b, _quotient(r, _content_in(r, x))
@@ -409,9 +402,9 @@ def gcd_multivariate(f: MultiPoly, g: MultiPoly):
     field F_q.  The main variable is the one of least degree in f and g;
     ties go to the higher index."""
     if not f:
-        return _normalize_unit(g)
+        return g.monic()
     if not g:
-        return _normalize_unit(f)
+        return f.monic()
     if f.is_constant() or g.is_constant():
         return f.ring.one()
     vs = set(f.variables()) | set(g.variables())
@@ -422,7 +415,7 @@ def gcd_multivariate(f: MultiPoly, g: MultiPoly):
         return gcd_multivariate(_content_in(f, x), g)
     cf, cg = _content_in(f, x), _content_in(g, x)
     h = _gcd_in_x(_quotient(f, cf), _quotient(g, cg), x)
-    return _normalize_unit(gcd_multivariate(cf, cg) * h)
+    return (gcd_multivariate(cf, cg) * h).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +444,7 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
     for v in f.variables():
         G = gcd_multivariate(G, f.partial(v))
         if G.is_constant():
-            return _normalize_unit(f)
+            return f.monic()
     w = _quotient(f, G)
     c = G
     while True:
@@ -460,12 +453,12 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
             break
         c = _quotient(c, e)
     if c.is_constant():
-        return _normalize_unit(w)
+        return w.monic()
     p = ctx.p
     if any(k % p for e in c.terms for k in e):
         raise RuntimeError("the stripped repeated part must be a p-th power")
     h = MultiPoly(f.ring, {tuple(k // p for k in e): a.pth_root() for e, a in c.terms.items()})
-    return _normalize_unit(w * squarefree_part(h))
+    return (w * squarefree_part(h)).monic()
 
 
 def squarefree_equation(f: MultiPoly) -> MultiPoly:
@@ -491,29 +484,18 @@ def primitive_monic(f: MultiPoly) -> MultiPoly:
     F_q(t)-monic associate of f times the lcm of its denominators, the same
     for every associate of f over F_q(t)."""
     prim = primitive_part(f)
-    tpos = prim.ring.tpos
-
-    def x_part(e):
-        return e[:tpos] + e[tpos + 1 :]
-
-    lead_x = max((x_part(e) for e in prim.terms), key=grevlex_key)
-    lead = max((e for e in prim.terms if x_part(e) == lead_x), key=lambda e: e[tpos])
-    return prim.scale(prim.terms[lead].inv())
+    columns = prim.x_columns()
+    lead = columns[max(columns, key=grevlex_key)]
+    return prim.scale(lead[max(lead)].inv())
 
 
 def t_content(f: MultiPoly) -> MultiPoly:
     """The content of a nonzero f over F_q[X, t]: the gcd in F_q[t] of its
     coefficients as a polynomial in X, with leading coefficient 1; a
     constant when f is primitive."""
-    ring = f.ring
-    tpos = ring.tpos
-    t_coeffs = {}
-    for e, c in f.terms.items():
-        x_part = e[:tpos] + e[tpos + 1 :]
-        t_coeffs.setdefault(x_part, {})[tuple(k if i == tpos else 0 for i, k in enumerate(e))] = c
-    cont = ring.zero()
-    for terms in t_coeffs.values():
-        cont = gcd_multivariate(cont, MultiPoly(ring, terms))
+    cont = f.ring.zero()
+    for column in f.x_columns().values():
+        cont = gcd_multivariate(cont, f.ring.t_poly(column))
         if cont.is_constant():
             break
     return cont

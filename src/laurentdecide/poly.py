@@ -9,6 +9,12 @@ Two coefficient domains share one term representation:
     fractions of univariate polynomials in t), used only inside module
     ideal (see to_rational_coeffs) and in its radical certificates.
 
+This module owns the split of a monomial into its unknowns X and its t
+degree: PolyRing.tpos and PolyRing.xslots name the slots, and
+MultiPoly.x_degree and MultiPoly.x_columns read a polynomial over F_q[X, t]
+as one in X over F_q[t], so other modules need not slice exponents into the
+two.
+
 The term order is graded reverse lexicographic everywhere; the zero
 polynomial is the empty term map.
 """
@@ -16,6 +22,34 @@ polynomial is the empty term map.
 from __future__ import annotations
 
 from .ff import FqContext, FqElem
+
+
+def power(base, k: int, one):
+    """base^k for k >= 0 by repeated squaring, starting from the unit one;
+    the one exponentiation loop of the polynomial and series types."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def t_sum_repr(coeffs):
+    """The sum of c_i*t^i over the nonzero coefficients, low to high; "0"
+    when there is none."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        cs = repr(c)
+        if i == 0:
+            parts.append(cs)
+        else:
+            head = "" if cs == "1" else f"{cs}*"
+            parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
+    return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +131,7 @@ class UniPoly:
         return UniPoly._make(self.ctx, out)
 
     def __pow__(self, k: int):
-        result = UniPoly.const(self.ctx, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, UniPoly.const(self.ctx, 1))
 
     def divmod(self, other):
         self._same_field(other)
@@ -135,19 +162,7 @@ class UniPoly:
         return UniPoly._make(self.ctx, [c * inv for c in self.coeffs])
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = repr(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts)
+        return t_sum_repr(self.coeffs)
 
 
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -236,14 +251,7 @@ class RationalFunction:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = RationalFunction.const(self.ctx, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, RationalFunction.const(self.ctx, 1))
 
     def __repr__(self):
         if self.den.degree() == 0:
@@ -302,7 +310,8 @@ class PolyRing:
     """A polynomial ring descriptor: coefficient field + ordered variable names.
 
     A variable named "t" is the uniformizer slot; rings over F_q(t) must not
-    declare one.
+    declare one.  tpos is the index of the t slot (None without one), and
+    xslots are the indices of the other variables, the unknowns.
     """
 
     def __init__(self, field, names):
@@ -310,18 +319,12 @@ class PolyRing:
         self.names = tuple(names)
         if isinstance(field, RationalFunctionField) and "t" in self.names:
             raise ValueError("t cannot be both a variable and a coefficient")
+        self.tpos = self.names.index("t") if "t" in self.names else None
+        self.xslots = tuple(i for i in range(len(self.names)) if i != self.tpos)
 
     @property
     def nvars(self):
         return len(self.names)
-
-    @property
-    def tpos(self):
-        """Index of the t slot, or None."""
-        try:
-            return self.names.index("t")
-        except ValueError:
-            return None
 
     def __eq__(self, other):
         return (
@@ -355,6 +358,11 @@ class PolyRing:
         e = [0] * self.nvars
         e[i] = 1
         return MultiPoly(self, {tuple(e): self.field.one()})
+
+    def t_poly(self, coeffs: dict):
+        """The polynomial in t alone with coefficient c at t^k, from {k: c}."""
+        tpos, zero = self.tpos, (0,) * self.nvars
+        return self.from_terms({zero[:tpos] + (k,) + zero[tpos + 1 :]: c for k, c in coeffs.items()})
 
     def from_terms(self, terms: dict):
         out = {}
@@ -425,14 +433,7 @@ class MultiPoly:
         return MultiPoly(self.ring, out)
 
     def __pow__(self, k: int):
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.ring.one())
 
     def scale(self, c):
         c = self.ring._coeff(c)
@@ -477,6 +478,23 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(e[i] for e in self.terms)
+
+    def x_degree(self) -> int:
+        """Total degree in the unknowns (every slot but t); -1 for the zero
+        polynomial."""
+        tpos = self.ring.tpos
+        return max((sum(e) - (0 if tpos is None else e[tpos]) for e in self.terms), default=-1)
+
+    def x_columns(self):
+        """The polynomial in the unknowns over F_q[t]: a map from each
+        X-exponent (t slot dropped) to {t-degree: coefficient}, both in the
+        order the terms first show them."""
+        tpos = self.ring.tpos
+        columns = {}
+        for e, c in self.terms.items():
+            x, k = (e, 0) if tpos is None else (e[:tpos] + e[tpos + 1 :], e[tpos])
+            columns.setdefault(x, {})[k] = c
+        return columns
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -620,14 +638,12 @@ def to_rational_coeffs(f: MultiPoly) -> MultiPoly:
     ctx = ring.field
     if not isinstance(ctx, FqContext):
         raise TypeError("to_rational_coeffs takes a polynomial over F_q")
-    tpos = ring.tpos
     zero = ctx.zero()
-    columns = {}
-    for e, c in f.terms.items():
-        x, k = (e, 0) if tpos is None else (e[:tpos] + e[tpos + 1 :], e[tpos])
-        column = columns.setdefault(x, [])
-        column.extend([zero] * (k + 1 - len(column)))
-        column[k] = c
-    names = ring.names if tpos is None else ring.names[:tpos] + ring.names[tpos + 1 :]
-    out = {x: RationalFunction.from_unipoly(UniPoly._make(ctx, cs)) for x, cs in columns.items()}
+    out = {}
+    for x, column in f.x_columns().items():
+        cs = [zero] * (max(column) + 1)
+        for k, c in column.items():
+            cs[k] = c
+        out[x] = RationalFunction.from_unipoly(UniPoly._make(ctx, cs))
+    names = tuple(ring.names[i] for i in ring.xslots)
     return MultiPoly(PolyRing(RationalFunctionField(ctx), names), out)

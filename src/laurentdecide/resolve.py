@@ -158,7 +158,7 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
             det = det_matrix([[jac[i][j] for j in cols] for i in rows], ring.one())
             if det:
                 minors.append(det)
-    if any(all(sum(e) == e[-1] for e in h.terms) for h in minors):
+    if any(h.x_degree() == 0 for h in minors):
         return RegularityReport("regular", dimension=dim)
     gb_locus = buchberger(eqs + minors, ring=ring)
     if gb_locus.contains_one():
@@ -345,16 +345,13 @@ def _normalize(system, trace):
         g = None
         system = AffineSystem(ring, system.equations, g)
 
-    def x_degree(f):
-        return max(sum(e) - e[-1] for e in f.terms)
-
     while True:
         replaced = []
         changed = False
         for f in system.equations:
-            if x_degree(f) > 0:
+            if f.x_degree() > 0:
                 sf = squarefree_equation(f)
-                if x_degree(sf) < x_degree(f):
+                if sf.x_degree() < f.x_degree():
                     changed = True
                     f = sf
             replaced.append(f)

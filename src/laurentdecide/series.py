@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ff import FqContext
-from .poly import MultiPoly
+from .poly import MultiPoly, power, t_sum_repr
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,7 @@ class TruncatedSeries:
         return TruncatedSeries._make(self.ctx, out, n)
 
     def __pow__(self, k: int):
-        result = TruncatedSeries.one(self.ctx, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, TruncatedSeries.one(self.ctx, self.precision))
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if n > self.precision:
@@ -143,18 +136,7 @@ class TruncatedSeries:
         return TruncatedSeries._make(self.ctx, self.coeffs[:n], n)
 
     def __repr__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = repr(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
-        body = " + ".join(parts) if parts else "0"
-        return f"({body} + O(t^{self.precision}))"
+        return f"({t_sum_repr(self.coeffs)} + O(t^{self.precision}))"
 
 
 def valuation(a: TruncatedSeries):

@@ -99,10 +99,9 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     ctx = ring.field
     if not isinstance(ctx, FqContext):
         raise TypeError("weil restriction runs over F_q[t] systems")
-    tpos = ring.tpos
+    tpos, xslots = ring.tpos, ring.xslots
     if tpos is None:
         raise ValueError("system ring must carry the t slot")
-    xslots = [i for i in range(ring.nvars) if i != tpos]
     m = len(xslots)
 
     digit_names = [f"{ring.names[i]}_{k}" for k in range(level) for i in xslots]

@@ -37,6 +37,28 @@ def test_field_spec_parsing():
         parse_field_spec("p=3 bogus=1")
 
 
+@pytest.mark.parametrize("spec", ["p=3 p=5", "p=3 n=1 n=1", "p=2 n=2 modulus=1,1,1 modulus=1,1,1"])
+def test_field_spec_rejects_a_repeated_component(spec):
+    with pytest.raises(ValueError, match="given twice"):
+        parse_field_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, sentence",
+    [
+        # F_5's answer (3 is not a square mod 5) given for F_3, where 3 = 0
+        ("p=3 p=5", "exists X. X*X = 3"),
+        # F_3's answer given for the F_9 that the modulus 1 + x + x^2 defines
+        ("p=3 modulus=1,1,1", "exists X. X*X = 2"),
+    ],
+)
+def test_cli_field_spec_is_not_reinterpreted(spec, sentence, capsys):
+    code = run(["--field", spec, sentence])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert captured.err.startswith("error: "), captured.err
+
+
 def test_budget_parsing():
     b = parse_budget("8x16")
     assert b.directions == 8 and b.depth == 16

@@ -29,6 +29,18 @@ def test_reducible_modulus_rejected():
         FqContext(2, 2, (1, 0, 1))
 
 
+@pytest.mark.parametrize("modulus", [(1, 1, 1), (1, 0, 1), (1,), (1, 2), (2, 0), (0, 3)])
+def test_prime_field_rejects_a_modulus_not_monic_of_degree_1(modulus):
+    # a quadratic modulus over F_3 defines F_9, not F_3: it must not be
+    # dropped silently
+    with pytest.raises(ValueError, match="monic of degree"):
+        FqContext(3, 1, modulus)
+
+
+def test_prime_field_accepts_a_monic_linear_modulus():
+    assert FqContext(3, 1, (2, 1)) is FqContext(3, 1, (5, 4)) is FqContext(3)
+
+
 def test_nonprime_p_rejected():
     with pytest.raises(ValueError):
         FqContext(4)

@@ -1,0 +1,140 @@
+"""Differential test of the X/t split that module poly owns (PolyRing.tpos,
+PolyRing.xslots and PolyRing.t_poly; MultiPoly.x_degree, x_columns and
+monic; ideal.t_content and primitive_monic, which read x_columns) against
+the per-module helpers it replaced, in tests/split_oracle.py.
+
+The polynomials: every equation and inequation that to_systems builds from
+the seeded fuzz sentences and from the criterion-8 corpus, every equation of
+the criterion-1 sweep, and hand cases: the zero polynomial, a polynomial in
+t alone, F_4 coefficients, a ring without a t slot and the ring ("t", "X").
+The oracle helpers that read t as the last slot are handed a copy of the
+polynomial with its t slot moved last, or appended with exponent 0 when its
+ring has none.
+"""
+
+import pytest
+import split_oracle as old
+from test_acceptance import CORPUS as CRITERION_8
+from test_one_equation_answers import _criterion_1_systems, _fuzz_systems
+
+from laurentdecide.ff import FqContext
+from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
+from laurentdecide.ideal import primitive_monic, t_content
+from laurentdecide.poly import MultiPoly, PolyRing, UniPoly
+
+F3 = FqContext(3)
+F4 = FqContext(2, 2)
+F5 = FqContext(5)
+
+
+def _system_polys(systems):
+    for system in systems:
+        yield from system.equations
+        if system.inequation is not None:
+            yield system.inequation
+
+
+def _criterion_8_systems():
+    for _, ctx, text, _ in CRITERION_8:
+        yield from to_systems(eliminate_valuation_atoms(parse(text)), ctx)
+
+
+def _hand_polys():
+    R = PolyRing(F3, ("X", "Y", "t"))
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    yield R.zero()
+    yield t**3 - t + R.const(2)
+    yield t * t * x * y - t * y + t
+    R4 = PolyRing(F4, ("X", "t"))
+    a = R4.const(F4.gen())
+    x4, t4 = R4.var(0), R4.var(1)
+    yield a * t4**2 * x4 + (a + R4.one()) * x4 * x4 + a * t4
+    yield (a * t4 + R4.one()) * (x4 - t4) * (a * t4 * t4 + R4.one())
+    Rt = PolyRing(F5, ("t", "X"))
+    yield Rt.from_terms({(2, 1): 3, (0, 1): 1, (1, 0): 4})
+    yield Rt.from_terms({(1, 2): 2, (3, 0): 1, (3, 1): 4})
+    yield Rt.var(0) ** 2 + Rt.one()
+    yield Rt.zero()
+    R0 = PolyRing(F4, ("X", "Y"))
+    yield R0.from_terms({(1, 1): F4.gen(), (0, 0): 1})
+    yield R0.const(F4.gen())
+    yield R0.zero()
+
+
+SOURCES = {
+    "fuzz": (lambda: _system_polys(_fuzz_systems()), 200),
+    "criterion-8": (lambda: _system_polys(_criterion_8_systems()), 19),
+    "criterion-1": (lambda: _system_polys(_criterion_1_systems()), 120),
+    "hand": (_hand_polys, 12),
+}
+
+
+def _t_last(f):
+    """f with its t slot moved last, or appended with exponent 0."""
+    names = f.ring.names
+    xs = [i for i, name in enumerate(names) if name != "t"]
+    tpos = names.index("t") if "t" in names else None
+    terms = {
+        tuple(e[i] for i in xs) + (0 if tpos is None else e[tpos],): c for e, c in f.terms.items()
+    }
+    return MultiPoly(PolyRing(f.ring.field, [names[i] for i in xs] + ["t"]), terms)
+
+
+def _same(a, b):
+    assert a.ring == b.ring
+    assert list(a.terms.items()) == list(b.terms.items())
+
+
+def check(f):
+    ring = f.ring
+    assert ring.tpos == (ring.names.index("t") if "t" in ring.names else None)
+    assert ring.xslots == tuple(old._x_indices(ring))
+    last = _t_last(f)
+    assert (f.x_degree() <= 0) == old._x_free(last)
+    assert (f.x_degree() > 0) == old.has_x(f)
+    _same(f.monic(), old._normalize_unit(f))
+    if f:
+        assert f.x_degree() == old.x_degree(last)
+        assert (f.x_degree() == 0) == old.unit_minor(last)
+    else:
+        assert f.x_degree() == -1
+        with pytest.raises(ValueError):
+            old.x_degree(last)
+    tpos = ring.tpos
+    rebuilt = [
+        (x if tpos is None else x[:tpos] + (k,) + x[tpos:], c)
+        for x, column in f.x_columns().items()
+        for k, c in column.items()
+    ]
+    assert sorted(rebuilt) == sorted(f.terms.items())
+    if tpos is None:
+        return
+    _same(t_content(f), old.t_content(f))
+    if f:
+        _same(primitive_monic(f), old.primitive_monic(f))
+    else:
+        for monic in (primitive_monic, old.primitive_monic):
+            with pytest.raises(ValueError):
+                monic(f)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_split_matches_the_replaced_helpers(source):
+    polys, least = SOURCES[source]
+    count = 0
+    for f in polys():
+        check(f)
+        count += 1
+    assert count >= least, count
+
+
+def test_t_poly_matches_the_front_end_helper():
+    for ctx in (F3, F4, F5):
+        for names in (("X", "t"), ("X", "Y", "t")):
+            ring = PolyRing(ctx, names)
+            for coeffs in ([], [1], [0, 1], [2, 0, 1], [0, 0, 0, ctx.p - 1]):
+                u = UniPoly(ctx, coeffs)
+                _same(ring.t_poly(dict(enumerate(u.coeffs))), old._t_poly(ring, u))
+    ring = PolyRing(F5, ("t", "X"))
+    t = ring.var(0)
+    assert ring.t_poly({0: 1, 2: 3}) == t * t * ring.const(3) + ring.one()
