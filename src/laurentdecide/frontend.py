@@ -5,11 +5,12 @@ systems, and aggregate the per-system verdicts.
 
 Quantified variables range over the valuation ring F_q[[t]]; constants may be
 arbitrary F_q(t) values, so O(c) for a constant c is a real condition.  The
-positive atom O(s) becomes  exists y: y^2 + y = w*s^2  (solvable exactly when
-w*s^2 has odd positive valuation or is zero, i.e. when s is integral); the
-negative atom uses the inverse trick  exists w', y: w*s*w' = 1 and
-y^2 + y = w*w'^2,  which forces v(s) = -1 - v(w') < 0.  Systems are built
-over F_q[X, t]; F_q(t) appears here only as the type of an explicit constant.
+positive atom O(s) becomes  exists y: y^2 + y = t*s^2  (solvable exactly when
+t*s^2 has odd positive valuation or is zero, i.e. when s is integral); the
+negative atom becomes  exists w: t*s*w = 1,  which holds for some w in
+F_q[[t]] exactly when v(s) = -1 - v(w) < 0, since every unknown is integral.
+Systems are built over F_q[X, t]; F_q(t) appears here only as the type of an
+explicit constant.
 """
 
 from __future__ import annotations
@@ -411,18 +412,17 @@ def _fresh(base, taken, counter):
 
 
 def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
-    """Rewrite O-atoms away.  O(s) gains one fresh Artin-Schreier variable;
-    ~O(s) gains an inverse variable and then one more for the inner O."""
+    """Rewrite O-atoms away, each with one fresh unknown: O(s) as the
+    Artin-Schreier equation y^2 + y = t*s^2, ~O(s) as t*s*w = 1."""
     matrix = nnf(sentence.formula)
     taken = set(sentence.variables) | _UNIFORMIZER_NAMES
     new_vars = list(sentence.variables)
     counters = {"y": 0, "w": 0}
 
-    def artin_schreier(target):
-        name, counters["y"] = _fresh("y", taken, counters["y"])
+    def fresh(base):
+        name, counters[base] = _fresh(base, taken, counters[base])
         new_vars.append(name)
-        y = TVar(name)
-        return Eq(TOp("+", TOp("^", y, TNum(2)), y), target)
+        return TVar(name)
 
     def rewrite(f):
         if isinstance(f, And):
@@ -430,18 +430,14 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
         if isinstance(f, Or):
             return Or(rewrite(f.left), rewrite(f.right))
         if isinstance(f, InRing):
-            # y^2 + y = w * s^2
-            return artin_schreier(TOp("*", TUnif(), TOp("^", f.term, TNum(2))))
+            # y^2 + y = t * s^2
+            y, target = fresh("y"), TOp("*", TUnif(), TOp("^", f.term, TNum(2)))
+            return Eq(TOp("+", TOp("^", y, TNum(2)), y), target)
         if isinstance(f, Not):
             inner = f.inner
             if isinstance(inner, InRing):
-                name, counters["w"] = _fresh("w", taken, counters["w"])
-                new_vars.append(name)
-                winv = TVar(name)
-                # w * s * w' = 1  and  O(w')
-                unit = Eq(TOp("*", TOp("*", TUnif(), inner.term), winv), TNum(1))
-                integral = artin_schreier(TOp("*", TUnif(), TOp("^", winv, TNum(2))))
-                return And(unit, integral)
+                # w ranges over F_q[[t]], so t*s*w = 1 says v(s) <= -1
+                return Eq(TOp("*", TOp("*", TUnif(), inner.term), fresh("w")), TNum(1))
             if isinstance(inner, Eq):
                 return f
             raise AssertionError("negation normal form leaked a compound negation")

@@ -98,9 +98,6 @@ class GroebnerBasis:
     generators: list
     cofactors: list | None = None
 
-    def __iter__(self):
-        return iter(self.generators)
-
     def __len__(self):
         return len(self.generators)
 
@@ -212,20 +209,16 @@ def _interreduce(basis):
         if any(_divides(u.poly.lead_monomial(), lm) for u in minimal):
             continue
         minimal.append(t)
-    # tail-reduce each against the others, iterate to a fixed point
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            if not others:
-                continue
-            red = _tracked_reduce(minimal[idx], others)
-            if red.poly != minimal[idx].poly:
-                changed = True
-            if not red.poly:
-                raise RuntimeError("minimal generator reduced to zero")
-            minimal[idx] = red
+    # tail-reduce each against the others once: no leading term changes, so
+    # a generator stays reduced while the others are reduced after it
+    for idx in range(len(minimal)):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        if not others:
+            continue
+        red = _tracked_reduce(minimal[idx], others)
+        if not red.poly:
+            raise RuntimeError("minimal generator reduced to zero")
+        minimal[idx] = red
     out = []
     for t in minimal:
         inv = t.poly.lead_coeff().inv()
@@ -283,11 +276,10 @@ def _rabinowitsch(gens, g: MultiPoly, base_name: str):
 
 
 def radical_membership(g: MultiPoly, generators, with_certificate=False):
-    """Does g vanish on the zero locus of the generators (over the algebraic
-    closure)?  Rabinowitsch: 1 in (gens) + (1 - Z*g).  The certificate lives
-    over g's ring with Z appended, over F_q(t) for a ring with a t slot."""
-    if isinstance(generators, GroebnerBasis):
-        generators = generators.generators
+    """Does g vanish on the zero locus of the generators (a list; over the
+    algebraic closure)?  Rabinowitsch: 1 in (gens) + (1 - Z*g).  The
+    certificate lives over g's ring with Z appended, over F_q(t) for a ring
+    with a t slot."""
     lifted, aux = _rabinowitsch([_read(f) for f in generators if f], _read(g), "Zrad")
     gb = buchberger(lifted + [aux], track=with_certificate)
     member = gb.contains_one()
@@ -309,14 +301,13 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
 # dimension
 
 
-def dimension(gb: GroebnerBasis, nvars: int | None = None):
+def dimension(gb: GroebnerBasis):
     """Krull dimension of the quotient ring, from the leading-term staircase:
     the largest variable subset S such that no leading monomial is supported
     inside S.  Returns None for the unit ideal (empty locus)."""
     if gb.contains_one():
         return None
-    if nvars is None:
-        nvars = gb.ring.nvars
+    nvars = gb.ring.nvars
     supports = [
         frozenset(i for i, k in enumerate(f.lead_monomial()) if k) for f in gb.generators if f
     ]

@@ -155,11 +155,11 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
+    def scale(self, c):
+        return UniPoly._make(self.ctx, [a * c for a in self.coeffs])
+
     def monic(self):
-        if not self:
-            return self
-        inv = self.coeffs[-1].inv()
-        return UniPoly._make(self.ctx, [c * inv for c in self.coeffs])
+        return self.scale(self.coeffs[-1].inv()) if self else self
 
     def __repr__(self):
         return t_sum_repr(self.coeffs)
@@ -193,8 +193,7 @@ class RationalFunction:
                 num = num // g
                 den = den // g
             lead_inv = den.coeffs[-1].inv()
-            num = UniPoly._make(num.ctx, [c * lead_inv for c in num.coeffs])
-            den = den.monic()
+            num, den = num.scale(lead_inv), den.scale(lead_inv)
         else:
             den = UniPoly.const(den.ctx, 1)
         self.num = num

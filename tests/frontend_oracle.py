@@ -6,21 +6,32 @@ and clear_denominators scales the difference by the lcm of its coefficient
 denominators into F_q[X, t].  The system-file route is the body of
 load_system_file after its lines are parsed.  clear_denominators and uni_lcm
 left the package when its F_q(t) generators did; the copies here also serve
-the fixtures of other tests that write F_q(t) polynomials over F_q[X, t]."""
+the fixtures of other tests that write F_q(t) polynomials over F_q[X, t].
+
+eliminate_valuation_atoms is the O-elimination as it stood when ~O(s) also
+carried the Artin-Schreier conjunct O(w) for its inverse unknown w, copied
+verbatim; tests/test_valuation_encoding.py decides sentences under both."""
 
 from __future__ import annotations
 
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import (
+    _UNIFORMIZER_NAMES,
+    And,
     Eq,
+    InRing,
     Not,
+    Or,
     ParseError,
+    Sentence,
     TConst,
     TNum,
     TOp,
     TUnif,
     TVar,
     _dnf,
+    _fresh,
+    nnf,
 )
 from laurentdecide.poly import (
     MultiPoly,
@@ -169,3 +180,43 @@ def load_system(names, eq_terms, neq_terms, ctx: FqContext) -> AffineSystem:
         for term in terms:
             polys[kind].append(_term_to_poly(term, rring, var_index))
     return affine_system(ring, polys["eq"], polys["neq"])
+
+
+def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
+    """Rewrite O-atoms away.  O(s) gains one fresh Artin-Schreier variable;
+    ~O(s) gains an inverse variable and then one more for the inner O."""
+    matrix = nnf(sentence.formula)
+    taken = set(sentence.variables) | _UNIFORMIZER_NAMES
+    new_vars = list(sentence.variables)
+    counters = {"y": 0, "w": 0}
+
+    def artin_schreier(target):
+        name, counters["y"] = _fresh("y", taken, counters["y"])
+        new_vars.append(name)
+        y = TVar(name)
+        return Eq(TOp("+", TOp("^", y, TNum(2)), y), target)
+
+    def rewrite(f):
+        if isinstance(f, And):
+            return And(rewrite(f.left), rewrite(f.right))
+        if isinstance(f, Or):
+            return Or(rewrite(f.left), rewrite(f.right))
+        if isinstance(f, InRing):
+            # y^2 + y = w * s^2
+            return artin_schreier(TOp("*", TUnif(), TOp("^", f.term, TNum(2))))
+        if isinstance(f, Not):
+            inner = f.inner
+            if isinstance(inner, InRing):
+                name, counters["w"] = _fresh("w", taken, counters["w"])
+                new_vars.append(name)
+                winv = TVar(name)
+                # w * s * w' = 1  and  O(w')
+                unit = Eq(TOp("*", TOp("*", TUnif(), inner.term), winv), TNum(1))
+                integral = artin_schreier(TOp("*", TUnif(), TOp("^", winv, TNum(2))))
+                return And(unit, integral)
+            if isinstance(inner, Eq):
+                return f
+            raise AssertionError("negation normal form leaked a compound negation")
+        return f
+
+    return Sentence(new_vars, rewrite(matrix))

@@ -18,6 +18,8 @@ from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
 
 F3 = FqContext(3)
+# --verify checks evidence against the normalized system, not the input
+TRANSLATION_SKIPPED = "sentence translation and normalization not re-checked"
 
 
 def run_cli(args, capsys):
@@ -140,7 +142,8 @@ def test_cli_verify_reports_skipped_refutation(capsys):
     assert report["status"] == "unsat" and report["refuted_at"] == 8
     assert report["verified"] is True
     assert report["verify_skipped"] == [
-        "refutation level 8 not re-enumerated: 43046721 tuples exceed the cap 65536"
+        "refutation level 8 not re-enumerated: 43046721 tuples exceed the cap 65536",
+        TRANSLATION_SKIPPED,
     ]
     code, out = run_cli(
         ["--field", "p=3", "--verify", "--format", "text", "exists X, Y. X*X + Y*Y = t^5"],
@@ -163,7 +166,20 @@ def test_cli_verify_unknown_checks_nothing(capsys):
 def test_cli_verify_checked_refutation_skips_nothing(capsys):
     code, out = run_cli(["--field", "p=3", "--verify", "exists X. X*X = t"], capsys)
     assert code == 0
-    assert "verify_skipped" not in json.loads(out)
+    assert json.loads(out)["verify_skipped"] == [TRANSLATION_SKIPPED]
+
+
+@pytest.mark.parametrize("equation, status", [("X*X - 1 - t", "sat"), ("X*X - t", "unsat")])
+def test_cli_verify_names_the_unchecked_translation(tmp_path, capsys, equation, status):
+    code, out = run_cli(["--field", "p=3", "--verify", f"exists X. {equation} = 0"], capsys)
+    report = json.loads(out)
+    assert (code, report["status"], report["verify_skipped"]) == (0, status, [TRANSLATION_SKIPPED])
+    path = tmp_path / "one.system"
+    path.write_text(f"vars X\neq {equation}\n", encoding="utf-8")
+    code, out = run_cli(["--field", "p=3", "--verify", "--system-file", str(path)], capsys)
+    report = json.loads(out)
+    assert (code, report["status"]) == (0, status)
+    assert report["verify_skipped"] == ["normalization not re-checked"]
 
 
 def test_cli_verify_names_the_unchecked_blow_up(capsys):
@@ -176,7 +192,7 @@ def test_cli_verify_names_the_unchecked_blow_up(capsys):
     report = json.loads(out)
     assert report["status"] == "unsat" and report["verified"] is True
     assert len(report["disjuncts"][0]["branches"]) == 3
-    assert report["verify_skipped"] == ["blow-up decomposition not re-checked"]
+    assert report["verify_skipped"] == ["blow-up decomposition not re-checked", TRANSLATION_SKIPPED]
 
 
 def _radical_branch(text, ctx):

@@ -4,18 +4,24 @@ monic; ideal.t_content and primitive_monic, which read x_columns) against
 the per-module helpers it replaced, in tests/split_oracle.py.
 
 The polynomials: every equation and inequation that to_systems builds from
-the seeded fuzz sentences and from the criterion-8 corpus, every equation of
-the criterion-1 sweep, and hand cases: the zero polynomial, a polynomial in
-t alone, F_4 coefficients, a ring without a t slot and the ring ("t", "X").
+the seeded fuzz sentences (one seed over F_4 besides those of
+tests/test_fuzz.py), from the criterion-8 corpus and from criterion 4's
+O(c*t^k) / ~O(c*t^k) sweep, every equation of the criterion-1 sweep, and
+hand cases: the zero polynomial, a polynomial in t alone, F_4 coefficients,
+a ring without a t slot and the ring ("t", "X").
 The oracle helpers that read t as the last slot are handed a copy of the
 polynomial with its t slot moved last, or appended with exponent 0 when its
 ring has none.
 """
 
+import random
+
 import pytest
 import split_oracle as old
 from test_acceptance import CORPUS as CRITERION_8
+from test_fuzz import random_sentence
 from test_one_equation_answers import _criterion_1_systems, _fuzz_systems
+from test_valuation_encoding import criterion_4_sentences
 
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
@@ -34,9 +40,18 @@ def _system_polys(systems):
             yield system.inequation
 
 
+def _more_fuzz_systems():
+    yield from _fuzz_systems()
+    rng = random.Random(161803)
+    for _ in range(45):
+        yield from to_systems(eliminate_valuation_atoms(parse(random_sentence(rng))), F4)
+
+
 def _criterion_8_systems():
     for _, ctx, text, _ in CRITERION_8:
         yield from to_systems(eliminate_valuation_atoms(parse(text)), ctx)
+    for ctx, sentence, _ in criterion_4_sentences():
+        yield from to_systems(eliminate_valuation_atoms(sentence), ctx)
 
 
 def _hand_polys():
@@ -62,7 +77,7 @@ def _hand_polys():
 
 
 SOURCES = {
-    "fuzz": (lambda: _system_polys(_fuzz_systems()), 200),
+    "fuzz": (lambda: _system_polys(_more_fuzz_systems()), 200),
     "criterion-8": (lambda: _system_polys(_criterion_8_systems()), 19),
     "criterion-1": (lambda: _system_polys(_criterion_1_systems()), 120),
     "hand": (_hand_polys, 12),
