@@ -70,10 +70,11 @@ def parse_field_spec(text: str) -> FqContext:
 
 def parse_budget(text: str) -> PerturbBudget:
     """Perturbation budget "directions x depth", e.g. "8x16"."""
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"malformed perturb budget {text!r}, expected DxM")
-    budget = PerturbBudget(int(parts[0]), int(parts[1]))
+    try:
+        directions, depth = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"malformed perturb budget {text!r}, expected DxM") from None
+    budget = PerturbBudget(directions, depth)
     if budget.directions < 1 or budget.depth < 1:
         raise ValueError("budgets must be >= 1")
     return budget

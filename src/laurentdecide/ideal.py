@@ -10,8 +10,8 @@ nothing here may round or specialize.  Squarefree parts, contents and gcds
 work over the perfect field F_q with t as one more variable, where every
 polynomial whose partials all vanish is a p-th power.
 
-Buchberger with the sugar selection strategy and the coprime-leading-term
-criterion, reduced bases, normal forms with quotient tracking, Rabinowitsch
+Buchberger with the sugar selection strategy and the Gebauer-Moeller pair
+criteria, reduced bases, normal forms with quotient tracking, Rabinowitsch
 radical membership with explicit cofactor certificates, staircase Krull
 dimension.  One division routine, reduce_poly, serves normal forms,
 quotients, exact division and every reduction inside Buchberger; sugar and
@@ -137,9 +137,12 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
     """Reduced Groebner basis of the given generators (grevlex), over
     F_q(t)[X] when their ring is F_q[X, t].
 
-    Sugar pair selection, coprime-leading-term skip.  With track=True each
-    output generator carries cofactors over the input list; without it no
-    representation is built at all.
+    Sugar pair selection; the Gebauer-Moeller criteria (Gebauer & Moeller,
+    J. Symb. Comput. 6, 1988) drop pairs whose S-polynomial would reduce to
+    zero.  With track=True each output generator carries cofactors over the
+    input list; without it no representation is built at all.  The reduced
+    basis is unique, but its cofactors depend on which pairs are reduced,
+    and in what order.
     """
     gens = [_read(f) for f in generators]
     if ring is None:
@@ -152,46 +155,63 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
     zero = ring.zero()
 
     basis = []
+    lms = []  # leading monomial of each basis element
+    active = []  # the elements whose leading monomial no later one divides
+    live = {}  # pending pair (i, j) -> lcm; a pruned pair leaves only here
     pairs = []
 
-    def add_pairs(j):
-        for i in range(j):
-            lm_i = basis[i].poly.lead_monomial()
-            lm_j = basis[j].poly.lead_monomial()
-            lcm = _mono_lcm(lm_i, lm_j)
-            if lcm == tuple(a + b for a, b in zip(lm_i, lm_j)):
+    def add(t):
+        """Append t to the basis and update the pairs by the Gebauer-Moeller
+        criteria (Becker & Weispfenning, GTM 141, 5.5, UPDATE)."""
+        h, lm_h = len(basis), t.poly.lead_monomial()
+        basis.append(t)
+        lms.append(lm_h)
+        new = [(_mono_lcm(lms[g], lm_h), g) for g in active]
+        kept = []
+        for k, (lcm, g) in enumerate(new):
+            coprime = lcm == tuple(a + b for a, b in zip(lms[g], lm_h))
+            # M and F: another new lcm divides this one (the last of an equal
+            # group stays, a coprime pair stands for its group)
+            rest = [m for m, _, _ in kept] + [m for m, _ in new[k + 1 :]]
+            if coprime or not any(_divides(m, lcm) for m in rest):
+                kept.append((lcm, g, coprime))
+        for (i, j), lcm in list(live.items()):  # B: h chains i to j
+            if _divides(lm_h, lcm) and _mono_lcm(lms[i], lm_h) != lcm != _mono_lcm(lms[j], lm_h):
+                del live[i, j]
+        for lcm, g, coprime in kept:
+            if coprime:
                 continue  # coprime leading terms: S-poly reduces to zero
             sugar = max(
-                basis[i].sugar + sum(_mono_sub(lcm, lm_i)),
-                basis[j].sugar + sum(_mono_sub(lcm, lm_j)),
+                basis[g].sugar + sum(_mono_sub(lcm, lms[g])),
+                t.sugar + sum(_mono_sub(lcm, lm_h)),
             )
-            heapq.heappush(pairs, (sugar, grevlex_key(lcm), i, j))
+            live[g, h] = lcm
+            heapq.heappush(pairs, (sugar, grevlex_key(lcm), g, h))
+        active[:] = [g for g in active if not _divides(lm_h, lms[g])] + [h]
 
     for i, g in enumerate(gens):
         if not g:
             continue
         rep = [one if k == i else zero for k in range(len(gens))] if track else None
-        basis.append(_Tracked(g, rep, g.total_degree()))
-        add_pairs(len(basis) - 1)
+        add(_Tracked(g, rep, g.total_degree()))
 
     while pairs:
         sugar, _, i, j = heapq.heappop(pairs)
+        lcm = live.pop((i, j), None)
+        if lcm is None:
+            continue
         fi, fj = basis[i], basis[j]
-        lm_i = fi.poly.lead_monomial()
-        lm_j = fj.poly.lead_monomial()
-        lcm = _mono_lcm(lm_i, lm_j)
         ci = fi.poly.lead_coeff().inv()
         cj = fj.poly.lead_coeff().inv()
-        si = _mono_sub(lcm, lm_i)
-        sj = _mono_sub(lcm, lm_j)
+        si = _mono_sub(lcm, lms[i])
+        sj = _mono_sub(lcm, lms[j])
         s = fi.poly.mul_term(si, ci) - fj.poly.mul_term(sj, cj)
         rep = None
         if track:
             rep = [a.mul_term(si, ci) - b.mul_term(sj, cj) for a, b in zip(fi.rep, fj.rep)]
         cand = _tracked_reduce(_Tracked(s, rep, sugar), basis)
         if cand.poly:
-            basis.append(cand)
-            add_pairs(len(basis) - 1)
+            add(cand)
 
     reduced = _interreduce(basis)
     cof = [t.rep for t in reduced] if track else None

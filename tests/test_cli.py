@@ -369,6 +369,17 @@ def test_cli_rejects_non_positive_perturb_budget(capsys, budget):
     assert "budgets must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("budget", ["8x", "x8", "ax8", "8", "8x8x8"])
+def test_cli_rejects_malformed_perturb_budget(capsys, budget):
+    message = f"malformed perturb budget {budget!r}, expected DxM"
+    with pytest.raises(ValueError) as err:
+        parse_budget(budget)
+    assert str(err.value) == message
+    code = run(["--field", "p=3", f"--perturb-budget={budget}", "exists X. X = t"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_cli_verifies_t_content_beside_a_cube(capsys):
     # t*X^3*(Y^2 - t) over F_3: the squarefree part X*(Y^2 - t) has the
     # liftable point X = 0, Y = 1

@@ -9,6 +9,9 @@ For `buchberger`: `resolve` (system bases and the regularity check),
 membership).  For `certify_liftable`: `truncation` (candidates of the digit
 search and their Newton lifts), `hensel` (perturbed points) and `resolve`
 (witnesses lifted for an inequation and mapped back from blow-up charts).
+For `_tracked_reduce`: `ideal`, the reductions inside Buchberger, one per
+S-polynomial its pair criteria leave and one per generator of a basis
+interreduced.
 """
 
 import json
@@ -16,6 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from make_decision_golden import fuzz_corpus
 from test_acceptance import CORPUS as CRITERION_8
 
 from laurentdecide import hensel, ideal, resolve, truncation
@@ -27,6 +31,7 @@ BOUNDS = json.loads((Path(__file__).parent / "data" / "work_counts.json").read_t
 SITES = {
     "buchberger": {"resolve": resolve, "hensel": hensel, "ideal": ideal},
     "certify_liftable": {"truncation": truncation, "hensel": hensel, "resolve": resolve},
+    "_tracked_reduce": {"ideal": ideal},
 }
 
 F2, F3, F5, F7 = FqContext(2), FqContext(3), FqContext(5), FqContext(7)
@@ -53,6 +58,9 @@ INEQUATIONS = [
 ]
 CORPORA = {
     "criterion-8": [(ctx, text, None) for _, ctx, text, _ in CRITERION_8],
+    # the sentences of test_fuzz_sentences_f3 and _f2
+    "fuzz": [(ctx, text, config) for label, ctx, text, config in fuzz_corpus()
+             if not label.startswith("fuzz-31415")],
     "norm-refute": [(FqContext(p), f"exists X, Y. X*X - {a}*Y*Y = 1*t^{k}", None)
                     for p, a, k in NORM_SHAPES],
     "inequations": [(ctx, f"exists X, Y, Z. {form} = t*Z*Z & ~(Z = 0)",
@@ -94,3 +102,7 @@ def test_buchberger_calls_stay_within_their_bounds(work):
 
 def test_certify_liftable_calls_stay_within_their_bounds(work):
     _over_bounds(work, "certify_liftable")
+
+
+def test_buchberger_reductions_stay_within_their_bounds(work):
+    _over_bounds(work, "_tracked_reduce")
