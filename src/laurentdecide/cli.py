@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 
 from .ff import FqContext
@@ -42,6 +43,15 @@ VERIFY_TUPLE_CAP = 1 << 16
 BLOWUP_SKIPPED = "blow-up decomposition not re-checked"
 
 
+def ascii_int(text: str, what: str = "integer") -> int:
+    """The integer that text writes in ASCII digits 0-9 after an optional
+    minus sign, and nothing else: int() alone also reads "_" separators, a
+    plus sign, surrounding blanks and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"malformed {what} {text!r}, expected ASCII digits 0-9")
+    return int(text)
+
+
 def parse_field_spec(text: str) -> FqContext:
     """Field spec string: "p=<p> n=<n> [modulus=<coeffs low-to-high>]"."""
     p = None
@@ -56,11 +66,11 @@ def parse_field_spec(text: str) -> FqContext:
             raise ValueError(f"field component {key!r} given twice")
         seen.add(key)
         if key == "p":
-            p = int(value)
+            p = ascii_int(value, "p")
         elif key == "n":
-            n = int(value)
+            n = ascii_int(value, "n")
         elif key == "modulus":
-            modulus = tuple(int(c) for c in value.split(","))
+            modulus = tuple(ascii_int(c, "modulus coefficient") for c in value.split(","))
         else:
             raise ValueError(f"unknown field component {key!r}")
     if p is None:
@@ -71,7 +81,7 @@ def parse_field_spec(text: str) -> FqContext:
 def parse_budget(text: str) -> PerturbBudget:
     """Perturbation budget "directions x depth", e.g. "8x16"."""
     try:
-        directions, depth = (int(part) for part in text.lower().split("x"))
+        directions, depth = (ascii_int(part) for part in text.lower().split("x"))
     except ValueError:
         raise ValueError(f"malformed perturb budget {text!r}, expected DxM") from None
     budget = PerturbBudget(directions, depth)
@@ -280,11 +290,11 @@ def build_arg_parser():
     ap.add_argument("--field", default="p=2", help='field spec, e.g. "p=3" or "p=2 n=2 modulus=1,1,1"')
     ap.add_argument("--sentence", dest="sentence_opt", help="sentence text")
     ap.add_argument("--system-file", help="path to a system file (vars/eq/neq lines)")
-    ap.add_argument("--max-precision", type=int, default=64)
+    ap.add_argument("--max-precision", type=ascii_int, default=64)
     ap.add_argument("--perturb-budget", default="8x16", help="directions x depth, e.g. 8x16")
-    ap.add_argument("--candidate-cap", type=int, default=256)
+    ap.add_argument("--candidate-cap", type=ascii_int, default=256)
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument("--threads", type=int, default=1, help="worker count (reserved; execution is deterministic)")
+    ap.add_argument("--threads", type=ascii_int, default=1, help="worker count (reserved; execution is deterministic)")
     ap.add_argument("--verify", action="store_true", help="re-check the verdict's evidence with the engine's own routines")
     ap.add_argument("--trace", action="store_true", help="include the decision trace")
     return ap

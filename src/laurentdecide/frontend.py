@@ -4,11 +4,13 @@ existential definition, normalize to a disjunction of equation-plus-inequation
 systems, and aggregate the per-system verdicts.
 
 Quantified variables range over the valuation ring F_q[[t]]; constants may be
-arbitrary F_q(t) values, so O(c) for a constant c is a real condition.  The
-positive atom O(s) becomes  exists y: y^2 + y = t*s^2  (solvable exactly when
-t*s^2 has odd positive valuation or is zero, i.e. when s is integral); the
-negative atom becomes  exists w: t*s*w = 1,  which holds for some w in
-F_q[[t]] exactly when v(s) = -1 - v(w) < 0, since every unknown is integral.
+arbitrary F_q(t) values, so O(c) for a constant c is a real condition.  Every
+unknown is integral, so each O-atom needs one fresh unknown and one equation:
+the positive atom O(s) becomes  exists y: y = s,  which holds exactly when s
+is integral; the negative atom becomes  exists w: t*s*w = 1,  which holds for
+some w in F_q[[t]] exactly when v(s) = -1 - v(w) < 0.  The paper's
+Artin-Schreier form  y^2 + y = t*s^2  is needed only where unknowns range
+over all of F_q((t)).
 Systems are built over F_q[X, t]; F_q(t) appears here only as the type of an
 explicit constant.
 """
@@ -412,8 +414,10 @@ def _fresh(base, taken, counter):
 
 
 def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
-    """Rewrite O-atoms away, each with one fresh unknown: O(s) as the
-    Artin-Schreier equation y^2 + y = t*s^2, ~O(s) as t*s*w = 1."""
+    """Rewrite O-atoms away, each with one fresh unknown: O(s) as the linear
+    equation y = s, ~O(s) as t*s*w = 1.  Both are sound because y and w
+    range over F_q[[t]]: with s = N/d, d*y = N has an integral solution
+    exactly when N/d is integral."""
     matrix = nnf(sentence.formula)
     taken = set(sentence.variables) | _UNIFORMIZER_NAMES
     new_vars = list(sentence.variables)
@@ -430,9 +434,8 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
         if isinstance(f, Or):
             return Or(rewrite(f.left), rewrite(f.right))
         if isinstance(f, InRing):
-            # y^2 + y = t * s^2
-            y, target = fresh("y"), TOp("*", TUnif(), TOp("^", f.term, TNum(2)))
-            return Eq(TOp("+", TOp("^", y, TNum(2)), y), target)
+            # y ranges over F_q[[t]], so y = s says v(s) >= 0
+            return Eq(fresh("y"), f.term)
         if isinstance(f, Not):
             inner = f.inner
             if isinstance(inner, InRing):

@@ -8,9 +8,10 @@ load_system_file after its lines are parsed.  clear_denominators and uni_lcm
 left the package when its F_q(t) generators did; the copies here also serve
 the fixtures of other tests that write F_q(t) polynomials over F_q[X, t].
 
-eliminate_valuation_atoms is the O-elimination as it stood when ~O(s) also
-carried the Artin-Schreier conjunct O(w) for its inverse unknown w, copied
-verbatim; tests/test_valuation_encoding.py decides sentences under both."""
+eliminate_valuation_atoms is the O-elimination as it stood when O(s) was
+the Artin-Schreier equation y^2 + y = t*s^2 in its fresh unknown y, copied
+verbatim; tests/test_valuation_encoding.py decides sentences under both, and
+tests/test_ideal.py captures Groebner inputs under it."""
 
 from __future__ import annotations
 
@@ -183,18 +184,17 @@ def load_system(names, eq_terms, neq_terms, ctx: FqContext) -> AffineSystem:
 
 
 def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
-    """Rewrite O-atoms away.  O(s) gains one fresh Artin-Schreier variable;
-    ~O(s) gains an inverse variable and then one more for the inner O."""
+    """Rewrite O-atoms away, each with one fresh unknown: O(s) as the
+    Artin-Schreier equation y^2 + y = t*s^2, ~O(s) as t*s*w = 1."""
     matrix = nnf(sentence.formula)
     taken = set(sentence.variables) | _UNIFORMIZER_NAMES
     new_vars = list(sentence.variables)
     counters = {"y": 0, "w": 0}
 
-    def artin_schreier(target):
-        name, counters["y"] = _fresh("y", taken, counters["y"])
+    def fresh(base):
+        name, counters[base] = _fresh(base, taken, counters[base])
         new_vars.append(name)
-        y = TVar(name)
-        return Eq(TOp("+", TOp("^", y, TNum(2)), y), target)
+        return TVar(name)
 
     def rewrite(f):
         if isinstance(f, And):
@@ -202,18 +202,14 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
         if isinstance(f, Or):
             return Or(rewrite(f.left), rewrite(f.right))
         if isinstance(f, InRing):
-            # y^2 + y = w * s^2
-            return artin_schreier(TOp("*", TUnif(), TOp("^", f.term, TNum(2))))
+            # y^2 + y = t * s^2
+            y, target = fresh("y"), TOp("*", TUnif(), TOp("^", f.term, TNum(2)))
+            return Eq(TOp("+", TOp("^", y, TNum(2)), y), target)
         if isinstance(f, Not):
             inner = f.inner
             if isinstance(inner, InRing):
-                name, counters["w"] = _fresh("w", taken, counters["w"])
-                new_vars.append(name)
-                winv = TVar(name)
-                # w * s * w' = 1  and  O(w')
-                unit = Eq(TOp("*", TOp("*", TUnif(), inner.term), winv), TNum(1))
-                integral = artin_schreier(TOp("*", TUnif(), TOp("^", winv, TNum(2))))
-                return And(unit, integral)
+                # w ranges over F_q[[t]], so t*s*w = 1 says v(s) <= -1
+                return Eq(TOp("*", TOp("*", TUnif(), inner.term), fresh("w")), TNum(1))
             if isinstance(inner, Eq):
                 return f
             raise AssertionError("negation normal form leaked a compound negation")

@@ -369,7 +369,7 @@ def test_cli_rejects_non_positive_perturb_budget(capsys, budget):
     assert "budgets must be >= 1" in captured.err
 
 
-@pytest.mark.parametrize("budget", ["8x", "x8", "ax8", "8", "8x8x8"])
+@pytest.mark.parametrize("budget", ["8x", "x8", "ax8", "8", "8x8x8", "1_6x8", "\uff18x16", "8x+16", " 8x16"])
 def test_cli_rejects_malformed_perturb_budget(capsys, budget):
     message = f"malformed perturb budget {budget!r}, expected DxM"
     with pytest.raises(ValueError) as err:
@@ -378,6 +378,37 @@ def test_cli_rejects_malformed_perturb_budget(capsys, budget):
     code = run(["--field", "p=3", f"--perturb-budget={budget}", "exists X. X = t"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+# int() would read each of these: a digit separator, a plus sign, blanks
+# and a full-width digit
+@pytest.mark.parametrize(
+    "spec, what, value",
+    [
+        ("p=\uff13", "p", "\uff13"),
+        ("p=1_1", "p", "1_1"),
+        ("p=2 n=+2 modulus=1,1,1", "n", "+2"),
+        ("p=2 n=2 modulus=1,1,+1", "modulus coefficient", "+1"),
+    ],
+)
+def test_field_spec_takes_ascii_digits_only(spec, what, value, capsys):
+    message = f"malformed {what} {value!r}, expected ASCII digits 0-9"
+    with pytest.raises(ValueError) as err:
+        parse_field_spec(spec)
+    assert str(err.value) == message
+    code = run(["--field", spec, "exists X. X = t"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--max-precision", "--candidate-cap", "--threads"])
+@pytest.mark.parametrize("value", ["1_6", "+8", " 8", "\uff18"])
+def test_cli_integer_flags_take_ascii_digits_only(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["--field", "p=3", f"{flag}={value}", "exists X. X = t"])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"argument {flag}: invalid ascii_int value: {value!r}\n")
 
 
 def test_cli_verifies_t_content_beside_a_cube(capsys):

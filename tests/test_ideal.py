@@ -521,12 +521,15 @@ def _resolve_loci():
     """(generators, ring) of every call of resolve.buchberger while deciding
     the criterion-8 corpus and the seeded sentences of test_fuzz_sentences_f3
     and _f2: system bases and the singular loci (equations plus Jacobian
-    minors) of the regularity check, over F_q[X, t]."""
+    minors) of the regularity check, over F_q[X, t].  A sentence with an
+    O atom is decided twice, the second time under the Artin-Schreier
+    encoding of frontend_oracle, whose quadratic equations give larger loci."""
+    import frontend_oracle
     from make_decision_golden import fuzz_corpus
     from test_acceptance import CORPUS
 
-    from laurentdecide import resolve
-    from laurentdecide.frontend import decide
+    from laurentdecide import frontend, resolve
+    from laurentdecide.frontend import decide, eliminate_valuation_atoms, parse
 
     calls = []
 
@@ -537,9 +540,16 @@ def _resolve_loci():
     sentences = [(ctx, text, None) for _, ctx, text, _ in CORPUS]
     sentences += [(ctx, text, config) for label, ctx, text, config in fuzz_corpus()
                   if not label.startswith("fuzz-31415")]
+    encoded_apart = [(ctx, text, config) for ctx, text, config in sentences
+                     if frontend_oracle.eliminate_valuation_atoms(parse(text))
+                     != eliminate_valuation_atoms(parse(text))]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolve, "buchberger", capture)
         for ctx, text, config in sentences:
+            decide(text, ctx, config)
+        patch.setattr(frontend, "eliminate_valuation_atoms",
+                      frontend_oracle.eliminate_valuation_atoms)
+        for ctx, text, config in encoded_apart:
             decide(text, ctx, config)
     return calls
 

@@ -1,14 +1,15 @@
-"""Differential test of the O-elimination: ~O(s) as the single equation
-t*s*w = 1 in one fresh unknown w, against the encoding it replaced,
-t*s*w = 1 and O(w), in tests/frontend_oracle.py.  Every unknown ranges over
-F_q[[t]], so w is integral without the O(w) conjunct, and t*s*w = 1 has an
-integral solution w exactly when v(s) <= -1.
+"""Differential test of the O-elimination: O(s) as the linear equation y = s
+in one fresh unknown y, against the encoding it replaced, the Artin-Schreier
+equation y^2 + y = t*s^2, in tests/frontend_oracle.py.  Every unknown ranges
+over F_q[[t]], so with s = N/d the equation d*y = N has a solution exactly
+when s is integral.  ~O(s) stays t*s*w = 1 under both.
 
 The sentences: criterion 4's O(c*t^k) / ~O(c*t^k) sweep, the criterion-8
-corpus, the seeded fuzz sentences, and hand cases ~O(0), ~O(1/t), ~O(X),
-~O(X/t), ~O(1/(1 + t)) and O(X) & ~O(X*X/t) over F_2, F_3 and F_4.
-decide must give the same status, reason and refutation level under both
-encodings; a sentence with no ~O atom must be rewritten identically.
+corpus, the seeded fuzz sentences, and hand cases O(0), O(1/t), O(3/t) (zero
+over F_3), O(1/(1 + t)), O(X/t), O(a*X/t) & ~(X = 0) for a generator a of F_4, and
+O(X) & ~O(X*X/t), over F_2, F_3 and F_4.  decide must give the same status,
+reason and refutation level under both encodings; a sentence with no
+positive O atom must be rewritten identically.
 """
 
 import random
@@ -45,13 +46,23 @@ F4 = FqContext(2, 2)
 FUZZ_CONFIG = RunConfig(max_precision=16, candidate_cap=64)
 
 HAND = [
-    "~O(0)",
-    "~O(1/t)",
-    "exists X. ~O(X)",
-    "exists X. ~O(X/t)",
-    "~O(1/(1 + t))",
+    "O(0)",
+    "O(1/t)",
+    "O(3/t)",
+    "O(1/(1 + t))",
+    "exists X. O(X/t)",
     "exists X. O(X) & ~O(X*X/t)",
+    "~O(1/t)",
 ]
+
+
+def _f4_coefficient():
+    """exists X. O(a*X/t) & ~(X = 0) for a generator a of F_4: a constant no
+    integer literal can write."""
+    a = F4.gen()
+    a_over_t = RationalFunction(UniPoly(F4, [a]), UniPoly(F4, [0, 1]))
+    x = TVar("X")
+    return Sentence(["X"], And(InRing(TOp("*", TConst(a_over_t), x)), Not(Eq(x, TNum(0)))))
 
 
 def criterion_4_sentences():
@@ -77,11 +88,18 @@ def _fuzz_sentences():
             yield ctx, parse(random_sentence(rng)), FUZZ_CONFIG
 
 
+def _hand_sentences():
+    for ctx in (F2, F3, F4):
+        for text in HAND:
+            yield ctx, parse(text), None
+    yield F4, _f4_coefficient(), None
+
+
 SOURCES = {
     "criterion-4": criterion_4_sentences,
     "criterion-8": lambda: ((ctx, parse(text), None) for _, ctx, text, _ in CRITERION_8),
     "fuzz": _fuzz_sentences,
-    "hand": lambda: ((ctx, parse(text), None) for ctx in (F2, F3, F4) for text in HAND),
+    "hand": _hand_sentences,
 }
 
 
@@ -98,12 +116,8 @@ def _decide(encode, sentence, ctx, config, monkeypatch):
     return v.status, v.reason, v.refuted_at
 
 
-def _is_negated_atom(f):
-    return isinstance(f, Not) and isinstance(f.inner, InRing)
-
-
 @pytest.mark.parametrize("source", SOURCES)
-def test_one_unknown_and_one_equation_per_negated_atom(source):
+def test_one_unknown_and_one_equation_per_atom(source):
     for _, sentence, _ in SOURCES[source]():
         before = _leaves(nnf(sentence.formula))
         eliminated = eliminate_valuation_atoms(sentence)
@@ -111,28 +125,25 @@ def test_one_unknown_and_one_equation_per_negated_atom(source):
         fresh = iter(eliminated.variables[len(sentence.variables):])
         assert len(after) == len(before)
         for f, g in zip(before, after):
-            if _is_negated_atom(f):
+            if isinstance(f, Not) and isinstance(f.inner, InRing):
                 w = TVar(next(fresh))
                 assert g == Eq(TOp("*", TOp("*", TUnif(), f.inner.term), w), TNum(1))
             elif isinstance(f, InRing):
-                y = TVar(next(fresh))
-                square = TOp("*", TUnif(), TOp("^", f.term, TNum(2)))
-                assert g == Eq(TOp("+", TOp("^", y, TNum(2)), y), square)
+                assert g == Eq(TVar(next(fresh)), f.term)
             else:
                 assert g == f
         assert next(fresh, None) is None
-        # the replaced encoding paid one more unknown and equation per ~O atom
+        # the replaced encoding had the same unknowns and leaves
         replaced = old.eliminate_valuation_atoms(sentence)
-        extra = sum(map(_is_negated_atom, before))
-        assert len(replaced.variables) == len(eliminated.variables) + extra
-        assert len(_leaves(replaced.formula)) == len(after) + extra
+        assert replaced.variables == eliminated.variables
+        assert len(_leaves(replaced.formula)) == len(after)
 
 
 @pytest.mark.parametrize("source", SOURCES)
 def test_both_encodings_decide_alike(source, monkeypatch):
     decided = 0
     for ctx, sentence, config in SOURCES[source]():
-        if not any(map(_is_negated_atom, _leaves(nnf(sentence.formula)))):
+        if not any(isinstance(f, InRing) for f in _leaves(nnf(sentence.formula))):
             assert eliminate_valuation_atoms(sentence) == old.eliminate_valuation_atoms(sentence)
             continue
         new = _decide(eliminate_valuation_atoms, sentence, ctx, config, monkeypatch)
