@@ -49,7 +49,6 @@ from .resolve import (
 )
 from .series import AtLeast, TruncatedSeries, evaluate, invert_unit, valuation
 from .truncation import (
-    PrecisionSchedule,
     WeilRestriction,
     decide_positive,
     solve_finite,
@@ -72,7 +71,6 @@ __all__ = [
     "ParseError",
     "PerturbBudget",
     "PolyRing",
-    "PrecisionSchedule",
     "RadicalCertificate",
     "RationalFunction",
     "RationalFunctionField",

@@ -290,9 +290,11 @@ def build_arg_parser():
     ap.add_argument("--field", default="p=2", help='field spec, e.g. "p=3" or "p=2 n=2 modulus=1,1,1"')
     ap.add_argument("--sentence", dest="sentence_opt", help="sentence text")
     ap.add_argument("--system-file", help="path to a system file (vars/eq/neq lines)")
-    ap.add_argument("--max-precision", type=ascii_int, default=64)
-    ap.add_argument("--perturb-budget", default="8x16", help="directions x depth, e.g. 8x16")
-    ap.add_argument("--candidate-cap", type=ascii_int, default=256)
+    defaults = RunConfig()
+    budget = defaults.perturb_budget
+    ap.add_argument("--max-precision", type=ascii_int, default=defaults.max_precision)
+    ap.add_argument("--perturb-budget", default=f"{budget.directions}x{budget.depth}", help="directions x depth, e.g. 8x16")
+    ap.add_argument("--candidate-cap", type=ascii_int, default=defaults.candidate_cap)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--threads", type=ascii_int, default=1, help="worker count (reserved; execution is deterministic)")
     ap.add_argument("--verify", action="store_true", help="re-check the verdict's evidence with the engine's own routines")

@@ -78,16 +78,6 @@ def system_dimension(equations, ring, basis=None):
     return dimension(buchberger(eqs, ring=ring) if basis is None else basis())
 
 
-def _residuals(equations, point, precision=None):
-    if not equations:
-        return []
-    ring = equations[0].ring
-    if precision is None:
-        precision = point[0].precision
-    at = point_table(ring, point, precision)
-    return [at(f) for f in equations]
-
-
 class MinorTable:
     """The point-independent half of certify_liftable for one system.
 
@@ -228,23 +218,21 @@ def newton_lift(equations, point, certificate, target, trace=None):
     """
     equations = [f for f in equations if f]
     if not equations:
-        ctx = point[0].ctx if point else None
-        if ctx is None:
-            return ()
-        return tuple(_extend(x, target) for x in point)
+        # exact: the stored representatives are polynomials
+        return tuple(TruncatedSeries(x.ctx, x.coeffs, target) for x in point)
     ring = equations[0].ring
-    ctx = point[0].ctx
     e = certificate.e
     rows = list(certificate.rows)
     k = len(rows)
     work_prec = max(target, certificate.precision) + e + 1
-    xs = [_extend(x, work_prec) for x in point]
+    xs = [TruncatedSeries(x.ctx, x.coeffs, work_prec) for x in point]
 
     if k == 0:
-        res = _residuals(equations, [x.truncate(target) for x in xs])
-        if not all(val_ge(valuation(r), target) for r in res):
+        xs = [x.truncate(target) for x in xs]
+        at = point_table(ring, xs, target)
+        if not all(val_ge(valuation(at(f)), target) for f in equations):
             raise CertificateError("empty-minor certificate with nonzero residual")
-        return tuple(x.truncate(target) for x in xs)
+        return tuple(xs)
 
     col_pos = [ring.xslots.index(c) for c in certificate.cols]
     jac_sub = [[equations[i].partial(c) for c in certificate.cols] for i in rows]
@@ -283,25 +271,8 @@ def newton_lift(equations, point, certificate, target, trace=None):
                 raise CertificateError("Cramer numerator below minor valuation")
             deltas.append(shift_right(num, e) * unit_inv)
         for idx, dpos in enumerate(col_pos):
-            xs[dpos] = _add_exact(xs[dpos], deltas[idx], work_prec)
+            xs[dpos] = xs[dpos] + TruncatedSeries(ring.field, deltas[idx].coeffs, work_prec)
     raise CertificateError("Newton budget exhausted before reaching target")
-
-
-def _extend(x: TruncatedSeries, precision):
-    """Zero-extend the stored representative to a higher working precision
-    (the representative is an exact polynomial, so this is exact)."""
-    if precision <= x.precision:
-        return x.truncate(precision)
-    return TruncatedSeries(x.ctx, list(x.coeffs), precision)
-
-
-def _add_exact(x: TruncatedSeries, delta: TruncatedSeries, precision):
-    coeffs = list(x.coeffs[:precision])
-    coeffs += [x.ctx.zero()] * (precision - len(coeffs))
-    for i, c in enumerate(delta.coeffs):
-        if i < precision:
-            coeffs[i] = coeffs[i] + c
-    return TruncatedSeries(x.ctx, coeffs, precision)
 
 
 def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=None):
@@ -344,7 +315,7 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
         for j in free:
             for c in nonzero_scalars:
                 xs = [
-                    _bump(x, mm, c) if xvars[i] == j else x
+                    x + TruncatedSeries(x.ctx, [0] * mm + [c], x.precision) if xvars[i] == j else x
                     for i, x in enumerate(point)
                 ]
                 if not equations:
@@ -352,8 +323,9 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
                         return tuple(xs), certificate
                     continue
                 # residual valuations never exceed the precision
+                at = point_table(ring, xs, precision)
                 floor = min(
-                    (v if val_exact(v) else v.n) for v in map(valuation, _residuals(equations, xs))
+                    (v if val_exact(v) else v.n) for v in map(valuation, map(at, equations))
                 )
                 if floor < 1:
                     continue
@@ -375,9 +347,3 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
                     if final is not None:
                         return tuple(lifted), final
     return None
-
-
-def _bump(x: TruncatedSeries, mm: int, c):
-    coeffs = list(x.coeffs)
-    coeffs[mm] = coeffs[mm] + c
-    return TruncatedSeries(x.ctx, coeffs, x.precision)

@@ -36,6 +36,12 @@ def power(base, k: int, one):
     return result
 
 
+def _factor_repr(cs):
+    """A coefficient's repr cs as a factor of a product: parenthesized when
+    it is a sum or a fraction."""
+    return f"({cs})" if "+" in cs or "/" in cs else cs
+
+
 def t_sum_repr(coeffs):
     """The sum of c_i*t^i over the nonzero coefficients, low to high; "0"
     when there is none."""
@@ -47,7 +53,7 @@ def t_sum_repr(coeffs):
         if i == 0:
             parts.append(cs)
         else:
-            head = "" if cs == "1" else f"{cs}*"
+            head = "" if cs == "1" else f"{_factor_repr(cs)}*"
             parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
     return " + ".join(parts) if parts else "0"
 
@@ -588,9 +594,9 @@ class MultiPoly:
                 if k:
                     factors.append(self.ring.names[i] + (f"^{k}" if k > 1 else ""))
             if not factors:
-                parts.append(cs if "/" not in cs and "+" not in cs else f"({cs})")
+                parts.append(_factor_repr(cs))
             else:
-                head = "" if cs == "1" else (cs if "/" not in cs and "+" not in cs and " " not in cs else f"({cs})") + "*"
+                head = "" if cs == "1" else _factor_repr(cs) + "*"
                 parts.append(head + "*".join(factors))
         return " + ".join(parts)
 

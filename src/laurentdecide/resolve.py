@@ -37,7 +37,6 @@ from itertools import combinations
 from .ff import FqContext
 from .hensel import (
     CertificateError,
-    PerturbBudget,
     certify_liftable,
     newton_lift,
     smooth_perturb,
@@ -54,19 +53,8 @@ from .ideal import (
 )
 from .poly import MultiPoly, PolyRing, det_matrix, jacobian
 from .series import point_table, val_exact, valuation_at
-from .truncation import PrecisionSchedule, decide_positive
+from .truncation import RunConfig, decide_positive
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Budgets for one decision run."""
-
-    max_precision: int = 64
-    perturb_budget: PerturbBudget = PerturbBudget()
-    candidate_cap: int = 256
-    max_blowups: int = 16
-    search_budget: int = 2_000_000  # digit-search nodes per truncation level
 
 
 @dataclass(frozen=True)
@@ -329,8 +317,8 @@ def decide_existential(
 
 
 def _normalize(system, trace):
-    """Drop a nonzero constant inequation and replace each equation that has
-    an X variable by its squarefree part over F_q[X, t] with the F_q[t]
+    """Drop a nonzero constant inequation and replace each equation of
+    X-degree two or more by its squarefree part over F_q[X, t] with the F_q[t]
     content divided out (zero sets over F_q((t)) unchanged), when that lowers
     its total X-degree; when two or more equations have a principal reduced
     basis the system IS a hypersurface in disguise (e.g. {X, X*Y}), and their
@@ -349,7 +337,8 @@ def _normalize(system, trace):
         replaced = []
         changed = False
         for f in system.equations:
-            if f.x_degree() > 0:
+            # X-degree adds up over factors: an X-linear equation keeps its own
+            if f.x_degree() > 1:
                 sf = squarefree_equation(f)
                 if sf.x_degree() < f.x_degree():
                     changed = True
@@ -434,9 +423,7 @@ def _decide_by_truncation(system, config, trace):
         def accept(witness):
             return val_exact(valuation_at(g, witness))
 
-    schedule = PrecisionSchedule(config.max_precision)
-    pos = decide_positive(system.equations, system.ring, schedule, config.candidate_cap,
-                          trace, config.search_budget, accept, system.dim)
+    pos = decide_positive(system.equations, system.ring, config, trace, accept, system.dim)
     if not pos.is_sat or g is None:
         return pos
     gval = valuation_at(g, pos.witness)

@@ -16,23 +16,28 @@ from dataclasses import dataclass
 from operator import add
 
 from .ff import FqContext
-from .hensel import CertificateError, MinorTable, certify_liftable, newton_lift, system_dimension
+from .hensel import (
+    CertificateError,
+    MinorTable,
+    PerturbBudget,
+    certify_liftable,
+    newton_lift,
+    system_dimension,
+)
 from .poly import MultiPoly, PolyRing
 from .series import TruncatedSeries
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
 
 @dataclass(frozen=True)
-class PrecisionSchedule:
-    """Truncation levels 1, 2, 4, ... up to the precision budget."""
+class RunConfig:
+    """Budgets for one decision run."""
 
-    max_precision: int = 64
-
-    def levels(self):
-        n = 1
-        while n <= self.max_precision:
-            yield n
-            n *= 2
+    max_precision: int = 64  # truncation levels run 1, 2, 4, ... up to this
+    perturb_budget: PerturbBudget = PerturbBudget()
+    candidate_cap: int = 256  # certification attempts per level
+    max_blowups: int = 16
+    search_budget: int = 2_000_000  # digit-search nodes per truncation level
 
 
 @dataclass
@@ -246,19 +251,18 @@ def solve_finite(system, ring: PolyRing):
 def decide_positive(
     equations,
     ring: PolyRing,
-    schedule: PrecisionSchedule | None = None,
-    candidate_cap: int = 256,
+    config: RunConfig | None = None,
     trace: list | None = None,
-    search_budget: int | None = 2_000_000,
     accept=None,
     dim=None,
 ) -> Verdict:
     """Decide a pure equation system (no inequation) over F_q[[t]].
 
-    UNSAT(N) as soon as some scheduled truncation level N has no mod-t^N
-    solution; SAT once a restricted solution certifies and its Newton lift to
-    doubled precision confirms; UNKNOWN when the schedule runs out (or the
-    digit search at some level outgrows the node budget).
+    Truncation levels N = 1, 2, 4, ... up to config.max_precision: UNSAT(N)
+    as soon as level N has no mod-t^N solution; SAT once one of the first
+    config.candidate_cap solutions of a level certifies and its Newton lift to
+    doubled precision confirms; UNKNOWN when the levels run out (or the digit
+    search at some level outgrows config.search_budget nodes).
 
     An optional accept(witness) predicate lets the caller prefer certified
     witnesses with an extra property (an inequation holding, say): candidates
@@ -270,8 +274,8 @@ def decide_positive(
     already has it; None computes it.  Every certification of the call shares
     one MinorTable of the equations.
     """
-    if schedule is None:
-        schedule = PrecisionSchedule()
+    if config is None:
+        config = RunConfig()
     if trace is None:
         trace = []
     eqs = [f for f in equations if f]
@@ -280,7 +284,8 @@ def decide_positive(
     table = MinorTable(eqs, dim)
     blocked_by_budget = False
     fallback = None
-    for level in schedule.levels():
+    level = 1
+    while level <= config.max_precision:
         restriction = weil_restrict(eqs, ring, level)
         trace.append(
             f"level {level}: {len(restriction.restricted)} restricted equations, "
@@ -290,23 +295,23 @@ def decide_positive(
         tried = 0
         try:
             for assignment in iter_solutions(
-                restriction.restricted, restriction.ring, search_budget
+                restriction.restricted, restriction.ring, config.search_budget
             ):
                 found_any = True
                 tried += 1
-                if tried > candidate_cap:
-                    trace.append(f"level {level}: candidate cap {candidate_cap} reached")
+                if tried > config.candidate_cap:
+                    trace.append(f"level {level}: candidate cap {config.candidate_cap} reached")
                     break
                 point = restriction.point(assignment)
                 cert = certify_liftable(eqs, list(point), dim, precision=level, table=table)
                 if cert is None:
                     continue
                 target = 2 * max(level, cert.e + 1)
-                if target > schedule.max_precision:
+                if target > config.max_precision:
                     blocked_by_budget = True
                     trace.append(
                         f"level {level}: certificate found but confirmation precision "
-                        f"{target} exceeds budget {schedule.max_precision}"
+                        f"{target} exceeds budget {config.max_precision}"
                     )
                     continue
                 try:
@@ -333,10 +338,10 @@ def decide_positive(
         if not found_any:
             trace.append(f"level {level}: restricted system unsolvable")
             return Verdict(UNSAT, refuted_at=level, trace=trace)
+        level *= 2
     if fallback is not None:
         trace.append("no accepted witness; returning the first certified one")
         return fallback
-    reason = "precision-exhausted"
-    trace.append(f"schedule exhausted at max precision {schedule.max_precision}"
+    trace.append(f"schedule exhausted at max precision {config.max_precision}"
                  + (" with unconfirmed certificates" if blocked_by_budget else ""))
-    return Verdict(UNKNOWN, reason=reason, trace=trace)
+    return Verdict(UNKNOWN, reason="precision-exhausted", trace=trace)

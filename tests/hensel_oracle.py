@@ -2,16 +2,21 @@
 certification routine as it stood before the minor table, copied verbatim.
 Every call rebuilds the Jacobian, evaluates every entry at the point, takes
 every minor determinant, and re-runs the saturation guard for the minors it
-tries."""
+tries.
+
+Below it, copied verbatim as well, are the private series helpers of
+newton_lift and smooth_perturb that the TruncatedSeries constructor replaced,
+and the precision schedule whose doubling loop moved into decide_positive."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from laurentdecide.hensel import HenselCertificate, system_dimension
 from laurentdecide.ideal import _rabinowitsch, buchberger, normal_form
 from laurentdecide.poly import det_matrix, jacobian, to_rational_coeffs
-from laurentdecide.series import point_table, val_exact, val_ge, valuation
+from laurentdecide.series import TruncatedSeries, point_table, val_exact, val_ge, valuation
 
 
 def _x_indices(ring):
@@ -107,3 +112,39 @@ def certify_liftable(equations, point, dim=None, precision=None, exclude_col=Non
     if not n_prec > 2 * e:
         return None
     return HenselCertificate(rows, tuple(cols), e, n_prec)
+
+
+def _extend(x: TruncatedSeries, precision):
+    """Zero-extend the stored representative to a higher working precision
+    (the representative is an exact polynomial, so this is exact)."""
+    if precision <= x.precision:
+        return x.truncate(precision)
+    return TruncatedSeries(x.ctx, list(x.coeffs), precision)
+
+
+def _add_exact(x: TruncatedSeries, delta: TruncatedSeries, precision):
+    coeffs = list(x.coeffs[:precision])
+    coeffs += [x.ctx.zero()] * (precision - len(coeffs))
+    for i, c in enumerate(delta.coeffs):
+        if i < precision:
+            coeffs[i] = coeffs[i] + c
+    return TruncatedSeries(x.ctx, coeffs, precision)
+
+
+def _bump(x: TruncatedSeries, mm: int, c):
+    coeffs = list(x.coeffs)
+    coeffs[mm] = coeffs[mm] + c
+    return TruncatedSeries(x.ctx, coeffs, x.precision)
+
+
+@dataclass(frozen=True)
+class PrecisionSchedule:
+    """Truncation levels 1, 2, 4, ... up to the precision budget."""
+
+    max_precision: int = 64
+
+    def levels(self):
+        n = 1
+        while n <= self.max_precision:
+            yield n
+            n *= 2

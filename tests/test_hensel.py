@@ -26,7 +26,7 @@ from laurentdecide.series import (
     val_ge,
     valuation,
 )
-from laurentdecide.truncation import PrecisionSchedule, decide_positive
+from laurentdecide.truncation import RunConfig, decide_positive
 
 F3 = FqContext(3)
 
@@ -274,7 +274,7 @@ def test_minor_table_matches_oracle_on_criterion_1_sweep(monkeypatch):
             systems += [_random_system(rng, ctx, m) for _ in range(22)]
         systems.append(_saturation_system())
         for ring, eqs in systems:
-            decide_positive(eqs, ring, PrecisionSchedule(4), candidate_cap=32)
+            decide_positive(eqs, ring, RunConfig(max_precision=4, candidate_cap=32))
     assert sum(cert is not None for _, cert in seen) >= 20
     assert sum(cert is None for _, cert in seen) >= 20
 
@@ -324,13 +324,13 @@ def test_minor_table_lives_for_one_decide_positive_call(monkeypatch):
 
     monkeypatch.setattr(hensel, "buchberger", counted_buchberger)
     monkeypatch.setattr(hensel.MinorTable, "saturated", counted_saturated)
-    schedule = PrecisionSchedule(8)
-    decide_positive(eqs, R, schedule, dim=dim)
+    config = RunConfig(max_precision=8)
+    decide_positive(eqs, R, config, dim=dim)
     # one saturation Groebner basis per (rows, cols), however many
     # candidates reach the guard
     assert calls["guard"] > 2 * 2
     assert calls["buchberger"] == 2
-    decide_positive(eqs, R, schedule, dim=dim)
+    decide_positive(eqs, R, config, dim=dim)
     assert calls["buchberger"] == 4
 
 
@@ -486,3 +486,30 @@ def test_certify_rejects_a_precision_the_point_does_not_have(precision):
     with pytest.raises(ValueError, match=f"precision {precision} .* precision 4"):
         certify_liftable(eqs, point, precision=precision)
     assert certify_liftable(eqs, point, precision=4) == certify_liftable(eqs, point)
+
+
+# ---------------------------------------------------------------------------
+# the series that newton_lift and smooth_perturb build with the TruncatedSeries
+# constructor, against the private helpers it replaced (hensel_oracle)
+
+
+@pytest.mark.parametrize("ctx", [F3, FqContext(2, 2)], ids=repr)
+def test_series_constructor_matches_the_deleted_helpers(ctx):
+    rng = random.Random(19)
+    elems = list(ctx.elements())
+
+    def series(n):
+        return S(ctx, [rng.choice(elems) for _ in range(n)], n)
+
+    for n in range(1, 7):
+        for p in range(1, 10):  # the precision shrinks, stays or grows
+            x = series(n)
+            assert TruncatedSeries(ctx, x.coeffs, p) == hensel_oracle._extend(x, p)
+            for d in range(1, 12):  # deltas shorter and longer than p
+                delta = series(d)
+                lifted = TruncatedSeries(ctx, x.coeffs, p) + TruncatedSeries(ctx, delta.coeffs, p)
+                assert lifted == hensel_oracle._add_exact(x, delta, p)
+        x = series(n)
+        for mm in range(n):  # the last digit included
+            c = rng.choice(elems[1:])
+            assert x + S(ctx, [0] * mm + [c], n) == hensel_oracle._bump(x, mm, c)

@@ -1,14 +1,18 @@
 """The command-line examples of README.md, run through cli.run: every
 indented `decide ...` line of the "Command line" section must print, as
-parsed JSON, what the lines under it show once joined."""
+parsed JSON, what the lines under it show once joined.  The budget defaults
+its flag list gives must be those of RunConfig and PerturbBudget."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from laurentdecide.cli import run
+from laurentdecide.cli import build_arg_parser, parse_budget, run
+from laurentdecide.hensel import PerturbBudget
+from laurentdecide.resolve import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +41,22 @@ def test_readme_example_prints_what_the_cli_prints(command, printed, capsys):
     code = run(shlex.split(command)[1:])
     assert json.loads(capsys.readouterr().out) == json.loads(printed)
     assert code == 0
+
+
+def _documented_default(flag):
+    """The "(default ...)" value of flag's bullet in the flag list."""
+    text = README.read_text(encoding="utf-8")
+    found = re.search(rf"^\* `{flag}[^`]*` \(default `?([^)`]+)`?\)", text, re.MULTILINE)
+    assert found, flag
+    return found[1]
+
+
+def test_the_documented_budget_defaults_are_the_engine_defaults():
+    config, budget = RunConfig(), PerturbBudget()
+    assert config.perturb_budget == budget
+    assert _documented_default("--max-precision") == str(config.max_precision)
+    assert _documented_default("--candidate-cap") == str(config.candidate_cap)
+    assert _documented_default("--perturb-budget") == f"{budget.directions}x{budget.depth}"
+    args = build_arg_parser().parse_args([])
+    assert (args.max_precision, args.candidate_cap) == (config.max_precision, config.candidate_cap)
+    assert parse_budget(args.perturb_budget) == budget

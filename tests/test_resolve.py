@@ -465,6 +465,23 @@ def test_decide_squarefree_normalization():
     assert any("squarefree" in line for line in v.trace)
 
 
+def test_normalization_takes_no_squarefree_part_of_an_x_linear_equation(monkeypatch):
+    # X-degree adds up over factors, so an equation of X-degree 1 (t*X - t^2*Y
+    # with its t content, say) has no repeated factor that could lower it
+    calls = []
+    real = resolve.squarefree_equation
+    monkeypatch.setattr(resolve, "squarefree_equation", lambda f: calls.append(f) or real(f))
+    R = tring(F3, "X", "Y")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    linear = [t * x - t * t * y, x + y - t]
+    v = decide_existential(AffineSystem(R, linear))
+    assert v.is_sat and v.system.equations == linear
+    assert calls == []
+    parabola = y * y - x - R.one()
+    v = decide_existential(AffineSystem(R, [linear[0], parabola]))
+    assert v.is_sat and calls == [parabola]
+
+
 def test_decide_t_content_beside_a_cube_char3():
     # t*X^3*(Y^2 - t) over F_3 normalizes to X*(Y^2 - t): the point X = 0,
     # Y = 1 is smooth on it and meets Y != 0

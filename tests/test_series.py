@@ -153,6 +153,17 @@ def test_shift_right():
         shift_right(S(F3, [1, 0, 0], 3), 1)
 
 
+def test_a_coefficient_that_is_a_sum_prints_in_parentheses():
+    # over F_4 the digit 1 + a is a sum: its product with t^i needs brackets,
+    # as MultiPoly's coefficients get them
+    F4 = FqContext(2, 2)
+    digit = F4.one() + F4.gen()
+    assert repr(S(F4, [0, digit], 2)) == "((1 + a)*t + O(t^2))"
+    assert repr(UniPoly(F4, [1, digit])) == "1 + (1 + a)*t"
+    R = PolyRing(F4, ("X",))
+    assert repr(R.const(digit) * R.var(0)) == "(1 + a)*X"
+
+
 # -- polynomial evaluation at series points ------------------------------------
 
 

@@ -1,11 +1,13 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import hensel_oracle
 import pytest
 
 import laurentdecide
@@ -14,7 +16,7 @@ from laurentdecide.frontend import decide
 from laurentdecide.poly import MultiPoly, PolyRing
 from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
 from laurentdecide.truncation import (
-    PrecisionSchedule,
+    RunConfig,
     SearchBudgetExceeded,
     WeilRestriction,
     decide_positive,
@@ -185,7 +187,7 @@ def test_decide_positive_unknown_on_tight_budget():
     # certificate exists at N=1 but the confirming lift needs precision 2
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v = decide_positive([f], R, PrecisionSchedule(max_precision=1))
+    v = decide_positive([f], R, RunConfig(max_precision=1))
     assert v.is_unknown and v.reason == "precision-exhausted"
 
 
@@ -210,6 +212,19 @@ def test_unsat_monotone_in_level():
         assert solve_finite(w.restricted, w.ring) is None
 
 
+@pytest.mark.parametrize("max_precision", [1, 6, 8, 64])
+def test_decide_positive_visits_the_levels_of_the_old_schedule(max_precision):
+    # X^2 = 0 is solvable at every level, and no point certifies: its
+    # Jacobian 2X never has exact valuation below half the precision
+    R = tring(F3, "X")
+    f = R.from_terms({(2, 0): 1})
+    trace = []
+    v = decide_positive([f], R, RunConfig(max_precision=max_precision), trace)
+    assert v.is_unknown and v.reason == "precision-exhausted"
+    visited = [int(m[1]) for m in map(re.compile(r"level (\d+): \d+ restricted").match, trace) if m]
+    assert visited == list(hensel_oracle.PrecisionSchedule(max_precision).levels())
+
+
 def test_search_budget_turns_explosion_into_unknown():
     import pytest
 
@@ -221,18 +236,18 @@ def test_search_budget_turns_explosion_into_unknown():
     with pytest.raises(SearchBudgetExceeded):
         w = weil_restrict([f], R, 4)
         list(iter_solutions(w.restricted, w.ring, node_budget=10))
-    v = decide_positive([f], R, PrecisionSchedule(max_precision=8), search_budget=10)
+    v = decide_positive([f], R, RunConfig(max_precision=8, search_budget=10))
     assert v.is_unknown and v.reason == "search-budget-exhausted"
     # the exhaustive default still decides it (e = 3 needs confirmation at 16)
-    v2 = decide_positive([f], R, PrecisionSchedule(max_precision=16))
+    v2 = decide_positive([f], R, RunConfig(max_precision=16))
     assert v2.is_sat
 
 
 def test_sat_never_regresses_with_finer_schedule():
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v1 = decide_positive([f], R, PrecisionSchedule(max_precision=4))
-    v2 = decide_positive([f], R, PrecisionSchedule(max_precision=64))
+    v1 = decide_positive([f], R, RunConfig(max_precision=4))
+    v2 = decide_positive([f], R, RunConfig(max_precision=64))
     assert v1.is_sat and v2.is_sat
     e = v1.certificate.e
     n = min(v1.witness[0].precision, v2.witness[0].precision) - e
@@ -283,7 +298,7 @@ def test_digit_major_search_refutes_within_small_budget():
     # hundred nodes; the x-major order needs tens of thousands.
     R = tring(F3, "X", "Y")
     f = R.from_terms({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 5): -1})
-    v = decide_positive([f], R, search_budget=1_000)
+    v = decide_positive([f], R, RunConfig(search_budget=1_000))
     assert v.is_unsat and v.refuted_at == 8
     old = _xmajor_weil_restrict([f], R, 8)
     with pytest.raises(SearchBudgetExceeded):
