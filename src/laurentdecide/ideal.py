@@ -2,24 +2,26 @@
 
 The engine meets F_q(t) here only.  The Groebner routines (buchberger,
 normal_form, radical_membership, and dimension through their bases) read a
-ring with a t slot, F_q[X, t], as F_q[t][X]: each input polynomial is
-converted to F_q(t)[X] once at entry, and bases, normal forms and radical
-certificates are over F_q(t).  Its coefficients are exact rational
-functions: the Jacobian criterion is unreliable over imperfect fields, so
-nothing here may round or specialize.  Squarefree parts, contents and gcds
-work over the perfect field F_q with t as one more variable, where every
-polynomial whose partials all vanish is a p-th power.
+ring with a t slot, F_q[X, t], as F_q[t][X], and their bases, normal forms
+and radical certificates are over F_q(t).  Its coefficients are exact
+rational functions: the Jacobian criterion is unreliable over imperfect
+fields, so nothing here may round or specialize.  Squarefree parts,
+contents and gcds work over the perfect field F_q with t as one more
+variable, where every polynomial whose partials all vanish is a p-th power.
 
 Buchberger with the sugar selection strategy and the Gebauer-Moeller pair
 criteria, reduced bases, normal forms with quotient tracking, Rabinowitsch
 radical membership with explicit cofactor certificates, staircase Krull
-dimension.  One division routine, reduce_poly, serves normal forms,
-quotients, exact division and every reduction inside Buchberger; sugar and
-cofactors are read off its quotients.  Buchberger keeps representation
-vectors over the input generators only under track=True, which only
-certified radical membership asks for.  Radical membership and the
-saturation guard of the Hensel layer share one Rabinowitsch construction,
-_rabinowitsch.
+dimension.  Buchberger works fraction-free over F_q[t][X], reading its input
+straight off the t slot: its one reduction, _tracked_reduce, scales by
+leading coefficients instead of dividing, and F_q(t) enters only when the
+finished basis is made monic.  reduce_poly, the division over a field,
+serves normal forms (over F_q(t), each input converted once by _read) and
+exact division over F_q.  Buchberger keeps representation vectors over the
+input generators only under track=True, which only certified radical
+membership asks for.  Radical membership and the saturation guard of the
+Hensel layer share one Rabinowitsch construction, _rabinowitsch, with the
+fresh variable after t.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ff import FqContext
-from .poly import MultiPoly, PolyRing, grevlex_key, to_rational_coeffs
+from .poly import (
+    MultiPoly,
+    PolyRing,
+    RationalFunction,
+    UniPoly,
+    grevlex_key,
+    to_rational_coeffs,
+    uni_gcd,
+)
 
 
 def _divides(a, b):
@@ -45,8 +55,8 @@ def _mono_lcm(a, b):
 
 
 def _read(f: MultiPoly):
-    """f as the Groebner routines read it: over F_q(t)[X] when its ring has
-    a t slot, as it stands otherwise."""
+    """f over F_q(t)[X] when its ring has a t slot, as it stands otherwise:
+    the polynomials normal_form divides and radical certificates hold."""
     return f if f.ring.tpos is None else to_rational_coeffs(f)
 
 
@@ -106,36 +116,143 @@ class GroebnerBasis:
 
 
 class _Tracked:
-    """A working polynomial with its sugar and, when tracking, its
-    representation over the input generators (None otherwise)."""
+    """A working polynomial over F_q[t] in the unknowns, {X-exponent:
+    UniPoly}, with its leading monomial (None while unknown), its sugar and,
+    when tracking, its representation over the input generators with
+    coefficients in the basis's field (None otherwise)."""
 
-    __slots__ = ("poly", "rep", "sugar")
+    __slots__ = ("poly", "lm", "rep", "sugar")
 
-    def __init__(self, poly, rep, sugar):
+    def __init__(self, poly, rep, sugar, lm=None):
         self.poly = poly
+        self.lm = lm
         self.rep = rep
         self.sugar = sugar
 
 
+def _lead(poly):
+    """The leading X-monomial of a nonzero polynomial over F_q[t]."""
+    return max(poly, key=grevlex_key)
+
+
+def _is_one(u: UniPoly) -> bool:
+    return len(u.coeffs) == 1 and u.coeffs[0].code == 1
+
+
+def _sub_shifted(work, poly, shift, b):
+    """work -= b * x^shift * poly over F_q[t], in place."""
+    for e, c in poly.items():
+        e = tuple(x + y for x, y in zip(e, shift))
+        d = c * b
+        w = work.get(e)
+        if w is None:
+            work[e] = -d
+        else:
+            w = w - d
+            if w:
+                work[e] = w
+            else:
+                del work[e]
+
+
+def _scalar(field, num, den=None):
+    """num / den (den = 1 when None) for num and den over F_q[t], in field:
+    F_q(t), or F_q when both are constants (a ring without a t slot)."""
+    if isinstance(field, FqContext):
+        c = num.coeffs[0]
+        return c if den is None else c * den.coeffs[0].inv()
+    return RationalFunction.from_unipoly(num) if den is None else RationalFunction(num, den)
+
+
+def _polynomial_coeffs(f: MultiPoly):
+    """(F, D): F = D * f over F_q[t] in the unknowns, as {X-exponent:
+    UniPoly}.  Over F_q, D = 1 and the t slot, wherever it is, gives the
+    coefficients; over F_q(t), D is the lcm of the denominators."""
+    field = f.ring.field
+    if isinstance(field, FqContext):
+        return f.x_coefficients(), UniPoly.const(field, 1)
+    D = UniPoly.const(field.ctx, 1)
+    for c in f.terms.values():
+        D = D * (c.den // uni_gcd(D, c.den))
+    return {e: c.num * (D // c.den) for e, c in f.terms.items()}, D
+
+
+def _primitive(poly, lm):
+    """(poly / d, d) for a nonzero poly over F_q[t] with leading monomial
+    lm: d is its content times the unit that makes the quotient's leading
+    coefficient monic in t."""
+    cont = UniPoly(poly[lm].ctx, [])
+    for c in sorted(poly.values(), key=lambda c: len(c.coeffs)):
+        cont = uni_gcd(cont, c)
+        if len(cont.coeffs) == 1:
+            break
+    d = cont.scale(poly[lm].coeffs[-1])
+    return (poly if _is_one(d) else {e: c // d for e, c in poly.items()}), d
+
+
 def _tracked_reduce(f: _Tracked, basis):
-    """Reduce f.poly by basis (list of _Tracked); the sugar and the
-    representation follow from the quotients."""
-    r, quotients = reduce_poly(f.poly, [g.poly for g in basis], with_quotients=True)
-    used = [(g, q) for g, q in zip(basis, quotients) if q]
-    sugar = max([f.sugar] + [g.sugar + q.total_degree() for g, q in used])
+    """Reduce f.poly by basis (list of _Tracked) without fractions, then
+    divide out the content of the remainder.
+
+    The steps are reduce_poly's, each scaled: the leading reducible term
+    c*x^m, against the first g whose leading term lc*x^lm divides it, is
+    cleared by r <- (lc/h)*r - (c/h)*x^(m-lm)*g with h = gcd(c, lc), where r
+    holds the terms already set aside too.  So every intermediate, and the
+    result, is an F_q(t)-multiple of reduce_poly's; the sugar and the
+    representation follow the steps."""
+    work = dict(f.poly)
+    rest = {}
     rep = f.rep
-    if rep is not None:
-        rep = list(rep)
-        for g, q in used:
-            for k, gk in enumerate(g.rep):
-                if gk:
-                    rep[k] = rep[k] - gk * q
-    return _Tracked(r, rep, sugar)
+    sugar = f.sugar
+    while work:
+        m = _lead(work)
+        c = work[m]
+        for g in basis:
+            if _divides(g.lm, m):
+                break
+        else:
+            rest[m] = work.pop(m)
+            continue
+        lc = g.poly[g.lm]
+        h = uni_gcd(c, lc)
+        a, b = (lc, c) if len(h.coeffs) == 1 else (lc // h, c // h)
+        scaled = not _is_one(a)
+        if scaled:
+            work = {e: v * a for e, v in work.items()}
+            rest = {e: v * a for e, v in rest.items()}
+        shift = _mono_sub(m, g.lm)
+        _sub_shifted(work, g.poly, shift, b)
+        sugar = max(sugar, g.sugar + sum(shift))
+        if rep is not None:
+            field = rep[0].ring.field
+            if scaled:
+                rep = [r.scale(_scalar(field, a)) for r in rep]
+            b = _scalar(field, b)
+            rep = [r - gr.mul_term(shift, b) if gr else r for r, gr in zip(rep, g.rep)]
+    if not rest:
+        return _Tracked(rest, rep, sugar)
+    lm = _lead(rest)
+    poly, d = _primitive(rest, lm)
+    if rep is not None and not _is_one(d):
+        field = rep[0].ring.field
+        inv = _scalar(field, UniPoly.const(d.ctx, 1), d)
+        rep = [r.scale(inv) for r in rep]
+    return _Tracked(poly, rep, sugar, lm)
 
 
 def buchberger(generators, ring: PolyRing | None = None, track: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the given generators (grevlex), over
-    F_q(t)[X] when their ring is F_q[X, t].
+    F_q(t)[X] when their ring is F_q[X, t] (the t slot anywhere) or F_q(t)[X],
+    over F_q[X] when it has no t slot.
+
+    The loop works fraction-free over F_q[t][X]: each basis element is
+    primitive, with a leading coefficient monic in t, read straight off the
+    t slot (an input over F_q(t) has its denominators cleared); the
+    S-polynomial of f_i and f_j is (lc_j/h)*x^s_i*f_i - (lc_i/h)*x^s_j*f_j
+    with h = gcd(lc_i, lc_j), and _tracked_reduce reduces it the same way.
+    Every intermediate is an F_q(t)-multiple of the one a loop over F_q(t)
+    would hold, so making the final basis monic gives that loop's basis, and
+    scaling the representations alike gives its cofactors.
 
     Sugar pair selection; the Gebauer-Moeller criteria (Gebauer & Moeller,
     J. Symb. Comput. 6, 1988) drop pairs whose S-polynomial would reduce to
@@ -144,14 +261,13 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
     basis is unique, but its cofactors depend on which pairs are reduced,
     and in what order.
     """
-    gens = [_read(f) for f in generators]
+    gens = list(generators)
     if ring is None:
         if not gens:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = gens[0].ring
-    elif ring.tpos is not None:
-        ring = to_rational_coeffs(ring.zero()).ring
-    one = ring.one()
+    if ring.tpos is not None:
+        ring = ring.fractions()
     zero = ring.zero()
 
     basis = []
@@ -163,7 +279,7 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
     def add(t):
         """Append t to the basis and update the pairs by the Gebauer-Moeller
         criteria (Becker & Weispfenning, GTM 141, 5.5, UPDATE)."""
-        h, lm_h = len(basis), t.poly.lead_monomial()
+        h, lm_h = len(basis), t.lm
         basis.append(t)
         lms.append(lm_h)
         new = [(_mono_lcm(lms[g], lm_h), g) for g in active]
@@ -192,8 +308,14 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
     for i, g in enumerate(gens):
         if not g:
             continue
-        rep = [one if k == i else zero for k in range(len(gens))] if track else None
-        add(_Tracked(g, rep, g.total_degree()))
+        poly, D = _polynomial_coeffs(g)
+        lm = _lead(poly)
+        poly, d = _primitive(poly, lm)
+        rep = None
+        if track:
+            rep = [zero] * len(gens)
+            rep[i] = ring.const(_scalar(ring.field, D, d))
+        add(_Tracked(poly, rep, max(sum(e) for e in poly), lm))
 
     while pairs:
         sugar, _, i, j = heapq.heappop(pairs)
@@ -201,32 +323,34 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
         if lcm is None:
             continue
         fi, fj = basis[i], basis[j]
-        ci = fi.poly.lead_coeff().inv()
-        cj = fj.poly.lead_coeff().inv()
+        li, lj = fi.poly[lms[i]], fj.poly[lms[j]]
+        h = uni_gcd(li, lj)
+        ai, aj = (lj, li) if len(h.coeffs) == 1 else (lj // h, li // h)
         si = _mono_sub(lcm, lms[i])
         sj = _mono_sub(lcm, lms[j])
-        s = fi.poly.mul_term(si, ci) - fj.poly.mul_term(sj, cj)
+        s = {tuple(x + y for x, y in zip(e, si)): c * ai for e, c in fi.poly.items()}
+        _sub_shifted(s, fj.poly, sj, aj)
         rep = None
         if track:
+            ci, cj = _scalar(ring.field, ai), _scalar(ring.field, aj)
             rep = [a.mul_term(si, ci) - b.mul_term(sj, cj) for a, b in zip(fi.rep, fj.rep)]
         cand = _tracked_reduce(_Tracked(s, rep, sugar), basis)
         if cand.poly:
             add(cand)
 
-    reduced = _interreduce(basis)
+    reduced = _interreduce(basis, ring)
     cof = [t.rep for t in reduced] if track else None
     return GroebnerBasis(ring, [t.poly for t in reduced], cof)
 
 
-def _interreduce(basis):
-    """Minimalize, tail-reduce, make monic, sort by leading monomial."""
-    items = [t for t in basis if t.poly]
+def _interreduce(basis, ring):
+    """Sort by leading monomial, minimalize, tail-reduce, and make monic over
+    ring's field: the first F_q(t) arithmetic on the basis."""
     # minimal: drop any generator whose LT is divisible by another's LT
-    items.sort(key=lambda t: grevlex_key(t.poly.lead_monomial()))
+    items = sorted(basis, key=lambda t: grevlex_key(t.lm))
     minimal = []
     for t in items:
-        lm = t.poly.lead_monomial()
-        if any(_divides(u.poly.lead_monomial(), lm) for u in minimal):
+        if any(_divides(u.lm, t.lm) for u in minimal):
             continue
         minimal.append(t)
     # tail-reduce each against the others once: no leading term changes, so
@@ -239,12 +363,17 @@ def _interreduce(basis):
         if not red.poly:
             raise RuntimeError("minimal generator reduced to zero")
         minimal[idx] = red
+    field = ring.field
     out = []
     for t in minimal:
-        inv = t.poly.lead_coeff().inv()
-        rep = [r.scale(inv) for r in t.rep] if t.rep is not None else None
-        out.append(_Tracked(t.poly.scale(inv), rep, t.sugar))
-    out.sort(key=lambda t: grevlex_key(t.poly.lead_monomial()))
+        lc = t.poly[t.lm]
+        den = None if _is_one(lc) else lc
+        poly = MultiPoly(ring, {e: _scalar(field, c, den) for e, c in t.poly.items()})
+        rep = t.rep
+        if rep is not None and den is not None:
+            inv = _scalar(field, UniPoly.const(lc.ctx, 1), den)
+            rep = [r.scale(inv) for r in rep]
+        out.append(_Tracked(poly, rep, t.sugar, t.lm))
     return out
 
 
@@ -299,8 +428,9 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
     """Does g vanish on the zero locus of the generators (a list; over the
     algebraic closure)?  Rabinowitsch: 1 in (gens) + (1 - Z*g).  The
     certificate lives over g's ring with Z appended, over F_q(t) for a ring
-    with a t slot."""
-    lifted, aux = _rabinowitsch([_read(f) for f in generators if f], _read(g), "Zrad")
+    with a t slot: Z goes after t, and buchberger reads (X, t, Z) as
+    F_q(t)[X, Z], so only a certificate returned is converted."""
+    lifted, aux = _rabinowitsch([f for f in generators if f], g, "Zrad")
     gb = buchberger(lifted + [aux], track=with_certificate)
     member = gb.contains_one()
     if not with_certificate:
@@ -311,7 +441,7 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
     unit = gb.generators[idx].constant_value()
     scale = unit.inv()
     cof = [c.scale(scale) for c in gb.cofactors[idx]]
-    cert = RadicalCertificate(aux.ring, lifted, aux, cof)
+    cert = RadicalCertificate(gb.ring, [_read(f) for f in lifted], _read(aux), cof)
     if not cert.verify():
         raise RuntimeError("radical cofactors do not recompose to 1")
     return True, cert

@@ -59,8 +59,8 @@ def t_sum_repr(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over F_q (used for moduli of fractions, gcds,
-# and t-expansion of coefficients)
+# univariate polynomials over F_q (the coefficients of fraction-free
+# Groebner bases, moduli of fractions, gcds, t-expansion of coefficients)
 
 
 class UniPoly:
@@ -140,20 +140,26 @@ class UniPoly:
         return power(self, k, UniPoly.const(self.ctx, 1))
 
     def divmod(self, other):
+        """(quotient, remainder) by long division, in place on a copy of the
+        coefficient list: each step clears the top coefficient of the
+        remainder."""
         self._same_field(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        q = UniPoly._make(self.ctx, [])
-        r = self
-        inv_lead = other.coeffs[-1].inv()
-        zero = self.ctx.zero()
-        while r and len(r.coeffs) >= len(other.coeffs):
-            shift = len(r.coeffs) - len(other.coeffs)
-            c = r.coeffs[-1] * inv_lead
-            term = UniPoly._make(self.ctx, [zero] * shift + [c])
-            q = q + term
-            r = r - term * other
-        return q, r
+        b = other.coeffs
+        db = len(b) - 1
+        r = list(self.coeffs)
+        if len(r) <= db:
+            return UniPoly._make(self.ctx, []), self
+        inv_lead = b[-1].inv()
+        q = [None] * (len(r) - db)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[k + db] * inv_lead
+            q[k] = c
+            if c:
+                for j in range(db):
+                    r[k + j] = r[k + j] - c * b[j]
+        return UniPoly._make(self.ctx, q), UniPoly._make(self.ctx, r[:db])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -326,6 +332,11 @@ class PolyRing:
             raise ValueError("t cannot be both a variable and a coefficient")
         self.tpos = self.names.index("t") if "t" in self.names else None
         self.xslots = tuple(i for i in range(len(self.names)) if i != self.tpos)
+
+    def fractions(self):
+        """F_q(t)[X] for this ring F_q[X, t] over F_q: the t slot, if any,
+        becomes the coefficients' variable."""
+        return PolyRing(RationalFunctionField(self.field), [self.names[i] for i in self.xslots])
 
     @property
     def nvars(self):
@@ -501,6 +512,20 @@ class MultiPoly:
             columns.setdefault(x, {})[k] = c
         return columns
 
+    def x_coefficients(self):
+        """The polynomial in the unknowns over F_q[t]: a map from each
+        X-exponent to its coefficient as a UniPoly in t, in the order of
+        x_columns (constants for a ring without a t slot)."""
+        ctx = self.ring.field
+        zero = ctx.zero()
+        out = {}
+        for x, column in self.x_columns().items():
+            cs = [zero] * (max(column) + 1)
+            for k, c in column.items():
+                cs[k] = c
+            out[x] = UniPoly._make(ctx, cs)
+        return out
+
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
@@ -639,16 +664,7 @@ def to_rational_coeffs(f: MultiPoly) -> MultiPoly:
     """f over F_q[X, t] read over F_q(t)[X]: the t slot is dropped, and the
     terms of each X-monomial become one coefficient in F_q[t].  A ring
     without a t slot keeps its variables and gets constant coefficients."""
-    ring = f.ring
-    ctx = ring.field
-    if not isinstance(ctx, FqContext):
+    if not isinstance(f.ring.field, FqContext):
         raise TypeError("to_rational_coeffs takes a polynomial over F_q")
-    zero = ctx.zero()
-    out = {}
-    for x, column in f.x_columns().items():
-        cs = [zero] * (max(column) + 1)
-        for k, c in column.items():
-            cs[k] = c
-        out[x] = RationalFunction.from_unipoly(UniPoly._make(ctx, cs))
-    names = tuple(ring.names[i] for i in ring.xslots)
-    return MultiPoly(PolyRing(RationalFunctionField(ctx), names), out)
+    out = {x: RationalFunction.from_unipoly(c) for x, c in f.x_coefficients().items()}
+    return MultiPoly(f.ring.fractions(), out)

@@ -2,7 +2,9 @@
 Buchberger and radical-membership routines as they stood before the division
 loop was merged and cofactors became optional, copied verbatim.  Two division
 loops (reduce_poly and _tracked_reduce), representation vectors built on
-every call, and its own Rabinowitsch construction (extend_ring)."""
+every call, and its own Rabinowitsch construction (extend_ring).  Below
+them, frac_buchberger: the F_q(t) Buchberger with pair criteria that the
+fraction-free loop over F_q[t][X] replaced."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from laurentdecide.ideal import (
     _mono_lcm,
     _mono_sub,
 )
-from laurentdecide.poly import MultiPoly, PolyRing, grevlex_key
+from laurentdecide.poly import MultiPoly, PolyRing, grevlex_key, to_rational_coeffs
 
 
 def reduce_poly(f: MultiPoly, basis, with_quotients=False):
@@ -238,3 +240,195 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
     if not cert.verify():
         raise RuntimeError("radical cofactors do not recompose to 1")
     return True, cert
+
+
+# ---------------------------------------------------------------------------
+# Buchberger over F_q(t) with the sugar strategy and the Gebauer-Moeller
+# criteria, as it stood before the fraction-free loop over F_q[t][X]: every
+# input converted to F_q(t)[X] at entry, every step in RationalFunction
+# arithmetic.  Copied verbatim but for names, which carry "frac" here.
+
+
+def _frac_read(f: MultiPoly):
+    """f as the Groebner routines read it: over F_q(t)[X] when its ring has
+    a t slot, as it stands otherwise."""
+    return f if f.ring.tpos is None else to_rational_coeffs(f)
+
+
+def frac_reduce_poly(f: MultiPoly, divisors, with_quotients=False):
+    """Full multivariate division of f by the ordered list of divisors.
+
+    Returns the normal form r, and with_quotients also the list of quotients
+    with f = sum quotients[i] * divisors[i] + r.  No term of r is divisible
+    by any divisor's leading term.  Deterministic: divisors are tried in list
+    order and the leading reducible term is always peeled first.  Each step
+    (divisor i, shift, factor) records the term factor * x^shift of
+    quotients[i]; the peeled leading monomials strictly decrease, so no shift
+    repeats within one quotient.
+    """
+    ring = f.ring
+    steps = [{} for _ in divisors]
+    lead = [(g.lead_monomial(), g.lead_coeff()) for g in divisors]
+    r_terms = {}
+    work = f
+    while work:
+        m = work.lead_monomial()
+        c = work.terms[m]
+        for i, g in enumerate(divisors):
+            lm, lc = lead[i]
+            if _divides(lm, m):
+                factor = c * lc.inv()
+                shift = _mono_sub(m, lm)
+                work = work - g.mul_term(shift, factor)
+                steps[i][shift] = factor
+                break
+        else:
+            r_terms[m] = c
+            work = work - MultiPoly(ring, {m: c})
+    r = MultiPoly(ring, r_terms)
+    if with_quotients:
+        return r, [MultiPoly(ring, q) for q in steps]
+    return r
+
+
+class _FracTracked:
+    """A working polynomial with its sugar and, when tracking, its
+    representation over the input generators (None otherwise)."""
+
+    __slots__ = ("poly", "rep", "sugar")
+
+    def __init__(self, poly, rep, sugar):
+        self.poly = poly
+        self.rep = rep
+        self.sugar = sugar
+
+
+def _frac_tracked_reduce(f: _FracTracked, basis):
+    """Reduce f.poly by basis (list of _FracTracked); the sugar and the
+    representation follow from the quotients."""
+    r, quotients = frac_reduce_poly(f.poly, [g.poly for g in basis], with_quotients=True)
+    used = [(g, q) for g, q in zip(basis, quotients) if q]
+    sugar = max([f.sugar] + [g.sugar + q.total_degree() for g, q in used])
+    rep = f.rep
+    if rep is not None:
+        rep = list(rep)
+        for g, q in used:
+            for k, gk in enumerate(g.rep):
+                if gk:
+                    rep[k] = rep[k] - gk * q
+    return _FracTracked(r, rep, sugar)
+
+
+def frac_buchberger(generators, ring: PolyRing | None = None, track: bool = False) -> GroebnerBasis:
+    """Reduced Groebner basis of the given generators (grevlex), over
+    F_q(t)[X] when their ring is F_q[X, t].
+
+    Sugar pair selection; the Gebauer-Moeller criteria (Gebauer & Moeller,
+    J. Symb. Comput. 6, 1988) drop pairs whose S-polynomial would reduce to
+    zero.  With track=True each output generator carries cofactors over the
+    input list; without it no representation is built at all.  The reduced
+    basis is unique, but its cofactors depend on which pairs are reduced,
+    and in what order.
+    """
+    gens = [_frac_read(f) for f in generators]
+    if ring is None:
+        if not gens:
+            raise ValueError("cannot infer the ring from an empty generator list")
+        ring = gens[0].ring
+    elif ring.tpos is not None:
+        ring = to_rational_coeffs(ring.zero()).ring
+    one = ring.one()
+    zero = ring.zero()
+
+    basis = []
+    lms = []  # leading monomial of each basis element
+    active = []  # the elements whose leading monomial no later one divides
+    live = {}  # pending pair (i, j) -> lcm; a pruned pair leaves only here
+    pairs = []
+
+    def add(t):
+        """Append t to the basis and update the pairs by the Gebauer-Moeller
+        criteria (Becker & Weispfenning, GTM 141, 5.5, UPDATE)."""
+        h, lm_h = len(basis), t.poly.lead_monomial()
+        basis.append(t)
+        lms.append(lm_h)
+        new = [(_mono_lcm(lms[g], lm_h), g) for g in active]
+        kept = []
+        for k, (lcm, g) in enumerate(new):
+            coprime = lcm == tuple(a + b for a, b in zip(lms[g], lm_h))
+            # M and F: another new lcm divides this one (the last of an equal
+            # group stays, a coprime pair stands for its group)
+            rest = [m for m, _, _ in kept] + [m for m, _ in new[k + 1 :]]
+            if coprime or not any(_divides(m, lcm) for m in rest):
+                kept.append((lcm, g, coprime))
+        for (i, j), lcm in list(live.items()):  # B: h chains i to j
+            if _divides(lm_h, lcm) and _mono_lcm(lms[i], lm_h) != lcm != _mono_lcm(lms[j], lm_h):
+                del live[i, j]
+        for lcm, g, coprime in kept:
+            if coprime:
+                continue  # coprime leading terms: S-poly reduces to zero
+            sugar = max(
+                basis[g].sugar + sum(_mono_sub(lcm, lms[g])),
+                t.sugar + sum(_mono_sub(lcm, lm_h)),
+            )
+            live[g, h] = lcm
+            heapq.heappush(pairs, (sugar, grevlex_key(lcm), g, h))
+        active[:] = [g for g in active if not _divides(lm_h, lms[g])] + [h]
+
+    for i, g in enumerate(gens):
+        if not g:
+            continue
+        rep = [one if k == i else zero for k in range(len(gens))] if track else None
+        add(_FracTracked(g, rep, g.total_degree()))
+
+    while pairs:
+        sugar, _, i, j = heapq.heappop(pairs)
+        lcm = live.pop((i, j), None)
+        if lcm is None:
+            continue
+        fi, fj = basis[i], basis[j]
+        ci = fi.poly.lead_coeff().inv()
+        cj = fj.poly.lead_coeff().inv()
+        si = _mono_sub(lcm, lms[i])
+        sj = _mono_sub(lcm, lms[j])
+        s = fi.poly.mul_term(si, ci) - fj.poly.mul_term(sj, cj)
+        rep = None
+        if track:
+            rep = [a.mul_term(si, ci) - b.mul_term(sj, cj) for a, b in zip(fi.rep, fj.rep)]
+        cand = _frac_tracked_reduce(_FracTracked(s, rep, sugar), basis)
+        if cand.poly:
+            add(cand)
+
+    reduced = _frac_interreduce(basis)
+    cof = [t.rep for t in reduced] if track else None
+    return GroebnerBasis(ring, [t.poly for t in reduced], cof)
+
+
+def _frac_interreduce(basis):
+    """Minimalize, tail-reduce, make monic, sort by leading monomial."""
+    items = [t for t in basis if t.poly]
+    # minimal: drop any generator whose LT is divisible by another's LT
+    items.sort(key=lambda t: grevlex_key(t.poly.lead_monomial()))
+    minimal = []
+    for t in items:
+        lm = t.poly.lead_monomial()
+        if any(_divides(u.poly.lead_monomial(), lm) for u in minimal):
+            continue
+        minimal.append(t)
+    # tail-reduce each against the others once: no leading term changes, so
+    # a generator stays reduced while the others are reduced after it
+    for idx in range(len(minimal)):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        if not others:
+            continue
+        red = _frac_tracked_reduce(minimal[idx], others)
+        if not red.poly:
+            raise RuntimeError("minimal generator reduced to zero")
+        minimal[idx] = red
+    out = []
+    for t in minimal:
+        inv = t.poly.lead_coeff().inv()
+        rep = [r.scale(inv) for r in t.rep] if t.rep is not None else None
+        out.append(_FracTracked(t.poly.scale(inv), rep, t.sugar))
+    out.sort(key=lambda t: grevlex_key(t.poly.lead_monomial()))
+    return out

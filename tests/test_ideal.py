@@ -568,6 +568,101 @@ def test_resolve_loci_match_two_loop_oracle():
         assert buchberger(gens, ring=R).generators == want.generators
 
 
+# -- differential test against the Buchberger loop over F_q(t) ----------------
+
+
+def _engine_buchberger_calls():
+    """(generators, ring) of every buchberger call, at every binding, while
+    deciding the criterion-8 corpus and the seeded sentences of
+    test_fuzz_sentences_f3 and _f2."""
+    from make_decision_golden import fuzz_corpus
+    from test_acceptance import CORPUS
+
+    from laurentdecide import hensel, ideal, resolve
+    from laurentdecide.frontend import decide
+
+    calls = []
+
+    def capture(generators, ring=None, track=False):
+        calls.append((list(generators), ring))
+        return buchberger(generators, ring=ring, track=track)
+
+    sentences = [(ctx, text, None) for _, ctx, text, _ in CORPUS]
+    sentences += [(ctx, text, config) for label, ctx, text, config in fuzz_corpus()
+                  if not label.startswith("fuzz-31415")]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (resolve, hensel, ideal):
+            patch.setattr(module, "buchberger", capture)
+        for ctx, text, config in sentences:
+            decide(text, ctx, config)
+    return calls
+
+
+def _hand_cases():
+    """(generators, ring): t before another unknown (the ring of the
+    saturation guard), no t slot, F_4 coefficients, zero generators, and no
+    generator at all."""
+    F4 = FqContext(2, 2)
+    out = []
+    R = ring(F3, "X", "Y", "t", "Zsat")
+    x, y, t, z = (R.var(i) for i in range(4))
+    det = x * t + y * y
+    out.append(([x * y - t, x * x - t * y, R.one() - z * det], R))
+    out.append(([t * t * x - y, t * y * y + x, t * z * x - R.one()], R))
+    R = ring(F5, "X", "Y")
+    x, y = R.var(0), R.var(1)
+    out.append(([x * x * y - R.const(2), x * y * y + y, x**3 - y], R))
+    R = ring(F4, "X", "Y", "t")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    a = R.const(F4.gen())
+    out.append(([a * x * x + t * y, (a + R.one()) * x * y - t * t, y * y - a * t * x], R))
+    out.append(([R.zero(), t * x - y, R.zero(), x * y + a * t], R))
+    out.append(([R.zero()], R))
+    out.append(([], R))
+    out.append(([], ring(F3, "X")))
+    return out
+
+
+def _t_lead_ideals():
+    """Seeded ideals over F_3[X, Y, t] with t in many leading coefficients,
+    so that S-pairs and reduction steps have multipliers other than 1."""
+    rng = random.Random(2024)
+    R = ring(F3, "X", "Y", "t")
+    out = []
+    for _ in range(40):
+        gens = []
+        for _ in range(rng.randrange(2, 4)):
+            terms = {}
+            for _ in range(rng.randrange(2, 5)):
+                e = (rng.randrange(3), rng.randrange(3), rng.randrange(3))
+                terms[e] = rng.randrange(1, 3)
+            gens.append(R.from_terms(terms))
+        out.append((gens, R))
+    return out
+
+
+def test_fraction_free_buchberger_matches_fraction_field_loop():
+    import ideal_oracle as old
+
+    engine = _engine_buchberger_calls()
+    assert len(engine) >= 60
+    rings = [R or gens[0].ring for gens, R in engine]
+    assert any(R.tpos is not None and R.tpos != R.nvars - 1 for R in rings)
+    assert max(len(gens) for gens, _ in engine) >= 5
+    layer = [(gens, gens[0].ring)
+             for gens, _ in _criterion_6_ideals() + _idempotent_random_ideals()
+             + _fuzz_system_ideals()]
+    assert len(layer) == 189
+    for gens, R in engine + layer + _hand_cases() + _t_lead_ideals():
+        want = old.frac_buchberger(gens, ring=R, track=True)
+        got = buchberger(gens, ring=R)
+        tracked = buchberger(gens, ring=R, track=True)
+        assert got.cofactors is None
+        assert got.ring == tracked.ring == want.ring
+        assert got.generators == tracked.generators == want.generators
+        assert tracked.cofactors == want.cofactors
+
+
 # -- differential test against the F_q(t) squarefree part ---------------------
 
 

@@ -1,6 +1,7 @@
 import random
 
 import frontend_oracle
+import poly_oracle
 import pytest
 
 from laurentdecide.ff import FqContext
@@ -54,6 +55,51 @@ def test_unipoly_divmod_roundtrip():
         assert q * b + r == a
         if r:
             assert r.degree() < b.degree()
+
+
+def _all_unipolys(ctx, max_degree):
+    """Every polynomial over ctx of degree <= max_degree, zero included."""
+    out = [UniPoly(ctx, [])]
+    for n in range(1, max_degree + 2):
+        for code in range(ctx.q ** (n - 1), ctx.q**n):
+            cs = []
+            for _ in range(n):
+                code, c = divmod(code, ctx.q)
+                cs.append(c)
+            out.append(UniPoly(ctx, cs))
+    return out
+
+
+def test_unipoly_divmod_matches_term_by_term_oracle():
+    F4, F7 = FqContext(2, 2), FqContext(7)
+    pairs = []
+    for ctx in (F2, F3):
+        polys = _all_unipolys(ctx, 4)
+        assert len(polys) == ctx.q**5
+        pairs += [(a, b) for a in polys for b in polys if b]
+    rng = random.Random(4077)
+    for ctx in (F4, F7):
+        elems = list(ctx.elements())
+        for _ in range(400):
+            a = UniPoly(ctx, [rng.choice(elems) for _ in range(rng.randrange(0, 9))])
+            b = UniPoly(ctx, [rng.choice(elems) for _ in range(rng.randrange(1, 6))])
+            if b:
+                pairs.append((a, b))
+    kinds = set()
+    for a, b in pairs:
+        q, r = a.divmod(b)
+        assert (q.coeffs, r.coeffs) == tuple(x.coeffs for x in poly_oracle.divmod_poly(a, b))
+        assert a // b == q and a % b == r
+        kinds.add("constant divisor" if b.degree() == 0 else
+                  "zero dividend" if not a else
+                  "divisor longer" if b.degree() > a.degree() else "long division")
+    assert kinds == {"constant divisor", "zero dividend", "divisor longer", "long division"}
+    for ctx in (F2, F4):
+        for a in (UniPoly(ctx, []), UniPoly(ctx, [1, 1])):
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(UniPoly(ctx, []))
+            with pytest.raises(ZeroDivisionError):
+                poly_oracle.divmod_poly(a, UniPoly(ctx, []))
 
 
 def test_uni_gcd_known():

@@ -12,6 +12,11 @@ search and their Newton lifts), `hensel` (perturbed points) and `resolve`
 For `_tracked_reduce`: `ideal`, the reductions inside Buchberger, one per
 S-polynomial its pair criteria leave and one per generator of a basis
 interreduced.
+
+`RationalFunction` constructions (`__init__` and `from_unipoly`) are counted
+per corpus, wherever they happen: Buchberger works over F_q[t] and meets
+F_q(t) only when it makes a finished basis monic and in the cofactors of a
+certificate, so F_q(t) arithmetic coming back into its loop shows here.
 """
 
 import json
@@ -25,6 +30,7 @@ from test_acceptance import CORPUS as CRITERION_8
 from laurentdecide import hensel, ideal, resolve, truncation
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
+from laurentdecide.poly import RationalFunction
 from laurentdecide.resolve import RunConfig
 
 BOUNDS = json.loads((Path(__file__).parent / "data" / "work_counts.json").read_text())
@@ -82,10 +88,22 @@ def work(request):
                     return _real(*args, **kwargs)
 
                 patch.setattr(module, name, counting)
+        real_init, real_from_unipoly = RationalFunction.__init__, RationalFunction.from_unipoly
+
+        def init(self, num, den):
+            counts["RationalFunction"] += 1
+            real_init(self, num, den)
+
+        def from_unipoly(cls, f):
+            counts["RationalFunction"] += 1
+            return real_from_unipoly(f)
+
+        patch.setattr(RationalFunction, "__init__", init)
+        patch.setattr(RationalFunction, "from_unipoly", classmethod(from_unipoly))
         for ctx, text, config in CORPORA[request.param]:
             decide(text, ctx, config)
-    return request.param, {name: {site: counts[name, site] for site in sites}
-                           for name, sites in SITES.items()}
+    counted = {name: {site: counts[name, site] for site in sites} for name, sites in SITES.items()}
+    return request.param, {**counted, "RationalFunction": counts["RationalFunction"]}
 
 
 def _over_bounds(work, name):
@@ -106,3 +124,9 @@ def test_certify_liftable_calls_stay_within_their_bounds(work):
 
 def test_buchberger_reductions_stay_within_their_bounds(work):
     _over_bounds(work, "_tracked_reduce")
+
+
+def test_rational_function_constructions_stay_within_their_bounds(work):
+    corpus, counts = work
+    bound = BOUNDS["rational_function_constructions"][corpus]
+    assert counts["RationalFunction"] <= bound, f"{corpus}: {counts['RationalFunction']} > {bound}"
