@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ff import FqContext
-from .ideal import exact_divide, gcd_multivariate, t_content
+from .ideal import cancel_content
 from .poly import PolyRing, RationalFunction
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -476,8 +476,8 @@ def term_pair(term, ring: PolyRing, var_index):
     if isinstance(term, TNum):
         return ring.const(term.value), ring.one()
     if isinstance(term, TConst):
-        num, den = term.value.num, term.value.den
-        return ring.t_poly(dict(enumerate(num.coeffs))), ring.t_poly(dict(enumerate(den.coeffs)))
+        x0, value = (0,) * len(ring.xslots), term.value
+        return tuple(ring.from_columns({x0: dict(enumerate(u.coeffs))}) for u in (value.num, value.den))
     if isinstance(term, TUnif):
         return ring.var(ring.tpos), ring.one()
     if isinstance(term, TVar):
@@ -511,9 +511,8 @@ def _cleared(pair):
         return n
     scale = d.lead_coeff().inv()
     if not d.is_constant():
-        g = gcd_multivariate(d, t_content(n))
-        if not g.is_constant():
-            n = exact_divide(n, g)
+        (den,) = d.x_coefficients().values()
+        n = cancel_content(n, den)
     return n if scale is scale.ctx.one() else n.scale(scale)
 
 

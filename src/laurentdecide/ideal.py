@@ -5,9 +5,10 @@ normal_form, radical_membership, and dimension through their bases) read a
 ring with a t slot, F_q[X, t], as F_q[t][X], and their bases, normal forms
 and radical certificates are over F_q(t).  Its coefficients are exact
 rational functions: the Jacobian criterion is unreliable over imperfect
-fields, so nothing here may round or specialize.  Squarefree parts,
-contents and gcds work over the perfect field F_q with t as one more
-variable, where every polynomial whose partials all vanish is a p-th power.
+fields, so nothing here may round or specialize.  Squarefree parts and
+gcds work over the perfect field F_q with t as one more variable, where
+every polynomial whose partials all vanish is a p-th power.  Contents over
+F_q[t] are taken in one place, t_primitive, with uni_gcd.
 
 Buchberger with the sugar selection strategy and the Gebauer-Moeller pair
 criteria, reduced bases, normal forms with quotient tracking, Rabinowitsch
@@ -177,17 +178,18 @@ def _polynomial_coeffs(f: MultiPoly):
     return {e: c.num * (D // c.den) for e, c in f.terms.items()}, D
 
 
-def _primitive(poly, lm):
-    """(poly / d, d) for a nonzero poly over F_q[t] with leading monomial
-    lm: d is its content times the unit that makes the quotient's leading
-    coefficient monic in t."""
-    cont = UniPoly(poly[lm].ctx, [])
+def t_primitive(poly):
+    """(d, poly / d) for a nonzero poly {X-exponent: UniPoly} over F_q[t]: d is
+    its content times the unit that makes the quotient's leading coefficient
+    monic in t, so the quotient is the same for every associate over F_q(t)."""
+    lead = poly[_lead(poly)]
+    d = UniPoly(lead.ctx, [])
     for c in sorted(poly.values(), key=lambda c: len(c.coeffs)):
-        cont = uni_gcd(cont, c)
-        if len(cont.coeffs) == 1:
+        d = uni_gcd(d, c)
+        if len(d.coeffs) == 1:
             break
-    d = cont.scale(poly[lm].coeffs[-1])
-    return (poly if _is_one(d) else {e: c // d for e, c in poly.items()}), d
+    d = d.scale(lead.coeffs[-1])
+    return d, (poly if _is_one(d) else {e: c // d for e, c in poly.items()})
 
 
 def _tracked_reduce(f: _Tracked, basis):
@@ -231,13 +233,12 @@ def _tracked_reduce(f: _Tracked, basis):
             rep = [r - gr.mul_term(shift, b) if gr else r for r, gr in zip(rep, g.rep)]
     if not rest:
         return _Tracked(rest, rep, sugar)
-    lm = _lead(rest)
-    poly, d = _primitive(rest, lm)
+    d, poly = t_primitive(rest)
     if rep is not None and not _is_one(d):
         field = rep[0].ring.field
         inv = _scalar(field, UniPoly.const(d.ctx, 1), d)
         rep = [r.scale(inv) for r in rep]
-    return _Tracked(poly, rep, sugar, lm)
+    return _Tracked(poly, rep, sugar, _lead(poly))
 
 
 def buchberger(generators, ring: PolyRing | None = None, track: bool = False) -> GroebnerBasis:
@@ -309,13 +310,12 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
         if not g:
             continue
         poly, D = _polynomial_coeffs(g)
-        lm = _lead(poly)
-        poly, d = _primitive(poly, lm)
+        d, poly = t_primitive(poly)
         rep = None
         if track:
             rep = [zero] * len(gens)
             rep[i] = ring.const(_scalar(ring.field, D, d))
-        add(_Tracked(poly, rep, max(sum(e) for e in poly), lm))
+        add(_Tracked(poly, rep, max(sum(e) for e in poly), _lead(poly)))
 
     while pairs:
         sugar, _, i, j = heapq.heappop(pairs)
@@ -470,8 +470,8 @@ def dimension(gb: GroebnerBasis):
 
 
 # ---------------------------------------------------------------------------
-# exact division and gcds over F_q (contents need a recursive gcd, which the
-# public surface deliberately does not expose)
+# exact division and gcds over F_q (squarefree parts and principal generators
+# need a recursive gcd, which the public surface deliberately does not expose)
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly):
@@ -485,26 +485,18 @@ def exact_divide(f: MultiPoly, g: MultiPoly):
 
 
 def _quotient(f: MultiPoly, g: MultiPoly):
-    """f / g for a g known to divide f (a content, a gcd, a factor)."""
+    """f / g for a g known to divide f (a gcd, a factor)."""
     q = exact_divide(f, g)
     if q is None:
         raise RuntimeError("a known divisor does not divide")
     return q
 
 
-def _as_x_coeffs(f: MultiPoly, x: int):
-    """f as a map degree-in-x -> coefficient MultiPoly (x slot zeroed)."""
-    out = {}
-    for e, c in f.terms.items():
-        out.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1 :]] = c
-    return {k: MultiPoly(f.ring, terms) for k, terms in out.items()}
-
-
 def _content_in(f: MultiPoly, x: int):
     """gcd of the coefficients of f as a polynomial in x."""
     cont = f.ring.zero()
-    for c in _as_x_coeffs(f, x).values():
-        cont = gcd_multivariate(cont, c)
+    for k in dict.fromkeys(e[x] for e in f.terms):
+        cont = gcd_multivariate(cont, f.coeff_of(x, k))
         if cont.is_constant():
             break
     return cont
@@ -619,32 +611,37 @@ def principal_generator(equations) -> MultiPoly:
     return primitive_monic(h)
 
 
-def primitive_monic(f: MultiPoly) -> MultiPoly:
-    """The primitive part of a nonzero f over F_q[X, t], scaled so that the
-    F_q[t] coefficient of its grevlex-leading X-monomial is monic in t: the
-    F_q(t)-monic associate of f times the lcm of its denominators, the same
-    for every associate of f over F_q(t)."""
-    prim = primitive_part(f)
-    columns = prim.x_columns()
-    lead = columns[max(columns, key=grevlex_key)]
-    return prim.scale(lead[max(lead)].inv())
+def _descending(ring, poly):
+    """poly, {X-exponent: UniPoly}, over ring = F_q[X, t], its terms in
+    descending grevlex order as a division lists them."""
+    f = ring.from_columns({x: dict(enumerate(c.coeffs)) for x, c in poly.items()})
+    return MultiPoly(ring, {e: f.terms[e] for e in sorted(f.terms, key=grevlex_key, reverse=True)})
 
 
-def t_content(f: MultiPoly) -> MultiPoly:
-    """The content of a nonzero f over F_q[X, t]: the gcd in F_q[t] of its
-    coefficients as a polynomial in X, with leading coefficient 1; a
-    constant when f is primitive."""
-    cont = f.ring.zero()
-    for column in f.x_columns().values():
-        cont = gcd_multivariate(cont, f.ring.t_poly(column))
-        if cont.is_constant():
-            break
-    return cont
+def cancel_content(f: MultiPoly, d: UniPoly) -> MultiPoly:
+    """A nonzero f over F_q[X, t] divided by gcd(d, its content), d in F_q[t]:
+    f as it stands when that is 1."""
+    poly = f.x_coefficients()
+    g = uni_gcd(d, t_primitive(poly)[0])
+    return f if len(g.coeffs) == 1 else _descending(f.ring, {x: c // g for x, c in poly.items()})
 
 
 def primitive_part(f: MultiPoly) -> MultiPoly:
-    """A nonzero f over F_q[X, t] divided by its t_content.  By Gauss's
-    lemma a primitive divisor over F_q(t) of a polynomial over F_q[X, t]
-    divides it over F_q[X, t]."""
-    cont = t_content(f)
-    return f if cont.is_constant() else _quotient(f, cont)
+    """A nonzero f over F_q[X, t] divided by its t_content."""
+    return cancel_content(f, UniPoly(f.ring.field, []))
+
+
+def primitive_monic(f: MultiPoly) -> MultiPoly:
+    """The quotient of t_primitive for a nonzero f over F_q[X, t], in f's
+    term order when f is primitive."""
+    d, prim = t_primitive(f.x_coefficients())
+    return f.scale(d.coeffs[0].inv()) if len(d.coeffs) == 1 else _descending(f.ring, prim)
+
+
+def t_content(f: MultiPoly) -> MultiPoly:
+    """The content of f over F_q[X, t], monic in t; a lone column is its own
+    content, in f's term order."""
+    ring, columns, x0 = f.ring, f.x_columns(), (0,) * len(f.ring.xslots)
+    if len(columns) <= 1:
+        return ring.from_columns({x0: c for c in columns.values()}).monic()
+    return _descending(ring, {x0: t_primitive(f.x_coefficients())[0].monic()})

@@ -12,8 +12,8 @@ Two coefficient domains share one term representation:
 This module owns the split of a monomial into its unknowns X and its t
 degree: PolyRing.tpos and PolyRing.xslots name the slots, and
 MultiPoly.x_degree and MultiPoly.x_columns read a polynomial over F_q[X, t]
-as one in X over F_q[t], so other modules need not slice exponents into the
-two.
+as one in X over F_q[t] and PolyRing.from_columns builds one back, so other
+modules need not slice exponents into the two.
 
 The term order is graded reverse lexicographic everywhere; the zero
 polynomial is the empty term map.
@@ -375,10 +375,12 @@ class PolyRing:
         e[i] = 1
         return MultiPoly(self, {tuple(e): self.field.one()})
 
-    def t_poly(self, coeffs: dict):
-        """The polynomial in t alone with coefficient c at t^k, from {k: c}."""
-        tpos, zero = self.tpos, (0,) * self.nvars
-        return self.from_terms({zero[:tpos] + (k,) + zero[tpos + 1 :]: c for k, c in coeffs.items()})
+    def from_columns(self, columns):
+        """The polynomial whose MultiPoly.x_columns are columns, its terms in
+        their order; one column at X^0 gives a polynomial in t alone."""
+        tpos = self.tpos
+        return self.from_terms({x if tpos is None else x[:tpos] + (k,) + x[tpos:]: c
+                                for x, column in columns.items() for k, c in column.items()})
 
     def from_terms(self, terms: dict):
         out = {}

@@ -317,14 +317,15 @@ def decide_existential(
 
 
 def _normalize(system, trace):
-    """Drop a nonzero constant inequation and replace each equation of
-    X-degree two or more by its squarefree part over F_q[X, t] with the F_q[t]
-    content divided out (zero sets over F_q((t)) unchanged), when that lowers
-    its total X-degree; when two or more equations have a principal reduced
-    basis the system IS a hypersurface in disguise (e.g. {X, X*Y}), and their
-    gcd replaces them (principal_generator); no basis is built for fewer.
-    Settles in at most two rounds, and returns the input object when nothing
-    changes."""
+    """Drop a nonzero constant inequation and replace each equation of X-degree
+    two or more by its squarefree part over F_q[X, t] with the F_q[t] content
+    divided out (zero sets over F_q((t)) unchanged), when that lowers its total
+    X-degree, which it cannot when a partial of f is a nonzero polynomial in t
+    alone (Jacobian criterion: a repeated factor of positive X-degree divides
+    every partial); when two or more equations have a principal reduced basis
+    the system IS a hypersurface in disguise (e.g. {X, X*Y}), and their gcd
+    replaces them (principal_generator); no basis is built for fewer.  Settles
+    in at most two rounds, and returns the input object when nothing changes."""
     ring = system.ring
     g = system.inequation
     # a zero inequation stays: the radical test handles it
@@ -338,7 +339,7 @@ def _normalize(system, trace):
         changed = False
         for f in system.equations:
             # X-degree adds up over factors: an X-linear equation keeps its own
-            if f.x_degree() > 1:
+            if f.x_degree() > 1 and not any(f.partial(i).x_degree() == 0 for i in range(ring.nvars)):
                 sf = squarefree_equation(f)
                 if sf.x_degree() < f.x_degree():
                     changed = True

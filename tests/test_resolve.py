@@ -1,9 +1,14 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import blowup_oracle
+import normalize_oracle
 import pytest
 import regularity_oracle
 from frontend_oracle import clear_denominators
+from test_one_equation_answers import _criterion_1_systems
+from test_xt_split import _criterion_8_systems, _more_fuzz_systems
 
 from laurentdecide import resolve
 from laurentdecide.ff import FqContext
@@ -477,9 +482,33 @@ def test_normalization_takes_no_squarefree_part_of_an_x_linear_equation(monkeypa
     v = decide_existential(AffineSystem(R, linear))
     assert v.is_sat and v.system.equations == linear
     assert calls == []
-    parabola = y * y - x - R.one()
+    # the parabola's X-partial is a unit, so it keeps its own too (the
+    # Jacobian criterion); X*(Y - 1) has no partial in F_q[t]
+    parabola, lines = y * y - x - R.one(), x * y - x
     v = decide_existential(AffineSystem(R, [linear[0], parabola]))
-    assert v.is_sat and calls == [parabola]
+    assert v.is_sat and calls == []
+    v = decide_existential(AffineSystem(R, [linear[0], lines]))
+    assert v.is_sat and calls == [lines]
+
+
+def test_normalization_skips_only_squarefree_parts_that_cannot_lower_a_degree(monkeypatch):
+    # with a partial in F_q[t] \ {0} no squarefree part is taken: the
+    # normalized systems and traces are those of the loop that takes them all
+    calls = Counter()
+    for module in (resolve, normalize_oracle):
+        real = module.squarefree_equation
+        monkeypatch.setattr(module, "squarefree_equation",
+                            lambda f, _key=module, _real=real: calls.update([_key]) or _real(f))
+    systems = chain(_criterion_1_systems(), _criterion_8_systems(), _more_fuzz_systems())
+    for count, system in enumerate(systems, 1):
+        trace, old_trace = [], []
+        new, old = resolve._normalize(system, trace), normalize_oracle._normalize(system, old_trace)
+        assert (new.ring, new.inequation, trace) == (old.ring, old.inequation, old_trace)
+        assert [list(f.terms.items()) for f in new.equations] == [
+            list(f.terms.items()) for f in old.equations
+        ]
+    assert count >= 200, count
+    assert calls[resolve] < calls[normalize_oracle], calls
 
 
 def test_decide_t_content_beside_a_cube_char3():

@@ -17,6 +17,13 @@ interreduced.
 per corpus, wherever they happen: Buchberger works over F_q[t] and meets
 F_q(t) only when it makes a finished basis monic and in the cofactors of a
 certificate, so F_q(t) arithmetic coming back into its loop shows here.
+
+Two functions that call themselves are counted per corpus at the top level
+only, through every binding the package has, leaving out the calls they
+make on themselves: `squarefree_part`, which normalization skips when a
+partial of the equation is a nonzero polynomial in t alone, and
+`gcd_multivariate` on two polynomials in t alone, which should be none:
+contents over F_q[t] are taken with `uni_gcd`.
 """
 
 import json
@@ -27,7 +34,7 @@ import pytest
 from make_decision_golden import fuzz_corpus
 from test_acceptance import CORPUS as CRITERION_8
 
-from laurentdecide import hensel, ideal, resolve, truncation
+from laurentdecide import cli, frontend, hensel, ideal, resolve, truncation
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
 from laurentdecide.poly import RationalFunction
@@ -39,6 +46,11 @@ SITES = {
     "certify_liftable": {"truncation": truncation, "hensel": hensel, "resolve": resolve},
     "_tracked_reduce": {"ideal": ideal},
 }
+# (count, function, the calls it counts), each at the top level only
+TOP_LEVEL = [
+    ("squarefree_part", "squarefree_part", lambda f: True),
+    ("t_only_gcd", "gcd_multivariate", lambda f, g: f.x_degree() <= 0 and g.x_degree() <= 0),
+]
 
 F2, F3, F5, F7 = FqContext(2), FqContext(3), FqContext(5), FqContext(7)
 # norm forms X^2 - a*Y^2 = c*t^k with k odd, a the least non-square, c = 1:
@@ -75,6 +87,24 @@ CORPORA = {
 }
 
 
+def _top_level(counts, key, real, counted):
+    """real, adding to counts[key] each call that counted accepts and that no
+    call of this wrapper encloses."""
+    depth = 0
+
+    def wrapper(*args):
+        nonlocal depth
+        if not depth and counted(*args):
+            counts[key] += 1
+        depth += 1
+        try:
+            return real(*args)
+        finally:
+            depth -= 1
+
+    return wrapper
+
+
 @pytest.fixture(scope="module", params=sorted(CORPORA))
 def work(request):
     """(corpus, {function: {site: calls}}) for one pass over the corpus."""
@@ -88,6 +118,11 @@ def work(request):
                     return _real(*args, **kwargs)
 
                 patch.setattr(module, name, counting)
+        for key, name, counted in TOP_LEVEL:
+            wrapper = _top_level(counts, key, getattr(ideal, name), counted)
+            for module in (cli, frontend, hensel, ideal, resolve, truncation):
+                if hasattr(module, name):
+                    patch.setattr(module, name, wrapper)
         real_init, real_from_unipoly = RationalFunction.__init__, RationalFunction.from_unipoly
 
         def init(self, num, den):
@@ -103,7 +138,8 @@ def work(request):
         for ctx, text, config in CORPORA[request.param]:
             decide(text, ctx, config)
     counted = {name: {site: counts[name, site] for site in sites} for name, sites in SITES.items()}
-    return request.param, {**counted, "RationalFunction": counts["RationalFunction"]}
+    top_level = {key: counts[key] for key, _, _ in TOP_LEVEL}
+    return request.param, {**counted, **top_level, "RationalFunction": counts["RationalFunction"]}
 
 
 def _over_bounds(work, name):
@@ -130,3 +166,10 @@ def test_rational_function_constructions_stay_within_their_bounds(work):
     corpus, counts = work
     bound = BOUNDS["rational_function_constructions"][corpus]
     assert counts["RationalFunction"] <= bound, f"{corpus}: {counts['RationalFunction']} > {bound}"
+
+
+@pytest.mark.parametrize("key", [key for key, _, _ in TOP_LEVEL])
+def test_top_level_calls_stay_within_their_bounds(work, key):
+    corpus, counts = work
+    bound = BOUNDS[f"{key}_calls"][corpus]
+    assert counts[key] <= bound, f"{corpus}: {counts[key]} > {bound}"

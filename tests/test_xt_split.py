@@ -1,7 +1,10 @@
 """Differential test of the X/t split that module poly owns (PolyRing.tpos,
-PolyRing.xslots and PolyRing.t_poly; MultiPoly.x_degree, x_columns and
-monic; ideal.t_content and primitive_monic, which read x_columns) against
-the per-module helpers it replaced, in tests/split_oracle.py.
+xslots and from_columns, whose one-column case is a polynomial in t alone;
+MultiPoly.x_degree, x_columns and monic) and of the contents
+over F_q[t] (ideal.t_content, primitive_part and primitive_monic, which
+take them with ideal.t_primitive and uni_gcd) against the helpers they
+replaced, in tests/split_oracle.py, which takes contents with the recursive
+gcd_multivariate.  Term dicts are compared in order.
 
 The polynomials: every equation and inequation that to_systems builds from
 the seeded fuzz sentences (one seed over F_4 besides those of
@@ -25,7 +28,7 @@ from test_valuation_encoding import criterion_4_sentences
 
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
-from laurentdecide.ideal import primitive_monic, t_content
+from laurentdecide.ideal import primitive_monic, primitive_part, t_content
 from laurentdecide.poly import MultiPoly, PolyRing, UniPoly
 
 F3 = FqContext(3)
@@ -126,7 +129,9 @@ def check(f):
         return
     _same(t_content(f), old.t_content(f))
     if f:
-        _same(primitive_monic(f), old.primitive_monic(f))
+        for new, reference in ((primitive_part, old.primitive_part),
+                               (primitive_monic, old.primitive_monic)):
+            _same(new(f), reference(f))
     else:
         for monic in (primitive_monic, old.primitive_monic):
             with pytest.raises(ValueError):
@@ -143,13 +148,18 @@ def test_split_matches_the_replaced_helpers(source):
     assert count >= least, count
 
 
+def _t_poly(ring, coeffs):
+    """The polynomial in t alone with coefficient c at t^k, from {k: c}."""
+    return ring.from_columns({(0,) * len(ring.xslots): coeffs})
+
+
 def test_t_poly_matches_the_front_end_helper():
     for ctx in (F3, F4, F5):
         for names in (("X", "t"), ("X", "Y", "t")):
             ring = PolyRing(ctx, names)
             for coeffs in ([], [1], [0, 1], [2, 0, 1], [0, 0, 0, ctx.p - 1]):
                 u = UniPoly(ctx, coeffs)
-                _same(ring.t_poly(dict(enumerate(u.coeffs))), old._t_poly(ring, u))
+                _same(_t_poly(ring, dict(enumerate(u.coeffs))), old._t_poly(ring, u))
     ring = PolyRing(F5, ("t", "X"))
     t = ring.var(0)
-    assert ring.t_poly({0: 1, 2: 3}) == t * t * ring.const(3) + ring.one()
+    assert _t_poly(ring, {0: 1, 2: 3}) == t * t * ring.const(3) + ring.one()
