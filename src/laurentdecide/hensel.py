@@ -7,11 +7,11 @@ on that subsystem then converges t-adically to an exact solution congruent to
 the witness mod t^(N-e).
 
 Soundness guard: equations outside the chosen rows must lie in the saturation
-(rows-ideal) : det^infinity, checked by a Groebner computation over F_q(t).
-Without it, an equation vanishing to high but finite order at the witness
-could survive every truncated residual check while the Newton limit misses
-it.  With it, the limit solves the full system because det is a unit along
-the lifted branch.
+(rows-ideal) : det^infinity over F_q(t), checked by a fraction-free Groebner
+computation over F_q[X, t].  Without it, an equation vanishing to high but
+finite order at the witness could survive every truncated residual check
+while the Newton limit misses it.  With it, the limit solves the full system
+because det is a unit along the lifted branch.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def system_dimension(equations, ring, basis=None):
     At most one equation needs no Groebner basis: none leaves all m unknowns
     free; one equation f is a unit of F_q(t)[X] when it has no X-term (an
     empty locus) and cuts out a hypersurface of dimension m - 1 otherwise.
-    Two or more are read off the reduced basis over F_q(t): basis() when the
-    caller keeps one, a fresh one otherwise.
+    Two or more are read off the reduced basis (over F_q(t), its generators
+    over F_q[X, t]): basis() when the caller keeps one, a fresh one
+    otherwise.
     """
     eqs = [f for f in equations if f]
     m = len(ring.xslots)
@@ -133,7 +134,7 @@ class MinorTable:
         if not det_poly:
             return False
         eqs = [self.equations[i] for i in list(rows) + others]
-        # Z goes after t: the Groebner routines read (X, t, Z) as F_q(t)[X, Z]
+        # Z goes after t: the Groebner routines read (X, t, Z) as F_q[t][X, Z]
         lifted, aux = _rabinowitsch(eqs, det_poly, "Zsat")
         gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
         return not any(normal_form(f, gb) for f in lifted[len(rows) :])

@@ -1,28 +1,29 @@
-"""Groebner-basis services over F_q(t), and squarefree parts over F_q.
+"""Groebner-basis services over F_q[X, t], and squarefree parts over F_q.
 
-The engine meets F_q(t) here only.  The Groebner routines (buchberger,
-normal_form, radical_membership, and dimension through their bases) read a
-ring with a t slot, F_q[X, t], as F_q[t][X], and their bases, normal forms
-and radical certificates are over F_q(t).  Its coefficients are exact
-rational functions: the Jacobian criterion is unreliable over imperfect
-fields, so nothing here may round or specialize.  Squarefree parts and
-gcds work over the perfect field F_q with t as one more variable, where
-every polynomial whose partials all vanish is a p-th power.  Contents over
-F_q[t] are taken in one place, t_primitive, with uni_gcd.
+The Groebner routines (buchberger, normal_form, dimension and
+radical_membership) read a ring with a t slot, F_q[X, t] with the slot
+anywhere, as F_q[t][X], and answer for the ideal over F_q(t)[X]; a ring
+without a t slot is F_q[X].  They work over the input ring from entry to
+exit: by Gauss's lemma each element of the reduced basis over F_q(t) is
+returned as its primitive associate over F_q[t], t_primitive's quotient,
+which is unique, and normal forms come back in that form too.  F_q(t)
+appears in radical_membership alone, which converts the certificate it
+returns.  Nothing here may round or specialize: the Jacobian criterion is
+unreliable over imperfect fields.  Squarefree parts and gcds work over the
+perfect field F_q with t as one more variable, where every polynomial whose
+partials all vanish is a p-th power.  Contents over F_q[t] are taken in one
+place, t_primitive, with uni_gcd.
 
 Buchberger with the sugar selection strategy and the Gebauer-Moeller pair
-criteria, reduced bases, normal forms with quotient tracking, Rabinowitsch
-radical membership with explicit cofactor certificates, staircase Krull
-dimension.  Buchberger works fraction-free over F_q[t][X], reading its input
-straight off the t slot: its one reduction, _tracked_reduce, scales by
-leading coefficients instead of dividing, and F_q(t) enters only when the
-finished basis is made monic.  reduce_poly, the division over a field,
-serves normal forms (over F_q(t), each input converted once by _read) and
-exact division over F_q.  Buchberger keeps representation vectors over the
-input generators only under track=True, which only certified radical
-membership asks for.  Radical membership and the saturation guard of the
-Hensel layer share one Rabinowitsch construction, _rabinowitsch, with the
-fresh variable after t.
+criteria, reduced bases, normal forms, Rabinowitsch radical membership with
+explicit cofactor certificates, staircase Krull dimension.  One reduction,
+_tracked_reduce, serves Buchberger, its interreduction and normal forms: it
+scales by leading coefficients instead of dividing.  reduce_poly, the
+division over a field, serves exact division over F_q.  Buchberger keeps a
+representation over the input generators, with one denominator in F_q[t],
+only under track=True, which only certified radical membership asks for.
+Radical membership and the saturation guard of the Hensel layer share one
+Rabinowitsch construction, _rabinowitsch, with the fresh variable after t.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ff import FqContext
-from .poly import (
-    MultiPoly,
-    PolyRing,
-    RationalFunction,
-    UniPoly,
-    grevlex_key,
-    to_rational_coeffs,
-    uni_gcd,
-)
+from .poly import MultiPoly, PolyRing, UniPoly, grevlex_key, uni_gcd
 
 
 def _divides(a, b):
@@ -53,12 +46,6 @@ def _mono_sub(a, b):
 
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _read(f: MultiPoly):
-    """f over F_q(t)[X] when its ring has a t slot, as it stands otherwise:
-    the polynomials normal_form divides and radical certificates hold."""
-    return f if f.ring.tpos is None else to_rational_coeffs(f)
 
 
 def reduce_poly(f: MultiPoly, divisors, with_quotients=False):
@@ -99,10 +86,14 @@ def reduce_poly(f: MultiPoly, divisors, with_quotients=False):
 
 @dataclass
 class GroebnerBasis:
-    """Reduced Groebner basis in graded reverse lexicographic order.
+    """Reduced Groebner basis in graded reverse lexicographic order of the
+    unknowns, over F_q(t) for a ring with a t slot: each generator is given
+    over the ring itself, in t_primitive form (monic over F_q without a t
+    slot).
 
-    When built with tracking, cofactors[i] expresses generators[i] as a
-    combination of the original input polynomials.
+    When built with tracking, cofactors[i] is a pair (D, R): D a nonzero
+    UniPoly in t and R a list of polynomials over the ring, one per input
+    polynomial f_j, with D * generators[i] = sum R[j] * f_j.
     """
 
     ring: PolyRing
@@ -119,8 +110,9 @@ class GroebnerBasis:
 class _Tracked:
     """A working polynomial over F_q[t] in the unknowns, {X-exponent:
     UniPoly}, with its leading monomial (None while unknown), its sugar and,
-    when tracking, its representation over the input generators with
-    coefficients in the basis's field (None otherwise)."""
+    when tracking, its representation (D, R) over the input generators f_j,
+    D in F_q[t] and each R[j] in the same form as the polynomial, with
+    D * poly = sum R[j] * f_j (None otherwise)."""
 
     __slots__ = ("poly", "lm", "rep", "sugar")
 
@@ -156,26 +148,20 @@ def _sub_shifted(work, poly, shift, b):
                 del work[e]
 
 
-def _scalar(field, num, den=None):
-    """num / den (den = 1 when None) for num and den over F_q[t], in field:
-    F_q(t), or F_q when both are constants (a ring without a t slot)."""
-    if isinstance(field, FqContext):
-        c = num.coeffs[0]
-        return c if den is None else c * den.coeffs[0].inv()
-    return RationalFunction.from_unipoly(num) if den is None else RationalFunction(num, den)
+def _combine(p, a, sp, q, b, sq):
+    """a * x^sp * p - b * x^sq * q over F_q[t], as a new polynomial."""
+    out = {tuple(x + y for x, y in zip(e, sp)): c * a for e, c in p.items()}
+    _sub_shifted(out, q, sq, b)
+    return out
 
 
-def _polynomial_coeffs(f: MultiPoly):
-    """(F, D): F = D * f over F_q[t] in the unknowns, as {X-exponent:
-    UniPoly}.  Over F_q, D = 1 and the t slot, wherever it is, gives the
-    coefficients; over F_q(t), D is the lcm of the denominators."""
-    field = f.ring.field
-    if isinstance(field, FqContext):
-        return f.x_coefficients(), UniPoly.const(field, 1)
-    D = UniPoly.const(field.ctx, 1)
-    for c in f.terms.values():
-        D = D * (c.den // uni_gcd(D, c.den))
-    return {e: c.num * (D // c.den) for e, c in f.terms.items()}, D
+def _rep_combine(rp, a, sp, rq, b, sq):
+    """The representation of a * x^sp * p - b * x^sq * q from those of p and
+    q: its denominator is the lcm of theirs, one uni_gcd."""
+    (dp, p), (dq, q) = rp, rq
+    h = uni_gcd(dp, dq)
+    a, b = a * (dq // h), b * (dp // h)
+    return dp * (dq // h), [_combine(u, a, sp, v, b, sq) for u, v in zip(p, q)]
 
 
 def t_primitive(poly):
@@ -201,7 +187,8 @@ def _tracked_reduce(f: _Tracked, basis):
     cleared by r <- (lc/h)*r - (c/h)*x^(m-lm)*g with h = gcd(c, lc), where r
     holds the terms already set aside too.  So every intermediate, and the
     result, is an F_q(t)-multiple of reduce_poly's; the sugar and the
-    representation follow the steps."""
+    representation follow the steps, and the content divided out goes into
+    the representation's denominator."""
     work = dict(f.poly)
     rest = {}
     rep = f.rep
@@ -218,42 +205,35 @@ def _tracked_reduce(f: _Tracked, basis):
         lc = g.poly[g.lm]
         h = uni_gcd(c, lc)
         a, b = (lc, c) if len(h.coeffs) == 1 else (lc // h, c // h)
-        scaled = not _is_one(a)
-        if scaled:
+        if not _is_one(a):
             work = {e: v * a for e, v in work.items()}
             rest = {e: v * a for e, v in rest.items()}
         shift = _mono_sub(m, g.lm)
         _sub_shifted(work, g.poly, shift, b)
         sugar = max(sugar, g.sugar + sum(shift))
         if rep is not None:
-            field = rep[0].ring.field
-            if scaled:
-                rep = [r.scale(_scalar(field, a)) for r in rep]
-            b = _scalar(field, b)
-            rep = [r - gr.mul_term(shift, b) if gr else r for r, gr in zip(rep, g.rep)]
+            rep = _rep_combine(rep, a, (0,) * len(m), g.rep, b, shift)
     if not rest:
         return _Tracked(rest, rep, sugar)
     d, poly = t_primitive(rest)
     if rep is not None and not _is_one(d):
-        field = rep[0].ring.field
-        inv = _scalar(field, UniPoly.const(d.ctx, 1), d)
-        rep = [r.scale(inv) for r in rep]
+        rep = (rep[0] * d, rep[1])
     return _Tracked(poly, rep, sugar, _lead(poly))
 
 
 def buchberger(generators, ring: PolyRing | None = None, track: bool = False) -> GroebnerBasis:
-    """Reduced Groebner basis of the given generators (grevlex), over
-    F_q(t)[X] when their ring is F_q[X, t] (the t slot anywhere) or F_q(t)[X],
-    over F_q[X] when it has no t slot.
+    """Reduced Groebner basis of the given generators (grevlex in the
+    unknowns) over F_q(t)[X] when their ring is F_q[X, t] (the t slot
+    anywhere), over F_q[X] when it has no t slot; see GroebnerBasis for the
+    form of its generators and cofactors.
 
     The loop works fraction-free over F_q[t][X]: each basis element is
     primitive, with a leading coefficient monic in t, read straight off the
-    t slot (an input over F_q(t) has its denominators cleared); the
-    S-polynomial of f_i and f_j is (lc_j/h)*x^s_i*f_i - (lc_i/h)*x^s_j*f_j
-    with h = gcd(lc_i, lc_j), and _tracked_reduce reduces it the same way.
-    Every intermediate is an F_q(t)-multiple of the one a loop over F_q(t)
-    would hold, so making the final basis monic gives that loop's basis, and
-    scaling the representations alike gives its cofactors.
+    t slot; the S-polynomial of f_i and f_j is
+    (lc_j/h)*x^s_i*f_i - (lc_i/h)*x^s_j*f_j with h = gcd(lc_i, lc_j), and
+    _tracked_reduce reduces it the same way.  Every intermediate is an
+    F_q(t)-multiple of the one a loop over F_q(t) would hold, so the
+    primitive forms of the two bases agree.
 
     Sugar pair selection; the Gebauer-Moeller criteria (Gebauer & Moeller,
     J. Symb. Comput. 6, 1988) drop pairs whose S-polynomial would reduce to
@@ -267,9 +247,8 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
         if not gens:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = gens[0].ring
-    if ring.tpos is not None:
-        ring = ring.fractions()
-    zero = ring.zero()
+    if not isinstance(ring.field, FqContext):
+        raise TypeError("buchberger takes polynomials over F_q")
 
     basis = []
     lms = []  # leading monomial of each basis element
@@ -306,15 +285,12 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
             heapq.heappush(pairs, (sugar, grevlex_key(lcm), g, h))
         active[:] = [g for g in active if not _divides(lm_h, lms[g])] + [h]
 
+    unit = {(0,) * len(ring.xslots): UniPoly.const(ring.field, 1)}
     for i, g in enumerate(gens):
         if not g:
             continue
-        poly, D = _polynomial_coeffs(g)
-        d, poly = t_primitive(poly)
-        rep = None
-        if track:
-            rep = [zero] * len(gens)
-            rep[i] = ring.const(_scalar(ring.field, D, d))
+        d, poly = t_primitive(g.x_coefficients())
+        rep = (d, [unit if k == i else {} for k in range(len(gens))]) if track else None
         add(_Tracked(poly, rep, max(sum(e) for e in poly), _lead(poly)))
 
     while pairs:
@@ -328,24 +304,22 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
         ai, aj = (lj, li) if len(h.coeffs) == 1 else (lj // h, li // h)
         si = _mono_sub(lcm, lms[i])
         sj = _mono_sub(lcm, lms[j])
-        s = {tuple(x + y for x, y in zip(e, si)): c * ai for e, c in fi.poly.items()}
-        _sub_shifted(s, fj.poly, sj, aj)
-        rep = None
-        if track:
-            ci, cj = _scalar(ring.field, ai), _scalar(ring.field, aj)
-            rep = [a.mul_term(si, ci) - b.mul_term(sj, cj) for a, b in zip(fi.rep, fj.rep)]
+        s = _combine(fi.poly, ai, si, fj.poly, aj, sj)
+        rep = _rep_combine(fi.rep, ai, si, fj.rep, aj, sj) if track else None
         cand = _tracked_reduce(_Tracked(s, rep, sugar), basis)
         if cand.poly:
             add(cand)
 
-    reduced = _interreduce(basis, ring)
-    cof = [t.rep for t in reduced] if track else None
-    return GroebnerBasis(ring, [t.poly for t in reduced], cof)
+    reduced = _interreduce(basis)
+    cof = None
+    if track:
+        cof = [(t.rep[0], [_descending(ring, r) for r in t.rep[1]]) for t in reduced]
+    return GroebnerBasis(ring, [_descending(ring, t.poly) for t in reduced], cof)
 
 
-def _interreduce(basis, ring):
-    """Sort by leading monomial, minimalize, tail-reduce, and make monic over
-    ring's field: the first F_q(t) arithmetic on the basis."""
+def _interreduce(basis):
+    """Sort by leading monomial, minimalize and tail-reduce; every element
+    stays in t_primitive form."""
     # minimal: drop any generator whose LT is divisible by another's LT
     items = sorted(basis, key=lambda t: grevlex_key(t.lm))
     minimal = []
@@ -363,22 +337,18 @@ def _interreduce(basis, ring):
         if not red.poly:
             raise RuntimeError("minimal generator reduced to zero")
         minimal[idx] = red
-    field = ring.field
-    out = []
-    for t in minimal:
-        lc = t.poly[t.lm]
-        den = None if _is_one(lc) else lc
-        poly = MultiPoly(ring, {e: _scalar(field, c, den) for e, c in t.poly.items()})
-        rep = t.rep
-        if rep is not None and den is not None:
-            inv = _scalar(field, UniPoly.const(lc.ctx, 1), den)
-            rep = [r.scale(inv) for r in rep]
-        out.append(_Tracked(poly, rep, t.sugar, t.lm))
-    return out
+    return minimal
 
 
-def normal_form(f: MultiPoly, gb: GroebnerBasis, with_quotients=False):
-    return reduce_poly(_read(f), gb.generators, with_quotients)
+def normal_form(f: MultiPoly, gb: GroebnerBasis):
+    """f reduced by the basis gb of its ring, fraction-free: the remainder of
+    the division over F_q(t) (over F_q without a t slot) up to a unit, in
+    t_primitive form, so zero exactly when f lies in the ideal."""
+    basis = []
+    for g in gb.generators:
+        poly = g.x_coefficients()
+        basis.append(_Tracked(poly, None, 0, _lead(poly)))
+    return _descending(f.ring, _tracked_reduce(_Tracked(f.x_coefficients(), None, 0), basis).poly)
 
 
 def ideal_membership(f: MultiPoly, gb: GroebnerBasis) -> bool:
@@ -427,9 +397,12 @@ def _rabinowitsch(gens, g: MultiPoly, base_name: str):
 def radical_membership(g: MultiPoly, generators, with_certificate=False):
     """Does g vanish on the zero locus of the generators (a list; over the
     algebraic closure)?  Rabinowitsch: 1 in (gens) + (1 - Z*g).  The
-    certificate lives over g's ring with Z appended, over F_q(t) for a ring
-    with a t slot: Z goes after t, and buchberger reads (X, t, Z) as
-    F_q(t)[X, Z], so only a certificate returned is converted."""
+    certificate lives over g's ring with Z appended, after t, over F_q(t)
+    for a ring with a t slot, F_q(t)[X, Z]: the basis (1) comes with
+    D * 1 = sum R_j * f_j over F_q[X, t, Z], and each cofactor is R_j / D,
+    the one conversion into F_q(t) of the Groebner routines."""
+    from .poly import RationalFunction, to_rational_coeffs
+
     lifted, aux = _rabinowitsch([f for f in generators if f], g, "Zrad")
     gb = buchberger(lifted + [aux], track=with_certificate)
     member = gb.contains_one()
@@ -437,11 +410,17 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
         return member
     if not member:
         return False, None
-    idx = next(i for i, h in enumerate(gb.generators) if h.is_constant() and h)
-    unit = gb.generators[idx].constant_value()
-    scale = unit.inv()
-    cof = [c.scale(scale) for c in gb.cofactors[idx]]
-    cert = RadicalCertificate(gb.ring, [_read(f) for f in lifted], _read(aux), cof)
+    ((d, rep),) = gb.cofactors
+    if aux.ring.tpos is None:
+        inv = d.coeffs[0].inv()
+        cert = RadicalCertificate(aux.ring, lifted, aux, [r.scale(inv) for r in rep])
+    else:
+        ring = aux.ring.fractions()
+        cof = [MultiPoly(ring, {x: RationalFunction(c, d) for x, c in r.x_coefficients().items()})
+               for r in rep]
+        cert = RadicalCertificate(
+            ring, [to_rational_coeffs(f) for f in lifted], to_rational_coeffs(aux), cof
+        )
     if not cert.verify():
         raise RuntimeError("radical cofactors do not recompose to 1")
     return True, cert
@@ -452,15 +431,15 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
 
 
 def dimension(gb: GroebnerBasis):
-    """Krull dimension of the quotient ring, from the leading-term staircase:
-    the largest variable subset S such that no leading monomial is supported
-    inside S.  Returns None for the unit ideal (empty locus)."""
+    """Krull dimension of the quotient ring, from the leading-term staircase
+    in the unknowns: the largest subset S of the unknowns such that no
+    leading monomial is supported inside S.  Returns None for the unit ideal
+    (empty locus)."""
     if gb.contains_one():
         return None
-    nvars = gb.ring.nvars
-    supports = [
-        frozenset(i for i, k in enumerate(f.lead_monomial()) if k) for f in gb.generators if f
-    ]
+    nvars = len(gb.ring.xslots)
+    supports = [frozenset(i for i, k in enumerate(_lead(f.x_coefficients())) if k)
+                for f in gb.generators]
     for size in range(nvars, -1, -1):
         for subset in combinations(range(nvars), size):
             sset = set(subset)
@@ -470,8 +449,8 @@ def dimension(gb: GroebnerBasis):
 
 
 # ---------------------------------------------------------------------------
-# exact division and gcds over F_q (squarefree parts and principal generators
-# need a recursive gcd, which the public surface deliberately does not expose)
+# exact division and gcds over F_q (squarefree parts need a recursive gcd,
+# which the public surface deliberately does not expose)
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly):
@@ -600,20 +579,10 @@ def squarefree_equation(f: MultiPoly) -> MultiPoly:
     return primitive_monic(squarefree_part(f))
 
 
-def principal_generator(equations) -> MultiPoly:
-    """The generator of equations over F_q[X, t] whose ideal over F_q(t)[X]
-    is principal: their gcd, which generates it, in the form of
-    primitive_monic (by Gauss's lemma the gcd over F_q[X, t] is the one over
-    F_q(t)[X] times a content)."""
-    h = equations[0]
-    for f in equations[1:]:
-        h = gcd_multivariate(h, f)
-    return primitive_monic(h)
-
-
 def _descending(ring, poly):
-    """poly, {X-exponent: UniPoly}, over ring = F_q[X, t], its terms in
-    descending grevlex order as a division lists them."""
+    """poly, {X-exponent: UniPoly}, over ring (F_q[X, t], or F_q[X] with
+    constant coefficients), its terms in descending grevlex order as a
+    division lists them."""
     f = ring.from_columns({x: dict(enumerate(c.coeffs)) for x, c in poly.items()})
     return MultiPoly(ring, {e: f.terms[e] for e in sorted(f.terms, key=grevlex_key, reverse=True)})
 
@@ -627,7 +596,7 @@ def cancel_content(f: MultiPoly, d: UniPoly) -> MultiPoly:
 
 
 def primitive_part(f: MultiPoly) -> MultiPoly:
-    """A nonzero f over F_q[X, t] divided by its t_content."""
+    """A nonzero f over F_q[X, t] divided by its content over F_q[t]."""
     return cancel_content(f, UniPoly(f.ring.field, []))
 
 
@@ -636,12 +605,3 @@ def primitive_monic(f: MultiPoly) -> MultiPoly:
     term order when f is primitive."""
     d, prim = t_primitive(f.x_coefficients())
     return f.scale(d.coeffs[0].inv()) if len(d.coeffs) == 1 else _descending(f.ring, prim)
-
-
-def t_content(f: MultiPoly) -> MultiPoly:
-    """The content of f over F_q[X, t], monic in t; a lone column is its own
-    content, in f's term order."""
-    ring, columns, x0 = f.ring, f.x_columns(), (0,) * len(f.ring.xslots)
-    if len(columns) <= 1:
-        return ring.from_columns({x0: c for c in columns.values()}).monic()
-    return _descending(ring, {x0: t_primitive(f.x_coefficients())[0].monic()})

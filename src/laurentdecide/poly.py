@@ -6,8 +6,11 @@ Two coefficient domains share one term representation:
     (a variable named "t"), so "spreading out" t is a retag, not a
     conversion; the engine's systems live here, over F_q[X, t];
   * over F_q(t), coefficients are exact RationalFunction values (reduced
-    fractions of univariate polynomials in t), used only inside module
-    ideal (see to_rational_coeffs) and in its radical certificates.
+    fractions of univariate polynomials in t).  The engine computes over
+    F_q[X, t] throughout, its Groebner bases included; these values are
+    built only when ideal.radical_membership converts the certificate it
+    returns (see to_rational_coeffs), besides the explicit constants of the
+    front end and the CLI's certificate checks.
 
 This module owns the split of a monomial into its unknowns X and its t
 degree: PolyRing.tpos and PolyRing.xslots name the slots, and

@@ -12,17 +12,17 @@ UNKNOWN: verdicts must stay sound.
 
 Everything here lives over the system's own ring F_q[X, t]: systems,
 singular loci, blow-up charts and back maps (a centre is an F_q-point and a
-back map has coefficient 1), and the generator of a principal collapse (a
-gcd).  A normalized system with at most one equation is answered there as
-well: its emptiness and dimension come from the X-degree of the equation,
-and whether g vanishes on its locus from one exact division (Gauss's lemma);
-a unit minor settles regularity.  The questions about the generic fibre that
-need a Groebner basis are asked of module ideal with these polynomials, and
-ideal reads them over F_q(t); the radical certificates it returns are the
-only F_q(t) values this module passes on.
+back map has coefficient 1), and the generator of a principal collapse.
+A normalized system with at most one equation is answered there as well:
+its emptiness and dimension come from the X-degree of the equation, and
+whether g vanishes on its locus from one exact division (Gauss's lemma); a
+unit minor settles regularity.  The questions about the generic fibre that
+need a Groebner basis are asked of module ideal with these polynomials,
+and ideal answers them over F_q(t) with bases over F_q[X, t]; the radical
+certificates it returns are the only F_q(t) values this module passes on.
 
 A system is immutable and owns the views derived from its equations: one
-Groebner basis over F_q(t) and its dimension, each computed at most once and
+reduced Groebner basis and its dimension, each computed at most once and
 the basis only when a question needs it.  Every step that adjoins equations
 to lower the dimension (the blow-up centre, say) goes through the one
 routine `descend`.
@@ -47,7 +47,6 @@ from .ideal import (
     dimension,
     exact_divide,
     primitive_part,
-    principal_generator,
     radical_membership,
     squarefree_equation,
 )
@@ -83,7 +82,8 @@ class AffineSystem:
 
     @cached_property
     def basis(self):
-        """Reduced Groebner basis of the equations over F_q(t)."""
+        """Reduced Groebner basis of the equations over F_q(t), each generator
+        in t_primitive form over the system's ring."""
         return buchberger(self.equations, ring=self.ring)
 
     @cached_property
@@ -323,9 +323,9 @@ def _normalize(system, trace):
     X-degree, which it cannot when a partial of f is a nonzero polynomial in t
     alone (Jacobian criterion: a repeated factor of positive X-degree divides
     every partial); when two or more equations have a principal reduced basis
-    the system IS a hypersurface in disguise (e.g. {X, X*Y}), and their gcd
-    replaces them (principal_generator); no basis is built for fewer.  Settles
-    in at most two rounds, and returns the input object when nothing changes."""
+    the system IS a hypersurface in disguise (e.g. {X, X*Y}), and the basis's
+    one generator replaces them; no basis is built for fewer.  Settles in at
+    most two rounds, and returns the input object when nothing changes."""
     ring = system.ring
     g = system.inequation
     # a zero inequation stays: the radical test handles it
@@ -350,7 +350,7 @@ def _normalize(system, trace):
             system = AffineSystem(ring, replaced, g)
         if len(system.equations) > 1 and len(system.basis.generators) == 1:
             trace.append("equations collapse to a principal ideal")
-            system = AffineSystem(ring, [principal_generator(system.equations)], g)
+            system = AffineSystem(ring, [system.basis.generators[0]], g)
             continue
         return system
 

@@ -10,9 +10,9 @@ of the reduced basis over F_q(t) and cleared its denominators."""
 from __future__ import annotations
 
 from frontend_oracle import clear_denominators
+from ideal_oracle import frac_buchberger
 
 from laurentdecide.ff import FqContext
-from laurentdecide.ideal import buchberger
 from laurentdecide.poly import MultiPoly, PolyRing, RationalFunction, RationalFunctionField, UniPoly
 
 
@@ -54,7 +54,7 @@ def principal_basis(equations):
     """The reduced basis over F_q(t) of equations over F_q[X, t] (t last),
     built from their F_q(t) form."""
     rational = [to_rational_coeffs(f) for f in equations]
-    return buchberger(rational, ring=rational[0].ring)
+    return frac_buchberger(rational, ring=rational[0].ring)
 
 
 def principal_generator(equations):

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from ideal_oracle import frac_buchberger, frac_reduce_poly
+
 from laurentdecide.hensel import HenselCertificate, system_dimension
-from laurentdecide.ideal import _rabinowitsch, buchberger, normal_form
+from laurentdecide.ideal import _rabinowitsch
 from laurentdecide.poly import det_matrix, jacobian, to_rational_coeffs
 from laurentdecide.series import TruncatedSeries, point_table, val_exact, val_ge, valuation
 
@@ -34,8 +36,8 @@ def _saturation_ok(equations, rows, det_poly):
         return False
     rat = [to_rational_coeffs(equations[i]) for i in list(rows) + others]
     lifted, aux = _rabinowitsch(rat, det_rat, "Zsat")
-    gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
-    return not any(normal_form(f, gb) for f in lifted[len(rows) :])
+    gb = frac_buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
+    return not any(frac_reduce_poly(f, gb.generators) for f in lifted[len(rows) :])
 
 
 def _minor_search(equations, at, k, exclude_col=None):

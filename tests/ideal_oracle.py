@@ -4,11 +4,14 @@ loop was merged and cofactors became optional, copied verbatim.  Two division
 loops (reduce_poly and _tracked_reduce), representation vectors built on
 every call, and its own Rabinowitsch construction (extend_ring).  Below
 them, frac_buchberger: the F_q(t) Buchberger with pair criteria that the
-fraction-free loop over F_q[t][X] replaced."""
+fraction-free loop over F_q[t][X] replaced, with the division over F_q(t)
+(frac_reduce_poly) and the staircase dimension (frac_dimension) that read
+its monic bases."""
 
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
 
 from laurentdecide.ideal import (
     GroebnerBasis,
@@ -432,3 +435,21 @@ def _frac_interreduce(basis):
         out.append(_FracTracked(t.poly.scale(inv), rep, t.sugar))
     out.sort(key=lambda t: grevlex_key(t.poly.lead_monomial()))
     return out
+
+
+def frac_dimension(gb: GroebnerBasis):
+    """Krull dimension of the quotient ring, from the leading-term staircase:
+    the largest variable subset S such that no leading monomial is supported
+    inside S.  Returns None for the unit ideal (empty locus)."""
+    if gb.contains_one():
+        return None
+    nvars = gb.ring.nvars
+    supports = [
+        frozenset(i for i, k in enumerate(f.lead_monomial()) if k) for f in gb.generators if f
+    ]
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            sset = set(subset)
+            if all(not supp <= sset for supp in supports):
+                return size
+    raise AssertionError("the empty subset is always independent")

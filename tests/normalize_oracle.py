@@ -5,7 +5,9 @@ takes its squarefree part."""
 
 from __future__ import annotations
 
-from laurentdecide.ideal import principal_generator, squarefree_equation
+from fraction_oracle import principal_generator
+
+from laurentdecide.ideal import squarefree_equation
 from laurentdecide.resolve import AffineSystem
 
 

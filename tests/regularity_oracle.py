@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from laurentdecide.ideal import buchberger, dimension
+from ideal_oracle import frac_buchberger, frac_dimension
+
 from laurentdecide.poly import (
     PolyRing,
     RationalFunctionField,
@@ -50,12 +51,12 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
             det = det_matrix([[jac[i][j] for j in cols] for i in rows], ring.one())
             if det:
                 minors.append(det)
-    gb_locus = buchberger(
+    gb_locus = frac_buchberger(
         [to_rational_coeffs(h) for h in eqs + minors],
         ring=PolyRing(RationalFunctionField(ring.field), system.xnames),
     )
     if gb_locus.contains_one():
         return RegularityReport("regular", dimension=dim)
     return RegularityReport(
-        "singular", dimension=dim, singular_locus=eqs + minors, locus_dimension=dimension(gb_locus)
+        "singular", dimension=dim, singular_locus=eqs + minors, locus_dimension=frac_dimension(gb_locus)
     )

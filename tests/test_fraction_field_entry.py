@@ -1,18 +1,19 @@
 """Differential tests of where F_q(t) enters the engine.
 
-to_rational_coeffs, which module ideal applies to every polynomial it is
-handed, against its former version (tests/fraction_oracle.py) on every
-system that to_systems builds from the seeded fuzz sentences and on the
-criterion-1 sweep, plus hand cases; each coefficient's numerator and
-denominator are compared too, since certificate checkers read them.
+to_rational_coeffs, which module ideal applies to the polynomials of the
+radical certificates it returns, against its former version
+(tests/fraction_oracle.py) on every system that to_systems builds from the
+seeded fuzz sentences and on the criterion-1 sweep, plus hand cases; each
+coefficient's numerator and denominator are compared too, since
+certificate checkers read them.
 
-The principal collapse of resolve._normalize, which now takes the gcd of
-the equations over F_q[X, t] (principal_generator), against the former
-route, the one element of the reduced basis over F_q(t) with its
-denominators cleared: on every collapse that deciding the golden corpus
-and the sentence-mix benchmark workload (seed 1) reaches, and on hand cases
-whose generator is not the unit ideal, has a content, or has a leading
-coefficient that is not monic in t.
+The principal collapse of resolve._normalize, which now takes the one
+generator of the system's basis over F_q[X, t] (system.basis, in
+t_primitive form), against the former route, the one element of the
+reduced basis over F_q(t) with its denominators cleared: on every collapse
+that deciding the golden corpus and the sentence-mix benchmark workload
+(seed 1) reaches, and on hand cases whose generator is not the unit ideal,
+has a content, or has a leading coefficient that is not monic in t.
 """
 
 import random
@@ -27,7 +28,6 @@ from test_one_equation_answers import _criterion_1_systems, _fuzz_systems
 from laurentdecide import resolve
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
-from laurentdecide.ideal import principal_generator
 from laurentdecide.poly import PolyRing, RationalFunction, UniPoly, to_rational_coeffs
 
 F2 = FqContext(2)
@@ -108,20 +108,23 @@ def corpus_collapses():
         "sentence-mix": [(item.ctx, item.text, item.config) for item in corpus.sentence_mix(1)],
     }
     seen = {}
-    real = resolve.principal_generator
+    real = resolve.AffineSystem.basis
     for source, items in sources.items():
         found = seen[source] = []
 
-        def recorded(equations):
-            found.append(list(equations))
-            return real(equations)
+        def recorded(system):
+            # each system builds its basis once; a principal one of two or
+            # more equations is what _normalize collapses
+            fresh = "basis" not in system.__dict__
+            basis = real.__get__(system, type(system))
+            if fresh and len(system.equations) > 1 and len(basis.generators) == 1:
+                found.append(list(system.equations))
+            return basis
 
-        resolve.principal_generator = recorded
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resolve.AffineSystem, "basis", property(recorded))
             for ctx, text, config in items:
                 decide(text, ctx, config)
-        finally:
-            resolve.principal_generator = real
     return seen
 
 
@@ -154,7 +157,7 @@ def _hand_collapses():
 
 def _check_collapse(equations, want=None):
     assert len(old.principal_basis(equations)) == 1
-    got = principal_generator(equations)
+    (got,) = resolve.AffineSystem(equations[0].ring, equations).basis.generators
     assert got == old.principal_generator(equations), equations
     assert got.ring == equations[0].ring
     if want is not None:

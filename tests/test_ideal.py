@@ -10,12 +10,21 @@ from laurentdecide.ideal import (
     gcd_multivariate,
     ideal_membership,
     normal_form,
+    primitive_monic,
     radical_membership,
     reduce_poly,
     squarefree_equation,
     squarefree_part,
 )
-from laurentdecide.poly import PolyRing, RationalFunction, RationalFunctionField, UniPoly
+from laurentdecide.poly import (
+    MultiPoly,
+    PolyRing,
+    RationalFunction,
+    RationalFunctionField,
+    UniPoly,
+    grevlex_key,
+    to_rational_coeffs,
+)
 
 F2 = FqContext(2)
 F3 = FqContext(3)
@@ -112,12 +121,7 @@ def test_buchberger_ideal_equality_preserved():
         # element is certified by its cofactors over the inputs
         for f in gens:
             assert ideal_membership(f, gb)
-        tracked = buchberger(gens, ring=R, track=True)
-        for h, cof in zip(tracked.generators, tracked.cofactors):
-            acc = R.zero()
-            for c, f in zip(cof, gens):
-                acc = acc + c * f
-            assert acc == h
+        assert _recomposes(buchberger(gens, ring=R, track=True), gens)
 
 
 def test_s_polynomials_reduce_to_zero():
@@ -141,15 +145,21 @@ def test_s_polynomials_reduce_to_zero():
 
 
 def test_buchberger_over_rational_function_field():
-    # X^2 - t over F_3(t): already a basis; and (tX, X) collapses to (X)
-    R = rational_ring(F3, "X")
-    t = RationalFunction(UniPoly(F3, [0, 1]), UniPoly.const(F3, 1))
-    f = R.var(0) ** 2 - R.const(t)
+    # X^2 - t over F_3(t), read off F_3[X, t]: already a basis; (tX, X)
+    # collapses to (X), and (tX + t^2, X^2) to (X + t, t^2) = (1)
+    R = ring(F3, "X", "t")
+    x, t = R.var(0), R.var(1)
+    f = x**2 - t
     gb = buchberger([f])
-    assert gb.generators == [f.monic()]
-    g = R.var(0).scale(t)
-    gb2 = buchberger([g, R.var(0)])
-    assert gb2.generators == [R.var(0)]
+    assert gb.ring == R and gb.generators == [f]
+    assert buchberger([t * x, x]).generators == [x]
+    assert buchberger([t * x + t * t, x * x]).generators == [R.one()]
+    # (t + 1)X + t: its primitive form, leading in tX over F_3[X, t]
+    assert buchberger([(t + R.one()) * x * t + t * t]).generators == [(t + R.one()) * x + t]
+    # the generators come over F_q[X, t] only
+    Q = rational_ring(F3, "X")
+    with pytest.raises(TypeError):
+        buchberger([Q.var(0)])
 
 
 # -- normal form as linear membership oracle ---------------------------------
@@ -162,13 +172,15 @@ def test_normal_form_cofactor_identity():
     gb = buchberger(gens, ring=R)
     for _ in range(25):
         f = rand_poly(rng, R)
-        r, q = normal_form(f, gb, with_quotients=True)
+        r, q = reduce_poly(f, gb.generators, with_quotients=True)
         acc = r
         for qi, gi in zip(q, gb.generators):
             acc = acc + qi * gi
         assert acc == f
-        # f - NF(f) lies in the ideal
+        # f - NF(f) lies in the ideal, and the normal form is the remainder
+        # made monic
         assert ideal_membership(f - r, gb)
+        assert normal_form(f, gb) == r.monic()
 
 
 # -- ideal membership ----------------------------------------------------------
@@ -440,12 +452,11 @@ def _idempotent_random_ideals():
 
 
 def _fuzz_system_ideals():
-    """Equations and inequation over F_q(t) of every system to_systems builds
-    from the seeded sentences of test_fuzz_sentences_f3 and _f2."""
+    """Equations and inequation over F_q[X, t] of every system to_systems
+    builds from the seeded sentences of test_fuzz_sentences_f3 and _f2."""
     from test_fuzz import random_sentence
 
     from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
-    from laurentdecide.poly import to_rational_coeffs
 
     out = []
     for seed, ctx in ((777001, F3), (424242, F2)):
@@ -453,10 +464,9 @@ def _fuzz_system_ideals():
         for _ in range(45):
             sentence = eliminate_valuation_atoms(parse(random_sentence(rng)))
             for system in to_systems(sentence, ctx):
-                gens = [to_rational_coeffs(f) for f in system.equations if f]
-                g = system.inequation
+                gens = [f for f in system.equations if f]
                 if gens:
-                    out.append((gens, to_rational_coeffs(g) if g is not None else None))
+                    out.append((gens, system.inequation))
     return out
 
 
@@ -468,10 +478,51 @@ COFACTORS_CHANGED = (71, 74)
 
 
 def _recomposes(gb, gens):
-    """Every basis element is the sum of its cofactors times the generators."""
-    zero = gb.ring.zero()
-    return all(sum((c * f for c, f in zip(cof, gens)), zero) == h
-               for h, cof in zip(gb.generators, gb.cofactors))
+    """Every basis element times its denominator D is the sum of its
+    cofactors times the generators."""
+    ring = gb.ring
+    zero, x0 = ring.zero(), (0,) * len(ring.xslots)
+    return all(sum((c * f for c, f in zip(cof, gens)), zero)
+               == ring.from_columns({x0: dict(enumerate(d.coeffs))}) * h
+               for h, (d, cof) in zip(gb.generators, gb.cofactors))
+
+
+def _fractions(f):
+    """f read over F_q(t)[X] when its ring has a t slot, as it stands
+    otherwise: the oracles' input."""
+    return f if f.ring.tpos is None else to_rational_coeffs(f)
+
+
+def _cleared(f, ring):
+    """f over F_q(t)[X] (over F_q without a t slot) as a polynomial over
+    ring: its denominators cleared, in the t_primitive form of the engine's
+    bases and normal forms; zero stays zero."""
+    if not f:
+        return ring.zero()
+    if ring.tpos is None:
+        return f.monic()
+    den = UniPoly.const(ring.field, 1)
+    for c in f.terms.values():
+        den = den * c.den
+    columns = {x: dict(enumerate((c.num * (den // c.den)).coeffs)) for x, c in f.terms.items()}
+    return primitive_monic(ring.from_columns(columns))
+
+
+def _fraction_cofactors(gb):
+    """The cofactors over F_q(t) (over F_q without a t slot) of the monic
+    basis that gb's generators are the primitive forms of: R_j / (D * lc)
+    for D * g = sum R_j * f_j and lc the leading coefficient of g in F_q[t]."""
+    out = []
+    for g, (d, cof) in zip(gb.generators, gb.cofactors):
+        coeffs = g.x_coefficients()
+        den = d * coeffs[max(coeffs, key=grevlex_key)]
+        if g.ring.tpos is None:
+            out.append([c.scale(den.coeffs[0].inv()) for c in cof])
+            continue
+        frac = g.ring.fractions()
+        out.append([MultiPoly(frac, {x: RationalFunction(u, den)
+                                     for x, u in c.x_coefficients().items()}) for c in cof])
+    return out
 
 
 def test_groebner_layer_matches_two_loop_oracle():
@@ -483,27 +534,29 @@ def test_groebner_layer_matches_two_loop_oracle():
     changed, changed_certificates = [], []
     for k, (gens, g) in enumerate(cases):
         R = gens[0].ring
+        frac = [_fractions(f) for f in gens]
         gb = buchberger(gens, ring=R)
         tracked = buchberger(gens, ring=R, track=True)
-        want = old.buchberger(gens, ring=R, track=True)
+        want = old.buchberger(frac, ring=frac[0].ring, track=True)
         assert gb.cofactors is None
-        assert gb.generators == want.generators == tracked.generators
-        if tracked.cofactors != want.cofactors:
+        assert gb.generators == tracked.generators == [_cleared(h, R) for h in want.generators]
+        assert _recomposes(tracked, gens)
+        if _fraction_cofactors(tracked) != want.cofactors:
             changed.append(k)
-            assert _recomposes(tracked, gens)
-        # division by the basis and by the raw generator list, with quotients
+        # the normal form by the basis, and division with quotients by the
+        # raw generator list over F_q(t)
         probes = [gens[0] * gens[-1]] + [f + R.one() for f in gens]
         if g is not None:
             probes.append(g)
-        divisors = [f for f in gens if f]
+        divisors = [f for f in frac if f]
         for f in probes:
-            expect = old.reduce_poly(f, gb.generators, with_quotients=True)
-            assert normal_form(f, gb, with_quotients=True) == expect
-            expect = old.reduce_poly(f, divisors, with_quotients=True)
-            assert reduce_poly(f, divisors, with_quotients=True) == expect
+            expect = old.reduce_poly(_fractions(f), want.generators)
+            assert normal_form(f, gb) == _cleared(expect, R)
+            expect = old.reduce_poly(_fractions(f), divisors, with_quotients=True)
+            assert reduce_poly(_fractions(f), divisors, with_quotients=True) == expect
         h = R.one() if g is None else g
         got = radical_membership(h, gens, with_certificate=True)
-        expect = old.radical_membership(h, gens, with_certificate=True)
+        expect = old.radical_membership(_fractions(h), frac, with_certificate=True)
         assert got[0] == expect[0] == radical_membership(h, gens)
         if expect[1] is not None:
             certificates += 1
@@ -557,15 +610,12 @@ def _resolve_loci():
 def test_resolve_loci_match_two_loop_oracle():
     import ideal_oracle as old
 
-    from laurentdecide.poly import to_rational_coeffs
-
     cases = _resolve_loci()
     assert len(cases) >= 60
     assert max(len(gens) for gens, _ in cases) >= 7
     for gens, R in cases:
-        want = old.buchberger([to_rational_coeffs(f) for f in gens],
-                              ring=to_rational_coeffs(R.zero()).ring)
-        assert buchberger(gens, ring=R).generators == want.generators
+        want = old.buchberger([to_rational_coeffs(f) for f in gens], ring=R.fractions())
+        assert buchberger(gens, ring=R).generators == [_cleared(h, R) for h in want.generators]
 
 
 # -- differential test against the Buchberger loop over F_q(t) ----------------
@@ -653,14 +703,27 @@ def test_fraction_free_buchberger_matches_fraction_field_loop():
              for gens, _ in _criterion_6_ideals() + _idempotent_random_ideals()
              + _fuzz_system_ideals()]
     assert len(layer) == 189
+    units = 0
     for gens, R in engine + layer + _hand_cases() + _t_lead_ideals():
-        want = old.frac_buchberger(gens, ring=R, track=True)
+        R = R or gens[0].ring
+        want = old.frac_buchberger([_fractions(f) for f in gens], ring=R, track=True)
         got = buchberger(gens, ring=R)
         tracked = buchberger(gens, ring=R, track=True)
         assert got.cofactors is None
-        assert got.ring == tracked.ring == want.ring
-        assert got.generators == tracked.generators == want.generators
-        assert tracked.cofactors == want.cofactors
+        assert got.ring == tracked.ring == R
+        assert want.ring == (R if R.tpos is None else R.fractions())
+        assert got.generators == tracked.generators == [_cleared(h, R) for h in want.generators]
+        assert _recomposes(tracked, gens)
+        assert _fraction_cofactors(tracked) == want.cofactors
+        assert dimension(got) == old.frac_dimension(want)
+        units += want.contains_one()
+        probes = [R.one()] + [R.var(i) for i in range(R.nvars)] + [f + R.one() for f in gens]
+        if gens:
+            probes.append(gens[0] * gens[-1])
+        for f in probes:
+            expect = old.frac_reduce_poly(_fractions(f), want.generators)
+            assert normal_form(f, got) == _cleared(expect, R)
+    assert units >= 5
 
 
 # -- differential test against the F_q(t) squarefree part ---------------------

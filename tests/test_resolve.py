@@ -14,7 +14,7 @@ from laurentdecide import resolve
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
 from laurentdecide.ideal import buchberger, dimension, radical_membership
-from laurentdecide.poly import PolyRing, RationalFunctionField, to_rational_coeffs
+from laurentdecide.poly import PolyRing, RationalFunctionField
 from laurentdecide.resolve import (
     AffineSystem,
     _blow_up_at,
@@ -68,10 +68,9 @@ def test_regularity_cusp_singular():
     assert report.status == "singular"
     assert report.dimension == 1
     # the singular locus must pin the origin: X and Y vanish on it
-    rr = rational_ring(F5, "X", "Y")
-    locus_gb = buchberger([to_rational_coeffs(h) for h in report.singular_locus], ring=rr)
-    assert radical_membership(rr.var(0), locus_gb.generators)
-    assert radical_membership(rr.var(1), locus_gb.generators)
+    locus_gb = buchberger(report.singular_locus, ring=R)
+    assert radical_membership(R.var(0), locus_gb.generators)
+    assert radical_membership(R.var(1), locus_gb.generators)
 
 
 def test_regularity_hyperbola_regular():
@@ -295,8 +294,7 @@ def test_descend_drops_dimension():
     f = R.from_terms({(0, 2, 0): 1, (3, 0, 0): -1})  # Y^2 - X^3
     sys = AffineSystem(R, [f])
     out = descend(sys, R.var(0))
-    rr = rational_ring(F3, "X", "Y")
-    gb = buchberger([to_rational_coeffs(h) for h in out.equations], ring=rr)
+    gb = buchberger(out.equations, ring=R)
     assert dimension(gb) == 0
 
 
@@ -304,8 +302,7 @@ def test_descend_to_empty():
     R = tring(F3, "X", "Y")
     f = R.from_terms({(1, 1, 0): 1, (0, 0, 0): -1})  # XY - 1
     out = descend(AffineSystem(R, [f]), R.var(0))
-    rr = rational_ring(F3, "X", "Y")
-    gb = buchberger([to_rational_coeffs(h) for h in out.equations], ring=rr)
+    gb = buchberger(out.equations, ring=R)
     assert dimension(gb) is None
 
 

@@ -9,14 +9,17 @@ For `buchberger`: `resolve` (system bases and the regularity check),
 membership).  For `certify_liftable`: `truncation` (candidates of the digit
 search and their Newton lifts), `hensel` (perturbed points) and `resolve`
 (witnesses lifted for an inequation and mapped back from blow-up charts).
-For `_tracked_reduce`: `ideal`, the reductions inside Buchberger, one per
-S-polynomial its pair criteria leave and one per generator of a basis
-interreduced.
+For `_tracked_reduce`: `ideal`, the fraction-free reductions, one per
+S-polynomial Buchberger's pair criteria leave, one per generator of a basis
+interreduced and one per normal form.
 
 `RationalFunction` constructions (`__init__` and `from_unipoly`) are counted
-per corpus, wherever they happen: Buchberger works over F_q[t] and meets
-F_q(t) only when it makes a finished basis monic and in the cofactors of a
-certificate, so F_q(t) arithmetic coming back into its loop shows here.
+per corpus, wherever they happen.  The Groebner routines work over
+F_q[X, t] from entry to exit; only radical_membership builds F_q(t) values,
+when it converts the certificate it returns (each cofactor coefficient over
+the one denominator of its representation) and verifies it.  So a corpus
+without a radical certificate builds none, and F_q(t) arithmetic coming
+back into the Groebner layer shows here.
 
 Two functions that call themselves are counted per corpus at the top level
 only, through every binding the package has, leaving out the calls they

@@ -1,9 +1,8 @@
 """Differential test of the X/t split that module poly owns (PolyRing.tpos,
 xslots and from_columns, whose one-column case is a polynomial in t alone;
 MultiPoly.x_degree, x_columns and monic) and of the contents
-over F_q[t] (ideal.t_content, primitive_part and primitive_monic, which
-take them with ideal.t_primitive and uni_gcd) against the helpers they
-replaced, in tests/split_oracle.py, which takes contents with the recursive
+over F_q[t] (ideal.primitive_part and primitive_monic, which take them with
+ideal.t_primitive and uni_gcd) against the helpers they replaced, in tests/split_oracle.py, which takes contents with the recursive
 gcd_multivariate.  Term dicts are compared in order.
 
 The polynomials: every equation and inequation that to_systems builds from
@@ -28,7 +27,7 @@ from test_valuation_encoding import criterion_4_sentences
 
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
-from laurentdecide.ideal import primitive_monic, primitive_part, t_content
+from laurentdecide.ideal import primitive_monic, primitive_part
 from laurentdecide.poly import MultiPoly, PolyRing, UniPoly
 
 F3 = FqContext(3)
@@ -127,7 +126,6 @@ def check(f):
     assert sorted(rebuilt) == sorted(f.terms.items())
     if tpos is None:
         return
-    _same(t_content(f), old.t_content(f))
     if f:
         for new, reference in ((primitive_part, old.primitive_part),
                                (primitive_monic, old.primitive_monic)):
