@@ -308,7 +308,7 @@ def run(argv=None) -> int:
     try:
         ctx = parse_field_spec(args.field)
         budget = parse_budget(args.perturb_budget)
-        if args.max_precision < 1 or args.candidate_cap < 1 or args.threads < 1:
+        if args.threads < 1:
             raise ValueError("budgets must be >= 1")
         config = RunConfig(
             max_precision=args.max_precision,

@@ -84,16 +84,19 @@ class MinorTable:
 
     Built from the equations (zero ones dropped) and their Krull dimension d
     over F_q(t), None for an empty locus: the x indices, the minor size
-    k = m - d, the Jacobian and the (rows, cols) index pairs of every size-k
-    minor in lexicographic order.  The pairs are empty when no minor can
-    certify: an empty locus, k <= 0 (a nonzero equation bounds d below m), or
-    k above the number of equations or unknowns.  At a point, gap_minors
-    scans the minor valuations and keeps those in the gap N > 2e; choose
-    runs the saturation guard over them.  A minor's guard answer is computed
-    on its first use, from its determinant polynomial, and kept.  A caller
-    certifying many points of one system builds one table and hands it to
-    every certify_liftable call; the table lives as long as the caller holds
-    it.
+    k = m - d, the Jacobian and, in lexicographic order, the (rows, cols)
+    index pairs of the size-k minors whose determinant polynomial is nonzero,
+    each determinant computed once and kept.  The pairs are empty when no
+    minor can certify: an empty locus, k <= 0 (a nonzero equation bounds d
+    below m), k above the number of equations or unknowns, or every size-k
+    determinant the zero polynomial (X^2 + Y^2 - t*Z^2 over F_2, whose
+    partials all vanish), which has no exact valuation at any point.  At a
+    point, gap_minors scans the minor valuations and keeps those in the gap
+    N > 2e; choose runs the saturation guard over them.  A minor's guard
+    answer is computed on its first use, from its determinant polynomial,
+    and kept.  A caller certifying many points of one system builds one
+    table and hands it to every certify_liftable call; the table lives as
+    long as the caller holds it.
     """
 
     def __init__(self, equations, dim):
@@ -103,15 +106,17 @@ class MinorTable:
         self.xvars = self.ring.xslots if n else ()
         m = len(self.xvars)
         k = None if dim is None else m - dim
+        self.jacobian, self._dets = [], {}
         if k is not None and 0 < k <= min(n, m):
             self.jacobian = jacobian(self.equations, self.xvars)
-            self.pairs = [
-                (rows, cols)
-                for rows in combinations(range(n), k)
-                for cols in combinations(range(m), k)
-            ]
-        else:
-            self.jacobian, self.pairs = [], []
+            for rows in combinations(range(n), k):
+                for cols in combinations(range(m), k):
+                    det_poly = det_matrix(
+                        [[self.jacobian[i][j] for j in cols] for i in rows], self.ring.one()
+                    )
+                    if det_poly:
+                        self._dets[rows, cols] = det_poly
+        self.pairs = list(self._dets)
         # the ring variables the equations use: a coordinate of one of them
         # over another field is an error even when no minor lies in the gap
         # and the residuals are never evaluated
@@ -130,12 +135,9 @@ class MinorTable:
         others = [i for i in range(len(self.equations)) if i not in rows]
         if not others:
             return True
-        det_poly = det_matrix([[self.jacobian[i][j] for j in cols] for i in rows], self.ring.one())
-        if not det_poly:
-            return False
         eqs = [self.equations[i] for i in list(rows) + others]
         # Z goes after t: the Groebner routines read (X, t, Z) as F_q[t][X, Z]
-        lifted, aux = _rabinowitsch(eqs, det_poly, "Zsat")
+        lifted, aux = _rabinowitsch(eqs, self._dets[rows, cols], "Zsat")
         gb = buchberger(lifted[: len(rows)] + [aux], ring=aux.ring)
         return not any(normal_form(f, gb) for f in lifted[len(rows) :])
 

@@ -13,7 +13,6 @@ sound while completeness is budget-limited: UNKNOWN is a legal outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .ff import FqContext
 from .hensel import (
@@ -35,9 +34,14 @@ class RunConfig:
 
     max_precision: int = 64  # truncation levels run 1, 2, 4, ... up to this
     perturb_budget: PerturbBudget = PerturbBudget()
-    candidate_cap: int = 256  # certification attempts per level
+    candidate_cap: int = 256  # candidates per level, certified or not
     max_blowups: int = 16
     search_budget: int = 2_000_000  # digit-search nodes per truncation level
+
+    def __post_init__(self):
+        counts = (self.max_precision, self.candidate_cap, self.search_budget)
+        if min(counts) < 1 or self.max_blowups < 0:
+            raise ValueError("budgets must be >= 1")
 
 
 @dataclass
@@ -78,7 +82,9 @@ def _accumulate(out: dict, e, c):
 
 
 def _mul_mod(a, b, n):
-    """Product of two vectors of digit term maps, truncated mod t^n."""
+    """Product of two vectors of digit term maps, truncated mod t^n.  A digit
+    monomial is the sorted tuple of its digit-variable indices, one entry per
+    unit of degree."""
     out = [{} for _ in range(n)]
     for i in range(min(n, len(a))):
         if not a[i]:
@@ -87,8 +93,16 @@ def _mul_mod(a, b, n):
             acc = out[i + j]
             for e1, c1 in a[i].items():
                 for e2, c2 in b[j].items():
-                    _accumulate(acc, tuple(map(add, e1, e2)), c1 * c2)
+                    _accumulate(acc, tuple(sorted(e1 + e2)), c1 * c2)
     return out
+
+
+def _dense(mono, nvars):
+    """The exponent tuple over nvars variables of a sorted index tuple."""
+    e = [0] * nvars
+    for i in mono:
+        e[i] += 1
+    return tuple(e)
 
 
 def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
@@ -97,7 +111,9 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
 
     Each unknown is a vector of digit term maps, one per power of t, and all
     products are taken mod t^level, so no t-degree at or above the level is
-    ever built.  Powers of each unknown are computed once per call.
+    ever built.  Powers of each unknown are computed once per call.  Digit
+    monomials stay sparse (see _mul_mod) until each output term is converted
+    once into the digit ring.
     """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -113,10 +129,12 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     if len(set(digit_names)) != len(digit_names):
         raise ValueError("digit name collision")
     digits = PolyRing(ctx, digit_names)
-    one = digits.one().terms
+    nv = digits.nvars
+    unit = ctx.one()
+    one = {(): unit}
 
     # powers[j][d] = (sum_k X_j_k t^k)^d mod t^level
-    powers = [[[one], [digits.var(k * m + j).terms for k in range(level)]] for j in range(m)]
+    powers = [[[one], [{(k * m + j,): unit} for k in range(level)]] for j in range(m)]
 
     def power(j, d):
         pw = powers[j]
@@ -141,7 +159,7 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
                 for de, dc in terms.items():
                     _accumulate(acc, de, dc * c)
         for terms in coeffs:
-            g = MultiPoly(digits, terms)
+            g = MultiPoly(digits, {_dense(de, nv): dc for de, dc in terms.items()})
             if not g or g in seen:
                 continue
             seen.add(g)

@@ -369,6 +369,14 @@ def test_cli_rejects_non_positive_perturb_budget(capsys, budget):
     assert "budgets must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--max-precision", "--candidate-cap", "--threads"])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_cli_rejects_non_positive_integer_budgets(capsys, flag, value):
+    code = run(["--field", "p=3", f"{flag}={value}", "exists X. X = t"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: budgets must be >= 1\n")
+
+
 @pytest.mark.parametrize("budget", ["8x", "x8", "ax8", "8", "8x8x8", "1_6x8", "\uff18x16", "8x+16", " 8x16"])
 def test_cli_rejects_malformed_perturb_budget(capsys, budget):
     message = f"malformed perturb budget {budget!r}, expected DxM"

@@ -307,6 +307,26 @@ def test_minor_table_saturation_rejections_match_oracle():
     assert [table.saturated(rows, cols) for rows, cols in table.pairs] == [False, False]
 
 
+def test_minor_table_drops_minors_that_vanish_identically(monkeypatch):
+    # over F_2 every partial of X^2 + Y^2 - t*Z^2 is the zero polynomial: no
+    # minor has an exact valuation anywhere, so no point is ever evaluated
+    F2 = FqContext(2)
+    R = tring(F2, "X", "Y", "Z")
+    x, y, z, t = R.var(0), R.var(1), R.var(2), R.var(3)
+    eqs = [x * x + y * y - t * z * z]
+    dim = system_dimension(eqs, R)
+    table = hensel.MinorTable(eqs, dim)
+    assert (dim, table.pairs) == (2, [])
+
+    def no_point_table(*args):
+        raise RuntimeError("a point table was built")
+
+    monkeypatch.setattr(hensel, "point_table", no_point_table)
+    for point in ([S(F2, [], 8)] * 3, [S(F2, [0, 1], 8), S(F2, [0, 1], 8), S(F2, [], 8)]):
+        assert certify_liftable(eqs, point, dim, table=table) is None
+        assert certify_liftable(eqs, point, dim) is None
+
+
 def test_minor_table_lives_for_one_decide_positive_call(monkeypatch):
     R, eqs = _saturation_system()
     dim = system_dimension(eqs, R)

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import hensel_oracle
 import pytest
+import weil_oracle
 
 import laurentdecide
 from laurentdecide.ff import FqContext
-from laurentdecide.frontend import decide
+from laurentdecide.frontend import decide, eliminate_valuation_atoms, parse, to_systems
 from laurentdecide.poly import MultiPoly, PolyRing
 from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
 from laurentdecide.truncation import (
@@ -25,6 +26,7 @@ from laurentdecide.truncation import (
     weil_restrict,
 )
 from test_acceptance import _curated_systems, _random_system
+from test_fuzz import random_sentence
 
 F2 = FqContext(2)
 F3 = FqContext(3)
@@ -189,6 +191,24 @@ def test_decide_positive_unknown_on_tight_budget():
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
     v = decide_positive([f], R, RunConfig(max_precision=1))
     assert v.is_unknown and v.reason == "precision-exhausted"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_precision", 0), ("max_precision", -4), ("candidate_cap", 0),
+     ("search_budget", 0), ("max_blowups", -1)],
+)
+def test_run_config_rejects_budgets_below_their_floor(field, value):
+    # a candidate cap of 0 would otherwise end in UNKNOWN precision-exhausted,
+    # naming the wrong budget
+    with pytest.raises(ValueError, match="budgets must be >= 1"):
+        RunConfig(**{field: value})
+
+
+def test_run_config_takes_the_least_budgets():
+    # no blow-up at all is a legal run; every other budget allows one unit
+    config = RunConfig(max_precision=1, candidate_cap=1, search_budget=1, max_blowups=0)
+    assert (config.max_precision, config.max_blowups) == (1, 0)
 
 
 def test_decide_positive_witness_verifies():
@@ -508,6 +528,65 @@ def test_iter_solutions_walks_the_oracle_nodes():
             assert _node_count(iter_solutions, old.restricted, old.ring) == _node_count(
                 _xmajor_iter_solutions, old.restricted, old.ring
             )
+
+
+# -- differential tests against the dense digit monomials ---------------------
+#
+# weil_oracle holds the restriction as it stood with every digit monomial a
+# dense exponent tuple over all m*N digit variables.  The sparse one must
+# build the same digit ring and the same restricted polynomials, in the same
+# order, each with its terms in the same order.
+
+
+def _assert_matches_dense_oracle(eqs, ring, levels):
+    for n in levels:
+        old = weil_oracle.weil_restrict(eqs, ring, n)
+        new = weil_restrict(eqs, ring, n)
+        assert new.ring.names == old.ring.names
+        assert new.restricted == old.restricted
+        assert [list(g.terms.items()) for g in new.restricted] == [
+            list(g.terms.items()) for g in old.restricted
+        ], f"N={n}: {eqs}"
+
+
+@pytest.mark.parametrize("ctx, a", [(F3, 2), (FqContext(5), 2), (FqContext(7), 3)])
+def test_weil_restrict_matches_dense_oracle_on_norm_forms(ctx, a):
+    R = tring(ctx, "X", "Y")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    for k in (1, 2, 3, 5):
+        _assert_matches_dense_oracle([x * x - R.const(a) * y * y - t**k], R, range(1, 17))
+
+
+@pytest.mark.parametrize(
+    "ctx, a, max_precision",
+    [(F2, -1, 32), (F3, 2, 16), (FqContext(5), 2, 8), (FqContext(7), 3, 8)],
+)
+def test_weil_restrict_matches_dense_oracle_on_the_cones(ctx, a, max_precision):
+    # X^2 - a*Y^2 = t*Z^2 at every level up to its benchmarked precision cap
+    R = tring(ctx, "X", "Y", "Z")
+    x, y, z, t = R.var(0), R.var(1), R.var(2), R.var(3)
+    _assert_matches_dense_oracle([x * x - R.const(a) * y * y - t * z * z], R, range(1, max_precision + 1))
+
+
+def test_weil_restrict_matches_dense_oracle_on_a_deep_curve():
+    R = tring(FqContext(5), "X", "Y")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    _assert_matches_dense_oracle([y**3 - t * x**7], R, (8, 16, 32))
+
+
+def test_weil_restrict_matches_dense_oracle_on_the_fuzz_systems():
+    # every system to_systems builds from the sentences of
+    # test_fuzz_sentences_f3 and _f2, at the levels their runs visit
+    checked = 0
+    for seed, ctx in ((777001, F3), (424242, F2)):
+        rng = random.Random(seed)
+        for _ in range(45):
+            sentence = eliminate_valuation_atoms(parse(random_sentence(rng)))
+            for system in to_systems(sentence, ctx):
+                eqs = [f for f in system.equations if f]
+                _assert_matches_dense_oracle(eqs, system.ring, (1, 2, 4, 8, 16))
+                checked += bool(eqs)
+    assert checked > 100
 
 
 # -- soundness guards -------------------------------------------------------------
