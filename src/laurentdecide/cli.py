@@ -24,7 +24,7 @@ from .frontend import (
     parse_variables,
     term_pair,
 )
-from .hensel import PerturbBudget, certify_liftable
+from .hensel import MinorTable, PerturbBudget, certify_liftable, system_dimension
 from .poly import MultiPoly, PolyRing, to_rational_coeffs
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .series import (
@@ -184,7 +184,9 @@ def _verify_sat(verdict: Verdict) -> list:
                 problems.append(f"residual of {f!r} below witness precision")
         if system.inequation is not None and not val_exact(valuation(at(system.inequation))):
             problems.append("inequation value not exactly valued at the witness")
-    fresh = certify_liftable(system.equations, witness, precision=precision)
+    # a table of its own: nothing the decision cached is reused
+    table = MinorTable(system.equations, system_dimension(system.equations, system.ring))
+    fresh = certify_liftable(table, witness, precision=precision)
     if fresh is None:
         problems.append("re-certification by the engine's certify_liftable failed")
     return problems

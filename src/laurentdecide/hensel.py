@@ -12,15 +12,20 @@ computation over F_q[X, t].  Without it, an equation vanishing to high but
 finite order at the witness could survive every truncated residual check
 while the Newton limit misses it.  With it, the limit solves the full system
 because det is a unit along the lifted branch.
+
+What does not depend on the point (the Jacobian, its nonzero minors and
+each minor's guard answer) is a MinorTable of the system, built once per
+system and handed to every certification, lift and perturbation; it is the
+one argument through which these routines learn the equations and their
+dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .ideal import _rabinowitsch, buchberger, dimension, normal_form
-from .poly import det_matrix, jacobian
+from .poly import det_matrix, jacobian, nonzero_minors
 from .series import (
     TruncatedSeries,
     invert_unit,
@@ -82,40 +87,36 @@ def system_dimension(equations, ring, basis=None):
 class MinorTable:
     """The point-independent half of certify_liftable for one system.
 
-    Built from the equations (zero ones dropped) and their Krull dimension d
-    over F_q(t), None for an empty locus: the x indices, the minor size
-    k = m - d, the Jacobian and, in lexicographic order, the (rows, cols)
-    index pairs of the size-k minors whose determinant polynomial is nonzero,
-    each determinant computed once and kept.  The pairs are empty when no
-    minor can certify: an empty locus, k <= 0 (a nonzero equation bounds d
-    below m), k above the number of equations or unknowns, or every size-k
-    determinant the zero polynomial (X^2 + Y^2 - t*Z^2 over F_2, whose
-    partials all vanish), which has no exact valuation at any point.  At a
-    point, gap_minors scans the minor valuations and keeps those in the gap
+    Built from the equations (zero ones dropped) and their Krull dimension
+    dim over F_q(t), None for an empty locus, and keeping both: the x
+    indices, the minor size k = m - dim, the Jacobian in the unknowns and,
+    in lexicographic order, the (rows, cols) index pairs of the size-k
+    minors whose determinant polynomial is nonzero, each determinant
+    computed once and kept.  The pairs are empty when no minor can certify:
+    an empty locus, k <= 0 (a nonzero equation bounds dim below m), k above
+    the number of equations or unknowns, or every size-k determinant the
+    zero polynomial (X^2 + Y^2 - t*Z^2 over F_2, whose partials all
+    vanish), which has no exact valuation at any point.  At a point,
+    gap_minors scans the minor valuations and keeps those in the gap
     N > 2e; choose runs the saturation guard over them.  A minor's guard
     answer is computed on its first use, from its determinant polynomial,
-    and kept.  A caller certifying many points of one system builds one
-    table and hands it to every certify_liftable call; the table lives as
-    long as the caller holds it.
+    and kept.  The engine's table is the system's view
+    resolve.AffineSystem.minors: it lives as long as its system and serves
+    every point certified, lifted or perturbed on it.
     """
 
     def __init__(self, equations, dim):
         self.equations = [f for f in equations if f]
+        self.dim = dim
         n = len(self.equations)
         self.ring = self.equations[0].ring if n else None
         self.xvars = self.ring.xslots if n else ()
         m = len(self.xvars)
         k = None if dim is None else m - dim
-        self.jacobian, self._dets = [], {}
+        self.jacobian = jacobian(self.equations, self.xvars)
+        self._dets = {}
         if k is not None and 0 < k <= min(n, m):
-            self.jacobian = jacobian(self.equations, self.xvars)
-            for rows in combinations(range(n), k):
-                for cols in combinations(range(m), k):
-                    det_poly = det_matrix(
-                        [[self.jacobian[i][j] for j in cols] for i in rows], self.ring.one()
-                    )
-                    if det_poly:
-                        self._dets[rows, cols] = det_poly
+            self._dets = nonzero_minors(self.jacobian, k, self.ring.one())
         self.pairs = list(self._dets)
         # the ring variables the equations use: a coordinate of one of them
         # over another field is an error even when no minor lies in the gap
@@ -169,10 +170,11 @@ class MinorTable:
         return None
 
 
-def certify_liftable(equations, point, dim=None, precision=None, exclude_col=None, table=None):
-    """HenselCertificate for the point, or None.
+def certify_liftable(table, point, precision=None, exclude_col=None):
+    """HenselCertificate for the point of the system of the MinorTable
+    table, or None.
 
-    Conditions: some size-(m-d) Jacobian minor with determinant valuation e
+    Conditions: some size-(m - dim) Jacobian minor with determinant valuation e
     satisfying N > 2e (N the point precision), every residual valuation
     >= N, and the saturation guard for equations outside the minor rows.  A
     minor may not use the unknown at position exclude_col, when given.  The
@@ -180,8 +182,7 @@ def certify_liftable(equations, point, dim=None, precision=None, exclude_col=Non
     Jacobian entries at the point; the residuals, only when some minor lies
     in the gap; the guard (a Groebner basis per minor, kept in the table),
     only when every residual passes.  precision, when given, must be the
-    point's.  table is the MinorTable of these equations and dimension,
-    when the caller holds one; otherwise the call builds its own.
+    point's.
     """
     if precision is None:
         precision = point[0].precision if point else 1
@@ -189,11 +190,6 @@ def certify_liftable(equations, point, dim=None, precision=None, exclude_col=Non
         raise ValueError(
             f"precision {precision} disagrees with the point's precision {point[0].precision}"
         )
-    if table is None:
-        equations = [f for f in equations if f]
-        if equations and dim is None:
-            dim = system_dimension(equations, equations[0].ring)
-        table = MinorTable(equations, dim)
     if not table.equations:
         return HenselCertificate((), (), 0, precision)
     if not table.pairs:
@@ -210,8 +206,9 @@ def certify_liftable(equations, point, dim=None, precision=None, exclude_col=Non
     return table.choose(minors, precision)
 
 
-def newton_lift(equations, point, certificate, target, trace=None):
-    """Lift the certified point to residual valuations >= target.
+def newton_lift(table, point, certificate, target, trace=None):
+    """Lift the point, certified on the system of the MinorTable table, to
+    residual valuations >= target.
 
     Returns the refined point at precision target; the low t^(N-e) digits
     agree with the input.  Each iteration at least doubles (minus 2e) the
@@ -219,11 +216,11 @@ def newton_lift(equations, point, certificate, target, trace=None):
     CertificateError.  trace, when given, collects the minimum subsystem
     residual valuation before each correction step.
     """
-    equations = [f for f in equations if f]
+    equations = table.equations
     if not equations:
         # exact: the stored representatives are polynomials
         return tuple(TruncatedSeries(x.ctx, x.coeffs, target) for x in point)
-    ring = equations[0].ring
+    ring = table.ring
     e = certificate.e
     rows = list(certificate.rows)
     k = len(rows)
@@ -237,8 +234,8 @@ def newton_lift(equations, point, certificate, target, trace=None):
             raise CertificateError("empty-minor certificate with nonzero residual")
         return tuple(xs)
 
-    col_pos = [ring.xslots.index(c) for c in certificate.cols]
-    jac_sub = [[equations[i].partial(c) for c in certificate.cols] for i in rows]
+    col_pos = [table.xvars.index(c) for c in certificate.cols]
+    jac_sub = [[table.jacobian[i][j] for j in col_pos] for i in rows]
 
     prev_min = None
     max_iter = 2 * (target.bit_length() + 4)
@@ -278,7 +275,7 @@ def newton_lift(equations, point, certificate, target, trace=None):
     raise CertificateError("Newton budget exhausted before reaching target")
 
 
-def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=None):
+def smooth_perturb(table, point, certificate, g, budget: PerturbBudget):
     """A certified solution with g of exact finite valuation (hence nonzero),
     or None when the budget is exhausted.
 
@@ -287,29 +284,25 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
     order: depths M increasing, then directions by coordinate index, then
     scalars in field-enumeration order.  Every perturbed point is certified
     afresh, at the precision its residuals reach, by a minor avoiding the
-    perturbed coordinate.
+    perturbed coordinate, through the MinorTable table of the system.
     """
-    equations = [f for f in equations if f]
+    equations = table.equations
     if not point:
         # closed system: g is a constant in t
         return (point, certificate) if g else None
     if val_exact(valuation_at(g, point)):
         return point, certificate
     precision = point[0].precision
-
-    if dim is None and equations:
-        dim = system_dimension(equations, equations[0].ring)
-    if equations and dim is None:
+    if equations and table.dim is None:
         return None  # empty locus cannot carry a certified point
     bound = set(certificate.cols)
-    ring = equations[0].ring if equations else g.ring
+    ring = table.ring if equations else g.ring
     xvars = ring.xslots
     free = [j for j in xvars if j not in bound][: budget.directions]
     if not free:
         return None
     nonzero_scalars = [c for c in g.ring.field.elements() if c]
     xpos = {v: i for i, v in enumerate(xvars)}
-    table = MinorTable(equations, dim)
 
     m0 = max(1, 2 * certificate.e + 1)
     for mm in range(m0, m0 + budget.depth):
@@ -333,20 +326,16 @@ def smooth_perturb(equations, point, certificate, g, budget: PerturbBudget, dim=
                 if floor < 1:
                     continue
                 cert2 = certify_liftable(
-                    equations,
-                    [x.truncate(floor) for x in xs],
-                    dim,
-                    exclude_col=xpos[j],
-                    table=table,
+                    table, [x.truncate(floor) for x in xs], exclude_col=xpos[j]
                 )
                 if cert2 is None:
                     continue
                 try:
-                    lifted = newton_lift(equations, xs, cert2, precision)
+                    lifted = newton_lift(table, xs, cert2, precision)
                 except CertificateError:
                     continue
                 if val_exact(valuation_at(g, lifted)):
-                    final = certify_liftable(equations, list(lifted), dim, table=table)
+                    final = certify_liftable(table, list(lifted))
                     if final is not None:
                         return tuple(lifted), final
     return None

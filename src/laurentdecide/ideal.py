@@ -86,10 +86,10 @@ def reduce_poly(f: MultiPoly, divisors, with_quotients=False):
 
 @dataclass
 class GroebnerBasis:
-    """Reduced Groebner basis in graded reverse lexicographic order of the
-    unknowns, over F_q(t) for a ring with a t slot: each generator is given
-    over the ring itself, in t_primitive form (monic over F_q without a t
-    slot).
+    """Reduced Groebner basis for the graded reverse lexicographic order of
+    the unknowns, over F_q(t) for a ring with a t slot: each generator is
+    given over the ring itself, in t_primitive form (monic over F_q without
+    a t slot), with its terms in no set order.
 
     When built with tracking, cofactors[i] is a pair (D, R): D a nonzero
     UniPoly in t and R a list of polynomials over the ring, one per input
@@ -222,7 +222,7 @@ def _tracked_reduce(f: _Tracked, basis):
 
 
 def buchberger(generators, ring: PolyRing | None = None, track: bool = False) -> GroebnerBasis:
-    """Reduced Groebner basis of the given generators (grevlex in the
+    """Reduced Groebner basis of the given generators (for grevlex in the
     unknowns) over F_q(t)[X] when their ring is F_q[X, t] (the t slot
     anywhere), over F_q[X] when it has no t slot; see GroebnerBasis for the
     form of its generators and cofactors.
@@ -313,8 +313,8 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
     reduced = _interreduce(basis)
     cof = None
     if track:
-        cof = [(t.rep[0], [_descending(ring, r) for r in t.rep[1]]) for t in reduced]
-    return GroebnerBasis(ring, [_descending(ring, t.poly) for t in reduced], cof)
+        cof = [(t.rep[0], [_as_poly(ring, r) for r in t.rep[1]]) for t in reduced]
+    return GroebnerBasis(ring, [_as_poly(ring, t.poly) for t in reduced], cof)
 
 
 def _interreduce(basis):
@@ -348,7 +348,7 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis):
     for g in gb.generators:
         poly = g.x_coefficients()
         basis.append(_Tracked(poly, None, 0, _lead(poly)))
-    return _descending(f.ring, _tracked_reduce(_Tracked(f.x_coefficients(), None, 0), basis).poly)
+    return _as_poly(f.ring, _tracked_reduce(_Tracked(f.x_coefficients(), None, 0), basis).poly)
 
 
 def ideal_membership(f: MultiPoly, gb: GroebnerBasis) -> bool:
@@ -579,12 +579,10 @@ def squarefree_equation(f: MultiPoly) -> MultiPoly:
     return primitive_monic(squarefree_part(f))
 
 
-def _descending(ring, poly):
-    """poly, {X-exponent: UniPoly}, over ring (F_q[X, t], or F_q[X] with
-    constant coefficients), its terms in descending grevlex order as a
-    division lists them."""
-    f = ring.from_columns({x: dict(enumerate(c.coeffs)) for x, c in poly.items()})
-    return MultiPoly(ring, {e: f.terms[e] for e in sorted(f.terms, key=grevlex_key, reverse=True)})
+def _as_poly(ring, poly):
+    """poly, {X-exponent: UniPoly}, as a polynomial over ring (F_q[X, t], or
+    F_q[X] with constant coefficients)."""
+    return ring.from_columns({x: dict(enumerate(c.coeffs)) for x, c in poly.items()})
 
 
 def cancel_content(f: MultiPoly, d: UniPoly) -> MultiPoly:
@@ -592,7 +590,7 @@ def cancel_content(f: MultiPoly, d: UniPoly) -> MultiPoly:
     f as it stands when that is 1."""
     poly = f.x_coefficients()
     g = uni_gcd(d, t_primitive(poly)[0])
-    return f if len(g.coeffs) == 1 else _descending(f.ring, {x: c // g for x, c in poly.items()})
+    return f if len(g.coeffs) == 1 else _as_poly(f.ring, {x: c // g for x, c in poly.items()})
 
 
 def primitive_part(f: MultiPoly) -> MultiPoly:
@@ -601,7 +599,6 @@ def primitive_part(f: MultiPoly) -> MultiPoly:
 
 
 def primitive_monic(f: MultiPoly) -> MultiPoly:
-    """The quotient of t_primitive for a nonzero f over F_q[X, t], in f's
-    term order when f is primitive."""
+    """The quotient of t_primitive for a nonzero f over F_q[X, t]."""
     d, prim = t_primitive(f.x_coefficients())
-    return f.scale(d.coeffs[0].inv()) if len(d.coeffs) == 1 else _descending(f.ring, prim)
+    return f.scale(d.coeffs[0].inv()) if len(d.coeffs) == 1 else _as_poly(f.ring, prim)

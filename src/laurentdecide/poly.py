@@ -24,6 +24,8 @@ polynomial is the empty term map.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .ff import FqContext, FqElem
 
 
@@ -659,6 +661,18 @@ def det_matrix(matrix, one):
         else:
             acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def nonzero_minors(matrix, k, one):
+    """{(rows, cols): det} of the size-k minors of matrix whose determinant
+    is nonzero, rows then columns in lexicographic order."""
+    minors = {}
+    for rows in combinations(range(len(matrix)), k):
+        for cols in combinations(range(len(matrix[0])), k):
+            det = det_matrix([[matrix[i][j] for j in cols] for i in rows], one)
+            if det:
+                minors[rows, cols] = det
+    return minors
 
 
 def total_degree(f: MultiPoly) -> int:

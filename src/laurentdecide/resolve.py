@@ -22,21 +22,22 @@ and ideal answers them over F_q(t) with bases over F_q[X, t]; the radical
 certificates it returns are the only F_q(t) values this module passes on.
 
 A system is immutable and owns the views derived from its equations: one
-reduced Groebner basis and its dimension, each computed at most once and
-the basis only when a question needs it.  Every step that adjoins equations
-to lower the dimension (the blow-up centre, say) goes through the one
-routine `descend`.
+reduced Groebner basis, its dimension and the minor table of the Hensel
+layer, each computed at most once and only when a question needs it; every
+certification, lift and perturbation on the system shares its one table.
+Every step that adjoins equations to lower the dimension (the blow-up
+centre, say) goes through the one routine `descend`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .ff import FqContext
 from .hensel import (
     CertificateError,
+    MinorTable,
     certify_liftable,
     newton_lift,
     smooth_perturb,
@@ -50,7 +51,7 @@ from .ideal import (
     radical_membership,
     squarefree_equation,
 )
-from .poly import MultiPoly, PolyRing, det_matrix, jacobian
+from .poly import MultiPoly, PolyRing, jacobian, nonzero_minors
 from .series import point_table, val_exact, valuation_at
 from .truncation import RunConfig, decide_positive
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -61,8 +62,8 @@ class AffineSystem:
     """Equations f_1..f_n plus at most one inequation g != 0, over F_q[t][X].
 
     The ring carries the t slot as its last variable.  Zero equations are
-    dropped.  The views `basis` and `dim` are computed on first use and kept
-    with the object.
+    dropped.  The views `basis`, `dim` and `minors` are computed on first
+    use and kept with the object.
     """
 
     ring: PolyRing
@@ -91,6 +92,13 @@ class AffineSystem:
         """Krull dimension of the locus over F_q(t); None when it is empty.
         The basis is built only for two or more equations."""
         return system_dimension(self.equations, self.ring, lambda: self.basis)
+
+    @cached_property
+    def minors(self):
+        """The MinorTable of the equations and their dimension: the one table
+        through which the Hensel layer certifies, lifts and perturbs points
+        of this system."""
+        return MinorTable(self.equations, self.dim)
 
 
 @dataclass
@@ -139,13 +147,7 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
     if not equidimensional:
         return RegularityReport("inconclusive", dimension=dim)
     # minors of the spread-out scheme: derivatives in the X's and in t
-    jac = jacobian(eqs, list(range(ring.nvars)))
-    minors = []
-    for rows in combinations(range(len(eqs)), k):
-        for cols in combinations(range(ring.nvars), k):
-            det = det_matrix([[jac[i][j] for j in cols] for i in rows], ring.one())
-            if det:
-                minors.append(det)
+    minors = list(nonzero_minors(jacobian(eqs, range(ring.nvars)), k, ring.one()).values())
     if any(h.x_degree() == 0 for h in minors):
         return RegularityReport("regular", dimension=dim)
     gb_locus = buchberger(eqs + minors, ring=ring)
@@ -245,7 +247,7 @@ def descend(system: AffineSystem, *centre: MultiPoly) -> AffineSystem:
 
 def _sat_with_inequation(system, pos, config, trace):
     """Perturb a certified solution until the inequation has exact valuation."""
-    eqs = system.equations
+    table = system.minors
     g = system.inequation
     cert = pos.certificate
     budget = config.perturb_budget
@@ -254,13 +256,13 @@ def _sat_with_inequation(system, pos, config, trace):
     witness = pos.witness
     if witness and target > witness[0].precision:
         try:
-            witness = newton_lift(eqs, list(witness), cert, target)
-            cert2 = certify_liftable(eqs, list(witness), system.dim, precision=target)
+            witness = newton_lift(table, list(witness), cert, target)
+            cert2 = certify_liftable(table, list(witness), precision=target)
             if cert2 is not None:
                 cert = cert2
         except CertificateError:
             witness = pos.witness
-    out = smooth_perturb(eqs, list(witness), cert, g, budget, dim=system.dim)
+    out = smooth_perturb(table, list(witness), cert, g, budget)
     if out is None:
         trace.append("perturbation budget exhausted without meeting the inequation")
         return Verdict(UNKNOWN, reason="perturbation-budget-exhausted", trace=trace)
@@ -424,7 +426,7 @@ def _decide_by_truncation(system, config, trace):
         def accept(witness):
             return val_exact(valuation_at(g, witness))
 
-    pos = decide_positive(system.equations, system.ring, config, trace, accept, system.dim)
+    pos = decide_positive(system.minors, system.ring, config, trace, accept)
     if not pos.is_sat or g is None:
         return pos
     gval = valuation_at(g, pos.witness)
@@ -462,7 +464,7 @@ def _decide_singular_curve(system, report, config, trace, depth, prev_mult):
         if v.is_sat:
             at = point_table(ring, v.witness, v.witness[0].precision)
             mapped = (at(images[0]), at(images[1]))
-            cert = certify_liftable(system.equations, list(mapped), system.dim)
+            cert = certify_liftable(system.minors, list(mapped))
             gval = valuation_at(g, mapped) if g is not None else None
             if cert is not None and (g is None or val_exact(gval)):
                 trace.append(f"chart {chart.index} witness mapped back and re-certified")

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ff import FqContext
-from .hensel import (
-    CertificateError,
-    MinorTable,
-    PerturbBudget,
-    certify_liftable,
-    newton_lift,
-    system_dimension,
-)
+from .hensel import CertificateError, PerturbBudget, certify_liftable, newton_lift
 from .poly import MultiPoly, PolyRing
 from .series import TruncatedSeries
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -56,7 +49,6 @@ class WeilRestriction:
     expansion solves the restricted one.
     """
 
-    original: list
     level: int
     ring: PolyRing
     restricted: list
@@ -164,7 +156,7 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
                 continue
             seen.add(g)
             restricted.append(g)
-    return WeilRestriction(list(equations), level, digits, restricted)
+    return WeilRestriction(level, digits, restricted)
 
 
 def _sparse(f: MultiPoly):
@@ -267,14 +259,14 @@ def solve_finite(system, ring: PolyRing):
 
 
 def decide_positive(
-    equations,
+    table,
     ring: PolyRing,
     config: RunConfig | None = None,
     trace: list | None = None,
     accept=None,
-    dim=None,
 ) -> Verdict:
-    """Decide a pure equation system (no inequation) over F_q[[t]].
+    """Decide a pure equation system (no inequation) over F_q[[t]]: the
+    system of the MinorTable table, over ring.
 
     Truncation levels N = 1, 2, 4, ... up to config.max_precision: UNSAT(N)
     as soon as level N has no mod-t^N solution; SAT once one of the first
@@ -288,18 +280,15 @@ def decide_positive(
     included; the first remembered witness is returned when nothing better
     turns up.  Refutation is independent of accept.
 
-    dim is the Krull dimension of the equations over F_q(t) when the caller
-    already has it; None computes it.  Every certification of the call shares
-    one MinorTable of the equations.
+    Every certification and lift of the call goes through the table, and so
+    does every later call on the same table: a saturation guard answered
+    once is never recomputed.
     """
     if config is None:
         config = RunConfig()
     if trace is None:
         trace = []
-    eqs = [f for f in equations if f]
-    if dim is None:
-        dim = system_dimension(eqs, ring)
-    table = MinorTable(eqs, dim)
+    eqs = table.equations
     blocked_by_budget = False
     fallback = None
     level = 1
@@ -321,7 +310,7 @@ def decide_positive(
                     trace.append(f"level {level}: candidate cap {config.candidate_cap} reached")
                     break
                 point = restriction.point(assignment)
-                cert = certify_liftable(eqs, list(point), dim, precision=level, table=table)
+                cert = certify_liftable(table, list(point), precision=level)
                 if cert is None:
                     continue
                 target = 2 * max(level, cert.e + 1)
@@ -333,11 +322,11 @@ def decide_positive(
                     )
                     continue
                 try:
-                    lifted = newton_lift(eqs, list(point), cert, target)
+                    lifted = newton_lift(table, list(point), cert, target)
                 except CertificateError as err:
                     trace.append(f"level {level}: lift rejected a candidate ({err})")
                     continue
-                final = certify_liftable(eqs, list(lifted), dim, precision=target, table=table)
+                final = certify_liftable(table, list(lifted), precision=target)
                 if final is None:
                     continue
                 if accept is not None and not accept(lifted):

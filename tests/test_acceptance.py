@@ -35,6 +35,11 @@ F5 = FqContext(5)
 SAT_REGISTRY = []
 
 
+def minor_table(ring, equations):
+    """The minor table the engine keeps for the system of the equations."""
+    return AffineSystem(ring, equations).minors
+
+
 def _register_sat(label, verdict):
     if verdict.is_sat and verdict.system is not None:
         SAT_REGISTRY.append((label, verdict))
@@ -277,11 +282,12 @@ def test_criterion_5_hensel_convergence():
     assert len(suite) == 10
     steps = 0
     for ring, eqs, point in suite:
-        cert = certify_liftable(eqs, point)
+        table = minor_table(ring, eqs)
+        cert = certify_liftable(table, point)
         assert cert is not None, f"suite system failed to certify: {eqs}"
         trace = []
         target = 16
-        lifted = newton_lift(eqs, point, cert, target, trace=trace)
+        lifted = newton_lift(table, point, cert, target, trace=trace)
         for a, b in zip(trace, trace[1:]):
             assert b >= 2 * a - 2 * cert.e, f"iteration {a} -> {b} with e={cert.e}"
             steps += 1
@@ -455,7 +461,7 @@ def test_criterion_2_sat_soundness():
         cert = verdict.certificate
         target = 2 * cert.precision
         try:
-            lifted = newton_lift(eqs, witness, cert, target)
+            lifted = newton_lift(minor_table(system.ring, eqs), witness, cert, target)
         except Exception as err:  # noqa: BLE001 - report, do not mask
             failures.append(f"{label}: lift failed ({err})")
             continue

@@ -4,10 +4,10 @@ from collections import Counter
 import hensel_oracle
 import make_decision_golden as golden
 import pytest
-from test_acceptance import _curated_systems, _random_system
+from test_acceptance import _curated_systems, _random_system, minor_table
 from test_series import _raised
 
-from laurentdecide import hensel, resolve, truncation
+from laurentdecide import cli, hensel, resolve, truncation
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
 from laurentdecide.hensel import (
@@ -49,7 +49,7 @@ def sqrt_system():
 def test_certify_sqrt_at_precision_one():
     # residual at X=1 is -t (valuation 1 >= 1), minor 2X has valuation 0
     R, eqs = sqrt_system()
-    cert = certify_liftable(eqs, [S(F3, [1], 1)])
+    cert = certify_liftable(minor_table(R, eqs), [S(F3, [1], 1)])
     assert cert is not None
     assert cert.e == 0
     assert cert.rows == (0,) and cert.cols == (0,)
@@ -59,13 +59,13 @@ def test_certify_rejects_bad_residual():
     # {X^2 - t} at X = 0 mod t^2: residual -t has valuation 1 < 2
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 1): -1})
-    assert certify_liftable([f], [S(F3, [0, 0], 2)]) is None
+    assert certify_liftable(minor_table(R, [f]), [S(F3, [0, 0], 2)]) is None
 
 
 def test_certify_linear_system():
     R = tring(F3, "X")
     f = R.from_terms({(1, 0): 1, (0, 1): -1})  # X - t
-    cert = certify_liftable([f], [S(F3, [0, 1, 0], 3)])
+    cert = certify_liftable(minor_table(R, [f]), [S(F3, [0, 1, 0], 3)])
     assert cert is not None and cert.e == 0
 
 
@@ -75,7 +75,7 @@ def test_certify_empty_locus_refused():
     f = R.from_terms({(1, 0): 1})
     g = f - R.one()
     assert system_dimension([f, g], R) is None
-    assert certify_liftable([f, g], [S(F3, [0], 1)]) is None
+    assert certify_liftable(minor_table(R, [f, g]), [S(F3, [0], 1)]) is None
 
 
 def test_certify_saturation_guard():
@@ -90,7 +90,7 @@ def test_certify_saturation_guard():
     f1 = y * a
     f2 = a * (y + t**40)
     point = [S(F3, [0] * 4, 4)]
-    assert certify_liftable([f1, f2], point) is None
+    assert certify_liftable(minor_table(R, [f1, f2]), point) is None
 
 
 def test_newton_lift_sqrt_of_one_plus_t():
@@ -98,8 +98,9 @@ def test_newton_lift_sqrt_of_one_plus_t():
     # (oracle: (1+2t+t^2)^2 = 1 + 4t + 6t^2 + ... = 1 + t mod t^3)
     R, eqs = sqrt_system()
     point = [S(F3, [1], 1)]
-    cert = certify_liftable(eqs, point)
-    lifted = newton_lift(eqs, point, cert, 3)
+    table = minor_table(R, eqs)
+    cert = certify_liftable(table, point)
+    lifted = newton_lift(table, point, cert, 3)
     assert lifted[0].coeffs == tuple(F3.elem(c) for c in (1, 2, 1))
     sq = lifted[0] * lifted[0]
     assert sq == S(F3, [1, 1, 0], 3)
@@ -109,8 +110,9 @@ def test_newton_lift_exact_linear():
     R = tring(F3, "X")
     f = R.from_terms({(1, 0): 1, (0, 1): -1})  # X - t
     point = [S(F3, [0, 1, 0], 3)]
-    cert = certify_liftable([f], point)
-    lifted = newton_lift([f], point, cert, 6)
+    table = minor_table(R, [f])
+    cert = certify_liftable(table, point)
+    lifted = newton_lift(table, point, cert, 6)
     assert lifted[0] == S(F3, [0, 1, 0, 0, 0, 0], 6)
 
 
@@ -120,9 +122,10 @@ def test_newton_lift_two_variable_inverse():
     f1 = R.from_terms({(1, 1, 0): 1, (0, 0, 0): -1})
     f2 = R.from_terms({(1, 0, 0): 1, (0, 0, 0): -1, (0, 0, 1): -1})
     point = [S(F3, [1], 1), S(F3, [1], 1)]
-    cert = certify_liftable([f1, f2], point)
+    table = minor_table(R, [f1, f2])
+    cert = certify_liftable(table, point)
     assert cert is not None
-    lifted = newton_lift([f1, f2], point, cert, 2)
+    lifted = newton_lift(table, point, cert, 2)
     assert lifted[0] == S(F3, [1, 1], 2)
     assert lifted[1] == S(F3, [1, 2], 2)
 
@@ -130,9 +133,10 @@ def test_newton_lift_two_variable_inverse():
 def test_newton_quadratic_convergence_trace():
     R, eqs = sqrt_system()
     point = [S(F3, [1], 1)]
-    cert = certify_liftable(eqs, point)
+    table = minor_table(R, eqs)
+    cert = certify_liftable(table, point)
     trace = []
-    newton_lift(eqs, point, cert, 16, trace=trace)
+    newton_lift(table, point, cert, 16, trace=trace)
     # v_next >= 2*v - 2e with e = 0
     for a, b in zip(trace, trace[1:]):
         assert b >= 2 * a - 2 * cert.e
@@ -141,9 +145,10 @@ def test_newton_quadratic_convergence_trace():
 def test_newton_lift_re_verifies_at_double_precision():
     R, eqs = sqrt_system()
     point = [S(F3, [1], 1)]
-    cert = certify_liftable(eqs, point)
-    lifted = newton_lift(eqs, point, cert, 4)
-    again = newton_lift(eqs, list(lifted), certify_liftable(eqs, list(lifted)), 8)
+    table = minor_table(R, eqs)
+    cert = certify_liftable(table, point)
+    lifted = newton_lift(table, point, cert, 4)
+    again = newton_lift(table, list(lifted), certify_liftable(table, list(lifted)), 8)
     # low-order coefficients are preserved by re-lifting
     assert again[0].coeffs[:4] == lifted[0].coeffs
     res = evaluate(eqs[0], series_point(eqs[0].ring, list(again), 8))
@@ -156,9 +161,10 @@ def test_newton_lift_higher_valuation_minor():
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 2): -1, (0, 3): -1})
     point = [S(F3, [0, 1, 0], 3)]
-    cert = certify_liftable([f], point)
+    table = minor_table(R, [f])
+    cert = certify_liftable(table, point)
     assert cert is not None and cert.e == 1
-    lifted = newton_lift([f], point, cert, 6)
+    lifted = newton_lift(table, point, cert, 6)
     res = evaluate(f, series_point(R, list(lifted), 6))
     assert val_ge(valuation(res), 6)
     # witness congruent to the input mod t^(N-e)
@@ -171,9 +177,10 @@ def test_smooth_perturb_parabola():
     f = R.from_terms({(0, 1, 0): 1, (2, 0, 0): -1})
     g = R.var(0)
     point = [S(F3, [0] * 4, 4), S(F3, [0] * 4, 4)]
-    cert = certify_liftable([f], point)
+    table = minor_table(R, [f])
+    cert = certify_liftable(table, point)
     assert cert is not None
-    out = smooth_perturb([f], point, cert, g, PerturbBudget())
+    out = smooth_perturb(table, point, cert, g, PerturbBudget())
     assert out is not None
     (x, y), cert2 = out
     assert x == S(F3, [0, 1, 0, 0], 4)
@@ -188,8 +195,9 @@ def test_smooth_perturb_hyperbola():
     f = R.from_terms({(1, 1, 0): 1, (0, 0, 0): -1})
     g = R.var(0) - R.one()
     point = [S(F3, [1, 0, 0, 0], 4), S(F3, [1, 0, 0, 0], 4)]
-    cert = certify_liftable([f], point)
-    out = smooth_perturb([f], point, cert, g, PerturbBudget())
+    table = minor_table(R, [f])
+    cert = certify_liftable(table, point)
+    out = smooth_perturb(table, point, cert, g, PerturbBudget())
     assert out is not None
     (x, y), _ = out
     gv = valuation(evaluate(g, series_point(R, [x, y], 4)))
@@ -204,8 +212,9 @@ def test_smooth_perturb_already_nonzero():
     f = R.from_terms({(1, 0): 1, (0, 1): -1})
     g = R.var(0)
     point = [S(F3, [0, 1, 0], 3)]
-    cert = certify_liftable([f], point)
-    out = smooth_perturb([f], point, cert, g, PerturbBudget())
+    table = minor_table(R, [f])
+    cert = certify_liftable(table, point)
+    out = smooth_perturb(table, point, cert, g, PerturbBudget())
     assert out is not None
     assert out[0][0] == point[0]
 
@@ -216,8 +225,9 @@ def test_smooth_perturb_exhausts_budget():
     f = R.from_terms({(0, 1, 0): 1, (2, 0, 0): -1})
     g = R.var(0)
     point = [S(F3, [0] * 4, 4), S(F3, [0] * 4, 4)]
-    cert = certify_liftable([f], point)
-    assert smooth_perturb([f], point, cert, g, PerturbBudget(directions=0, depth=0)) is None
+    table = minor_table(R, [f])
+    cert = certify_liftable(table, point)
+    assert smooth_perturb(table, point, cert, g, PerturbBudget(directions=0, depth=0)) is None
 
 
 def test_smooth_perturb_determinism():
@@ -225,9 +235,10 @@ def test_smooth_perturb_determinism():
     f = R.from_terms({(0, 1, 0): 1, (2, 0, 0): -1})
     g = R.var(0)
     point = [S(F3, [0] * 5, 5), S(F3, [0] * 5, 5)]
-    cert = certify_liftable([f], point)
-    a = smooth_perturb([f], point, cert, g, PerturbBudget())
-    b = smooth_perturb([f], point, cert, g, PerturbBudget())
+    table = minor_table(R, [f])
+    cert = certify_liftable(table, point)
+    a = smooth_perturb(table, point, cert, g, PerturbBudget())
+    b = smooth_perturb(table, point, cert, g, PerturbBudget())
     assert a is not None and b is not None
     assert a[0] == b[0] and a[1] == b[1]
 
@@ -253,8 +264,9 @@ def _differential(monkeypatch, modules):
     seen = []
     real = hensel.certify_liftable
 
-    def checked(equations, point, dim=None, precision=None, exclude_col=None, table=None):
-        cert = real(equations, point, dim, precision, exclude_col, table=table)
+    def checked(table, point, precision=None, exclude_col=None):
+        cert = real(table, point, precision, exclude_col=exclude_col)
+        equations, dim = table.equations, table.dim
         expected = hensel_oracle.certify_liftable(equations, point, dim, precision, exclude_col)
         assert cert == expected, (equations, point, dim, precision, exclude_col)
         seen.append((exclude_col, cert))
@@ -268,13 +280,14 @@ def _differential(monkeypatch, modules):
 def test_minor_table_matches_oracle_on_criterion_1_sweep(monkeypatch):
     seen = _differential(monkeypatch, [truncation])
     rng = random.Random(190840)
+    config = RunConfig(max_precision=4, candidate_cap=32)
     for ctx in (FqContext(2), F3):
         systems = _curated_systems(ctx)
         for m in (1, 2):
             systems += [_random_system(rng, ctx, m) for _ in range(22)]
         systems.append(_saturation_system())
         for ring, eqs in systems:
-            decide_positive(eqs, ring, RunConfig(max_precision=4, candidate_cap=32))
+            decide_positive(minor_table(ring, eqs), ring, config)
     assert sum(cert is not None for _, cert in seen) >= 20
     assert sum(cert is None for _, cert in seen) >= 20
 
@@ -302,7 +315,7 @@ def test_minor_table_saturation_rejections_match_oracle():
     assert table.pairs == [((0,), (0,)), ((1,), (0,))]
     for n in (3, 4, 6, 8):
         point = [S(F3, [0] * n, n)]
-        assert certify_liftable(eqs, point, dim, table=table) is None
+        assert certify_liftable(table, point) is None
         assert hensel_oracle.certify_liftable(eqs, point, dim) is None
     assert [table.saturated(rows, cols) for rows, cols in table.pairs] == [False, False]
 
@@ -323,13 +336,13 @@ def test_minor_table_drops_minors_that_vanish_identically(monkeypatch):
 
     monkeypatch.setattr(hensel, "point_table", no_point_table)
     for point in ([S(F2, [], 8)] * 3, [S(F2, [0, 1], 8), S(F2, [0, 1], 8), S(F2, [], 8)]):
-        assert certify_liftable(eqs, point, dim, table=table) is None
-        assert certify_liftable(eqs, point, dim) is None
+        assert certify_liftable(table, point) is None
+        assert certify_liftable(hensel.MinorTable(eqs, dim), point) is None
 
 
-def test_minor_table_lives_for_one_decide_positive_call(monkeypatch):
+def test_a_minor_table_builds_each_saturation_basis_once(monkeypatch):
     R, eqs = _saturation_system()
-    dim = system_dimension(eqs, R)
+    table = hensel.MinorTable(eqs, system_dimension(eqs, R))
     calls = Counter()
     real_buchberger = hensel.buchberger
     real_saturated = hensel.MinorTable.saturated
@@ -345,13 +358,52 @@ def test_minor_table_lives_for_one_decide_positive_call(monkeypatch):
     monkeypatch.setattr(hensel, "buchberger", counted_buchberger)
     monkeypatch.setattr(hensel.MinorTable, "saturated", counted_saturated)
     config = RunConfig(max_precision=8)
-    decide_positive(eqs, R, config, dim=dim)
+    decide_positive(table, R, config)
     # one saturation Groebner basis per (rows, cols), however many
     # candidates reach the guard
     assert calls["guard"] > 2 * 2
     assert calls["buchberger"] == 2
-    decide_positive(eqs, R, config, dim=dim)
-    assert calls["buchberger"] == 4
+    guards = calls["guard"]
+    # the table outlives the call: a second decision on it asks the guard
+    # again and builds no basis
+    decide_positive(table, R, config)
+    assert calls["guard"] > guards
+    assert calls["buchberger"] == 2
+
+
+def test_a_decision_builds_one_minor_table_per_system_and_verify_its_own(monkeypatch):
+    # the golden sentence whose witness misses the inequation: the digit
+    # search, the lift for the inequation and the perturbation all certify
+    # on the system's one table; --verify re-certifies on a table of its own
+    _, ctx, sentence, config = next(x for x in golden.EXTRA if x[0] == "perturb")
+    built, received = [], []
+    real_init = hensel.MinorTable.__init__
+
+    def init(table, equations, dim):
+        real_init(table, equations, dim)
+        built.append(table)
+
+    monkeypatch.setattr(hensel.MinorTable, "__init__", init)
+    hensel_calls = [(truncation, "certify_liftable"), (truncation, "newton_lift"),
+                    (resolve, "certify_liftable"), (resolve, "newton_lift"),
+                    (resolve, "smooth_perturb"), (hensel, "certify_liftable"),
+                    (hensel, "newton_lift"), (cli, "certify_liftable")]
+    for module, name in hensel_calls:
+
+        def recorded(table, *args, _name=name, _real=getattr(module, name), **kwargs):
+            received.append((_name, table))
+            return _real(table, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    verdict = decide(sentence, ctx, config)
+    assert verdict.is_sat and verdict.inequation_valuation is not None
+    assert {name for name, _ in received} == {"certify_liftable", "newton_lift", "smooth_perturb"}
+    assert built == [verdict.system.minors]
+    assert all(table is built[0] for _, table in received)
+    received.clear()
+    problems, _ = cli.verify_verdict(verdict)
+    assert not problems
+    assert len(built) == 2 and received == [("certify_liftable", built[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +461,12 @@ def test_gap_order_matches_oracle_off_the_solutions():
             n = rng.randint(1, 8)
             point = _random_point(rng, ctx, m, n)
             for exclude_col in [None] + list(range(m)):
-                cert = certify_liftable(eqs, point, dim, exclude_col=exclude_col, table=table)
+                cert = certify_liftable(table, point, exclude_col=exclude_col)
                 expected = hensel_oracle.certify_liftable(eqs, point, dim, None, exclude_col)
                 assert cert == expected, (eqs, point, exclude_col)
                 if exclude_col is None:
-                    # the same answer from a call that builds its own table
-                    assert certify_liftable(eqs, point, precision=n) == cert
+                    # the same answer from a table of its own
+                    assert certify_liftable(minor_table(R, eqs), point, precision=n) == cert
                 at = point_table(R, point, n)
                 gap = bool(table.gap_minors(at, n, exclude_col))
                 residuals_pass = all(val_ge(valuation(at(f)), n) for f in eqs)
@@ -454,7 +506,8 @@ def test_gap_order_raises_as_the_oracle_does():
                 lambda: hensel_oracle.certify_liftable(eqs, point, None, None, exclude_col)
             )
             assert expected is not None
-            got = _raised(lambda: certify_liftable(eqs, point, exclude_col=exclude_col))
+            table = minor_table(eqs[0].ring, eqs)
+            got = _raised(lambda: certify_liftable(table, point, exclude_col=exclude_col))
             assert got == expected
 
 
@@ -473,7 +526,7 @@ def test_a_cone_point_without_a_gap_minor_takes_no_series_products(monkeypatch, 
         return mul(a, b)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
-    assert certify_liftable([cone], point, 2) is None
+    assert certify_liftable(hensel.MinorTable([cone], 2), point) is None
     assert calls["mul"] == 0
 
 
@@ -493,8 +546,8 @@ def test_a_failing_residual_runs_no_saturation_guard(monkeypatch):
         return real_buchberger(*args, **kwargs)
 
     monkeypatch.setattr(hensel, "buchberger", counted_buchberger)
-    assert certify_liftable(eqs, point, dim, table=table) is None
-    assert certify_liftable(eqs, point, dim) is None
+    assert certify_liftable(table, point) is None
+    assert certify_liftable(hensel.MinorTable(eqs, dim), point) is None
     assert calls["buchberger"] == 0
     assert table._saturated == {}
 
@@ -503,9 +556,10 @@ def test_a_failing_residual_runs_no_saturation_guard(monkeypatch):
 def test_certify_rejects_a_precision_the_point_does_not_have(precision):
     R, eqs = sqrt_system()
     point = [S(F3, [1, 2, 1, 1], 4)]
+    table = minor_table(R, eqs)
     with pytest.raises(ValueError, match=f"precision {precision} .* precision 4"):
-        certify_liftable(eqs, point, precision=precision)
-    assert certify_liftable(eqs, point, precision=4) == certify_liftable(eqs, point)
+        certify_liftable(table, point, precision=precision)
+    assert certify_liftable(table, point, precision=4) == certify_liftable(table, point)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from laurentdecide.truncation import (
     solve_finite,
     weil_restrict,
 )
-from test_acceptance import _curated_systems, _random_system
+from test_acceptance import _curated_systems, _random_system, minor_table
 from test_fuzz import random_sentence
 
 F2 = FqContext(2)
@@ -135,7 +135,7 @@ def test_iter_solutions_prunes_contradiction():
 def test_decide_positive_unsat_x2_minus_t():
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 1): -1})
-    v = decide_positive([f], R)
+    v = decide_positive(minor_table(R, [f]), R)
     assert v.is_unsat and v.refuted_at == 2
 
 
@@ -143,7 +143,7 @@ def test_decide_positive_sqrt_sat():
     # {X^2 - (1+t)} over F_3: witness 1+2t mod t^2 with e=0
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v = decide_positive([f], R)
+    v = decide_positive(minor_table(R, [f]), R)
     assert v.is_sat
     assert v.certificate.e == 0
     assert v.witness[0].precision == 2
@@ -153,7 +153,7 @@ def test_decide_positive_sqrt_sat():
 def test_decide_positive_linear_sat_at_two():
     R = tring(F3, "X")
     f = R.from_terms({(1, 0): 1, (0, 1): -1})
-    v = decide_positive([f], R)
+    v = decide_positive(minor_table(R, [f]), R)
     assert v.is_sat
     assert v.witness[0].precision == 2
     assert v.witness[0] == TruncatedSeries(F3, [0, 1], 2)
@@ -164,13 +164,13 @@ def test_decide_positive_frobenius_unsat():
     for ctx in (F2, F3, F5):
         R = tring(ctx, "X")
         f = R.from_terms({(ctx.p, 0): 1, (0, 1): -1})
-        v = decide_positive([f], R)
+        v = decide_positive(minor_table(R, [f]), R)
         assert v.is_unsat and v.refuted_at == 2
 
 
 def test_decide_positive_empty_system_sat():
     R = tring(F3, "X")
-    v = decide_positive([], R)
+    v = decide_positive(minor_table(R, []), R)
     assert v.is_sat
     assert v.witness[0] == TruncatedSeries(F3, [], 2)
 
@@ -179,9 +179,9 @@ def test_decide_positive_closed_constants():
     # no variables: t^3 = 0 is refuted once the truncation sees t^3
     R = PolyRing(F3, ("t",))
     f = R.from_terms({(3,): 1})
-    v = decide_positive([f], R)
+    v = decide_positive(minor_table(R, [f]), R)
     assert v.is_unsat and v.refuted_at == 4
-    v2 = decide_positive([R.zero()], R)
+    v2 = decide_positive(minor_table(R, [R.zero()]), R)
     assert v2.is_sat and v2.witness == ()
 
 
@@ -189,7 +189,7 @@ def test_decide_positive_unknown_on_tight_budget():
     # certificate exists at N=1 but the confirming lift needs precision 2
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v = decide_positive([f], R, RunConfig(max_precision=1))
+    v = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=1))
     assert v.is_unknown and v.reason == "precision-exhausted"
 
 
@@ -216,7 +216,7 @@ def test_decide_positive_witness_verifies():
     # {Y - X^2, X - t}: witness (t, t^2)
     f1 = R.from_terms({(0, 1, 0): 1, (2, 0, 0): -1})
     f2 = R.from_terms({(1, 0, 0): 1, (0, 0, 1): -1})
-    v = decide_positive([f1, f2], R)
+    v = decide_positive(minor_table(R, [f1, f2]), R)
     assert v.is_sat
     for f in (f1, f2):
         r = evaluate(f, series_point(R, list(v.witness), v.witness[0].precision))
@@ -239,7 +239,7 @@ def test_decide_positive_visits_the_levels_of_the_old_schedule(max_precision):
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1})
     trace = []
-    v = decide_positive([f], R, RunConfig(max_precision=max_precision), trace)
+    v = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=max_precision), trace)
     assert v.is_unknown and v.reason == "precision-exhausted"
     visited = [int(m[1]) for m in map(re.compile(r"level (\d+): \d+ restricted").match, trace) if m]
     assert visited == list(hensel_oracle.PrecisionSchedule(max_precision).levels())
@@ -256,18 +256,18 @@ def test_search_budget_turns_explosion_into_unknown():
     with pytest.raises(SearchBudgetExceeded):
         w = weil_restrict([f], R, 4)
         list(iter_solutions(w.restricted, w.ring, node_budget=10))
-    v = decide_positive([f], R, RunConfig(max_precision=8, search_budget=10))
+    v = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=8, search_budget=10))
     assert v.is_unknown and v.reason == "search-budget-exhausted"
     # the exhaustive default still decides it (e = 3 needs confirmation at 16)
-    v2 = decide_positive([f], R, RunConfig(max_precision=16))
+    v2 = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=16))
     assert v2.is_sat
 
 
 def test_sat_never_regresses_with_finer_schedule():
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v1 = decide_positive([f], R, RunConfig(max_precision=4))
-    v2 = decide_positive([f], R, RunConfig(max_precision=64))
+    v1 = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=4))
+    v2 = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=64))
     assert v1.is_sat and v2.is_sat
     e = v1.certificate.e
     n = min(v1.witness[0].precision, v2.witness[0].precision) - e
@@ -318,7 +318,7 @@ def test_digit_major_search_refutes_within_small_budget():
     # hundred nodes; the x-major order needs tens of thousands.
     R = tring(F3, "X", "Y")
     f = R.from_terms({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 5): -1})
-    v = decide_positive([f], R, RunConfig(search_budget=1_000))
+    v = decide_positive(minor_table(R, [f]), R, RunConfig(search_budget=1_000))
     assert v.is_unsat and v.refuted_at == 8
     old = _xmajor_weil_restrict([f], R, 8)
     with pytest.raises(SearchBudgetExceeded):
@@ -375,7 +375,7 @@ def _xmajor_weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestrict
                 continue
             seen.add(g)
             restricted.append(g)
-    return WeilRestriction(list(equations), level, digits, restricted)
+    return WeilRestriction(level, digits, restricted)
 
 
 def _xmajor_substitute_var(f: MultiPoly, i: int, value):

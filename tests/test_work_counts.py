@@ -21,11 +21,13 @@ the one denominator of its representation) and verifies it.  So a corpus
 without a radical certificate builds none, and F_q(t) arithmetic coming
 back into the Groebner layer shows here.
 
-`MinorTable.gap_minors`, the scan of the minor valuations at a point, is
-counted per corpus.  A table keeps only the minors whose determinant is a
-nonzero polynomial, and certify_liftable returns before the scan when none
-is left, so a system whose minors all vanish identically (the F_2 cone)
-scans none.
+`MinorTable` constructions are counted per corpus: a system builds its
+table once, on first use, and every certification, lift and perturbation
+on it shares that table.  `MinorTable.gap_minors`, the scan of the minor
+valuations at a point, is counted per corpus too.  A table keeps only the
+minors whose determinant is a nonzero polynomial, and certify_liftable
+returns before the scan when none is left, so a system whose minors all
+vanish identically (the F_2 cone) scans none.
 
 Two functions that call themselves are counted per corpus at the top level
 only, through every binding the package has, leaving out the calls they
@@ -144,18 +146,23 @@ def work(request):
 
         patch.setattr(RationalFunction, "__init__", init)
         patch.setattr(RationalFunction, "from_unipoly", classmethod(from_unipoly))
-        real_gap_minors = hensel.MinorTable.gap_minors
+        real_table_init, real_gap_minors = hensel.MinorTable.__init__, hensel.MinorTable.gap_minors
+
+        def table_init(*args, **kwargs):
+            counts["MinorTable"] += 1
+            real_table_init(*args, **kwargs)
 
         def gap_minors(*args, **kwargs):
             counts["gap_minors"] += 1
             return real_gap_minors(*args, **kwargs)
 
+        patch.setattr(hensel.MinorTable, "__init__", table_init)
         patch.setattr(hensel.MinorTable, "gap_minors", gap_minors)
         for ctx, text, config in CORPORA[request.param]:
             decide(text, ctx, config)
     counted = {name: {site: counts[name, site] for site in sites} for name, sites in SITES.items()}
     top_level = {key: counts[key] for key, _, _ in TOP_LEVEL}
-    per_corpus = {key: counts[key] for key in ("RationalFunction", "gap_minors")}
+    per_corpus = {key: counts[key] for key in ("RationalFunction", "MinorTable", "gap_minors")}
     return request.param, {**counted, **top_level, **per_corpus}
 
 
@@ -183,6 +190,12 @@ def test_rational_function_constructions_stay_within_their_bounds(work):
     corpus, counts = work
     bound = BOUNDS["rational_function_constructions"][corpus]
     assert counts["RationalFunction"] <= bound, f"{corpus}: {counts['RationalFunction']} > {bound}"
+
+
+def test_minor_table_constructions_stay_within_their_bounds(work):
+    corpus, counts = work
+    bound = BOUNDS["minor_table_constructions"][corpus]
+    assert counts["MinorTable"] <= bound, f"{corpus}: {counts['MinorTable']} > {bound}"
 
 
 def test_gap_minors_calls_stay_within_their_bounds(work):

@@ -3,7 +3,7 @@ xslots and from_columns, whose one-column case is a polynomial in t alone;
 MultiPoly.x_degree, x_columns and monic) and of the contents
 over F_q[t] (ideal.primitive_part and primitive_monic, which take them with
 ideal.t_primitive and uni_gcd) against the helpers they replaced, in tests/split_oracle.py, which takes contents with the recursive
-gcd_multivariate.  Term dicts are compared in order.
+gcd_multivariate.  Polynomials are compared with ==.
 
 The polynomials: every equation and inequation that to_systems builds from
 the seeded fuzz sentences (one seed over F_4 besides those of
@@ -99,7 +99,7 @@ def _t_last(f):
 
 def _same(a, b):
     assert a.ring == b.ring
-    assert list(a.terms.items()) == list(b.terms.items())
+    assert a == b
 
 
 def check(f):

@@ -92,5 +92,5 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
                 continue
             seen.add(g)
             restricted.append(g)
-    return WeilRestriction(list(equations), level, digits, restricted)
+    return WeilRestriction(level, digits, restricted)
 
