@@ -24,7 +24,7 @@ from .frontend import (
     parse_variables,
     term_pair,
 )
-from .hensel import MinorTable, PerturbBudget, certify_liftable, system_dimension
+from .hensel import PerturbBudget, certify_liftable
 from .poly import MultiPoly, PolyRing, to_rational_coeffs
 from .resolve import AffineSystem, RunConfig, decide_existential
 from .series import (
@@ -84,10 +84,9 @@ def parse_budget(text: str) -> PerturbBudget:
         directions, depth = (ascii_int(part) for part in text.lower().split("x"))
     except ValueError:
         raise ValueError(f"malformed perturb budget {text!r}, expected DxM") from None
-    budget = PerturbBudget(directions, depth)
-    if budget.directions < 1 or budget.depth < 1:
+    if directions < 1 or depth < 1:
         raise ValueError("budgets must be >= 1")
-    return budget
+    return PerturbBudget(directions, depth)
 
 
 def load_system_file(path: str, ctx: FqContext) -> AffineSystem:
@@ -184,9 +183,9 @@ def _verify_sat(verdict: Verdict) -> list:
                 problems.append(f"residual of {f!r} below witness precision")
         if system.inequation is not None and not val_exact(valuation(at(system.inequation))):
             problems.append("inequation value not exactly valued at the witness")
-    # a table of its own: nothing the decision cached is reused
-    table = MinorTable(system.equations, system_dimension(system.equations, system.ring))
-    fresh = certify_liftable(table, witness, precision=precision)
+    # a system of its own: nothing the decision cached is reused
+    fresh = certify_liftable(AffineSystem(system.ring, system.equations).minors, witness,
+                             precision=precision)
     if fresh is None:
         problems.append("re-certification by the engine's certify_liftable failed")
     return problems

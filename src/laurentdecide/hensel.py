@@ -63,6 +63,10 @@ class PerturbBudget:
     directions: int = 8
     depth: int = 16
 
+    def __post_init__(self):
+        if min(self.directions, self.depth) < 0:
+            raise ValueError("perturbation budgets must be >= 0")
+
 
 def system_dimension(equations, ring, basis=None):
     """Krull dimension of the locus of the equations over F_q(t), None when

@@ -18,8 +18,8 @@ Buchberger with the sugar selection strategy and the Gebauer-Moeller pair
 criteria, reduced bases, normal forms, Rabinowitsch radical membership with
 explicit cofactor certificates, staircase Krull dimension.  One reduction,
 _tracked_reduce, serves Buchberger, its interreduction and normal forms: it
-scales by leading coefficients instead of dividing.  reduce_poly, the
-division over a field, serves exact division over F_q.  Buchberger keeps a
+scales by leading coefficients instead of dividing.  exact_divide divides
+by one polynomial over F_q, the field division.  Buchberger keeps a
 representation over the input generators, with one denominator in F_q[t],
 only under track=True, which only certified radical membership asks for.
 Radical membership and the saturation guard of the Hensel layer share one
@@ -46,42 +46,6 @@ def _mono_sub(a, b):
 
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def reduce_poly(f: MultiPoly, divisors, with_quotients=False):
-    """Full multivariate division of f by the ordered list of divisors.
-
-    Returns the normal form r, and with_quotients also the list of quotients
-    with f = sum quotients[i] * divisors[i] + r.  No term of r is divisible
-    by any divisor's leading term.  Deterministic: divisors are tried in list
-    order and the leading reducible term is always peeled first.  Each step
-    (divisor i, shift, factor) records the term factor * x^shift of
-    quotients[i]; the peeled leading monomials strictly decrease, so no shift
-    repeats within one quotient.
-    """
-    ring = f.ring
-    steps = [{} for _ in divisors]
-    lead = [(g.lead_monomial(), g.lead_coeff()) for g in divisors]
-    r_terms = {}
-    work = f
-    while work:
-        m = work.lead_monomial()
-        c = work.terms[m]
-        for i, g in enumerate(divisors):
-            lm, lc = lead[i]
-            if _divides(lm, m):
-                factor = c * lc.inv()
-                shift = _mono_sub(m, lm)
-                work = work - g.mul_term(shift, factor)
-                steps[i][shift] = factor
-                break
-        else:
-            r_terms[m] = c
-            work = work - MultiPoly(ring, {m: c})
-    r = MultiPoly(ring, r_terms)
-    if with_quotients:
-        return r, [MultiPoly(ring, q) for q in steps]
-    return r
 
 
 @dataclass
@@ -182,13 +146,13 @@ def _tracked_reduce(f: _Tracked, basis):
     """Reduce f.poly by basis (list of _Tracked) without fractions, then
     divide out the content of the remainder.
 
-    The steps are reduce_poly's, each scaled: the leading reducible term
-    c*x^m, against the first g whose leading term lc*x^lm divides it, is
-    cleared by r <- (lc/h)*r - (c/h)*x^(m-lm)*g with h = gcd(c, lc), where r
-    holds the terms already set aside too.  So every intermediate, and the
-    result, is an F_q(t)-multiple of reduce_poly's; the sugar and the
-    representation follow the steps, and the content divided out goes into
-    the representation's denominator."""
+    The steps are those of full division over F_q(t), each scaled: the
+    leading reducible term c*x^m, against the first g whose leading term
+    lc*x^lm divides it, is cleared by r <- (lc/h)*r - (c/h)*x^(m-lm)*g with
+    h = gcd(c, lc), where r holds the terms already set aside too.  So every
+    intermediate, and the result, is an F_q(t)-multiple of that division's;
+    the sugar and the representation follow the steps, and the content
+    divided out goes into the representation's denominator."""
     work = dict(f.poly)
     rest = {}
     rep = f.rep
@@ -454,13 +418,23 @@ def dimension(gb: GroebnerBasis):
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly):
-    """f / g when g divides f exactly; None otherwise."""
+    """f / g when g divides f exactly; None otherwise.  Division over F_q
+    stops at the first leading term of what is left that lm(g) does not
+    divide; the quotient keeps its terms in the order they are peeled."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    r, (q,) = reduce_poly(f, [g], with_quotients=True)
-    if r:
-        return None
-    return q
+    lm, lc = g.lead_monomial(), g.lead_coeff()
+    quotient = {}
+    work = f
+    while work:
+        m = work.lead_monomial()
+        if not _divides(lm, m):
+            return None
+        factor = work.terms[m] * lc.inv()
+        shift = _mono_sub(m, lm)
+        work = work - g.mul_term(shift, factor)
+        quotient[shift] = factor
+    return MultiPoly(f.ring, quotient)
 
 
 def _quotient(f: MultiPoly, g: MultiPoly):

@@ -4,10 +4,12 @@ A system of equations over F_q[t] has a solution in F_q[[t]] iff its
 reduction mod t^N is solvable for every N; unsolvability at a single level
 is therefore a sound refutation.  Solvability mod t^N is an F_q-question
 after expanding each unknown into N series digits (Weil restriction), and
-the digit system is searched by exhaustive enumeration with pruning.  A
-mod-t^N solution becomes a SAT verdict only once Hensel certification plus
-a confirming Newton lift to doubled precision succeed, so both verdicts stay
-sound while completeness is budget-limited: UNKNOWN is a legal outcome.
+the digit system, term maps keyed by sorted digit-index tuples from the
+restriction through the search, is searched by exhaustive enumeration with
+pruning.  A mod-t^N solution becomes a SAT verdict only once Hensel
+certification plus a confirming Newton lift to doubled precision succeed,
+so both verdicts stay sound while completeness is budget-limited: UNKNOWN
+is a legal outcome.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .ff import FqContext
 from .hensel import CertificateError, PerturbBudget, certify_liftable, newton_lift
-from .poly import MultiPoly, PolyRing
+from .poly import PolyRing
 from .series import TruncatedSeries
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
@@ -46,7 +48,8 @@ class WeilRestriction:
     The coefficient of t^k only involves digits 0..k, so a search in ring
     order has every t^k equation fully set once digit k of each unknown is.
     A tuple over F_q[t]/(t^N) solves the reduced system iff its digit
-    expansion solves the restricted one.
+    expansion solves the restricted one.  Each restricted equation is a term
+    map keyed by sorted digit-index tuples, X_0^2 * X_1 as (0, 0, 2).
     """
 
     level: int
@@ -89,23 +92,15 @@ def _mul_mod(a, b, n):
     return out
 
 
-def _dense(mono, nvars):
-    """The exponent tuple over nvars variables of a sorted index tuple."""
-    e = [0] * nvars
-    for i in mono:
-        e[i] += 1
-    return tuple(e)
-
-
 def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     """Coefficients of t^0..t^(level-1) of each equation after substituting
     the digit expansion for every unknown.
 
     Each unknown is a vector of digit term maps, one per power of t, and all
     products are taken mod t^level, so no t-degree at or above the level is
-    ever built.  Powers of each unknown are computed once per call.  Digit
-    monomials stay sparse (see _mul_mod) until each output term is converted
-    once into the digit ring.
+    ever built.  Powers of each unknown are computed once per call.  Each
+    restricted equation is the term map the products built (see _mul_mod);
+    zero and repeated ones are dropped.
     """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -121,7 +116,6 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     if len(set(digit_names)) != len(digit_names):
         raise ValueError("digit name collision")
     digits = PolyRing(ctx, digit_names)
-    nv = digits.nvars
     unit = ctx.one()
     one = {(): unit}
 
@@ -151,32 +145,24 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
                 for de, dc in terms.items():
                     _accumulate(acc, de, dc * c)
         for terms in coeffs:
-            g = MultiPoly(digits, {_dense(de, nv): dc for de, dc in terms.items()})
-            if not g or g in seen:
-                continue
-            seen.add(g)
-            restricted.append(g)
+            key = frozenset(terms.items())
+            if terms and key not in seen:
+                seen.add(key)
+                restricted.append(terms)
     return WeilRestriction(level, digits, restricted)
-
-
-def _sparse(f: MultiPoly):
-    """Term map keyed by flat (var, exp, var, exp, ...) tuples, vars ascending."""
-    out = {}
-    for e, c in f.terms.items():
-        out[tuple(x for i, k in enumerate(e) if k for x in (i, k))] = c
-    return out
 
 
 def _assign(poly: dict, i: int, pw):
     """Substitute the value with powers pw for variable i, the least variable
-    left in poly."""
+    left in poly: its occurrences are the leading run of a monomial."""
     out = {}
     for mono, c in poly.items():
         if mono and mono[0] == i:
-            c = c * pw[mono[1]]
+            k = mono.count(i)
+            c = c * pw[k]
             if not c:
                 continue
-            mono = mono[2:]
+            mono = mono[k:]
         _accumulate(out, mono, c)
     return out
 
@@ -186,7 +172,8 @@ class SearchBudgetExceeded(Exception):
 
 
 def iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
-    """All solutions over F_q, lexicographic in ring variable order.
+    """All solutions over F_q of a system of term maps keyed by sorted
+    variable-index tuples, as weil_restrict builds, in lexicographic order.
 
     Depth-first assignment of the variables in ring order.  Assigning a
     variable substitutes it into the equations that still contain it, and
@@ -198,12 +185,12 @@ def iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
     """
     elems = list(ring.field.elements())
     nv = ring.nvars
-    polys = [_sparse(p) for p in system]
+    polys = list(system)
     users = [[] for _ in range(nv)]
     for idx, p in enumerate(polys):
-        for i in sorted({i for mono in p for i in mono[::2]}):
+        for i in sorted({i for mono in p for i in mono}):
             users[i].append(idx)
-    top = max([0] + [k for p in polys for mono in p for k in mono[1::2]])
+    top = max([0] + [mono.count(i) for p in polys for mono in p for i in mono])
     powers = [[v**k for k in range(top + 1)] for v in elems]
 
     def dead(p):

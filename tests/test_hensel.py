@@ -230,6 +230,14 @@ def test_smooth_perturb_exhausts_budget():
     assert smooth_perturb(table, point, cert, g, PerturbBudget(directions=0, depth=0)) is None
 
 
+@pytest.mark.parametrize("directions, depth", [(-1, 16), (8, -1)])
+def test_perturb_budget_rejects_negative_fields(directions, depth):
+    # a negative direction count would make free[:directions] drop the last
+    # free coordinate; zero stays the legal "no perturbation"
+    with pytest.raises(ValueError, match="perturbation budgets must be >= 0"):
+        PerturbBudget(directions, depth)
+
+
 def test_smooth_perturb_determinism():
     R = tring(F3, "X", "Y")
     f = R.from_terms({(0, 1, 0): 1, (2, 0, 0): -1})

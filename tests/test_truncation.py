@@ -5,11 +5,14 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from math import prod
 from pathlib import Path
 
 import hensel_oracle
 import pytest
 import weil_oracle
+from weil_oracle import digit_terms
 
 import laurentdecide
 from laurentdecide.ff import FqContext
@@ -26,6 +29,7 @@ from laurentdecide.truncation import (
     weil_restrict,
 )
 from test_acceptance import _curated_systems, _random_system, minor_table
+from test_fraction_field_boundary import _banned_names
 from test_fuzz import random_sentence
 
 F2 = FqContext(2)
@@ -49,7 +53,7 @@ def test_weil_restrict_x_squared_minus_t():
     D = w.ring
     assert D.names == ("X_0", "X_1")
     expected = [D.from_terms({(2, 0): 1}), D.from_terms({(1, 1): 2, (0, 0): -1})]
-    assert w.restricted == expected
+    assert w.restricted == list(map(digit_terms, expected))
 
 
 def test_weil_restrict_linear():
@@ -58,7 +62,7 @@ def test_weil_restrict_linear():
     f = R.from_terms({(1, 0): 1, (0, 1): -1})
     w = weil_restrict([f], R, 2)
     D = w.ring
-    assert w.restricted == [D.var(0), D.var(1) - D.one()]
+    assert w.restricted == list(map(digit_terms, [D.var(0), D.var(1) - D.one()]))
 
 
 def test_weil_restrict_char2_frobenius():
@@ -68,7 +72,7 @@ def test_weil_restrict_char2_frobenius():
     f = R.from_terms({(2, 0): 1, (0, 0): 1, (0, 1): 1})
     w = weil_restrict([f], R, 2)
     D = w.ring
-    assert w.restricted == [D.from_terms({(2, 0): 1, (0, 0): 1}), D.one()]
+    assert w.restricted == list(map(digit_terms, [D.from_terms({(2, 0): 1, (0, 0): 1}), D.one()]))
 
 
 def test_weil_restrict_exactness_oracle():
@@ -82,8 +86,15 @@ def test_weil_restrict_exactness_oracle():
     for digits in itertools.product(elems, repeat=n):
         x = TruncatedSeries(F3, list(digits), n)
         direct = evaluate(f, series_point(R, [x], n))
-        restricted_ok = all(not g.eval_coeffs(list(digits)) for g in w.restricted)
+        restricted_ok = all(not _value(g, digits) for g in w.restricted)
         assert (not direct) == restricted_ok
+
+
+def _value(terms, point):
+    """A digit equation's value at a point of its digits."""
+    ctx = point[0].ctx
+    return sum((c * prod((point[i] for i in mono), start=ctx.one()) for mono, c in terms.items()),
+               ctx.zero())
 
 
 # -- solve_finite ---------------------------------------------------------------
@@ -92,22 +103,22 @@ def test_weil_restrict_exactness_oracle():
 def test_solve_finite_unsat_pair():
     D = PolyRing(F3, ("Y0", "Y1"))
     system = [D.from_terms({(2, 0): 1}), D.from_terms({(1, 1): 2, (0, 0): -1})]
-    assert solve_finite(system, D) is None
+    assert solve_finite(list(map(digit_terms, system)), D) is None
 
 
 def test_solve_finite_single_var():
     D = PolyRing(F2, ("Y",))
-    assert solve_finite([D.var(0)], D) == (F2.zero(),)
+    assert solve_finite([digit_terms(D.var(0))], D) == (F2.zero(),)
 
 
 def test_solve_finite_artin_schreier():
     # Y^2 + Y + 1: no root in F_2, root a in F_4 (a^2 + a = 1 with x^2+x+1)
     D2 = PolyRing(F2, ("Y",))
     f2 = D2.from_terms({(2,): 1, (1,): 1, (0,): 1})
-    assert solve_finite([f2], D2) is None
+    assert solve_finite([digit_terms(f2)], D2) is None
     D4 = PolyRing(F4, ("Y",))
     f4 = D4.from_terms({(2,): 1, (1,): 1, (0,): 1})
-    sol = solve_finite([f4], D4)
+    sol = solve_finite([digit_terms(f4)], D4)
     assert sol == (F4.gen(),)
 
 
@@ -115,7 +126,7 @@ def test_iter_solutions_lexicographic_and_complete():
     # brute-force cross-check on a small system over F_3
     D = PolyRing(F3, ("A", "B"))
     f = D.from_terms({(1, 1): 1, (0, 0): -1})  # AB = 1
-    got = list(iter_solutions([f], D))
+    got = list(iter_solutions([digit_terms(f)], D))
     elems = list(F3.elements())
     expected = [
         (a, b) for a in elems for b in elems if not f.eval_coeffs([a, b])
@@ -125,8 +136,8 @@ def test_iter_solutions_lexicographic_and_complete():
 
 def test_iter_solutions_prunes_contradiction():
     D = PolyRing(F3, ("A",))
-    assert list(iter_solutions([D.one()], D)) == []
-    assert list(iter_solutions([D.zero()], D)) == [(c,) for c in F3.elements()]
+    assert list(iter_solutions([digit_terms(D.one())], D)) == []
+    assert list(iter_solutions([digit_terms(D.zero())], D)) == [(c,) for c in F3.elements()]
 
 
 # -- decide_positive ---------------------------------------------------------------
@@ -282,7 +293,9 @@ def test_weil_restrict_digit_major_names_and_point():
     w = weil_restrict([f, g], R, 2)
     D = w.ring
     assert D.names == ("X_0", "Y_0", "X_1", "Y_1")
-    assert w.restricted == [D.var(0), D.var(2) - D.one(), D.var(1) - D.one(), D.var(3)]
+    assert w.restricted == list(
+        map(digit_terms, [D.var(0), D.var(2) - D.one(), D.var(1) - D.one(), D.var(3)])
+    )
     (sol,) = list(iter_solutions(w.restricted, D))
     x, y = w.point(sol)
     assert x == TruncatedSeries(F3, [0, 1], 2)
@@ -294,13 +307,13 @@ def test_iter_solutions_node_count():
     # included: AB = 1 over F_3 visits the root, A = 0, 1, 2 (A = 0 dies)
     # and three B values under each of A = 1, 2
     D = PolyRing(F3, ("A", "B"))
-    f = D.from_terms({(1, 1): 1, (0, 0): -1})
+    f, one = digit_terms(D.from_terms({(1, 1): 1, (0, 0): -1})), digit_terms(D.one())
     assert len(list(iter_solutions([f], D, node_budget=10))) == 2
     with pytest.raises(SearchBudgetExceeded):
         list(iter_solutions([f], D, node_budget=9))
     with pytest.raises(SearchBudgetExceeded):
-        list(iter_solutions([D.one()], D, node_budget=0))
-    assert list(iter_solutions([D.one()], D, node_budget=1)) == []
+        list(iter_solutions([one], D, node_budget=0))
+    assert list(iter_solutions([one], D, node_budget=1)) == []
 
 
 # -- regressions pinned by verdict and node count -------------------------------
@@ -491,7 +504,9 @@ def test_weil_restrict_matches_xmajor_oracle():
         assert new.ring.names == tuple(
             old.ring.names[j * n + k] for k in range(n) for j in range(m)
         )
-        assert new.restricted == [_digit_major(g, new.ring, n, m) for g in old.restricted]
+        assert new.restricted == [
+            digit_terms(_digit_major(g, new.ring, n, m)) for g in old.restricted
+        ]
 
 
 def test_iter_solutions_matches_xmajor_oracle():
@@ -525,9 +540,9 @@ def test_iter_solutions_walks_the_oracle_nodes():
             if ctx.q ** (n * (ring.nvars - 1)) > 800:
                 continue
             old = _xmajor_weil_restrict(eqs, ring, n)
-            assert _node_count(iter_solutions, old.restricted, old.ring) == _node_count(
-                _xmajor_iter_solutions, old.restricted, old.ring
-            )
+            assert _node_count(
+                iter_solutions, list(map(digit_terms, old.restricted)), old.ring
+            ) == _node_count(_xmajor_iter_solutions, old.restricted, old.ring)
 
 
 # -- differential tests against the dense digit monomials ---------------------
@@ -543,9 +558,9 @@ def _assert_matches_dense_oracle(eqs, ring, levels):
         old = weil_oracle.weil_restrict(eqs, ring, n)
         new = weil_restrict(eqs, ring, n)
         assert new.ring.names == old.ring.names
-        assert new.restricted == old.restricted
-        assert [list(g.terms.items()) for g in new.restricted] == [
-            list(g.terms.items()) for g in old.restricted
+        assert new.restricted == list(map(digit_terms, old.restricted))
+        assert [list(g.items()) for g in new.restricted] == [
+            list(digit_terms(g).items()) for g in old.restricted
         ], f"N={n}: {eqs}"
 
 
@@ -587,6 +602,83 @@ def test_weil_restrict_matches_dense_oracle_on_the_fuzz_systems():
                 _assert_matches_dense_oracle(eqs, system.ring, (1, 2, 4, 8, 16))
                 checked += bool(eqs)
     assert checked > 100
+
+
+# -- differential tests against the MultiPoly digit search ---------------------
+#
+# weil_oracle.iter_solutions is the search as it stood over the MultiPoly
+# systems of the dense restriction, each converted to (var, exp) monomials
+# on entry.  On the restriction's own term maps the search must yield the
+# same solutions in the same order and run out of a budget at the same node.
+
+SEARCH_BUDGETS = (40, 1_000)
+
+
+def _walk(search, system, ring, budget):
+    """The solutions a budgeted walk yields, and whether it ran out."""
+    found = []
+    try:
+        found.extend(search(system, ring, budget))
+    except SearchBudgetExceeded:
+        return found, True
+    return found, False
+
+
+def _assert_search_matches_oracle(eqs, ring, levels):
+    """Compare the walks at each level and budget; returns how many ran out
+    of their budget and how many did not."""
+    outcomes = Counter()
+    for n in levels:
+        new = weil_restrict(eqs, ring, n)
+        old = weil_oracle.weil_restrict(eqs, ring, n)
+        for budget in SEARCH_BUDGETS:
+            got = _walk(iter_solutions, new.restricted, new.ring, budget)
+            expected = _walk(weil_oracle.iter_solutions, old.restricted, old.ring, budget)
+            assert got == expected, f"N={n}, budget {budget}: {eqs}"
+            outcomes[got[1]] += 1
+    return outcomes
+
+
+def test_search_matches_multipoly_oracle_on_the_fuzz_systems():
+    outcomes = Counter()
+    for seed, ctx in ((777001, F3), (424242, F2)):
+        rng = random.Random(seed)
+        for _ in range(45):
+            sentence = eliminate_valuation_atoms(parse(random_sentence(rng)))
+            for system in to_systems(sentence, ctx):
+                eqs = [f for f in system.equations if f]
+                outcomes += _assert_search_matches_oracle(eqs, system.ring, range(1, 17))
+    # both budgets matter: some walks finish, others are cut short
+    assert outcomes[False] > 1_000 and outcomes[True] > 1_000, outcomes
+
+
+@pytest.mark.parametrize(
+    "ctx, a, max_precision",
+    [(F2, -1, 32), (F3, 2, 16), (F5, 2, 8), (FqContext(7), 3, 8)],
+)
+def test_search_matches_multipoly_oracle_on_the_cones(ctx, a, max_precision):
+    R = tring(ctx, "X", "Y", "Z")
+    x, y, z, t = R.var(0), R.var(1), R.var(2), R.var(3)
+    levels = hensel_oracle.PrecisionSchedule(max_precision).levels()
+    outcomes = _assert_search_matches_oracle([x * x - R.const(a) * y * y - t * z * z], R, levels)
+    assert outcomes[True], outcomes
+
+
+def test_search_matches_multipoly_oracle_on_a_deep_curve():
+    R = tring(F5, "X", "Y")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    _assert_search_matches_oracle([y**3 - t * x**7], R, (8, 16))
+
+
+def test_the_digit_layer_neither_imports_nor_builds_multipoly():
+    # a digit system stays the restriction's term maps through the search
+    source = (Path(laurentdecide.__file__).resolve().parent / "truncation.py").read_text(
+        encoding="utf-8"
+    )
+    multipoly = frozenset({"MultiPoly"})
+    assert _banned_names(source, multipoly) == []
+    assert _banned_names("from .poly import MultiPoly, PolyRing", multipoly) == ["MultiPoly"]
+    assert _banned_names("g = poly.MultiPoly(digits, terms)", multipoly) == ["MultiPoly"]
 
 
 # -- soundness guards -------------------------------------------------------------
