@@ -270,6 +270,9 @@ def decide_positive(
     Every certification and lift of the call goes through the table, and so
     does every later call on the same table: a saturation guard answered
     once is never recomputed.
+
+    One certificate serves each run of candidates sharing their digits below
+    ceil(N/2), on which alone it depends; lifted witnesses are certified anew.
     """
     if config is None:
         config = RunConfig()
@@ -287,6 +290,10 @@ def decide_positive(
         )
         found_any = False
         tried = 0
+        # iter_solutions yields each class (the digits below ceil(level/2))
+        # as one run, so the last class and its certificate are all to keep
+        digits_below = len(ring.xslots) * ((level + 1) // 2)
+        last_class = cert = None
         try:
             for assignment in iter_solutions(
                 restriction.restricted, restriction.ring, config.search_budget
@@ -297,7 +304,9 @@ def decide_positive(
                     trace.append(f"level {level}: candidate cap {config.candidate_cap} reached")
                     break
                 point = restriction.point(assignment)
-                cert = certify_liftable(table, list(point), precision=level)
+                key = assignment[:digits_below]
+                if key != last_class:
+                    last_class, cert = key, certify_liftable(table, list(point), precision=level)
                 if cert is None:
                     continue
                 target = 2 * max(level, cert.e + 1)

@@ -26,7 +26,7 @@ from laurentdecide.series import (
     val_ge,
     valuation,
 )
-from laurentdecide.truncation import RunConfig, decide_positive
+from laurentdecide.truncation import RunConfig, decide_positive, iter_solutions, weil_restrict
 
 F3 = FqContext(3)
 
@@ -285,17 +285,25 @@ def _differential(monkeypatch, modules):
     return seen
 
 
-def test_minor_table_matches_oracle_on_criterion_1_sweep(monkeypatch):
-    seen = _differential(monkeypatch, [truncation])
+def criterion_1_sweep():
+    """(ring, equations) of the criterion-1 sweep: over F_2, then F_3, the
+    curated systems, 22 random ones in one and in two unknowns, and the
+    saturation system."""
     rng = random.Random(190840)
-    config = RunConfig(max_precision=4, candidate_cap=32)
+    systems = []
     for ctx in (FqContext(2), F3):
-        systems = _curated_systems(ctx)
+        systems += _curated_systems(ctx)
         for m in (1, 2):
             systems += [_random_system(rng, ctx, m) for _ in range(22)]
         systems.append(_saturation_system())
-        for ring, eqs in systems:
-            decide_positive(minor_table(ring, eqs), ring, config)
+    return systems
+
+
+def test_minor_table_matches_oracle_on_criterion_1_sweep(monkeypatch):
+    seen = _differential(monkeypatch, [truncation])
+    config = RunConfig(max_precision=4, candidate_cap=32)
+    for ring, eqs in criterion_1_sweep():
+        decide_positive(minor_table(ring, eqs), ring, config)
     assert sum(cert is not None for _, cert in seen) >= 20
     assert sum(cert is None for _, cert in seen) >= 20
 
@@ -365,16 +373,17 @@ def test_a_minor_table_builds_each_saturation_basis_once(monkeypatch):
 
     monkeypatch.setattr(hensel, "buchberger", counted_buchberger)
     monkeypatch.setattr(hensel.MinorTable, "saturated", counted_saturated)
-    config = RunConfig(max_precision=8)
-    decide_positive(table, R, config)
+    restriction = weil_restrict(eqs, R, 8)
+    for assignment in iter_solutions(restriction.restricted, restriction.ring):
+        assert certify_liftable(table, list(restriction.point(assignment)), precision=8) is None
     # one saturation Groebner basis per (rows, cols), however many
     # candidates reach the guard
     assert calls["guard"] > 2 * 2
     assert calls["buchberger"] == 2
     guards = calls["guard"]
-    # the table outlives the call: a second decision on it asks the guard
-    # again and builds no basis
-    decide_positive(table, R, config)
+    # the table outlives the call: a decision on it asks the guard again
+    # and builds no basis
+    decide_positive(table, R, RunConfig(max_precision=8))
     assert calls["guard"] > guards
     assert calls["buchberger"] == 2
 

@@ -11,12 +11,16 @@ from pathlib import Path
 
 import hensel_oracle
 import pytest
+import truncation_oracle
 import weil_oracle
+from test_hensel import SHAPES, criterion_1_sweep
 from weil_oracle import digit_terms
 
 import laurentdecide
+from laurentdecide import resolve
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide, eliminate_valuation_atoms, parse, to_systems
+from laurentdecide.hensel import certify_liftable
 from laurentdecide.poly import MultiPoly, PolyRing
 from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
 from laurentdecide.truncation import (
@@ -572,15 +576,21 @@ def test_weil_restrict_matches_dense_oracle_on_norm_forms(ctx, a):
         _assert_matches_dense_oracle([x * x - R.const(a) * y * y - t**k], R, range(1, 17))
 
 
-@pytest.mark.parametrize(
-    "ctx, a, max_precision",
-    [(F2, -1, 32), (F3, 2, 16), (FqContext(5), 2, 8), (FqContext(7), 3, 8)],
-)
-def test_weil_restrict_matches_dense_oracle_on_the_cones(ctx, a, max_precision):
-    # X^2 - a*Y^2 = t*Z^2 at every level up to its benchmarked precision cap
+# the singular cones X^2 - a*Y^2 = t*Z^2, each with its benchmarked precision cap
+CONES = [(F2, -1, 32), (F3, 2, 16), (F5, 2, 8), (FqContext(7), 3, 8)]
+
+
+def _cone(ctx, a):
     R = tring(ctx, "X", "Y", "Z")
     x, y, z, t = R.var(0), R.var(1), R.var(2), R.var(3)
-    _assert_matches_dense_oracle([x * x - R.const(a) * y * y - t * z * z], R, range(1, max_precision + 1))
+    return R, [x * x - R.const(a) * y * y - t * z * z]
+
+
+@pytest.mark.parametrize("ctx, a, max_precision", CONES)
+def test_weil_restrict_matches_dense_oracle_on_the_cones(ctx, a, max_precision):
+    # at every level up to the cone's precision cap
+    R, eqs = _cone(ctx, a)
+    _assert_matches_dense_oracle(eqs, R, range(1, max_precision + 1))
 
 
 def test_weil_restrict_matches_dense_oracle_on_a_deep_curve():
@@ -652,15 +662,11 @@ def test_search_matches_multipoly_oracle_on_the_fuzz_systems():
     assert outcomes[False] > 1_000 and outcomes[True] > 1_000, outcomes
 
 
-@pytest.mark.parametrize(
-    "ctx, a, max_precision",
-    [(F2, -1, 32), (F3, 2, 16), (F5, 2, 8), (FqContext(7), 3, 8)],
-)
+@pytest.mark.parametrize("ctx, a, max_precision", CONES)
 def test_search_matches_multipoly_oracle_on_the_cones(ctx, a, max_precision):
-    R = tring(ctx, "X", "Y", "Z")
-    x, y, z, t = R.var(0), R.var(1), R.var(2), R.var(3)
+    R, eqs = _cone(ctx, a)
     levels = hensel_oracle.PrecisionSchedule(max_precision).levels()
-    outcomes = _assert_search_matches_oracle([x * x - R.const(a) * y * y - t * z * z], R, levels)
+    outcomes = _assert_search_matches_oracle(eqs, R, levels)
     assert outcomes[True], outcomes
 
 
@@ -679,6 +685,97 @@ def test_the_digit_layer_neither_imports_nor_builds_multipoly():
     assert _banned_names(source, multipoly) == []
     assert _banned_names("from .poly import MultiPoly, PolyRing", multipoly) == ["MultiPoly"]
     assert _banned_names("g = poly.MultiPoly(digits, terms)", multipoly) == ["MultiPoly"]
+
+
+# -- one certificate per residue class ------------------------------------------
+#
+# A level-N candidate's certificate is a function of its digits below
+# h = ceil(N/2), its class, and iter_solutions yields each class as one run,
+# so decide_positive certifies the first candidate of a class and reuses its
+# answer.  truncation_oracle holds the loop that certified every candidate:
+# the two must agree on every verdict and every trace line.
+
+
+def _first_solutions(ring, eqs, level, count=256):
+    """The restriction of the system at the level, and the first count
+    solutions of its digit search."""
+    restriction = weil_restrict(eqs, ring, level)
+    search = iter_solutions(restriction.restricted, restriction.ring)
+    return restriction, list(itertools.islice(search, count))
+
+
+def _class_systems():
+    """The criterion-1 sweep, the saturation system among them, and the cones."""
+    return criterion_1_sweep() + [_cone(ctx, a) for ctx, a, _ in CONES]
+
+
+def test_each_candidate_certifies_as_the_first_of_its_class():
+    outcomes = Counter()
+    for ring, eqs in _class_systems():
+        table = minor_table(ring, eqs)
+        m = len(ring.xslots)
+        for level in range(1, 9):
+            restriction, solutions = _first_solutions(ring, eqs, level)
+            first = {}
+            for assignment in solutions:
+                cert = certify_liftable(table, list(restriction.point(assignment)), precision=level)
+                key = assignment[: m * ((level + 1) // 2)]
+                if key in first:
+                    assert cert == first[key], (eqs, level, assignment)
+                    outcomes[cert is not None] += 1
+                else:
+                    first[key] = cert
+    # classes of more than one candidate, both certified and rejected ones
+    assert outcomes[True] > 10_000 and outcomes[False] > 10_000, outcomes
+
+
+def test_iter_solutions_yields_each_class_as_one_run():
+    # strictly increasing in lexicographic order of element index, digit
+    # major: candidates sharing their low digits are consecutive
+    for ring, eqs in _class_systems():
+        index = {c: i for i, c in enumerate(ring.field.elements())}
+        for level in range(1, 9):
+            _, solutions = _first_solutions(ring, eqs, level)
+            keys = [tuple(index[c] for c in assignment) for assignment in solutions]
+            assert keys == sorted(set(keys)), (eqs, level)
+
+
+def _assert_same_decision(table, ring, config, trace=None, accept=None):
+    """decide_positive gives the per-candidate oracle's verdict and trace."""
+    trace = [] if trace is None else trace
+    expected_trace = list(trace)
+    expected = truncation_oracle.decide_positive(table, ring, config, expected_trace, accept)
+    got = decide_positive(table, ring, config, trace, accept)
+    for name in ("status", "reason", "refuted_at", "witness", "certificate"):
+        assert getattr(got, name) == getattr(expected, name), name
+    assert trace == expected_trace
+    return got
+
+
+@pytest.mark.parametrize("max_precision", [4, 8])
+def test_decide_positive_matches_per_candidate_oracle_on_the_sweep(max_precision):
+    config = RunConfig(max_precision=max_precision, candidate_cap=32)
+    statuses = Counter()
+    for ring, eqs in criterion_1_sweep():
+        statuses[_assert_same_decision(minor_table(ring, eqs), ring, config).status] += 1
+    assert min(statuses[s] for s in ("sat", "unsat", "unknown")) >= 5, statuses
+
+
+@pytest.mark.parametrize("label, ctx, sentence, config", SHAPES, ids=[x[0] for x in SHAPES])
+def test_decide_positive_matches_per_candidate_oracle_on_lift_candidates(
+    monkeypatch, label, ctx, sentence, config
+):
+    # every decide_positive call of the decision, with the caller's trace
+    # and acceptance predicate
+    calls = []
+
+    def compared(table, ring, config=None, trace=None, accept=None):
+        calls.append(label)
+        return _assert_same_decision(table, ring, config, trace, accept)
+
+    monkeypatch.setattr(resolve, "decide_positive", compared)
+    decide(sentence, ctx, config)
+    assert calls
 
 
 # -- soundness guards -------------------------------------------------------------

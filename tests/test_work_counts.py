@@ -42,7 +42,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from make_decision_golden import fuzz_corpus
+from make_decision_golden import NORM_FORMS, fuzz_corpus
 from test_acceptance import CORPUS as CRITERION_8
 
 from laurentdecide import cli, frontend, hensel, ideal, resolve, truncation
@@ -92,6 +92,9 @@ CORPORA = {
              if not label.startswith("fuzz-31415")],
     "norm-refute": [(FqContext(p), f"exists X, Y. X*X - {a}*Y*Y = 1*t^{k}", None)
                     for p, a, k in NORM_SHAPES],
+    # the even-power norm forms of the lift-candidates benchmark: every one
+    # is SAT, through a certified candidate and its Newton lift
+    "lift": [(ctx, text, config) for _, ctx, text, config in NORM_FORMS],
     "inequations": [(ctx, f"exists X, Y, Z. {form} = t*Z*Z & ~(Z = 0)",
                      RunConfig(max_precision=cap)) for ctx, form, cap in CONES]
                    + [(ctx, text, None) for ctx, text in INEQUATIONS],
