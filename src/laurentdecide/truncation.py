@@ -14,6 +14,7 @@ is a legal outcome.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .ff import FqContext
@@ -92,15 +93,45 @@ def _mul_mod(a, b, n):
     return out
 
 
+def _power_step(prev, j, m, n):
+    """prev * sum_k X_j_k t^k mod t^n, the next power of unknown j of m: the
+    factor's coefficients are all 1, so each product inserts the digit index
+    k*m + j and adds a coefficient unmultiplied, in _mul_mod's order, which
+    keeps every term map's content and insertion order."""
+    out = [{} for _ in range(n)]
+    for i, terms in enumerate(prev):
+        if not terms:
+            continue
+        for k in range(n - i):
+            idx = k * m + j
+            acc = out[i + k]
+            for e1, c1 in terms.items():
+                at = bisect(e1, idx)
+                e = e1[:at] + (idx,) + e1[at:]
+                if e in acc:
+                    c = acc[e] + c1
+                    if c:
+                        acc[e] = c
+                    else:
+                        del acc[e]
+                else:
+                    acc[e] = c1
+    return out
+
+
 def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     """Coefficients of t^0..t^(level-1) of each equation after substituting
     the digit expansion for every unknown.
 
     Each unknown is a vector of digit term maps, one per power of t, and all
     products are taken mod t^level, so no t-degree at or above the level is
-    ever built.  Powers of each unknown are computed once per call.  Each
-    restricted equation is the term map the products built (see _mul_mod);
-    zero and repeated ones are dropped.
+    ever built.  Powers of each unknown are computed once per call, each
+    from the one below it by _power_step: the digit expansion's coefficients
+    are all 1, so a step inserts digit indices and multiplies nothing.  A
+    monomial's first unknown factor is its power vector itself; the others
+    multiply in with _mul_mod.  Each restricted equation is the term map the
+    products built, in their insertion order; zero and repeated ones are
+    dropped.
     """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -125,7 +156,7 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     def power(j, d):
         pw = powers[j]
         while len(pw) <= d:
-            pw.append(_mul_mod(pw[-1], pw[1], level))
+            pw.append(_power_step(pw[-1], j, m, level))
         return pw[d]
 
     restricted = []
@@ -136,10 +167,13 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
             s = e[tpos]
             if s >= level:
                 continue
-            vec = [one]
+            vec = None
             for j, i in enumerate(xslots):
                 if e[i]:
-                    vec = _mul_mod(vec, power(j, e[i]), level - s)
+                    pw = power(j, e[i])
+                    vec = pw if vec is None else _mul_mod(vec, pw, level - s)
+            if vec is None:
+                vec = [one]
             for k, terms in enumerate(vec[: level - s]):
                 acc = coeffs[k + s]
                 for de, dc in terms.items():
@@ -273,6 +307,10 @@ def decide_positive(
 
     One certificate serves each run of candidates sharing their digits below
     ceil(N/2), on which alone it depends; lifted witnesses are certified anew.
+    The series point of a candidate is built only when it is read: once per
+    class, for its certificate, and for each candidate of a certified class,
+    for its lift.  A candidate of a rejected class costs a slice and a
+    compare.
     """
     if config is None:
         config = RunConfig()
@@ -303,10 +341,12 @@ def decide_positive(
                 if tried > config.candidate_cap:
                     trace.append(f"level {level}: candidate cap {config.candidate_cap} reached")
                     break
-                point = restriction.point(assignment)
                 key = assignment[:digits_below]
                 if key != last_class:
+                    point = restriction.point(assignment)
                     last_class, cert = key, certify_liftable(table, list(point), precision=level)
+                elif cert is not None:
+                    point = restriction.point(assignment)
                 if cert is None:
                     continue
                 target = 2 * max(level, cert.e + 1)

@@ -614,6 +614,39 @@ def test_weil_restrict_matches_dense_oracle_on_the_fuzz_systems():
     assert checked > 100
 
 
+# weil_restrict builds each power of an unknown from the one below it with a
+# step whose factor has unit coefficients, and takes the first unknown factor
+# of a monomial as its power vector itself.  In characteristic p the step
+# deletes terms partway through a product (binomial coefficients vanish);
+# a term deleted and met again moves to the end of its map, which the term
+# order check sees.
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F5, F4], ids=["F2", "F3", "F5", "F4"])
+def test_power_step_matches_dense_oracle_across_char_p_cancellation(ctx):
+    R = tring(ctx, "X", "Y")
+    x, y = R.var(0), R.var(1)
+    p = ctx.p
+    for f in (x**p, x ** (p + 1) * y):
+        _assert_matches_dense_oracle([f], R, range(1, 17))
+
+
+def test_first_factor_matches_dense_oracle_with_a_shift_and_a_constant():
+    # X's power vector is the first factor, Y^2 multiplies in after it, the
+    # t shifts its coefficients up one slot and -1 has no unknown at all
+    R = tring(F3, "X", "Y")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    _assert_matches_dense_oracle([t * x * y**2 + x**2 - R.one()], R, range(1, 17))
+
+
+def test_equations_sharing_a_power_vector_match_dense_oracle():
+    # both equations read the cached X^2 vector, the first as a first factor
+    # on its own, the second multiplied by Y: neither may change it
+    R = tring(F5, "X", "Y")
+    x, y, t = R.var(0), R.var(1), R.var(2)
+    _assert_matches_dense_oracle([x**2 - t, x**2 * y - t * y**3], R, range(1, 17))
+
+
 # -- differential tests against the MultiPoly digit search ---------------------
 #
 # weil_oracle.iter_solutions is the search as it stood over the MultiPoly
@@ -761,21 +794,34 @@ def test_decide_positive_matches_per_candidate_oracle_on_the_sweep(max_precision
     assert min(statuses[s] for s in ("sat", "unsat", "unknown")) >= 5, statuses
 
 
-@pytest.mark.parametrize("label, ctx, sentence, config", SHAPES, ids=[x[0] for x in SHAPES])
+# Y^2 = t*X^3 with X != 0 over F_3 (SAT with X = t, Y = t^2, answered
+# UNKNOWN): its direct truncation meets the candidate cap inside one rejected
+# class at every level from 8 to 64, where no candidate after the first
+# builds its series point
+CAPPED_CURVE = ("capped-curve-f3", F3, "exists X, Y. Y*Y = t*X*X*X & ~(X = 0)", None)
+ORACLE_SHAPES = SHAPES + [CAPPED_CURVE]
+
+
+@pytest.mark.parametrize(
+    "label, ctx, sentence, config", ORACLE_SHAPES, ids=[x[0] for x in ORACLE_SHAPES]
+)
 def test_decide_positive_matches_per_candidate_oracle_on_lift_candidates(
     monkeypatch, label, ctx, sentence, config
 ):
     # every decide_positive call of the decision, with the caller's trace
     # and acceptance predicate
-    calls = []
+    verdicts = []
 
     def compared(table, ring, config=None, trace=None, accept=None):
-        calls.append(label)
-        return _assert_same_decision(table, ring, config, trace, accept)
+        verdicts.append(_assert_same_decision(table, ring, config, trace, accept))
+        return verdicts[-1]
 
     monkeypatch.setattr(resolve, "decide_positive", compared)
     decide(sentence, ctx, config)
-    assert calls
+    assert verdicts
+    if label == CAPPED_CURVE[0]:
+        capped = {line for v in verdicts for line in v.trace if "candidate cap" in line}
+        assert capped == {f"level {n}: candidate cap 256 reached" for n in (8, 16, 32, 64)}
 
 
 # -- soundness guards -------------------------------------------------------------

@@ -29,6 +29,11 @@ minors whose determinant is a nonzero polynomial, and certify_liftable
 returns before the scan when none is left, so a system whose minors all
 vanish identically (the F_2 cone) scans none.
 
+`WeilRestriction.point`, which assembles a digit assignment into series, is
+counted per corpus: the digit search builds one for the first candidate of
+each residue class, to certify the class, and one for each candidate of a
+certified class, to lift it; a candidate of a rejected class builds none.
+
 Two functions that call themselves are counted per corpus at the top level
 only, through every binding the package has, leaving out the calls they
 make on themselves: `squarefree_part`, which normalization skips when a
@@ -161,11 +166,19 @@ def work(request):
 
         patch.setattr(hensel.MinorTable, "__init__", table_init)
         patch.setattr(hensel.MinorTable, "gap_minors", gap_minors)
+        real_point = truncation.WeilRestriction.point
+
+        def point(*args, **kwargs):
+            counts["point"] += 1
+            return real_point(*args, **kwargs)
+
+        patch.setattr(truncation.WeilRestriction, "point", point)
         for ctx, text, config in CORPORA[request.param]:
             decide(text, ctx, config)
     counted = {name: {site: counts[name, site] for site in sites} for name, sites in SITES.items()}
     top_level = {key: counts[key] for key, _, _ in TOP_LEVEL}
-    per_corpus = {key: counts[key] for key in ("RationalFunction", "MinorTable", "gap_minors")}
+    per_corpus = {key: counts[key]
+                  for key in ("RationalFunction", "MinorTable", "gap_minors", "point")}
     return request.param, {**counted, **top_level, **per_corpus}
 
 
@@ -205,6 +218,12 @@ def test_gap_minors_calls_stay_within_their_bounds(work):
     corpus, counts = work
     bound = BOUNDS["gap_minors_calls"][corpus]
     assert counts["gap_minors"] <= bound, f"{corpus}: {counts['gap_minors']} > {bound}"
+
+
+def test_series_point_constructions_stay_within_their_bounds(work):
+    corpus, counts = work
+    bound = BOUNDS["point_calls"][corpus]
+    assert counts["point"] <= bound, f"{corpus}: {counts['point']} > {bound}"
 
 
 @pytest.mark.parametrize("key", [key for key, _, _ in TOP_LEVEL])
