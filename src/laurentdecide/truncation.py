@@ -6,10 +6,11 @@ is therefore a sound refutation.  Solvability mod t^N is an F_q-question
 after expanding each unknown into N series digits (Weil restriction), and
 the digit system, term maps keyed by sorted digit-index tuples from the
 restriction through the search, is searched by exhaustive enumeration with
-pruning.  A mod-t^N solution becomes a SAT verdict only once Hensel
-certification plus a confirming Newton lift to doubled precision succeed,
-so both verdicts stay sound while completeness is budget-limited: UNKNOWN
-is a legal outcome.
+pruning; the rest of a residue class whose certification failed is counted
+in closed form, not walked, when its remaining digits are free.  A mod-t^N
+solution becomes a SAT verdict only once Hensel certification plus a
+confirming Newton lift to doubled precision succeed, so both verdicts stay
+sound while completeness is budget-limited: UNKNOWN is a legal outcome.
 """
 
 from __future__ import annotations
@@ -205,7 +206,30 @@ class SearchBudgetExceeded(Exception):
     """The digit search walked more nodes than the caller allowed."""
 
 
-def iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
+@dataclass
+class SkipRequest:
+    """A request, set between two solutions of iter_solutions, to drop the
+    solutions after the last one that share its first depth variables (its
+    class), at most room of them.
+
+    The search reads it when resumed, clears depth and adds the solutions it
+    dropped to skipped.  It drops them only when the class is a free tail:
+    every equation is empty once the first depth variables are set, so the
+    class is every value of the other r variables, a base-q counter.  If more
+    than room are left, it yields the one after the room-th and walks on from
+    there; otherwise it ends the class.  Either way it counts the nodes the
+    walk would have visited, q^j at depth j below the class, and raises
+    SearchBudgetExceeded exactly where the walk would have.  On any other
+    class the request is cleared and the walk goes on as without it.
+    """
+
+    depth: int | None = None
+    room: int = 0
+    skipped: int = 0
+
+
+def iter_solutions(system, ring: PolyRing, node_budget: int | None = None,
+                   skip: SkipRequest | None = None):
     """All solutions over F_q of a system of term maps keyed by sorted
     variable-index tuples, as weil_restrict builds, in lexicographic order.
 
@@ -216,6 +240,10 @@ def iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
     pruned ones and the empty root included.  Without a node budget the
     search is exhaustive; with one, SearchBudgetExceeded fires once the walk
     exceeds it (callers must then treat the level as undecided).
+
+    A caller that passes skip can ask, between two solutions, to drop the
+    rest of a class (SkipRequest); without one every solution is yielded.
+    The generator is driven by next() alone.
     """
     elems = list(ring.field.elements())
     nv = ring.nvars
@@ -231,12 +259,15 @@ def iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
         return len(p) == 1 and () in p
 
     def assign(state, i, pw):
-        """state with variable i set, or None once an equation dies."""
+        """state with variable i set, or None once an equation dies; an
+        equation already empty stays as it is."""
         state = list(state)
         for idx in users[i]:
-            p = state[idx] = _assign(state[idx], i, pw)
-            if dead(p):
-                return None
+            p = state[idx]
+            if p:
+                p = state[idx] = _assign(p, i, pw)
+                if dead(p):
+                    return None
         return state
 
     nodes = 1
@@ -269,6 +300,28 @@ def iter_solutions(system, ring: PolyRing, node_budget: int | None = None):
         acc[i] = elems[vi]
         if i + 1 == nv:
             yield tuple(acc)
+            while skip is not None and skip.depth is not None:
+                d, skip.depth = skip.depth, None
+                if d >= nv or any(states[d]):
+                    break  # no tail, or not a free one: walk it
+                # the tail's digits count members in base q; the walk from
+                # member a to member b visits the nodes whose prefixes differ
+                r, q = nv - d, len(elems)
+                member = 0
+                for v in range(d, nv):
+                    member = member * q + tried[v] - 1
+                last, room_out = q**r - 1, member + skip.room + 1
+                target = min(room_out, last)
+                nodes += sum(target // q**e - member // q**e for e in range(r))
+                if node_budget is not None and nodes > node_budget:
+                    raise SearchBudgetExceeded(f"digit search exceeded {node_budget} nodes")
+                skip.skipped += target - member - (room_out <= last)
+                for v in range(nv - 1, d - 1, -1):
+                    target, digit = divmod(target, q)
+                    tried[v], acc[v] = digit + 1, elems[digit]
+                if room_out > last:
+                    break  # the class is done: backtrack past it
+                yield tuple(acc)
         else:
             states[i + 1] = state
             i += 1
@@ -309,7 +362,13 @@ def decide_positive(
     ceil(N/2), on which alone it depends; lifted witnesses are certified anew.
     The series point of a candidate is built only when it is read: once per
     class, for its certificate, and for each candidate of a certified class,
-    for its lift.  A candidate of a rejected class costs a slice and a
+    for its lift.  Once a class's first candidate is rejected, a SkipRequest
+    asks the search to drop the rest of the class; it does so when the
+    class's other digits are free (no restricted monomial holds two digits
+    at or above ceil(N/2), so a class whose equations all vanish is every
+    value of those digits) and reports how many it dropped, which count
+    toward config.candidate_cap as if each had been tried.  A candidate of
+    a rejected class that the search still yields costs a slice and a
     compare.
     """
     if config is None:
@@ -332,19 +391,23 @@ def decide_positive(
         # as one run, so the last class and its certificate are all to keep
         digits_below = len(ring.xslots) * ((level + 1) // 2)
         last_class = cert = None
+        skip = SkipRequest()
         try:
             for assignment in iter_solutions(
-                restriction.restricted, restriction.ring, config.search_budget
+                restriction.restricted, restriction.ring, config.search_budget, skip
             ):
                 found_any = True
                 tried += 1
-                if tried > config.candidate_cap:
+                if tried + skip.skipped > config.candidate_cap:
                     trace.append(f"level {level}: candidate cap {config.candidate_cap} reached")
                     break
                 key = assignment[:digits_below]
                 if key != last_class:
                     point = restriction.point(assignment)
                     last_class, cert = key, certify_liftable(table, list(point), precision=level)
+                    if cert is None:
+                        skip.depth = digits_below
+                        skip.room = config.candidate_cap - tried - skip.skipped
                 elif cert is not None:
                     point = restriction.point(assignment)
                 if cert is None:

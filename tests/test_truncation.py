@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import itertools
 import os
 import random
@@ -10,6 +13,7 @@ from math import prod
 from pathlib import Path
 
 import hensel_oracle
+import make_decision_golden as golden
 import pytest
 import truncation_oracle
 import weil_oracle
@@ -26,6 +30,7 @@ from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge
 from laurentdecide.truncation import (
     RunConfig,
     SearchBudgetExceeded,
+    SkipRequest,
     WeilRestriction,
     decide_positive,
     iter_solutions,
@@ -822,6 +827,278 @@ def test_decide_positive_matches_per_candidate_oracle_on_lift_candidates(
     if label == CAPPED_CURVE[0]:
         capped = {line for v in verdicts for line in v.trace if "candidate cap" in line}
         assert capped == {f"level {n}: candidate cap 256 reached" for n in (8, 16, 32, 64)}
+
+
+# -- dropping the rest of a rejected class ---------------------------------------
+#
+# A SkipRequest set between two solutions asks iter_solutions to drop the
+# rest of the last one's class, at most room of them.  It may do so only on
+# a free tail, where the class is every value of its other variables: the
+# walk must yield the plain walk's solutions minus the dropped ones, report
+# how many it dropped, and run out of a budget exactly where the plain walk
+# does.
+
+
+def _asking(system, ring, budget, ask):
+    """A walk that sets (depth, room) = ask(solution) on its SkipRequest
+    after each solution ask returns one for: (solutions, whether it ran out
+    of the budget, how many it dropped)."""
+    skip = SkipRequest()
+    found = []
+    try:
+        for solution in iter_solutions(system, ring, budget, skip):
+            found.append(solution)
+            asked = ask(solution)
+            if asked is not None:
+                skip.depth, skip.room = asked
+    except SearchBudgetExceeded:
+        return found, True, skip.skipped
+    return found, False, skip.skipped
+
+
+def _kept(solutions, q, nvars, ask):
+    """Indices, into the complete plain walk, of the solutions a walk asking
+    ask keeps: a request at depth d drops up to room of the solutions after
+    the current one in its class when the class holds all q^(nvars - d)
+    values of its other variables."""
+    kept, at = [], 0
+    while at < len(solutions):
+        kept.append(at)
+        asked = ask(solutions[at])
+        at += 1
+        if asked is not None:
+            depth, room = asked
+            key = solutions[at - 1][:depth]
+            members = [s[:depth] == key for s in solutions]
+            if sum(members) == q ** (nvars - depth):
+                at += min(room, sum(members[at:]))
+    return kept
+
+
+def _at_each_class(depth, room):
+    """An ask for a fresh walk: a request at the first solution of each class
+    of the given depth."""
+    last = []
+
+    def ask(solution):
+        if last[-1:] != [solution[:depth]]:
+            last.append(solution[:depth])
+            return depth, room
+        return None
+
+    return ask
+
+
+def _assert_requests_drop_the_free_tails(system, ring, make_ask):
+    """The asking walk against the plain one, unbudgeted and under every
+    budget up to one past the plain walk's node count; returns how many
+    solutions the unbudgeted walk dropped."""
+    plain, _ = _walk(iter_solutions, system, ring, None)
+    kept = _kept(plain, ring.field.q, ring.nvars, make_ask())
+    got, ran_out, skipped = _asking(system, ring, None, make_ask())
+    assert not ran_out and got == [plain[i] for i in kept]
+    assert skipped == len(plain) - len(kept)
+    for budget in range(1, _node_count(iter_solutions, system, ring) + 2):
+        prefix, cut = _walk(iter_solutions, system, ring, budget)
+        got, ran_out, _ = _asking(system, ring, budget, make_ask())
+        assert ran_out == cut, budget
+        assert got == [plain[i] for i in kept if i < len(prefix)], budget
+    return skipped
+
+
+ROOMS = (0, 1, 2, 5, 26, 124, 1_000)
+
+
+@pytest.mark.parametrize("ctx, a, level", [(F3, 2, 2), (F3, 2, 3), (F5, 2, 2)])
+def test_a_request_drops_the_rest_of_a_free_class(ctx, a, level):
+    # the cones' singular zero class: every digit at or above ceil(N/2) free
+    R, eqs = _cone(ctx, a)
+    restriction = weil_restrict(eqs, R, level)
+    depth = 3 * ((level + 1) // 2)
+    for room in ROOMS:
+        skipped = _assert_requests_drop_the_free_tails(
+            restriction.restricted, restriction.ring, lambda: _at_each_class(depth, room)
+        )
+        assert (skipped > 0) == (room > 0), room
+
+
+def test_a_request_may_come_at_any_solution_of_a_class():
+    # AB = 1 over F_3 in A, B, C, D: every class of (A, B) is free, no class
+    # of A alone is, and requests follow each other inside a class
+    D = PolyRing(F3, ("A", "B", "C", "D"))
+    system = [digit_terms(D.from_terms({(1, 1, 0, 0): 1, (0, 0, 0, 0): -1}))]
+    for depth, room in itertools.product((1, 2, 3, 4), (0, 1, 2, 7)):
+        skipped = _assert_requests_drop_the_free_tails(
+            system, D, lambda: lambda solution: (depth, room)
+        )
+        assert (skipped > 0) == (depth in (2, 3) and room > 0), (depth, room)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_a_request_on_a_bound_tail_drops_nothing(level):
+    # XY = t over F_3: at the class root the t^1 equation still binds the
+    # tail digits, so every request is cleared and nothing is dropped
+    R = tring(F3, "X", "Y")
+    restriction = weil_restrict([R.var(0) * R.var(1) - R.var(2)], R, level)
+    depth = 2 * ((level + 1) // 2)
+    plain, _ = _walk(iter_solutions, restriction.restricted, restriction.ring, None)
+    assert plain
+    for room in ROOMS:
+        got = _asking(restriction.restricted, restriction.ring, None, _at_each_class(depth, room))
+        assert got == (plain, False, 0)
+
+
+def test_iter_solutions_stays_a_generator_driven_by_next():
+    # the benchmark's tracer forwards next() alone to a wrapped generator
+    assert inspect.isgeneratorfunction(iter_solutions)
+    assert _src_calls(("send", "throw")) == []
+    assert _src_calls(("send",), "x = gen.send(None)\n") == ["<source>:1 .send("]
+
+
+def _src_calls(methods, source=None):
+    """The .method( calls, for each named method, in every module under src/
+    (or in the given source)."""
+    if source is not None:
+        sources = {"<source>": source}
+    else:
+        root = Path(laurentdecide.__file__).resolve().parent
+        sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(root.rglob("*.py"))}
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in methods):
+                found.append(f"{name}:{node.lineno} .{node.func.attr}(")
+    return found
+
+
+# The budget and cap sweep: every decide_positive call of four decisions
+# whose levels meet the candidate cap inside a rejected free class, under
+# every candidate cap in 1..300 and every search budget up to one past the
+# node count at which the request-free walk gets through the first capped
+# level.  truncation_oracle walks and certifies every candidate.  Both
+# loops restrict each level and certify each point the same way in every
+# run, so the sweep computes each once.
+SWEEP = [
+    ("cone-p3", F3, golden.CONES[1][2], RunConfig(max_precision=8)),
+    ("cone-p5", F5, golden.CONES[2][2], RunConfig(max_precision=8)),
+    next(x for x in golden.NORM_FORMS if x[0] == "lift-p5-k4"),
+    CAPPED_CURVE,
+]
+
+
+def _memoized(monkeypatch, name, key):
+    """Patch truncation's and truncation_oracle's binding of a function with
+    one cache keyed by key(*args, **kwargs)."""
+    real, cache = getattr(truncation_oracle, name), {}
+
+    def cached(*args, **kwargs):
+        k = key(*args, **kwargs)
+        if k not in cache:
+            cache[k] = real(*args, **kwargs)
+        return cache[k]
+
+    for module in (truncation_oracle, laurentdecide.truncation):
+        monkeypatch.setattr(module, name, cached)
+
+
+def _decide_positive_calls(monkeypatch, ctx, sentence, config):
+    """(table, ring, config, trace so far, accept) of each decide_positive
+    call of the decision."""
+    calls, real = [], resolve.decide_positive
+
+    def recorded(table, ring, config=None, trace=None, accept=None):
+        calls.append((table, ring, config or RunConfig(), list(trace or []), accept))
+        return real(table, ring, config, trace, accept)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(resolve, "decide_positive", recorded)
+        decide(sentence, ctx, config)
+    return calls
+
+
+def _first_capped_level(verdict):
+    lines = [line for line in verdict.trace if line.endswith("reached")]
+    return int(lines[0].split()[1][:-1]) if lines else None
+
+
+def _recording_searches(monkeypatch):
+    """Patch decide_positive's search to record, per search, its leaves, the
+    class depth its caller asked to drop after each leaf (or None), and its
+    SkipRequest."""
+    searches, real = [], laurentdecide.truncation.iter_solutions
+
+    def search(system, ring, node_budget=None, skip=None):
+        leaves, asked = [], []
+        searches.append((leaves, asked, skip))
+        for leaf in real(system, ring, node_budget, skip):
+            leaves.append(leaf)
+            yield leaf
+            asked.append(skip.depth)
+
+    monkeypatch.setattr(laurentdecide.truncation, "iter_solutions", search)
+    return searches
+
+
+def _rejected_classes_capped_inside(searches):
+    """After a leaf whose class its caller rejected, a search yields no leaf
+    of that class but the last, which meets the cap; returns how many such
+    classes end a search that way."""
+    capped = 0
+    for leaves, asked, _ in searches:
+        for i, depth in enumerate(asked):
+            if depth is not None:
+                later = [j for j in range(i + 1, len(leaves))
+                         if leaves[j][:depth] == leaves[i][:depth]]
+                assert later in ([], [len(leaves) - 1]), (leaves[i], later)
+                capped += bool(later)
+    return capped
+
+
+@pytest.mark.parametrize("label, ctx, sentence, config", SWEEP, ids=[x[0] for x in SWEEP])
+def test_decide_positive_matches_per_candidate_oracle_under_every_budget_and_cap(
+    monkeypatch, label, ctx, sentence, config
+):
+    calls = _decide_positive_calls(monkeypatch, ctx, sentence, config)
+    _memoized(monkeypatch, "weil_restrict", lambda eqs, ring, level: (id(eqs), level))
+    _memoized(monkeypatch, "certify_liftable",
+              lambda table, point, precision=None, exclude_col=None: (
+                  id(table), tuple((tuple(x.coeffs), x.precision) for x in point),
+                  precision, exclude_col))
+    levels = [
+        _first_capped_level(truncation_oracle.decide_positive(t, r, c, list(tr), a))
+        for t, r, c, tr, a in calls
+    ]
+    (table, ring, base, trace, accept), level = next(
+        (call, n) for call, n in zip(calls, levels) if n is not None
+    )
+
+    def gets_through(budget):
+        v = truncation_oracle.decide_positive(
+            table, ring, dataclasses.replace(base, search_budget=budget), list(trace), accept
+        )
+        return f"level {level}: candidate cap {base.candidate_cap} reached" in v.trace
+
+    lo, hi = 0, 1  # the least budget that gets through: in (lo, hi]
+    while not gets_through(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if gets_through(mid) else (mid, hi)
+    searches = _recording_searches(monkeypatch)
+    reasons, capped, dropped = Counter(), 0, 0
+    for table, ring, base, trace, accept in calls:
+        configs = [dataclasses.replace(base, candidate_cap=c) for c in range(1, 301)]
+        configs += [dataclasses.replace(base, search_budget=b) for b in range(1, hi + 2)]
+        for config in configs:
+            reasons[_assert_same_decision(table, ring, config, list(trace), accept).reason] += 1
+            capped += _rejected_classes_capped_inside(searches)
+            dropped += sum(skip.skipped for _, _, skip in searches)
+            searches.clear()
+    # budgets below the node count run out at some level, and rejected
+    # classes are left both ways: the cap met inside, the rest dropped
+    assert reasons["search-budget-exhausted"] >= hi - 1, reasons
+    assert capped > 0 and dropped > 0
 
 
 # -- soundness guards -------------------------------------------------------------

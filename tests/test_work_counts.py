@@ -34,6 +34,11 @@ counted per corpus: the digit search builds one for the first candidate of
 each residue class, to certify the class, and one for each candidate of a
 certified class, to lift it; a candidate of a rejected class builds none.
 
+The digit search's leaves, the solutions `iter_solutions` yields, are
+counted per corpus: once a class's first candidate is rejected, the search
+drops the rest of the class when its other digits are free, so only the
+candidates it still yields count.
+
 Two functions that call themselves are counted per corpus at the top level
 only, through every binding the package has, leaving out the calls they
 make on themselves: `squarefree_part`, which normalization skips when a
@@ -173,12 +178,21 @@ def work(request):
             return real_point(*args, **kwargs)
 
         patch.setattr(truncation.WeilRestriction, "point", point)
+        real_search = truncation.iter_solutions
+
+        def search(*args, **kwargs):
+            for leaf in real_search(*args, **kwargs):
+                counts["search_leaves"] += 1
+                yield leaf
+
+        patch.setattr(truncation, "iter_solutions", search)
         for ctx, text, config in CORPORA[request.param]:
             decide(text, ctx, config)
     counted = {name: {site: counts[name, site] for site in sites} for name, sites in SITES.items()}
     top_level = {key: counts[key] for key, _, _ in TOP_LEVEL}
     per_corpus = {key: counts[key]
-                  for key in ("RationalFunction", "MinorTable", "gap_minors", "point")}
+                  for key in ("RationalFunction", "MinorTable", "gap_minors", "point",
+                              "search_leaves")}
     return request.param, {**counted, **top_level, **per_corpus}
 
 
@@ -224,6 +238,12 @@ def test_series_point_constructions_stay_within_their_bounds(work):
     corpus, counts = work
     bound = BOUNDS["point_calls"][corpus]
     assert counts["point"] <= bound, f"{corpus}: {counts['point']} > {bound}"
+
+
+def test_search_leaves_stay_within_their_bounds(work):
+    corpus, counts = work
+    bound = BOUNDS["search_leaves"][corpus]
+    assert counts["search_leaves"] <= bound, f"{corpus}: {counts['search_leaves']} > {bound}"
 
 
 @pytest.mark.parametrize("key", [key for key, _, _ in TOP_LEVEL])
