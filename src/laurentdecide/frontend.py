@@ -477,7 +477,7 @@ def term_pair(term, ring: PolyRing, var_index):
         return ring.const(term.value), ring.one()
     if isinstance(term, TConst):
         x0, value = (0,) * len(ring.xslots), term.value
-        return tuple(ring.from_columns({x0: dict(enumerate(u.coeffs))}) for u in (value.num, value.den))
+        return tuple(ring.from_coefficients({x0: u}) for u in (value.num, value.den))
     if isinstance(term, TUnif):
         return ring.var(ring.tpos), ring.one()
     if isinstance(term, TVar):

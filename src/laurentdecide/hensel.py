@@ -16,8 +16,8 @@ because det is a unit along the lifted branch.
 What does not depend on the point (the Jacobian, its nonzero minors and
 each minor's guard answer) is a MinorTable of the system, built once per
 system and handed to every certification, lift and perturbation; it is the
-one argument through which these routines learn the equations and their
-dimension.
+one argument through which these routines learn the ring, the equations
+and their dimension.
 """
 
 from __future__ import annotations
@@ -91,32 +91,30 @@ def system_dimension(equations, ring, basis=None):
 class MinorTable:
     """The point-independent half of certify_liftable for one system.
 
-    Built from the equations (zero ones dropped) and their Krull dimension
-    dim over F_q(t), None for an empty locus, and keeping both: the x
-    indices, the minor size k = m - dim, the Jacobian in the unknowns and,
-    in lexicographic order, the (rows, cols) index pairs of the size-k
-    minors whose determinant polynomial is nonzero, each determinant
-    computed once and kept.  The pairs are empty when no minor can certify:
-    an empty locus, k <= 0 (a nonzero equation bounds dim below m), k above
-    the number of equations or unknowns, or every size-k determinant the
-    zero polynomial (X^2 + Y^2 - t*Z^2 over F_2, whose partials all
-    vanish), which has no exact valuation at any point.  At a point,
-    gap_minors scans the minor valuations and keeps those in the gap
-    N > 2e; choose runs the saturation guard over them.  A minor's guard
-    answer is computed on its first use, from its determinant polynomial,
-    and kept.  The engine's table is the system's view
+    Built from a system (a resolve.AffineSystem, read through its ring,
+    nonzero equations and dim alone, dim the Krull dimension over F_q(t),
+    None for an empty locus) and keeping those three: the x indices, the
+    minor size k = m - dim, the Jacobian in the unknowns and, in
+    lexicographic order, the (rows, cols) index pairs of the size-k minors
+    whose determinant polynomial is nonzero, each determinant computed once
+    and kept.  The pairs are empty when no minor can certify: an empty
+    locus, k <= 0 (a nonzero equation bounds dim below m), k above the
+    number of equations or unknowns, or every size-k determinant the zero
+    polynomial (X^2 + Y^2 - t*Z^2 over F_2, whose partials all vanish),
+    which has no exact valuation at any point.  At a point, gap_minors scans
+    the minor valuations and keeps those in the gap N > 2e; choose runs the
+    saturation guard over them.  A minor's guard answer is computed on its
+    first use, from its determinant polynomial, and kept.  The engine's
+    table is the system's view
     resolve.AffineSystem.minors: it lives as long as its system and serves
     every point certified, lifted or perturbed on it.
     """
 
-    def __init__(self, equations, dim):
-        self.equations = [f for f in equations if f]
-        self.dim = dim
-        n = len(self.equations)
-        self.ring = self.equations[0].ring if n else None
-        self.xvars = self.ring.xslots if n else ()
-        m = len(self.xvars)
-        k = None if dim is None else m - dim
+    def __init__(self, system):
+        self.ring, self.equations, self.dim = system.ring, system.equations, system.dim
+        self.xvars = self.ring.xslots
+        n, m = len(self.equations), len(self.xvars)
+        k = None if self.dim is None else m - self.dim
         self.jacobian = jacobian(self.equations, self.xvars)
         self._dets = {}
         if k is not None and 0 < k <= min(n, m):
@@ -217,26 +215,17 @@ def newton_lift(table, point, certificate, target, trace=None):
     Returns the refined point at precision target; the low t^(N-e) digits
     agree with the input.  Each iteration at least doubles (minus 2e) the
     minimum residual valuation of the driving square subsystem; stalls raise
-    CertificateError.  trace, when given, collects the minimum subsystem
-    residual valuation before each correction step.
+    CertificateError.  A certificate with no rows, as a system with no
+    equation has, corrects nothing: CertificateError unless every residual
+    already reaches target.  trace, when given, collects the minimum
+    subsystem residual valuation before each correction step.
     """
-    equations = table.equations
-    if not equations:
-        # exact: the stored representatives are polynomials
-        return tuple(TruncatedSeries(x.ctx, x.coeffs, target) for x in point)
     ring = table.ring
     e = certificate.e
     rows = list(certificate.rows)
     k = len(rows)
     work_prec = max(target, certificate.precision) + e + 1
     xs = [TruncatedSeries(x.ctx, x.coeffs, work_prec) for x in point]
-
-    if k == 0:
-        xs = [x.truncate(target) for x in xs]
-        at = point_table(ring, xs, target)
-        if not all(val_ge(valuation(at(f)), target) for f in equations):
-            raise CertificateError("empty-minor certificate with nonzero residual")
-        return tuple(xs)
 
     col_pos = [table.xvars.index(c) for c in certificate.cols]
     jac_sub = [[table.jacobian[i][j] for j in col_pos] for i in rows]
@@ -245,10 +234,12 @@ def newton_lift(table, point, certificate, target, trace=None):
     max_iter = 2 * (target.bit_length() + 4)
     for _ in range(max_iter):
         at = point_table(ring, xs, work_prec)
-        res = [at(f) for f in equations]
+        res = [at(f) for f in table.equations]
         vals_all = [valuation(r) for r in res]
         if all(val_ge(v, target) for v in vals_all):
             return tuple(x.truncate(target) for x in xs)
+        if k == 0:
+            raise CertificateError("empty-minor certificate with nonzero residual")
         sub_vals = [vals_all[i] for i in rows]
         v_min = min((v if val_exact(v) else v.n) for v in sub_vals)
         if trace is not None:
@@ -290,22 +281,21 @@ def smooth_perturb(table, point, certificate, g, budget: PerturbBudget):
     afresh, at the precision its residuals reach, by a minor avoiding the
     perturbed coordinate, through the MinorTable table of the system.
     """
-    equations = table.equations
     if not point:
         # closed system: g is a constant in t
         return (point, certificate) if g else None
     if val_exact(valuation_at(g, point)):
         return point, certificate
     precision = point[0].precision
-    if equations and table.dim is None:
+    if table.dim is None:
         return None  # empty locus cannot carry a certified point
     bound = set(certificate.cols)
-    ring = table.ring if equations else g.ring
+    ring = table.ring
     xvars = ring.xslots
     free = [j for j in xvars if j not in bound][: budget.directions]
     if not free:
         return None
-    nonzero_scalars = [c for c in g.ring.field.elements() if c]
+    nonzero_scalars = [c for c in ring.field.elements() if c]
     xpos = {v: i for i, v in enumerate(xvars)}
 
     m0 = max(1, 2 * certificate.e + 1)
@@ -318,15 +308,10 @@ def smooth_perturb(table, point, certificate, g, budget: PerturbBudget):
                     x + TruncatedSeries(x.ctx, [0] * mm + [c], x.precision) if xvars[i] == j else x
                     for i, x in enumerate(point)
                 ]
-                if not equations:
-                    if val_exact(valuation_at(g, xs)):
-                        return tuple(xs), certificate
-                    continue
                 # residual valuations never exceed the precision
                 at = point_table(ring, xs, precision)
-                floor = min(
-                    (v if val_exact(v) else v.n) for v in map(valuation, map(at, equations))
-                )
+                residuals = map(valuation, map(at, table.equations))
+                floor = min((v if val_exact(v) else v.n for v in residuals), default=precision)
                 if floor < 1:
                     continue
                 cert2 = certify_liftable(

@@ -277,8 +277,8 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
     reduced = _interreduce(basis)
     cof = None
     if track:
-        cof = [(t.rep[0], [_as_poly(ring, r) for r in t.rep[1]]) for t in reduced]
-    return GroebnerBasis(ring, [_as_poly(ring, t.poly) for t in reduced], cof)
+        cof = [(t.rep[0], [ring.from_coefficients(r) for r in t.rep[1]]) for t in reduced]
+    return GroebnerBasis(ring, [ring.from_coefficients(t.poly) for t in reduced], cof)
 
 
 def _interreduce(basis):
@@ -312,7 +312,7 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis):
     for g in gb.generators:
         poly = g.x_coefficients()
         basis.append(_Tracked(poly, None, 0, _lead(poly)))
-    return _as_poly(f.ring, _tracked_reduce(_Tracked(f.x_coefficients(), None, 0), basis).poly)
+    return f.ring.from_coefficients(_tracked_reduce(_Tracked(f.x_coefficients(), None, 0), basis).poly)
 
 
 def ideal_membership(f: MultiPoly, gb: GroebnerBasis) -> bool:
@@ -553,18 +553,12 @@ def squarefree_equation(f: MultiPoly) -> MultiPoly:
     return primitive_monic(squarefree_part(f))
 
 
-def _as_poly(ring, poly):
-    """poly, {X-exponent: UniPoly}, as a polynomial over ring (F_q[X, t], or
-    F_q[X] with constant coefficients)."""
-    return ring.from_columns({x: dict(enumerate(c.coeffs)) for x, c in poly.items()})
-
-
 def cancel_content(f: MultiPoly, d: UniPoly) -> MultiPoly:
     """A nonzero f over F_q[X, t] divided by gcd(d, its content), d in F_q[t]:
     f as it stands when that is 1."""
     poly = f.x_coefficients()
     g = uni_gcd(d, t_primitive(poly)[0])
-    return f if len(g.coeffs) == 1 else _as_poly(f.ring, {x: c // g for x, c in poly.items()})
+    return f if len(g.coeffs) == 1 else f.ring.from_coefficients({x: c // g for x, c in poly.items()})
 
 
 def primitive_part(f: MultiPoly) -> MultiPoly:
@@ -575,4 +569,4 @@ def primitive_part(f: MultiPoly) -> MultiPoly:
 def primitive_monic(f: MultiPoly) -> MultiPoly:
     """The quotient of t_primitive for a nonzero f over F_q[X, t]."""
     d, prim = t_primitive(f.x_coefficients())
-    return f.scale(d.coeffs[0].inv()) if len(d.coeffs) == 1 else _as_poly(f.ring, prim)
+    return f.scale(d.coeffs[0].inv()) if len(d.coeffs) == 1 else f.ring.from_coefficients(prim)

@@ -14,9 +14,10 @@ Two coefficient domains share one term representation:
 
 This module owns the split of a monomial into its unknowns X and its t
 degree: PolyRing.tpos and PolyRing.xslots name the slots, and
-MultiPoly.x_degree and MultiPoly.x_columns read a polynomial over F_q[X, t]
-as one in X over F_q[t] and PolyRing.from_columns builds one back, so other
-modules need not slice exponents into the two.
+MultiPoly.x_degree and MultiPoly.x_coefficients read a polynomial over
+F_q[X, t] as one in X over F_q[t], its coefficients UniPoly values, and
+PolyRing.from_coefficients builds one back, so other modules need not slice
+exponents into the two.
 
 The term order is graded reverse lexicographic everywhere; the zero
 polynomial is the empty term map.
@@ -380,12 +381,13 @@ class PolyRing:
         e[i] = 1
         return MultiPoly(self, {tuple(e): self.field.one()})
 
-    def from_columns(self, columns):
-        """The polynomial whose MultiPoly.x_columns are columns, its terms in
-        their order; one column at X^0 gives a polynomial in t alone."""
+    def from_coefficients(self, coefficients):
+        """The polynomial whose MultiPoly.x_coefficients are coefficients
+        ({X-exponent: UniPoly in t}), its terms in their order, each UniPoly's
+        from t^0 up; one coefficient at X^0 gives a polynomial in t alone."""
         tpos = self.tpos
         return self.from_terms({x if tpos is None else x[:tpos] + (k,) + x[tpos:]: c
-                                for x, column in columns.items() for k, c in column.items()})
+                                for x, u in coefficients.items() for k, c in enumerate(u.coeffs)})
 
     def from_terms(self, terms: dict):
         out = {}
@@ -508,30 +510,22 @@ class MultiPoly:
         tpos = self.ring.tpos
         return max((sum(e) - (0 if tpos is None else e[tpos]) for e in self.terms), default=-1)
 
-    def x_columns(self):
+    def x_coefficients(self):
         """The polynomial in the unknowns over F_q[t]: a map from each
-        X-exponent (t slot dropped) to {t-degree: coefficient}, both in the
-        order the terms first show them."""
+        X-exponent (t slot dropped) to its coefficient as a UniPoly in t, in
+        the order the terms first show them (constants for a ring without a
+        t slot)."""
         tpos = self.ring.tpos
+        ctx = self.ring.field
+        zero = ctx.zero()
         columns = {}
         for e, c in self.terms.items():
             x, k = (e, 0) if tpos is None else (e[:tpos] + e[tpos + 1 :], e[tpos])
-            columns.setdefault(x, {})[k] = c
-        return columns
-
-    def x_coefficients(self):
-        """The polynomial in the unknowns over F_q[t]: a map from each
-        X-exponent to its coefficient as a UniPoly in t, in the order of
-        x_columns (constants for a ring without a t slot)."""
-        ctx = self.ring.field
-        zero = ctx.zero()
-        out = {}
-        for x, column in self.x_columns().items():
-            cs = [zero] * (max(column) + 1)
-            for k, c in column.items():
-                cs[k] = c
-            out[x] = UniPoly._make(ctx, cs)
-        return out
+            cs = columns.setdefault(x, [])
+            if k >= len(cs):
+                cs += [zero] * (k + 1 - len(cs))
+            cs[k] = c
+        return {x: UniPoly._make(ctx, cs) for x, cs in columns.items()}
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)

@@ -25,8 +25,9 @@ A system is immutable and owns the views derived from its equations: one
 reduced Groebner basis, its dimension and the minor table of the Hensel
 layer, each computed at most once and only when a question needs it; every
 certification, lift and perturbation on the system shares its one table.
-Every step that adjoins equations to lower the dimension (the blow-up
-centre, say) goes through the one routine `descend`.
+The blow-up centre is adjoined through `descend`, which checks that the
+dimension drops; the descent to the singular locus builds its system from
+the locus generators directly, its drop read off the regularity report.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ class AffineSystem:
 
     @cached_property
     def minors(self):
-        """The MinorTable of the equations and their dimension: the one table
-        through which the Hensel layer certifies, lifts and perturbs points
-        of this system."""
-        return MinorTable(self.equations, self.dim)
+        """The MinorTable of the system: the one table through which the
+        Hensel layer certifies, lifts and perturbs points of this system."""
+        return MinorTable(self)
 
 
 @dataclass
@@ -300,7 +300,6 @@ def decide_existential(
     config: RunConfig | None = None,
     trace: list | None = None,
     _depth: int = 0,
-    _prev_mult: int | None = None,
 ) -> Verdict:
     """SAT/UNSAT/UNKNOWN for: do the equations vanish and the inequation not,
     somewhere on F_q[[t]]^m?
@@ -312,7 +311,7 @@ def decide_existential(
     if trace is None:
         trace = []
     normalized = _normalize(system, trace)
-    out = _decide_normalized(normalized, config, trace, _depth, _prev_mult)
+    out = _decide_normalized(normalized, config, trace, _depth)
     if out.system is None:
         out.system = normalized
     return out
@@ -357,7 +356,7 @@ def _normalize(system, trace):
         return system
 
 
-def _decide_normalized(system, config, trace, depth, prev_mult):
+def _decide_normalized(system, config, trace, depth):
     """The verdict on a normalized system; decide_existential attaches it."""
     g = system.inequation
     if system.dim is None:
@@ -379,7 +378,7 @@ def _decide_normalized(system, config, trace, depth, prev_mult):
 
     plane_curve = len(system.xnames) == 2 and len(system.equations) == 1
     if report.status == "singular" and plane_curve:
-        out = _decide_singular_curve(system, report, config, trace, depth, prev_mult)
+        out = _decide_singular_curve(system, report, config, trace, depth)
         if not out.is_unknown:
             return out
     else:
@@ -419,24 +418,13 @@ def _decide_normalized(system, config, trace, depth, prev_mult):
 
 def _decide_by_truncation(system, config, trace):
     """Level-deepening decision of the equations plus optional inequation."""
-    g = system.inequation
-    accept = None
-    if g is not None:
-
-        def accept(witness):
-            return val_exact(valuation_at(g, witness))
-
-    pos = decide_positive(system.minors, system.ring, config, trace, accept)
-    if not pos.is_sat or g is None:
-        return pos
-    gval = valuation_at(g, pos.witness)
-    if val_exact(gval):
-        pos.inequation_valuation = gval
-        return pos
-    return _sat_with_inequation(system, pos, config, trace)
+    pos = decide_positive(system, config, trace)
+    if pos.is_sat and system.inequation is not None and pos.inequation_valuation is None:
+        return _sat_with_inequation(system, pos, config, trace)
+    return pos
 
 
-def _decide_singular_curve(system, report, config, trace, depth, prev_mult):
+def _decide_singular_curve(system, report, config, trace, depth):
     ring = system.ring
     g = system.inequation
     if depth >= config.max_blowups:
@@ -452,15 +440,13 @@ def _decide_singular_curve(system, report, config, trace, depth, prev_mult):
 
     charts = _blow_up_at(system.equations[0], (a, b))
     mu = charts[0][0].multiplicity
-    if prev_mult is not None and mu > prev_mult:
-        raise RuntimeError("blow-up multiplicity must not increase")
 
     branches = []
     for chart, images in charts:
         chart_g = g.compose(images, ring) if g is not None else None
         chart_system = AffineSystem(ring, [chart.strict], chart_g)
         trace.append(f"descending into blow-up chart {chart.index} (multiplicity {mu})")
-        v = decide_existential(chart_system, config, trace, depth + 1, mu)
+        v = decide_existential(chart_system, config, trace, depth + 1)
         if v.is_sat:
             at = point_table(ring, v.witness, v.witness[0].precision)
             mapped = (at(images[0]), at(images[1]))
@@ -484,7 +470,7 @@ def _decide_singular_curve(system, report, config, trace, depth, prev_mult):
     # the charts cover everything except the centre itself: decide it exactly
     center_system = descend(system, ring.var(0) - ring.const(a), ring.var(1) - ring.const(b))
     trace.append("descending to the blow-up center")
-    v_center = decide_existential(center_system, config, trace, depth + 1, None)
+    v_center = decide_existential(center_system, config, trace, depth + 1)
     if v_center.is_sat:
         return v_center
     branches.append(v_center)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .ff import FqContext
 from .hensel import CertificateError, PerturbBudget, certify_liftable, newton_lift
 from .poly import PolyRing
-from .series import TruncatedSeries
+from .series import TruncatedSeries, val_exact, valuation_at
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
 
 
@@ -332,15 +332,10 @@ def solve_finite(system, ring: PolyRing):
     return next(iter_solutions(system, ring), None)
 
 
-def decide_positive(
-    table,
-    ring: PolyRing,
-    config: RunConfig | None = None,
-    trace: list | None = None,
-    accept=None,
-) -> Verdict:
-    """Decide a pure equation system (no inequation) over F_q[[t]]: the
-    system of the MinorTable table, over ring.
+def decide_positive(system, config: RunConfig | None = None, trace: list | None = None) -> Verdict:
+    """Decide a system over F_q[[t]]: its equations, and its inequation g
+    when it has one.  The system (a resolve.AffineSystem) is read through
+    its minors, ring and inequation attributes alone.
 
     Truncation levels N = 1, 2, 4, ... up to config.max_precision: UNSAT(N)
     as soon as level N has no mod-t^N solution; SAT once one of the first
@@ -348,15 +343,16 @@ def decide_positive(
     doubled precision confirms; UNKNOWN when the levels run out (or the digit
     search at some level outgrows config.search_budget nodes).
 
-    An optional accept(witness) predicate lets the caller prefer certified
-    witnesses with an extra property (an inequation holding, say): candidates
-    failing it are remembered but the search keeps going, deeper levels
-    included; the first remembered witness is returned when nothing better
-    turns up.  Refutation is independent of accept.
+    With an inequation, a confirmed witness is returned only when g has
+    exact valuation there, which the verdict carries as
+    inequation_valuation.  Others are remembered but the search keeps
+    going, deeper levels included; the first remembered witness is returned,
+    without inequation_valuation, when nothing better turns up, for the
+    caller to perturb.  Refutation ignores the inequation.
 
-    Every certification and lift of the call goes through the table, and so
-    does every later call on the same table: a saturation guard answered
-    once is never recomputed.
+    Every certification and lift of the call goes through the system's
+    MinorTable, and so does every later call on the same system: a
+    saturation guard answered once is never recomputed.
 
     One certificate serves each run of candidates sharing their digits below
     ceil(N/2), on which alone it depends; lifted witnesses are certified anew.
@@ -375,12 +371,12 @@ def decide_positive(
         config = RunConfig()
     if trace is None:
         trace = []
-    eqs = table.equations
+    table, ring, g = system.minors, system.ring, system.inequation
     blocked_by_budget = False
     fallback = None
     level = 1
     while level <= config.max_precision:
-        restriction = weil_restrict(eqs, ring, level)
+        restriction = weil_restrict(table.equations, ring, level)
         trace.append(
             f"level {level}: {len(restriction.restricted)} restricted equations, "
             f"{restriction.ring.nvars} digit variables"
@@ -428,7 +424,8 @@ def decide_positive(
                 final = certify_liftable(table, list(lifted), precision=target)
                 if final is None:
                     continue
-                if accept is not None and not accept(lifted):
+                gval = None if g is None else valuation_at(g, lifted)
+                if gval is not None and not val_exact(gval):
                     if fallback is None:
                         fallback = Verdict(SAT, witness=lifted, certificate=final, trace=trace)
                         trace.append(
@@ -437,7 +434,8 @@ def decide_positive(
                         )
                     continue
                 trace.append(f"level {level}: certified witness at precision {target}")
-                return Verdict(SAT, witness=lifted, certificate=final, trace=trace)
+                return Verdict(SAT, witness=lifted, certificate=final,
+                               inequation_valuation=gval, trace=trace)
         except SearchBudgetExceeded:
             trace.append(f"level {level}: digit search budget exhausted")
             return Verdict(UNKNOWN, reason="search-budget-exhausted", trace=trace)

@@ -11,6 +11,8 @@ from laurentdecide import cli, hensel, resolve, truncation
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
 from laurentdecide.hensel import (
+    CertificateError,
+    HenselCertificate,
     PerturbBudget,
     certify_liftable,
     newton_lift,
@@ -18,6 +20,7 @@ from laurentdecide.hensel import (
     system_dimension,
 )
 from laurentdecide.poly import PolyRing
+from laurentdecide.resolve import AffineSystem
 from laurentdecide.series import (
     TruncatedSeries,
     evaluate,
@@ -303,7 +306,7 @@ def test_minor_table_matches_oracle_on_criterion_1_sweep(monkeypatch):
     seen = _differential(monkeypatch, [truncation])
     config = RunConfig(max_precision=4, candidate_cap=32)
     for ring, eqs in criterion_1_sweep():
-        decide_positive(minor_table(ring, eqs), ring, config)
+        decide_positive(AffineSystem(ring, eqs), config)
     assert sum(cert is not None for _, cert in seen) >= 20
     assert sum(cert is None for _, cert in seen) >= 20
 
@@ -327,7 +330,7 @@ def test_minor_table_matches_oracle_on_lift_candidates_shapes(
 def test_minor_table_saturation_rejections_match_oracle():
     R, eqs = _saturation_system()
     dim = system_dimension(eqs, R)
-    table = hensel.MinorTable(eqs, dim)
+    table = minor_table(R, eqs)
     assert table.pairs == [((0,), (0,)), ((1,), (0,))]
     for n in (3, 4, 6, 8):
         point = [S(F3, [0] * n, n)]
@@ -344,7 +347,7 @@ def test_minor_table_drops_minors_that_vanish_identically(monkeypatch):
     x, y, z, t = R.var(0), R.var(1), R.var(2), R.var(3)
     eqs = [x * x + y * y - t * z * z]
     dim = system_dimension(eqs, R)
-    table = hensel.MinorTable(eqs, dim)
+    table = minor_table(R, eqs)
     assert (dim, table.pairs) == (2, [])
 
     def no_point_table(*args):
@@ -353,12 +356,13 @@ def test_minor_table_drops_minors_that_vanish_identically(monkeypatch):
     monkeypatch.setattr(hensel, "point_table", no_point_table)
     for point in ([S(F2, [], 8)] * 3, [S(F2, [0, 1], 8), S(F2, [0, 1], 8), S(F2, [], 8)]):
         assert certify_liftable(table, point) is None
-        assert certify_liftable(hensel.MinorTable(eqs, dim), point) is None
+        assert certify_liftable(minor_table(R, eqs), point) is None
 
 
 def test_a_minor_table_builds_each_saturation_basis_once(monkeypatch):
     R, eqs = _saturation_system()
-    table = hensel.MinorTable(eqs, system_dimension(eqs, R))
+    system = AffineSystem(R, eqs)
+    table = system.minors
     calls = Counter()
     real_buchberger = hensel.buchberger
     real_saturated = hensel.MinorTable.saturated
@@ -383,7 +387,7 @@ def test_a_minor_table_builds_each_saturation_basis_once(monkeypatch):
     guards = calls["guard"]
     # the table outlives the call: a decision on it asks the guard again
     # and builds no basis
-    decide_positive(table, R, RunConfig(max_precision=8))
+    decide_positive(system, RunConfig(max_precision=8))
     assert calls["guard"] > guards
     assert calls["buchberger"] == 2
 
@@ -396,8 +400,8 @@ def test_a_decision_builds_one_minor_table_per_system_and_verify_its_own(monkeyp
     built, received = [], []
     real_init = hensel.MinorTable.__init__
 
-    def init(table, equations, dim):
-        real_init(table, equations, dim)
+    def init(table, system):
+        real_init(table, system)
         built.append(table)
 
     monkeypatch.setattr(hensel.MinorTable, "__init__", init)
@@ -473,7 +477,7 @@ def test_gap_order_matches_oracle_off_the_solutions():
         ctx = R.field
         m = R.nvars - 1
         dim = system_dimension(eqs, R)
-        table = hensel.MinorTable(eqs, dim)
+        table = minor_table(R, eqs)
         for _ in range(60):
             n = rng.randint(1, 8)
             point = _random_point(rng, ctx, m, n)
@@ -533,7 +537,7 @@ def test_a_cone_point_without_a_gap_minor_takes_no_series_products(monkeypatch, 
     # the Jacobian of X^2 - 2Y^2 - tZ^2 is linear and vanishes mod t^4 at
     # these points, so no minor has N > 2e at N = 8; the residual, whose
     # three squares the certificate would need, is never evaluated
-    _, (cone,) = _cone_system()
+    R, (cone,) = _cone_system()
     point = [S(F3, x_digits, 8), S(F3, [0] * 8, 8), S(F3, [0] * 8, 8)]
     calls = Counter()
     mul = TruncatedSeries.__mul__
@@ -543,7 +547,7 @@ def test_a_cone_point_without_a_gap_minor_takes_no_series_products(monkeypatch, 
         return mul(a, b)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
-    assert certify_liftable(hensel.MinorTable([cone], 2), point) is None
+    assert certify_liftable(minor_table(R, [cone]), point) is None
     assert calls["mul"] == 0
 
 
@@ -551,8 +555,7 @@ def test_a_failing_residual_runs_no_saturation_guard(monkeypatch):
     # Y = 1 on the saturation system: both minors -t + ... have valuation 1
     # in the gap at N = 4, and the residual 1 - t fails, so no Groebner basis
     R, eqs = _saturation_system()
-    dim = system_dimension(eqs, R)
-    table = hensel.MinorTable(eqs, dim)
+    table = minor_table(R, eqs)
     point = [S(F3, [1, 0, 0, 0], 4)]
     assert [e for e, _, _ in table.gap_minors(point_table(R, point, 4), 4)] == [1, 1]
     calls = Counter()
@@ -564,7 +567,7 @@ def test_a_failing_residual_runs_no_saturation_guard(monkeypatch):
 
     monkeypatch.setattr(hensel, "buchberger", counted_buchberger)
     assert certify_liftable(table, point) is None
-    assert certify_liftable(hensel.MinorTable(eqs, dim), point) is None
+    assert certify_liftable(minor_table(R, eqs), point) is None
     assert calls["buchberger"] == 0
     assert table._saturated == {}
 
@@ -604,3 +607,96 @@ def test_series_constructor_matches_the_deleted_helpers(ctx):
         for mm in range(n):  # the last digit included
             c = rng.choice(elems[1:])
             assert x + S(ctx, [0] * mm + [c], n) == hensel_oracle._bump(x, mm, c)
+
+
+# ---------------------------------------------------------------------------
+# newton_lift and smooth_perturb against the copies (hensel_oracle) that kept
+# a branch of their own for a system with no equation and a path of its own
+# for a certificate with no rows
+
+
+def _outcome(fn):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err), str(err)
+
+
+def _same_lift(table, point, cert, target):
+    got_trace, expected_trace = [], []
+    got = _outcome(lambda: newton_lift(table, point, cert, target, got_trace))
+    expected = _outcome(
+        lambda: hensel_oracle.newton_lift(table, point, cert, target, expected_trace)
+    )
+    assert got == expected and got_trace == expected_trace, (point, cert, target)
+    return got
+
+
+def _same_perturbation(table, point, cert, g, budget):
+    got = smooth_perturb(table, point, cert, g, budget)
+    assert got == hensel_oracle.smooth_perturb(table, point, cert, g, budget), (point, g, budget)
+    return got
+
+
+BUDGETS = (PerturbBudget(), PerturbBudget(directions=1, depth=2), PerturbBudget(0, 0))
+
+
+def test_a_system_without_equations_lifts_and_perturbs_as_the_copies_do():
+    rng = random.Random(29)
+    found = Counter()
+    for names in (("X",), ("X", "Y")):
+        R = tring(F3, *names)
+        x, t = R.var(0), R.var(R.tpos)
+        gs = [x, x - R.one()] + ([x * R.var(1) - t] if len(names) == 2 else [])
+        table = minor_table(R, [])
+        for n in (1, 2, 4, 8):
+            for _ in range(6):
+                point = _random_point(rng, F3, len(names), n)
+                cert = certify_liftable(table, point)
+                assert cert == HenselCertificate((), (), 0, n)
+                for target in (1, n, n + 3, 2 * n):
+                    _same_lift(table, point, cert, target)
+                for g in gs:
+                    for budget in BUDGETS:
+                        found[_same_perturbation(table, point, cert, g, budget) is not None] += 1
+    assert found[True] and found[False], found
+
+
+def test_an_empty_minor_certificate_on_equations_lifts_as_the_copy_does():
+    # X - t with a certificate of no rows: X = t has residual zero at every
+    # target, X = t + t^3 only below 3, X = 0 and X = t + 2t^2 at none
+    R = tring(F3, "X")
+    table = minor_table(R, [R.var(0) - R.var(1)])
+    raised = Counter()
+    for coeffs in ([0, 1], [0, 1, 0, 1], [], [0, 1, 2]):
+        for n in (2, 4, 8):
+            point = [S(F3, coeffs, n)]
+            for target in (1, 2, n, 2 * n):
+                out = _same_lift(table, point, HenselCertificate((), (), 0, n), target)
+                raised[out[0] is CertificateError] += 1
+    assert raised[True] and raised[False], raised
+
+
+def _perturbation_systems():
+    """(table, point, g) of the smooth_perturb tests above."""
+    R2, R1 = tring(F3, "X", "Y"), tring(F3, "X")
+    x, y = R2.var(0), R2.var(1)
+    parabola = minor_table(R2, [y - x * x])
+    out = [(parabola, [S(F3, [0] * n, n)] * 2, x) for n in (4, 5)]
+    out.append((minor_table(R2, [x * y - R2.one()]), [S(F3, [1, 0, 0, 0], 4)] * 2, x - R2.one()))
+    out.append((minor_table(R1, [R1.var(0) - R1.var(1)]), [S(F3, [0, 1, 0], 3)], R1.var(0)))
+    return out
+
+
+def test_the_perturbation_systems_lift_and_perturb_as_the_copies_do():
+    found = 0
+    for table, point, g in _perturbation_systems():
+        cert = certify_liftable(table, point)
+        assert cert is not None
+        n = point[0].precision
+        for target in (n, 2 * n, 3 * n):
+            _same_lift(table, point, cert, target)
+        for budget in BUDGETS:
+            found += _same_perturbation(table, point, cert, g, budget) is not None
+    assert found >= 4

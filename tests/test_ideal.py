@@ -506,7 +506,7 @@ def _recomposes(gb, gens):
     ring = gb.ring
     zero, x0 = ring.zero(), (0,) * len(ring.xslots)
     return all(sum((c * f for c, f in zip(cof, gens)), zero)
-               == ring.from_columns({x0: dict(enumerate(d.coeffs))}) * h
+               == ring.from_coefficients({x0: d}) * h
                for h, (d, cof) in zip(gb.generators, gb.cofactors))
 
 
@@ -527,8 +527,8 @@ def _cleared(f, ring):
     den = UniPoly.const(ring.field, 1)
     for c in f.terms.values():
         den = den * c.den
-    columns = {x: dict(enumerate((c.num * (den // c.den)).coeffs)) for x, c in f.terms.items()}
-    return primitive_monic(ring.from_columns(columns))
+    coefficients = {x: c.num * (den // c.den) for x, c in f.terms.items()}
+    return primitive_monic(ring.from_coefficients(coefficients))
 
 
 def _fraction_cofactors(gb):

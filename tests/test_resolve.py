@@ -11,8 +11,9 @@ from test_one_equation_answers import _criterion_1_systems
 from test_xt_split import _criterion_8_systems, _more_fuzz_systems
 
 from laurentdecide import resolve
+from laurentdecide.cli import verify_verdict
 from laurentdecide.ff import FqContext
-from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
+from laurentdecide.frontend import decide, eliminate_valuation_atoms, parse, to_systems
 from laurentdecide.ideal import buchberger, dimension, radical_membership
 from laurentdecide.poly import PolyRing, RationalFunctionField
 from laurentdecide.resolve import (
@@ -172,6 +173,26 @@ def test_tacnode_resolves_in_exactly_two():
     for chart in second:
         sys = AffineSystem(T, clear_denominators([chart.strict]))
         assert regularity_check(sys).status == "regular"
+
+
+# A node at (0, 0) times a triple point at (1, 0): chart 0 of the node's
+# blow-up still holds the triple point, off the exceptional divisor, and
+# picks it next, so the multiplicity rises from 2 to 3 on the way down
+NODE_AND_TRIPLE_POINT = "exists X, Y. (X*X - Y*Y)*((X-1)^3 - Y^3) = 0"
+RISING_MULTIPLICITY = [
+    NODE_AND_TRIPLE_POINT,
+    NODE_AND_TRIPLE_POINT + " & ~(X = 0)",
+    NODE_AND_TRIPLE_POINT + " & ~(X = Y)",
+    "exists X, Y. (X*X - t*Y*Y)*((X-1)^3 - Y^3) = 0 & ~(Y = 0)",
+]
+
+
+@pytest.mark.parametrize("sentence", RISING_MULTIPLICITY)
+def test_a_blow_up_chart_may_raise_the_multiplicity(sentence):
+    verdict = decide(sentence, F5)
+    assert verdict.is_sat
+    problems, _ = verify_verdict(verdict)
+    assert not problems
 
 
 # -- blow-ups over F_q[X, Y, t] against the F_q(t) construction ------------------

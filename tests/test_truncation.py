@@ -26,7 +26,16 @@ from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide, eliminate_valuation_atoms, parse, to_systems
 from laurentdecide.hensel import certify_liftable
 from laurentdecide.poly import MultiPoly, PolyRing
-from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
+from laurentdecide.resolve import AffineSystem
+from laurentdecide.series import (
+    TruncatedSeries,
+    evaluate,
+    series_point,
+    val_exact,
+    val_ge,
+    valuation,
+    valuation_at,
+)
 from laurentdecide.truncation import (
     RunConfig,
     SearchBudgetExceeded,
@@ -155,7 +164,7 @@ def test_iter_solutions_prunes_contradiction():
 def test_decide_positive_unsat_x2_minus_t():
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 1): -1})
-    v = decide_positive(minor_table(R, [f]), R)
+    v = decide_positive(AffineSystem(R, [f]))
     assert v.is_unsat and v.refuted_at == 2
 
 
@@ -163,7 +172,7 @@ def test_decide_positive_sqrt_sat():
     # {X^2 - (1+t)} over F_3: witness 1+2t mod t^2 with e=0
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v = decide_positive(minor_table(R, [f]), R)
+    v = decide_positive(AffineSystem(R, [f]))
     assert v.is_sat
     assert v.certificate.e == 0
     assert v.witness[0].precision == 2
@@ -173,7 +182,7 @@ def test_decide_positive_sqrt_sat():
 def test_decide_positive_linear_sat_at_two():
     R = tring(F3, "X")
     f = R.from_terms({(1, 0): 1, (0, 1): -1})
-    v = decide_positive(minor_table(R, [f]), R)
+    v = decide_positive(AffineSystem(R, [f]))
     assert v.is_sat
     assert v.witness[0].precision == 2
     assert v.witness[0] == TruncatedSeries(F3, [0, 1], 2)
@@ -184,13 +193,13 @@ def test_decide_positive_frobenius_unsat():
     for ctx in (F2, F3, F5):
         R = tring(ctx, "X")
         f = R.from_terms({(ctx.p, 0): 1, (0, 1): -1})
-        v = decide_positive(minor_table(R, [f]), R)
+        v = decide_positive(AffineSystem(R, [f]))
         assert v.is_unsat and v.refuted_at == 2
 
 
 def test_decide_positive_empty_system_sat():
     R = tring(F3, "X")
-    v = decide_positive(minor_table(R, []), R)
+    v = decide_positive(AffineSystem(R, []))
     assert v.is_sat
     assert v.witness[0] == TruncatedSeries(F3, [], 2)
 
@@ -199,9 +208,9 @@ def test_decide_positive_closed_constants():
     # no variables: t^3 = 0 is refuted once the truncation sees t^3
     R = PolyRing(F3, ("t",))
     f = R.from_terms({(3,): 1})
-    v = decide_positive(minor_table(R, [f]), R)
+    v = decide_positive(AffineSystem(R, [f]))
     assert v.is_unsat and v.refuted_at == 4
-    v2 = decide_positive(minor_table(R, [R.zero()]), R)
+    v2 = decide_positive(AffineSystem(R, [R.zero()]))
     assert v2.is_sat and v2.witness == ()
 
 
@@ -209,7 +218,7 @@ def test_decide_positive_unknown_on_tight_budget():
     # certificate exists at N=1 but the confirming lift needs precision 2
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=1))
+    v = decide_positive(AffineSystem(R, [f]), RunConfig(max_precision=1))
     assert v.is_unknown and v.reason == "precision-exhausted"
 
 
@@ -236,7 +245,7 @@ def test_decide_positive_witness_verifies():
     # {Y - X^2, X - t}: witness (t, t^2)
     f1 = R.from_terms({(0, 1, 0): 1, (2, 0, 0): -1})
     f2 = R.from_terms({(1, 0, 0): 1, (0, 0, 1): -1})
-    v = decide_positive(minor_table(R, [f1, f2]), R)
+    v = decide_positive(AffineSystem(R, [f1, f2]))
     assert v.is_sat
     for f in (f1, f2):
         r = evaluate(f, series_point(R, list(v.witness), v.witness[0].precision))
@@ -259,7 +268,7 @@ def test_decide_positive_visits_the_levels_of_the_old_schedule(max_precision):
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1})
     trace = []
-    v = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=max_precision), trace)
+    v = decide_positive(AffineSystem(R, [f]), RunConfig(max_precision=max_precision), trace)
     assert v.is_unknown and v.reason == "precision-exhausted"
     visited = [int(m[1]) for m in map(re.compile(r"level (\d+): \d+ restricted").match, trace) if m]
     assert visited == list(hensel_oracle.PrecisionSchedule(max_precision).levels())
@@ -276,18 +285,18 @@ def test_search_budget_turns_explosion_into_unknown():
     with pytest.raises(SearchBudgetExceeded):
         w = weil_restrict([f], R, 4)
         list(iter_solutions(w.restricted, w.ring, node_budget=10))
-    v = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=8, search_budget=10))
+    v = decide_positive(AffineSystem(R, [f]), RunConfig(max_precision=8, search_budget=10))
     assert v.is_unknown and v.reason == "search-budget-exhausted"
     # the exhaustive default still decides it (e = 3 needs confirmation at 16)
-    v2 = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=16))
+    v2 = decide_positive(AffineSystem(R, [f]), RunConfig(max_precision=16))
     assert v2.is_sat
 
 
 def test_sat_never_regresses_with_finer_schedule():
     R = tring(F3, "X")
     f = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
-    v1 = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=4))
-    v2 = decide_positive(minor_table(R, [f]), R, RunConfig(max_precision=64))
+    v1 = decide_positive(AffineSystem(R, [f]), RunConfig(max_precision=4))
+    v2 = decide_positive(AffineSystem(R, [f]), RunConfig(max_precision=64))
     assert v1.is_sat and v2.is_sat
     e = v1.certificate.e
     n = min(v1.witness[0].precision, v2.witness[0].precision) - e
@@ -340,7 +349,7 @@ def test_digit_major_search_refutes_within_small_budget():
     # hundred nodes; the x-major order needs tens of thousands.
     R = tring(F3, "X", "Y")
     f = R.from_terms({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 5): -1})
-    v = decide_positive(minor_table(R, [f]), R, RunConfig(search_budget=1_000))
+    v = decide_positive(AffineSystem(R, [f]), RunConfig(search_budget=1_000))
     assert v.is_unsat and v.refuted_at == 8
     old = _xmajor_weil_restrict([f], R, 8)
     with pytest.raises(SearchBudgetExceeded):
@@ -778,15 +787,27 @@ def test_iter_solutions_yields_each_class_as_one_run():
             assert keys == sorted(set(keys)), (eqs, level)
 
 
-def _assert_same_decision(table, ring, config, trace=None, accept=None):
-    """decide_positive gives the per-candidate oracle's verdict and trace."""
+def _oracle(system, config, trace):
+    """The per-candidate oracle's decision of the system: its table and
+    ring, and the inequation as the acceptance predicate."""
+    g = system.inequation
+    accept = None if g is None else (lambda witness: val_exact(valuation_at(g, witness)))
+    return truncation_oracle.decide_positive(system.minors, system.ring, config, trace, accept)
+
+
+def _assert_same_decision(system, config, trace=None):
+    """decide_positive gives the per-candidate oracle's verdict and trace,
+    and the inequation's valuation with each witness the oracle accepts."""
     trace = [] if trace is None else trace
     expected_trace = list(trace)
-    expected = truncation_oracle.decide_positive(table, ring, config, expected_trace, accept)
-    got = decide_positive(table, ring, config, trace, accept)
+    expected = _oracle(system, config, expected_trace)
+    got = decide_positive(system, config, trace)
     for name in ("status", "reason", "refuted_at", "witness", "certificate"):
         assert getattr(got, name) == getattr(expected, name), name
     assert trace == expected_trace
+    g = system.inequation
+    gval = valuation_at(g, got.witness) if got.is_sat and g is not None else None
+    assert got.inequation_valuation == (gval if gval is not None and val_exact(gval) else None)
     return got
 
 
@@ -795,7 +816,7 @@ def test_decide_positive_matches_per_candidate_oracle_on_the_sweep(max_precision
     config = RunConfig(max_precision=max_precision, candidate_cap=32)
     statuses = Counter()
     for ring, eqs in criterion_1_sweep():
-        statuses[_assert_same_decision(minor_table(ring, eqs), ring, config).status] += 1
+        statuses[_assert_same_decision(AffineSystem(ring, eqs), config).status] += 1
     assert min(statuses[s] for s in ("sat", "unsat", "unknown")) >= 5, statuses
 
 
@@ -814,11 +835,10 @@ def test_decide_positive_matches_per_candidate_oracle_on_lift_candidates(
     monkeypatch, label, ctx, sentence, config
 ):
     # every decide_positive call of the decision, with the caller's trace
-    # and acceptance predicate
     verdicts = []
 
-    def compared(table, ring, config=None, trace=None, accept=None):
-        verdicts.append(_assert_same_decision(table, ring, config, trace, accept))
+    def compared(system, config=None, trace=None):
+        verdicts.append(_assert_same_decision(system, config, trace))
         return verdicts[-1]
 
     monkeypatch.setattr(resolve, "decide_positive", compared)
@@ -1003,13 +1023,13 @@ def _memoized(monkeypatch, name, key):
 
 
 def _decide_positive_calls(monkeypatch, ctx, sentence, config):
-    """(table, ring, config, trace so far, accept) of each decide_positive
-    call of the decision."""
+    """(system, config, trace so far) of each decide_positive call of the
+    decision."""
     calls, real = [], resolve.decide_positive
 
-    def recorded(table, ring, config=None, trace=None, accept=None):
-        calls.append((table, ring, config or RunConfig(), list(trace or []), accept))
-        return real(table, ring, config, trace, accept)
+    def recorded(system, config=None, trace=None):
+        calls.append((system, config or RunConfig(), list(trace or [])))
+        return real(system, config, trace)
 
     with monkeypatch.context() as patch:
         patch.setattr(resolve, "decide_positive", recorded)
@@ -1066,17 +1086,14 @@ def test_decide_positive_matches_per_candidate_oracle_under_every_budget_and_cap
                   id(table), tuple((tuple(x.coeffs), x.precision) for x in point),
                   precision, exclude_col))
     levels = [
-        _first_capped_level(truncation_oracle.decide_positive(t, r, c, list(tr), a))
-        for t, r, c, tr, a in calls
+        _first_capped_level(_oracle(system, c, list(tr))) for system, c, tr in calls
     ]
-    (table, ring, base, trace, accept), level = next(
+    (system, base, trace), level = next(
         (call, n) for call, n in zip(calls, levels) if n is not None
     )
 
     def gets_through(budget):
-        v = truncation_oracle.decide_positive(
-            table, ring, dataclasses.replace(base, search_budget=budget), list(trace), accept
-        )
+        v = _oracle(system, dataclasses.replace(base, search_budget=budget), list(trace))
         return f"level {level}: candidate cap {base.candidate_cap} reached" in v.trace
 
     lo, hi = 0, 1  # the least budget that gets through: in (lo, hi]
@@ -1087,11 +1104,11 @@ def test_decide_positive_matches_per_candidate_oracle_under_every_budget_and_cap
         lo, hi = (lo, mid) if gets_through(mid) else (mid, hi)
     searches = _recording_searches(monkeypatch)
     reasons, capped, dropped = Counter(), 0, 0
-    for table, ring, base, trace, accept in calls:
+    for system, base, trace in calls:
         configs = [dataclasses.replace(base, candidate_cap=c) for c in range(1, 301)]
         configs += [dataclasses.replace(base, search_budget=b) for b in range(1, hi + 2)]
         for config in configs:
-            reasons[_assert_same_decision(table, ring, config, list(trace), accept).reason] += 1
+            reasons[_assert_same_decision(system, config, list(trace)).reason] += 1
             capped += _rejected_classes_capped_inside(searches)
             dropped += sum(skip.skipped for _, _, skip in searches)
             searches.clear()
@@ -1133,8 +1150,6 @@ cases = [
     # the locus is the line X = 0 plus the point (1, 0): X misses the point
     # but cuts out the whole line
     (RuntimeError, lambda: descend(AffineSystem(R, [X * (X - R.one()), X * Y]), X)),
-    # the cusp has multiplicity 2 at its singular point
-    (RuntimeError, lambda: decide_existential(AffineSystem(R, [Y * Y - X * X * X]), _prev_mult=1)),
     # the unit ideal has no dimension to test regularity at
     (ValueError, lambda: regularity_check(AffineSystem(R, [R.one()]))),
     (ValueError, lambda: blow_up_origin(Q3.var(0) * Q3.var(1) - Q3.var(2) ** 2)),
@@ -1169,7 +1184,6 @@ def test_soundness_guards_survive_python_O():
         "TypeError: affine systems live over F_q[t]",
         "ValueError: t is the last ring variable",
         "RuntimeError: descent must drop the dimension",
-        "RuntimeError: blow-up multiplicity must not increase",
         "ValueError: emptiness is decided before the regularity check",
         "ValueError: blow-ups are implemented for plane curves",
         "TypeError: squarefree_part takes a polynomial over F_q",

@@ -1,6 +1,6 @@
 """Differential test of the X/t split that module poly owns (PolyRing.tpos,
-xslots and from_columns, whose one-column case is a polynomial in t alone;
-MultiPoly.x_degree, x_columns and monic) and of the contents
+xslots and from_coefficients, whose one-coefficient case is a polynomial in
+t alone; MultiPoly.x_degree, x_coefficients and monic) and of the contents
 over F_q[t] (ideal.primitive_part and primitive_monic, which take them with
 ideal.t_primitive and uni_gcd) against the helpers they replaced, in tests/split_oracle.py, which takes contents with the recursive
 gcd_multivariate.  Polynomials are compared with ==.
@@ -120,8 +120,9 @@ def check(f):
     tpos = ring.tpos
     rebuilt = [
         (x if tpos is None else x[:tpos] + (k,) + x[tpos:], c)
-        for x, column in f.x_columns().items()
-        for k, c in column.items()
+        for x, u in f.x_coefficients().items()
+        for k, c in enumerate(u.coeffs)
+        if c
     ]
     assert sorted(rebuilt) == sorted(f.terms.items())
     if tpos is None:
@@ -146,9 +147,9 @@ def test_split_matches_the_replaced_helpers(source):
     assert count >= least, count
 
 
-def _t_poly(ring, coeffs):
-    """The polynomial in t alone with coefficient c at t^k, from {k: c}."""
-    return ring.from_columns({(0,) * len(ring.xslots): coeffs})
+def _t_poly(ring, u):
+    """The polynomial in t alone whose coefficients are the UniPoly u's."""
+    return ring.from_coefficients({(0,) * len(ring.xslots): u})
 
 
 def test_t_poly_matches_the_front_end_helper():
@@ -157,7 +158,7 @@ def test_t_poly_matches_the_front_end_helper():
             ring = PolyRing(ctx, names)
             for coeffs in ([], [1], [0, 1], [2, 0, 1], [0, 0, 0, ctx.p - 1]):
                 u = UniPoly(ctx, coeffs)
-                _same(_t_poly(ring, dict(enumerate(u.coeffs))), old._t_poly(ring, u))
+                _same(_t_poly(ring, u), old._t_poly(ring, u))
     ring = PolyRing(F5, ("t", "X"))
     t = ring.var(0)
-    assert _t_poly(ring, {0: 1, 2: 3}) == t * t * ring.const(3) + ring.one()
+    assert _t_poly(ring, UniPoly(F5, [1, 0, 3])) == t * t * ring.const(3) + ring.one()
