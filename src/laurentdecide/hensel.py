@@ -280,15 +280,12 @@ def smooth_perturb(table, point, certificate, g, budget: PerturbBudget):
     scalars in field-enumeration order.  Every perturbed point is certified
     afresh, at the precision its residuals reach, by a minor avoiding the
     perturbed coordinate, through the MinorTable table of the system.
+    The point is certified, so the locus is not empty; with no unknowns g is
+    a nonzero polynomial in t, of exact valuation, and the point comes back.
     """
-    if not point:
-        # closed system: g is a constant in t
-        return (point, certificate) if g else None
     if val_exact(valuation_at(g, point)):
         return point, certificate
     precision = point[0].precision
-    if table.dim is None:
-        return None  # empty locus cannot carry a certified point
     bound = set(certificate.cols)
     ring = table.ring
     xvars = ring.xslots

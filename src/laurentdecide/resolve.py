@@ -4,11 +4,11 @@ Pipeline per system: normalize (squarefree hypersurfaces, radical bookkeeping),
 check emptiness and whether the inequation dies on the whole locus, then test
 regularity by spreading out (t becomes a variable over the perfect field F_q)
 and asking whether the non-smooth locus meets the generic fibre.  Regular
-systems go to the truncation decider, with a perturbation pass when an
-inequation is present.  Singular plane curves are blown up at rational
-singular points, charts are decided recursively, and the exceptional centre
-descends to a lower-dimensional system.  Everything else is an honest
-UNKNOWN: verdicts must stay sound.
+systems go to the truncation decider, which meets the inequation itself.
+Singular plane curves are blown up at rational singular points, charts are
+decided recursively, and the exceptional centre descends to a
+lower-dimensional system.  Everything else is an honest UNKNOWN: verdicts
+must stay sound.
 
 Everything here lives over the system's own ring F_q[X, t]: systems,
 singular loci, blow-up charts and back maps (a centre is an F_q-point and a
@@ -36,14 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ff import FqContext
-from .hensel import (
-    CertificateError,
-    MinorTable,
-    certify_liftable,
-    newton_lift,
-    smooth_perturb,
-    system_dimension,
-)
+from .hensel import MinorTable, certify_liftable, system_dimension
 from .ideal import (
     buchberger,
     dimension,
@@ -245,41 +238,6 @@ def descend(system: AffineSystem, *centre: MultiPoly) -> AffineSystem:
     return lower
 
 
-def _sat_with_inequation(system, pos, config, trace):
-    """Perturb a certified solution until the inequation has exact valuation."""
-    table = system.minors
-    g = system.inequation
-    cert = pos.certificate
-    budget = config.perturb_budget
-    room = 2 * cert.e + budget.depth + 2
-    target = min(config.max_precision, max(pos.witness[0].precision if pos.witness else 1, room))
-    witness = pos.witness
-    if witness and target > witness[0].precision:
-        try:
-            witness = newton_lift(table, list(witness), cert, target)
-            cert2 = certify_liftable(table, list(witness), precision=target)
-            if cert2 is not None:
-                cert = cert2
-        except CertificateError:
-            witness = pos.witness
-    out = smooth_perturb(table, list(witness), cert, g, budget)
-    if out is None:
-        trace.append("perturbation budget exhausted without meeting the inequation")
-        return Verdict(UNKNOWN, reason="perturbation-budget-exhausted", trace=trace)
-    final_witness, final_cert = out
-    gval = valuation_at(g, final_witness)
-    if not val_exact(gval):
-        raise RuntimeError("perturbed witness leaves the inequation valuation inexact")
-    trace.append(f"inequation attained exact valuation {gval}")
-    return Verdict(
-        SAT,
-        witness=tuple(final_witness),
-        certificate=final_cert,
-        inequation_valuation=gval,
-        trace=trace,
-    )
-
-
 def _constant_singular_points(locus):
     """F_q-rational points of the singular locus (generators over
     F_q[X, Y, t]), in enumeration order: (a, b) is one when every generator
@@ -374,7 +332,7 @@ def _decide_normalized(system, config, trace, depth):
     trace.append(f"regularity: {report.status} (dimension {report.dimension})")
 
     if report.status == "regular":
-        return _decide_by_truncation(system, config, trace)
+        return decide_positive(system, config, trace)
 
     plane_curve = len(system.xnames) == 2 and len(system.equations) == 1
     if report.status == "singular" and plane_curve:
@@ -390,7 +348,7 @@ def _decide_normalized(system, config, trace, depth):
     # self-contained, so a decided outcome here is trustworthy even without
     # a resolution
     trace.append(f"{out.reason}: trying the direct truncation decision anyway")
-    direct = _decide_by_truncation(system, config, trace)
+    direct = decide_positive(system, config, trace)
     if not direct.is_unknown:
         return direct
 
@@ -414,14 +372,6 @@ def _decide_normalized(system, config, trace, depth):
         if v_sing.is_sat:
             return v_sing
     return out
-
-
-def _decide_by_truncation(system, config, trace):
-    """Level-deepening decision of the equations plus optional inequation."""
-    pos = decide_positive(system, config, trace)
-    if pos.is_sat and system.inequation is not None and pos.inequation_valuation is None:
-        return _sat_with_inequation(system, pos, config, trace)
-    return pos
 
 
 def _decide_singular_curve(system, report, config, trace, depth):

@@ -11,6 +11,8 @@ in closed form, not walked, when its remaining digits are free.  A mod-t^N
 solution becomes a SAT verdict only once Hensel certification plus a
 confirming Newton lift to doubled precision succeed, so both verdicts stay
 sound while completeness is budget-limited: UNKNOWN is a legal outcome.
+An inequation g != 0 is met here too: by a confirmed witness at which g has
+exact valuation, or else by perturbing one along its free coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from bisect import bisect
 from dataclasses import dataclass
 
 from .ff import FqContext
-from .hensel import CertificateError, PerturbBudget, certify_liftable, newton_lift
+from .hensel import CertificateError, PerturbBudget, certify_liftable, newton_lift, smooth_perturb
 from .poly import PolyRing
 from .series import TruncatedSeries, val_exact, valuation_at
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -346,9 +348,10 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
     With an inequation, a confirmed witness is returned only when g has
     exact valuation there, which the verdict carries as
     inequation_valuation.  Others are remembered but the search keeps
-    going, deeper levels included; the first remembered witness is returned,
-    without inequation_valuation, when nothing better turns up, for the
-    caller to perturb.  Refutation ignores the inequation.
+    going, deeper levels included; when nothing better turns up, the first
+    is perturbed until g has exact valuation (_sat_with_inequation), and the
+    verdict is UNKNOWN if the perturbation budget runs out.  Refutation
+    ignores the inequation.
 
     Every certification and lift of the call goes through the system's
     MinorTable, and so does every later call on the same system: a
@@ -427,7 +430,7 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
                 gval = None if g is None else valuation_at(g, lifted)
                 if gval is not None and not val_exact(gval):
                     if fallback is None:
-                        fallback = Verdict(SAT, witness=lifted, certificate=final, trace=trace)
+                        fallback = lifted, final
                         trace.append(
                             f"level {level}: certified witness missed the acceptance "
                             "predicate, kept as fallback"
@@ -445,7 +448,34 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
         level *= 2
     if fallback is not None:
         trace.append("no accepted witness; returning the first certified one")
-        return fallback
+        return _sat_with_inequation(system, *fallback, config, trace)
     trace.append(f"schedule exhausted at max precision {config.max_precision}"
                  + (" with unconfirmed certificates" if blocked_by_budget else ""))
     return Verdict(UNKNOWN, reason="precision-exhausted", trace=trace)
+
+
+def _sat_with_inequation(system, witness, cert, config, trace):
+    """Lift a confirmed witness, certified by cert, at which the inequation g
+    has no exact valuation, to the precision the perturbation budget needs
+    (up to config.max_precision), then perturb it until g has one."""
+    table, g = system.minors, system.inequation
+    budget = config.perturb_budget
+    target = min(config.max_precision, 2 * cert.e + budget.depth + 2)
+    if target > witness[0].precision:
+        try:
+            witness = newton_lift(table, list(witness), cert, target)
+        except CertificateError:
+            pass
+        else:
+            cert = certify_liftable(table, list(witness), precision=target) or cert
+    out = smooth_perturb(table, list(witness), cert, g, budget)
+    if out is None:
+        trace.append("perturbation budget exhausted without meeting the inequation")
+        return Verdict(UNKNOWN, reason="perturbation-budget-exhausted", trace=trace)
+    witness, cert = out
+    gval = valuation_at(g, witness)
+    if not val_exact(gval):
+        raise RuntimeError("perturbed witness leaves the inequation valuation inexact")
+    trace.append(f"inequation attained exact valuation {gval}")
+    return Verdict(SAT, witness=tuple(witness), certificate=cert,
+                   inequation_valuation=gval, trace=trace)

@@ -14,7 +14,7 @@ from collections import Counter
 
 import make_decision_golden as golden
 
-from laurentdecide import hensel, resolve
+from laurentdecide import hensel, resolve, truncation
 
 
 def _count_calls(monkeypatch, calls, module, name, key=None):
@@ -29,8 +29,9 @@ def _count_calls(monkeypatch, calls, module, name, key=None):
 
 def test_decision_loop_matches_golden(monkeypatch):
     calls = Counter()
-    for name in ("descend", "_sat_with_inequation", "_decide_singular_curve", "valuation_at"):
+    for name in ("descend", "_decide_singular_curve", "valuation_at"):
         _count_calls(monkeypatch, calls, resolve, name)
+    _count_calls(monkeypatch, calls, truncation, "_sat_with_inequation")
     _count_calls(
         monkeypatch,
         calls,

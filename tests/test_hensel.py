@@ -406,9 +406,9 @@ def test_a_decision_builds_one_minor_table_per_system_and_verify_its_own(monkeyp
 
     monkeypatch.setattr(hensel.MinorTable, "__init__", init)
     hensel_calls = [(truncation, "certify_liftable"), (truncation, "newton_lift"),
-                    (resolve, "certify_liftable"), (resolve, "newton_lift"),
-                    (resolve, "smooth_perturb"), (hensel, "certify_liftable"),
-                    (hensel, "newton_lift"), (cli, "certify_liftable")]
+                    (truncation, "smooth_perturb"), (resolve, "certify_liftable"),
+                    (hensel, "certify_liftable"), (hensel, "newton_lift"),
+                    (cli, "certify_liftable")]
     for module, name in hensel_calls:
 
         def recorded(table, *args, _name=name, _real=getattr(module, name), **kwargs):

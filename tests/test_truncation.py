@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from math import prod
 from pathlib import Path
@@ -789,15 +790,19 @@ def test_iter_solutions_yields_each_class_as_one_run():
 
 def _oracle(system, config, trace):
     """The per-candidate oracle's decision of the system: its table and
-    ring, and the inequation as the acceptance predicate."""
+    ring, and the inequation as the acceptance predicate; a witness that
+    misses it is perturbed by the oracle's _sat_with_inequation."""
     g = system.inequation
     accept = None if g is None else (lambda witness: val_exact(valuation_at(g, witness)))
-    return truncation_oracle.decide_positive(system.minors, system.ring, config, trace, accept)
+    pos = truncation_oracle.decide_positive(system.minors, system.ring, config, trace, accept)
+    if pos.is_sat and g is not None and not accept(pos.witness):
+        return truncation_oracle._sat_with_inequation(system, pos, config or RunConfig(), trace)
+    return pos
 
 
 def _assert_same_decision(system, config, trace=None):
-    """decide_positive gives the per-candidate oracle's verdict and trace,
-    and the inequation's valuation with each witness the oracle accepts."""
+    """decide_positive gives the composed oracle's verdict and trace, and
+    every SAT with an inequation carries g's exact valuation at its witness."""
     trace = [] if trace is None else trace
     expected_trace = list(trace)
     expected = _oracle(system, config, expected_trace)
@@ -807,7 +812,8 @@ def _assert_same_decision(system, config, trace=None):
     assert trace == expected_trace
     g = system.inequation
     gval = valuation_at(g, got.witness) if got.is_sat and g is not None else None
-    assert got.inequation_valuation == (gval if gval is not None and val_exact(gval) else None)
+    assert gval is None or val_exact(gval)
+    assert got.inequation_valuation == gval
     return got
 
 
@@ -847,6 +853,76 @@ def test_decide_positive_matches_per_candidate_oracle_on_lift_candidates(
     if label == CAPPED_CURVE[0]:
         capped = {line for v in verdicts for line in v.trace if "candidate cap" in line}
         assert capped == {f"level {n}: candidate cap 256 reached" for n in (8, 16, 32, 64)}
+
+
+# -- meeting the inequation -------------------------------------------------------
+#
+# A confirmed witness at which g has no exact valuation is lifted and
+# perturbed inside decide_positive.  No benchmark workload gets that far, so
+# a seeded corpus of random f = 0 & ~(g = 0) systems does: every
+# decide_positive call of each decision is compared, verdict and whole
+# trace, with the per-candidate oracle followed by the perturbation step as
+# it stood in module resolve.
+
+F7 = FqContext(7)
+
+
+def _random_polynomial(rng, ring, count):
+    """Up to count terms, each of degree <= 2 in every unknown and in t, with
+    a nonzero coefficient."""
+    units = [c for c in ring.field.elements() if c]
+    return ring.from_terms(
+        {tuple(rng.randrange(3) for _ in range(ring.nvars)): rng.choice(units)
+         for _ in range(count)}
+    )
+
+
+def inequation_corpus(seed=21, count=80):
+    """(system, config) pairs: one random equation and one random inequation
+    in 1-3 unknowns over F_2, F_3, F_5 or F_7, under a candidate cap of 4, 16
+    or 64 and a max precision of 8 or 16."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = tring(rng.choice((F2, F3, F5, F7)), *("X", "Y", "Z")[: rng.randrange(1, 4)])
+        f = _random_polynomial(rng, ring, rng.randrange(1, 4))
+        g = _random_polynomial(rng, ring, rng.randrange(1, 3))
+        config = RunConfig(max_precision=rng.choice((8, 16)), candidate_cap=rng.choice((4, 16, 64)))
+        yield AffineSystem(ring, [f], g), config
+
+
+def test_decide_positive_matches_the_composed_oracle_on_random_inequations(monkeypatch):
+    verdicts, perturbed = [], []
+    real_perturb = laurentdecide.truncation.smooth_perturb
+
+    def compared(system, config=None, trace=None):
+        verdicts.append(_assert_same_decision(system, config, trace))
+        return verdicts[-1]
+
+    def counted(*args):
+        perturbed.append(real_perturb(*args))
+        return perturbed[-1]
+
+    monkeypatch.setattr(resolve, "decide_positive", compared)
+    monkeypatch.setattr(laurentdecide.truncation, "smooth_perturb", counted)
+    start = time.perf_counter()
+    for system, config in inequation_corpus():
+        resolve.decide_existential(system, config)
+    elapsed = time.perf_counter() - start
+    # the perturbation ran, and both of its outcomes occur
+    assert len(perturbed) >= 5 and None in perturbed and any(perturbed), len(perturbed)
+    reasons = Counter(v.reason for v in verdicts)
+    assert reasons["perturbation-budget-exhausted"] == perturbed.count(None), reasons
+    assert elapsed < 3, elapsed
+
+
+def test_a_closed_system_meets_its_inequation_without_perturbing():
+    # no unknowns: g is a polynomial in t, of exact valuation at the empty
+    # witness, so no fallback is kept and the perturbation never runs
+    ring = PolyRing(F3, ("t",))
+    verdict = decide_positive(AffineSystem(ring, [], ring.var(0)))
+    assert verdict.is_sat and verdict.witness == () and verdict.inequation_valuation == 1
+    assert verdict.trace == ["level 1: 0 restricted equations, 0 digit variables",
+                             "level 1: certified witness at precision 2"]
 
 
 # -- dropping the rest of a rejected class ---------------------------------------

@@ -2,11 +2,16 @@
 decision loop as it stood before it certified each residue class once,
 copied verbatim.  Every candidate of the digit search, up to the candidate
 cap, is certified on its own, although its certificate depends only on its
-digits below ceil(N/2)."""
+digits below ceil(N/2).
+
+The loop returns a witness that misses its acceptance predicate as it is;
+_sat_with_inequation, copied verbatim from module resolve as it stood while
+that module perturbed such a witness, is the step that followed it there."""
 
 from __future__ import annotations
 
-from laurentdecide.hensel import CertificateError, certify_liftable, newton_lift
+from laurentdecide.hensel import CertificateError, certify_liftable, newton_lift, smooth_perturb
+from laurentdecide.series import val_exact, valuation_at
 from laurentdecide.poly import PolyRing
 from laurentdecide.truncation import (
     RunConfig,
@@ -111,3 +116,38 @@ def decide_positive(
     trace.append(f"schedule exhausted at max precision {config.max_precision}"
                  + (" with unconfirmed certificates" if blocked_by_budget else ""))
     return Verdict(UNKNOWN, reason="precision-exhausted", trace=trace)
+
+
+def _sat_with_inequation(system, pos, config, trace):
+    """Perturb a certified solution until the inequation has exact valuation."""
+    table = system.minors
+    g = system.inequation
+    cert = pos.certificate
+    budget = config.perturb_budget
+    room = 2 * cert.e + budget.depth + 2
+    target = min(config.max_precision, max(pos.witness[0].precision if pos.witness else 1, room))
+    witness = pos.witness
+    if witness and target > witness[0].precision:
+        try:
+            witness = newton_lift(table, list(witness), cert, target)
+            cert2 = certify_liftable(table, list(witness), precision=target)
+            if cert2 is not None:
+                cert = cert2
+        except CertificateError:
+            witness = pos.witness
+    out = smooth_perturb(table, list(witness), cert, g, budget)
+    if out is None:
+        trace.append("perturbation budget exhausted without meeting the inequation")
+        return Verdict(UNKNOWN, reason="perturbation-budget-exhausted", trace=trace)
+    final_witness, final_cert = out
+    gval = valuation_at(g, final_witness)
+    if not val_exact(gval):
+        raise RuntimeError("perturbed witness leaves the inequation valuation inexact")
+    trace.append(f"inequation attained exact valuation {gval}")
+    return Verdict(
+        SAT,
+        witness=tuple(final_witness),
+        certificate=final_cert,
+        inequation_valuation=gval,
+        trace=trace,
+    )
