@@ -1,14 +1,14 @@
 """Top-level decision loop for equation-plus-inequation systems over F_q[[t]].
 
 Pipeline per system: normalize (squarefree hypersurfaces, radical bookkeeping),
-check emptiness and whether the inequation dies on the whole locus, then test
-regularity by spreading out (t becomes a variable over the perfect field F_q)
-and asking whether the non-smooth locus meets the generic fibre.  Regular
-systems go to the truncation decider, which meets the inequation itself.
-Singular plane curves are blown up at rational singular points, charts are
-decided recursively, and the exceptional centre descends to a
-lower-dimensional system.  Everything else is an honest UNKNOWN: verdicts
-must stay sound.
+check emptiness and whether the inequation dies on the whole locus, then ask
+the truncation decider, which meets the inequation itself and needs no
+smoothness.  What it leaves undecided has its regularity tested by spreading
+out (t a variable over the perfect field F_q): does the non-smooth locus meet
+the generic fibre?  Singular plane curves are blown up at rational singular
+points, charts are decided recursively, and the exceptional centre descends
+to a lower-dimensional system.  Everything else, regular systems included,
+is an honest UNKNOWN: verdicts must stay sound.
 
 Everything here lives over the system's own ring F_q[X, t]: systems,
 singular loci, blow-up charts and back maps (a centre is an F_q-point and a
@@ -315,7 +315,9 @@ def _normalize(system, trace):
 
 
 def _decide_normalized(system, config, trace, depth):
-    """The verdict on a normalized system; decide_existential attaches it."""
+    """The verdict on a normalized system; decide_existential attaches it.
+    Emptiness, then g on the locus, then one truncation decision: only its
+    UNKNOWN goes on to the regularity check, the blow-ups and the descent."""
     g = system.inequation
     if system.dim is None:
         _, cert = radical_membership(system.ring.one(), system.equations, with_certificate=True)
@@ -328,11 +330,18 @@ def _decide_normalized(system, config, trace, depth):
             trace.append("inequation vanishes identically on the locus")
             return Verdict(UNSAT, radical=rcert, trace=trace)
 
+    # truncation needs no smoothness: its refutation is sound at any level and
+    # its saturation-guarded certificate self-contained, so a decided verdict
+    # stands; regularity only picks what to try when it is undecided
+    direct = decide_positive(system, config, trace)
+    if not direct.is_unknown:
+        return direct
+
     report = regularity_check(system)
     trace.append(f"regularity: {report.status} (dimension {report.dimension})")
 
     if report.status == "regular":
-        return decide_positive(system, config, trace)
+        return direct
 
     plane_curve = len(system.xnames) == 2 and len(system.equations) == 1
     if report.status == "singular" and plane_curve:
@@ -342,15 +351,6 @@ def _decide_normalized(system, config, trace, depth):
     else:
         reason = "resolution-out-of-scope" if report.status == "singular" else "inconclusive-regularity"
         out = Verdict(UNKNOWN, reason=reason, trace=trace)
-
-    # sound fallback for singular/inconclusive loci: truncation refutation
-    # needs no smoothness, and the saturation-guarded certificate is
-    # self-contained, so a decided outcome here is trustworthy even without
-    # a resolution
-    trace.append(f"{out.reason}: trying the direct truncation decision anyway")
-    direct = decide_positive(system, config, trace)
-    if not direct.is_unknown:
-        return direct
 
     # solutions sitting on the singular locus form a strictly smaller system;
     # a SAT found there is a genuine solution (the smooth part stays out of

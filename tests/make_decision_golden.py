@@ -36,12 +36,15 @@ F5 = FqContext(5)
 F7 = FqContext(7)
 FUZZ_CONFIG = RunConfig(max_precision=16, candidate_cap=64)
 
-# sentences that reach the singular-locus descent, the blow-up centre and the
-# perturbation of a certified witness
+# sentences that reach the singular-locus descent, the blow-up centre (SAT
+# only there: centre-point), a chart witness mapped back and valued at the
+# inequation (chart-witness) and the perturbation of a certified witness
 EXTRA = [
     ("cone", F3, "exists X, Y, Z. X*X - 2*Y*Y = t*Z*Z & ~(Z = 0)", RunConfig(max_precision=8)),
     ("centre-node", F3, "exists X, Y. X*Y = 0 & ~(X = 1)", None),
     ("centre-circle", F3, "exists X, Y. X*X + Y*Y = 0 & ~(X = 0)", None),
+    ("centre-point", F3, "exists X, Y. X*X + Y*Y = 0", None),
+    ("chart-witness", F3, "exists X, Y. Y*Y + t*t*X*X = t*X*X*X & ~(X = 0)", None),
     ("perturb", F3, "exists X, Y. Y = 0 & ~(X = 0)", RunConfig(candidate_cap=1, max_precision=8)),
 ]
 

@@ -4,9 +4,15 @@ tests/data/decision_golden.json was written by tests/make_decision_golden.py
 before the loop was rewritten so that a system owns its F_q(t) view, basis
 and dimension, with one descent, one certification and one inequation
 valuation routine; the lift-candidates norm forms and cones were added
-before series-point evaluation moved to one power table per point.  Every
-record must stay identical: verdicts, refutation levels, certificates,
-witnesses, radical cofactors, attached systems and trace text.
+before series-point evaluation moved to one power table per point.  It was
+regenerated once, when the loop came to ask the truncation decider before
+the regularity check: traces lost their regularity lines where truncation
+decides, and only `centre-node` changed otherwise, its SAT now coming
+straight from truncation.  `centre-point`, SAT only at the blow-up centre,
+and `chart-witness`, SAT through a chart witness mapped back, were added
+then so that the centre's descent and the map-back still run.  Every record
+must stay identical: verdicts, refutation levels, certificates, witnesses,
+radical cofactors, attached systems and trace text.
 """
 
 import json

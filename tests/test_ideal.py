@@ -589,13 +589,30 @@ def test_groebner_layer_matches_two_loop_oracle():
     assert changed == changed_certificates == list(COFACTORS_CHANGED)
 
 
+def _check_regularity_of_disjuncts(sentences):
+    """Run the regularity check on every normalized disjunct system of the
+    sentences that is not empty.  The decision loop checks only the systems
+    that truncation leaves undecided, so this gives the oracles below the
+    loci of every system, under the O-atom encoding in force."""
+    from laurentdecide import frontend, resolve
+    from laurentdecide.frontend import parse
+
+    for ctx, text, _ in sentences:
+        for system in frontend.to_systems(frontend.eliminate_valuation_atoms(parse(text)), ctx):
+            normalized = resolve._normalize(system, [])
+            if normalized.dim is not None:
+                resolve.regularity_check(normalized)
+
+
 def _resolve_loci():
     """(generators, ring) of every call of resolve.buchberger while deciding
     the criterion-8 corpus and the seeded sentences of test_fuzz_sentences_f3
-    and _f2: system bases and the singular loci (equations plus Jacobian
+    and _f2, and while checking the regularity of each of their normalized
+    disjuncts: system bases and the singular loci (equations plus Jacobian
     minors) of the regularity check, over F_q[X, t].  A sentence with an
-    O atom is decided twice, the second time under the Artin-Schreier
-    encoding of frontend_oracle, whose quadratic equations give larger loci."""
+    O atom is decided and checked twice, the second time under the
+    Artin-Schreier encoding of frontend_oracle, whose quadratic equations
+    give larger loci."""
     import frontend_oracle
     from make_decision_golden import fuzz_corpus
     from test_acceptance import CORPUS
@@ -619,10 +636,12 @@ def _resolve_loci():
         patch.setattr(resolve, "buchberger", capture)
         for ctx, text, config in sentences:
             decide(text, ctx, config)
+        _check_regularity_of_disjuncts(sentences)
         patch.setattr(frontend, "eliminate_valuation_atoms",
                       frontend_oracle.eliminate_valuation_atoms)
         for ctx, text, config in encoded_apart:
             decide(text, ctx, config)
+        _check_regularity_of_disjuncts(encoded_apart)
     return calls
 
 
@@ -643,7 +662,8 @@ def test_resolve_loci_match_two_loop_oracle():
 def _engine_buchberger_calls():
     """(generators, ring) of every buchberger call, at every binding, while
     deciding the criterion-8 corpus and the seeded sentences of
-    test_fuzz_sentences_f3 and _f2."""
+    test_fuzz_sentences_f3 and _f2, and while checking the regularity of
+    each of their normalized disjuncts."""
     from make_decision_golden import fuzz_corpus
     from test_acceptance import CORPUS
 
@@ -664,6 +684,7 @@ def _engine_buchberger_calls():
             patch.setattr(module, "buchberger", capture)
         for ctx, text, config in sentences:
             decide(text, ctx, config)
+        _check_regularity_of_disjuncts(sentences)
     return calls
 
 

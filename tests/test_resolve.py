@@ -656,6 +656,48 @@ def test_blowup_unsat_aggregation():
     assert v.branches and all(b.is_unsat for b in v.branches)
 
 
+def test_truncation_is_asked_once_and_before_regularity(monkeypatch):
+    # every normalized system meets decide_positive once, and the regularity
+    # check sees only a system that decide_positive has just left UNKNOWN
+    from make_decision_golden import EXTRA, fuzz_corpus
+    from test_acceptance import CORPUS as CRITERION_8
+
+    asked, checked = [], []  # (system, verdict) per call; holding them keeps ids apart
+    real_decide, real_check = resolve.decide_positive, resolve.regularity_check
+
+    def decide_positive(system, *args):
+        v = real_decide(system, *args)
+        asked.append((system, v))
+        return v
+
+    def regularity_check(system):
+        assert asked and asked[-1][0] is system and asked[-1][1].is_unknown
+        checked.append(system)
+        return real_check(system)
+
+    monkeypatch.setattr(resolve, "decide_positive", decide_positive)
+    monkeypatch.setattr(resolve, "regularity_check", regularity_check)
+    corpus = [(ctx, text, None) for _, ctx, text, _ in CRITERION_8]
+    corpus += [(ctx, text, config) for _, ctx, text, config in fuzz_corpus() + EXTRA]
+    for ctx, text, config in corpus:
+        decide(text, ctx, config)
+    assert len({id(system) for system, _ in asked}) == len(asked)
+    assert checked
+
+
+def test_a_certified_point_needs_no_regularity_check(monkeypatch):
+    # a singular curve whose smooth point truncation certifies at level 4;
+    # the blow-up route took over a minute on it
+    def refuse(system):
+        raise AssertionError("regularity checked after a decided truncation")
+
+    monkeypatch.setattr(resolve, "regularity_check", refuse)
+    v = decide("exists X, Y. 4*(X - 3)^3*(Y - 3)^3 + 3*t^2*(X - 3)^3 + 3*t*(X - 3)*(Y - 3) = 0"
+               " & ~(X = 3)", F5)
+    assert v.is_sat
+    assert verify_verdict(v) == ([], [])
+
+
 def test_verdict_trichotomy_exclusive():
     R = tring(F3, "X")
     sq = R.from_terms({(2, 0): 1, (0, 0): -1, (0, 1): -1})
