@@ -357,9 +357,7 @@ def _decide_normalized(system, config, trace, depth):
     # scope, so UNSAT cannot propagate from this descent)
     if (
         report.status == "singular"
-        and report.singular_locus
         and depth < config.max_blowups
-        and report.locus_dimension is not None
         and report.locus_dimension < report.dimension
     ):
         trace.append("descending to the singular locus")

@@ -9,8 +9,8 @@ restriction through the search, is searched by exhaustive enumeration with
 pruning; the rest of a residue class whose certification failed is counted
 in closed form, not walked, when its remaining digits are free.  A mod-t^N
 solution becomes a SAT verdict only once Hensel certification plus a
-confirming Newton lift to doubled precision succeed, so both verdicts stay
-sound while completeness is budget-limited: UNKNOWN is a legal outcome.
+confirming Newton lift to doubled precision succeed (so the last level only
+refutes): both verdicts stay sound, and UNKNOWN is a legal outcome.
 An inequation g != 0 is met here too: by a confirmed witness at which g has
 exact valuation, or else by perturbing one along its free coordinates.
 """
@@ -223,6 +223,8 @@ class SkipRequest:
     walk would have visited, q^j at depth j below the class, and raises
     SearchBudgetExceeded exactly where the walk would have.  On any other
     class the request is cleared and the walk goes on as without it.
+    decide_positive sets it after the first member of each class it
+    rejects: at the last truncation level, of every class.
     """
 
     depth: int | None = None
@@ -343,7 +345,10 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
     as soon as level N has no mod-t^N solution; SAT once one of the first
     config.candidate_cap solutions of a level certifies and its Newton lift to
     doubled precision confirms; UNKNOWN when the levels run out (or the digit
-    search at some level outgrows config.search_budget nodes).
+    search at some level outgrows config.search_budget nodes).  The last
+    level, whose 2N exceeds config.max_precision, only refutes: it certifies
+    nothing, but walks to the candidate cap, as its node count decides
+    between the two UNKNOWN reasons.
 
     With an inequation, a confirmed witness is returned only when g has
     exact valuation there, which the verdict carries as
@@ -360,22 +365,21 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
     One certificate serves each run of candidates sharing their digits below
     ceil(N/2), on which alone it depends; lifted witnesses are certified anew.
     The series point of a candidate is built only when it is read: once per
-    class, for its certificate, and for each candidate of a certified class,
-    for its lift.  Once a class's first candidate is rejected, a SkipRequest
-    asks the search to drop the rest of the class; it does so when the
-    class's other digits are free (no restricted monomial holds two digits
-    at or above ceil(N/2), so a class whose equations all vanish is every
-    value of those digits) and reports how many it dropped, which count
-    toward config.candidate_cap as if each had been tried.  A candidate of
-    a rejected class that the search still yields costs a slice and a
-    compare.
+    class below the last level, for its certificate, and for each candidate
+    of a certified class, for its lift.  Once a class's first candidate is
+    rejected, as every class of the last level is, a SkipRequest asks the
+    search to drop the rest of the class; it does so when the class's other
+    digits are free (no restricted monomial holds two digits at or above
+    ceil(N/2), so a class whose equations all vanish is every value of
+    those digits) and reports how many it dropped, which count toward
+    config.candidate_cap as if each had been tried.  A candidate of a
+    rejected class that the search still yields costs a slice and a compare.
     """
     if config is None:
         config = RunConfig()
     if trace is None:
         trace = []
     table, ring, g = system.minors, system.ring, system.inequation
-    blocked_by_budget = False
     fallback = None
     level = 1
     while level <= config.max_precision:
@@ -384,7 +388,7 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
             f"level {level}: {len(restriction.restricted)} restricted equations, "
             f"{restriction.ring.nvars} digit variables"
         )
-        found_any = False
+        target = 2 * level  # a certificate's gap 2e < N puts its lift at 2N
         tried = 0
         # iter_solutions yields each class (the digits below ceil(level/2))
         # as one run, so the last class and its certificate are all to keep
@@ -395,29 +399,22 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
             for assignment in iter_solutions(
                 restriction.restricted, restriction.ring, config.search_budget, skip
             ):
-                found_any = True
                 tried += 1
                 if tried + skip.skipped > config.candidate_cap:
                     trace.append(f"level {level}: candidate cap {config.candidate_cap} reached")
                     break
                 key = assignment[:digits_below]
                 if key != last_class:
-                    point = restriction.point(assignment)
-                    last_class, cert = key, certify_liftable(table, list(point), precision=level)
+                    last_class, cert = key, None
+                    if target <= config.max_precision:
+                        point = restriction.point(assignment)
+                        cert = certify_liftable(table, list(point), precision=level)
                     if cert is None:
                         skip.depth = digits_below
                         skip.room = config.candidate_cap - tried - skip.skipped
                 elif cert is not None:
                     point = restriction.point(assignment)
                 if cert is None:
-                    continue
-                target = 2 * max(level, cert.e + 1)
-                if target > config.max_precision:
-                    blocked_by_budget = True
-                    trace.append(
-                        f"level {level}: certificate found but confirmation precision "
-                        f"{target} exceeds budget {config.max_precision}"
-                    )
                     continue
                 try:
                     lifted = newton_lift(table, list(point), cert, target)
@@ -442,15 +439,14 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
         except SearchBudgetExceeded:
             trace.append(f"level {level}: digit search budget exhausted")
             return Verdict(UNKNOWN, reason="search-budget-exhausted", trace=trace)
-        if not found_any:
+        if not tried:
             trace.append(f"level {level}: restricted system unsolvable")
             return Verdict(UNSAT, refuted_at=level, trace=trace)
         level *= 2
     if fallback is not None:
         trace.append("no accepted witness; returning the first certified one")
         return _sat_with_inequation(system, *fallback, config, trace)
-    trace.append(f"schedule exhausted at max precision {config.max_precision}"
-                 + (" with unconfirmed certificates" if blocked_by_budget else ""))
+    trace.append(f"schedule exhausted at max precision {config.max_precision}")
     return Verdict(UNKNOWN, reason="precision-exhausted", trace=trace)
 
 

@@ -32,7 +32,8 @@ vanish identically (the F_2 cone) scans none.
 `WeilRestriction.point`, which assembles a digit assignment into series, is
 counted per corpus: the digit search builds one for the first candidate of
 each residue class, to certify the class, and one for each candidate of a
-certified class, to lift it; a candidate of a rejected class builds none.
+certified class, to lift it; a candidate of a rejected class builds none,
+and neither does any candidate of the last level, which certifies nothing.
 
 The digit search's leaves, the solutions `iter_solutions` yields, are
 counted per corpus: once a class's first candidate is rejected, the search
