@@ -13,6 +13,9 @@ finite order at the witness could survive every truncated residual check
 while the Newton limit misses it.  With it, the limit solves the full system
 because det is a unit along the lifted branch.
 
+A certified point always lifts (newton_lift has the short proof), so the
+engine catches no CertificateError: one raised is a broken invariant.
+
 What does not depend on the point (the Jacobian, its nonzero minors and
 each minor's guard answer) is a MinorTable of the system, built once per
 system and handed to every certification, lift and perturbation; it is the
@@ -213,12 +216,21 @@ def newton_lift(table, point, certificate, target, trace=None):
     residual valuations >= target.
 
     Returns the refined point at precision target; the low t^(N-e) digits
-    agree with the input.  Each iteration at least doubles (minus 2e) the
-    minimum residual valuation of the driving square subsystem; stalls raise
-    CertificateError.  A certificate with no rows, as a system with no
+    agree with the input.  A certificate with no rows, as a system with no
     equation has, corrects nothing: CertificateError unless every residual
     already reaches target.  trace, when given, collects the minimum
     subsystem residual valuation before each correction step.
+
+    Contract: a certificate certify_liftable gave for the point, or for one
+    sharing its digits below ceil(N/2) that solves the same level, lifts,
+    and certify_liftable certifies the lift at target.  Every residual is
+    >= N > 2e, so each step at least doubles v - 2e on the minor's rows;
+    each correction has valuation > e, so the minor keeps valuation e (no
+    drift, no Cramer failure) and bit_length(target) + 4 steps suffice.
+    By the saturation guard the other equations vanish at the exact lift
+    x*, and v(x_k - x*) >= (row residual) - e, so they lag the rows by at
+    most e, which the working precision absorbs: no stall.  The guards
+    below fire only on certificates certify_liftable did not give.
     """
     ring = table.ring
     e = certificate.e
@@ -278,8 +290,9 @@ def smooth_perturb(table, point, certificate, g, budget: PerturbBudget):
     c*t^M, then re-solves the bound coordinates by Newton.  Deterministic
     order: depths M increasing, then directions by coordinate index, then
     scalars in field-enumeration order.  Every perturbed point is certified
-    afresh, at the precision its residuals reach, by a minor avoiding the
-    perturbed coordinate, through the MinorTable table of the system.
+    afresh, at the precision its residuals reach (at least min(N, M) >= 1),
+    by a minor avoiding the perturbed coordinate, through the MinorTable
+    table of the system; a point so certified always lifts (newton_lift).
     The point is certified, so the locus is not empty; with no unknowns g is
     a nonzero polynomial in t, of exact valuation, and the point comes back.
     """
@@ -309,19 +322,12 @@ def smooth_perturb(table, point, certificate, g, budget: PerturbBudget):
                 at = point_table(ring, xs, precision)
                 residuals = map(valuation, map(at, table.equations))
                 floor = min((v if val_exact(v) else v.n for v in residuals), default=precision)
-                if floor < 1:
-                    continue
                 cert2 = certify_liftable(
                     table, [x.truncate(floor) for x in xs], exclude_col=xpos[j]
                 )
                 if cert2 is None:
                     continue
-                try:
-                    lifted = newton_lift(table, xs, cert2, precision)
-                except CertificateError:
-                    continue
+                lifted = newton_lift(table, xs, cert2, precision)
                 if val_exact(valuation_at(g, lifted)):
-                    final = certify_liftable(table, list(lifted))
-                    if final is not None:
-                        return tuple(lifted), final
+                    return tuple(lifted), certify_liftable(table, list(lifted))
     return None

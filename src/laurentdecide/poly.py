@@ -557,26 +557,16 @@ class MultiPoly:
     # -- calculus
 
     def partial(self, i: int):
-        """Formal partial derivative; the char-p power rule is automatic."""
+        """Formal partial derivative; the char-p power rule is automatic.
+        Lowering exponent i by one is injective on monomials, so no two
+        terms land on one key."""
         out = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            k = self.ring.field.from_int(e[i])
-            cc = c * k
-            if not cc:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            e2 = tuple(e2)
-            if e2 in out:
-                s = out[e2] + cc
-                if s:
-                    out[e2] = s
-                else:
-                    del out[e2]
-            else:
-                out[e2] = cc
+            cc = c * self.ring.field.from_int(e[i])
+            if cc:
+                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = cc
         return MultiPoly(self.ring, out)
 
     # -- substitution

@@ -8,9 +8,10 @@ the digit system, term maps keyed by sorted digit-index tuples from the
 restriction through the search, is searched by exhaustive enumeration with
 pruning; the rest of a residue class whose certification failed is counted
 in closed form, not walked, when its remaining digits are free.  A mod-t^N
-solution becomes a SAT verdict only once Hensel certification plus a
-confirming Newton lift to doubled precision succeed (so the last level only
-refutes): both verdicts stay sound, and UNKNOWN is a legal outcome.
+solution becomes a SAT verdict once Hensel certification succeeds and the
+Newton lift to doubled precision fits the budget (so the last level only
+refutes); a certified point always lifts, and certifies again at the lift.
+Both verdicts stay sound, and UNKNOWN is a legal outcome.
 An inequation g != 0 is met here too: by a confirmed witness at which g has
 exact valuation, or else by perturbing one along its free coordinates.
 """
@@ -21,7 +22,7 @@ from bisect import bisect
 from dataclasses import dataclass
 
 from .ff import FqContext
-from .hensel import CertificateError, PerturbBudget, certify_liftable, newton_lift, smooth_perturb
+from .hensel import PerturbBudget, certify_liftable, newton_lift, smooth_perturb
 from .poly import PolyRing
 from .series import TruncatedSeries, val_exact, valuation_at
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -343,9 +344,10 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
 
     Truncation levels N = 1, 2, 4, ... up to config.max_precision: UNSAT(N)
     as soon as level N has no mod-t^N solution; SAT once one of the first
-    config.candidate_cap solutions of a level certifies and its Newton lift to
-    doubled precision confirms; UNKNOWN when the levels run out (or the digit
-    search at some level outgrows config.search_budget nodes).  The last
+    config.candidate_cap solutions of a level certifies, lifted by Newton to
+    doubled precision and certified there (Hensel's lemma: this never fails,
+    and a failure would raise); UNKNOWN when the levels run out (or the
+    digit search at some level outgrows config.search_budget nodes).  The last
     level, whose 2N exceeds config.max_precision, only refutes: it certifies
     nothing, but walks to the candidate cap, as its node count decides
     between the two UNKNOWN reasons.
@@ -416,14 +418,8 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
                     point = restriction.point(assignment)
                 if cert is None:
                     continue
-                try:
-                    lifted = newton_lift(table, list(point), cert, target)
-                except CertificateError as err:
-                    trace.append(f"level {level}: lift rejected a candidate ({err})")
-                    continue
+                lifted = newton_lift(table, list(point), cert, target)
                 final = certify_liftable(table, list(lifted), precision=target)
-                if final is None:
-                    continue
                 gval = None if g is None else valuation_at(g, lifted)
                 if gval is not None and not val_exact(gval):
                     if fallback is None:
@@ -458,12 +454,8 @@ def _sat_with_inequation(system, witness, cert, config, trace):
     budget = config.perturb_budget
     target = min(config.max_precision, 2 * cert.e + budget.depth + 2)
     if target > witness[0].precision:
-        try:
-            witness = newton_lift(table, list(witness), cert, target)
-        except CertificateError:
-            pass
-        else:
-            cert = certify_liftable(table, list(witness), precision=target) or cert
+        witness = newton_lift(table, list(witness), cert, target)
+        cert = certify_liftable(table, list(witness), precision=target)
     out = smooth_perturb(table, list(witness), cert, g, budget)
     if out is None:
         trace.append("perturbation budget exhausted without meeting the inequation")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from laurentdecide import cli
 from laurentdecide.cli import (
     load_system_file,
     parse_budget,
@@ -16,6 +17,7 @@ from laurentdecide.cli import (
 )
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
+from laurentdecide.series import TruncatedSeries
 
 F3 = FqContext(3)
 # --verify checks evidence against the normalized system, not the input
@@ -193,6 +195,71 @@ def test_cli_verify_names_the_unchecked_blow_up(capsys):
     assert report["status"] == "unsat" and report["verified"] is True
     assert len(report["disjuncts"][0]["branches"]) == 3
     assert report["verify_skipped"] == ["blow-up decomposition not re-checked", TRANSLATION_SKIPPED]
+
+
+def _with_digit(verdict, coord, k, digit):
+    """The verdict with digit k of witness coordinate coord replaced."""
+    witness = list(verdict.witness)
+    x = witness[coord]
+    coeffs = list(x.coeffs)
+    coeffs[k] = x.ctx.elem(digit)
+    witness[coord] = TruncatedSeries(x.ctx, coeffs, x.precision)
+    return replace(verdict, witness=tuple(witness))
+
+
+def test_verify_rejects_a_witness_with_a_changed_digit():
+    verdict = decide("exists X. X*X = 1 + t", F3)  # X = 1 + 2t
+    assert verify_verdict(verdict) == ([], [])
+    # X = 1 leaves the residual -t, below the precision 2
+    assert verify_verdict(_with_digit(verdict, 0, 1, 0)) == ([
+        "residual of X^2 + 2*t + 2 below witness precision",
+        "re-certification by the engine's certify_liftable failed",
+    ], [])
+
+
+def test_verify_rejects_a_witness_where_the_inequation_vanishes():
+    verdict = decide("exists X, Y. Y = 0 & ~(X = 0)", F3)  # X = 1, Y = 0
+    assert verify_verdict(verdict) == ([], [])
+    # X = 0 still solves Y = 0 and still certifies, but misses X != 0
+    assert verify_verdict(_with_digit(verdict, 0, 0, 0)) == (
+        ["inequation value not exactly valued at the witness"], []
+    )
+
+
+def _lowered_refutation():
+    """exists X. X*X = t over F_3, claimed refuted at level 1, where X = 0
+    solves X*X = t mod t."""
+    verdict = decide("exists X. X*X = t", F3)
+    (branch,) = verdict.branches
+    assert (verdict.refuted_at, branch.refuted_at) == (2, 2)
+    return replace(verdict, refuted_at=1, branches=[replace(branch, refuted_at=1)])
+
+
+def test_verify_rejects_a_lowered_refutation_level():
+    assert verify_verdict(_lowered_refutation()) == (
+        ["refutation level 1 admits a mod-t^1 solution"], []
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "tampered, problem",
+    [
+        (lambda: _with_digit(decide("exists X. X*X = 1 + t", F3), 0, 1, 0),
+         "residual of X^2 + 2*t + 2 below witness precision"),
+        (_lowered_refutation, "refutation level 1 admits a mod-t^1 solution"),
+    ],
+)
+def test_cli_verify_failure_exits_2(monkeypatch, capsys, fmt, tampered, problem):
+    verdict = tampered()
+    monkeypatch.setattr(cli, "decide", lambda text, ctx, config: verdict)
+    code, out = run_cli(["--field", "p=3", "--verify", "--format", fmt, "exists X. X = 0"], capsys)
+    assert code == 2
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["verified"] is False and problem in report["verify_problems"]
+    else:
+        assert "verified: False" in out.splitlines()
 
 
 def _radical_branch(text, ctx):

@@ -133,6 +133,62 @@ def test_parse_closed_sentence():
     assert s.variables == []
 
 
+def _neg(term):
+    return TOp("-", TNum(0), term)
+
+
+@pytest.mark.parametrize(
+    "left, tree",
+    [
+        ("-X", _neg(TVar("X"))),
+        ("X*-X", TOp("*", TVar("X"), _neg(TVar("X")))),
+        # the minus binds looser than the power: -(X^2), not (-X)^2
+        ("-X^2", _neg(TOp("^", TVar("X"), TNum(2)))),
+        ("--X", _neg(_neg(TVar("X")))),
+    ],
+)
+def test_unary_minus_is_a_factor(left, tree):
+    assert parse(f"exists X. {left} = 1").formula.left == tree
+
+
+@pytest.mark.parametrize(
+    "sentence, status, digit",
+    [
+        ("exists X. -X = 1", "sat", 2),
+        ("exists X. X*-X = 2", "sat", 1),
+        ("exists X. --X = 2", "sat", 2),
+        # -(X^2) = 2 is X^2 = 1; (-X)^2 = 2 is X^2 = 2, and 2 is no square mod 3
+        ("exists X. -X^2 = 2", "sat", 1),
+        ("exists X. (-X)^2 = 2", "unsat", None),
+    ],
+)
+def test_decide_reads_unary_minus(sentence, status, digit):
+    v = decide(sentence, F3)
+    assert v.status == status
+    if digit is not None:
+        assert v.witness[0].coeffs[0].coords == (digit,)
+
+
+def test_variables_may_be_separated_by_blanks():
+    assert parse("exists X Y. X = Y").variables == ["X", "Y"]
+    assert parse("exists X Y, Z. X = Y + Z").variables == ["X", "Y", "Z"]
+
+
+@pytest.mark.parametrize(
+    "sentence, message",
+    [
+        ("exists X. X = 1 X", "unexpected trailing input 'X' at column 17"),
+        ("exists X. X = 1 )", "unexpected trailing input ')' at column 17"),
+        ("exists X. X^X = 1", "exponent must be an integer literal at column 13"),
+        ("exists X. X^t = 1", "exponent must be an integer literal at column 13"),
+    ],
+)
+def test_parse_errors_after_a_term_name_their_column(sentence, message):
+    with pytest.raises(ParseError) as info:
+        parse(sentence)
+    assert str(info.value) == message
+
+
 def test_parse_uniformizer_aliases():
     for alias in ("t", "w", "pi"):
         s = parse(f"exists X. X = {alias}")
