@@ -137,8 +137,6 @@ def _branch_summary(branch: Verdict) -> dict:
         out["refuted_at"] = branch.refuted_at
     if branch.radical is not None:
         out["evidence"] = "radical-membership"
-    if branch.is_unknown and branch.reason:
-        out["reason"] = branch.reason
     if branch.branches:
         out["branches"] = [_branch_summary(b) for b in branch.branches]
     return out
@@ -275,6 +273,8 @@ def format_text(report: dict) -> str:
         lines.append(f"certificate: {report['certificate']}")
     if "verified" in report:
         lines.append(f"verified: {report['verified']}")
+    for line in report.get("verify_problems", []):
+        lines.append(f"verify_problem: {line}")
     for line in report.get("verify_skipped", []):
         lines.append(f"verify_skipped: {line}")
     for line in report.get("trace", []):

@@ -7,8 +7,11 @@ smoothness.  What it leaves undecided has its regularity tested by spreading
 out (t a variable over the perfect field F_q): does the non-smooth locus meet
 the generic fibre?  Singular plane curves are blown up at rational singular
 points, charts are decided recursively, and the exceptional centre descends
-to a lower-dimensional system.  Everything else, regular systems included,
-is an honest UNKNOWN: verdicts must stay sound.
+to a lower-dimensional system.  A SAT may still come from the singular
+locus, decided as a system of lower dimension, unless the inequation
+vanishes there, which one Rabinowitsch test on the regularity basis
+settles.  Everything else, regular systems included, is an honest UNKNOWN:
+verdicts must stay sound.
 
 Everything here lives over the system's own ring F_q[X, t]: systems,
 singular loci, blow-up charts and back maps (a centre is an F_q-point and a
@@ -38,6 +41,7 @@ from functools import cached_property
 from .ff import FqContext
 from .hensel import MinorTable, certify_liftable, system_dimension
 from .ideal import (
+    GroebnerBasis,
     buchberger,
     dimension,
     exact_divide,
@@ -100,6 +104,7 @@ class RegularityReport:
     dimension: int | None = None
     singular_locus: list | None = None  # equations + minors, over F_q[X, t]
     locus_dimension: int | None = None  # dimension of the singular locus
+    locus_basis: GroebnerBasis | None = None  # reduced basis of singular_locus
 
 
 @dataclass
@@ -146,9 +151,8 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
     gb_locus = buchberger(eqs + minors, ring=ring)
     if gb_locus.contains_one():
         return RegularityReport("regular", dimension=dim)
-    return RegularityReport(
-        "singular", dimension=dim, singular_locus=eqs + minors, locus_dimension=dimension(gb_locus)
-    )
+    return RegularityReport("singular", dimension=dim, singular_locus=eqs + minors,
+                            locus_dimension=dimension(gb_locus), locus_basis=gb_locus)
 
 
 def blow_up_origin(curve: MultiPoly):
@@ -317,7 +321,18 @@ def _normalize(system, trace):
 def _decide_normalized(system, config, trace, depth):
     """The verdict on a normalized system; decide_existential attaches it.
     Emptiness, then g on the locus, then one truncation decision: only its
-    UNKNOWN goes on to the regularity check, the blow-ups and the descent."""
+    UNKNOWN goes on to the regularity check, the blow-ups and the descent.
+
+    The descent to the singular locus is kept only when it answers SAT, so
+    it runs only where it can: one uncertified Rabinowitsch test on the
+    regularity basis skips it when g vanishes on the singular locus.  No
+    verdict changes.  Radical membership depends only on the ideal, and the
+    reduced basis generates the same ideal as equations + minors; the
+    descent's _normalize keeps the zero set.  So when the test says yes, the
+    descent would end UNSAT: its locus is empty (the unit ideal) or g
+    vanishes on it, and every verdict of the descent but SAT is dropped.
+    When g is None or does not vanish there, the descent runs as before; its
+    own inequation test then builds a tracked basis after this one."""
     g = system.inequation
     if system.dim is None:
         _, cert = radical_membership(system.ring.one(), system.equations, with_certificate=True)
@@ -360,6 +375,9 @@ def _decide_normalized(system, config, trace, depth):
         and depth < config.max_blowups
         and report.locus_dimension < report.dimension
     ):
+        if g is not None and radical_membership(g, report.locus_basis.generators):
+            trace.append("inequation vanishes on the singular locus: no descent")
+            return out
         trace.append("descending to the singular locus")
         v_sing = decide_existential(
             AffineSystem(system.ring, report.singular_locus, g),

@@ -36,11 +36,15 @@ F5 = FqContext(5)
 F7 = FqContext(7)
 FUZZ_CONFIG = RunConfig(max_precision=16, candidate_cap=64)
 
-# sentences that reach the singular-locus descent, the blow-up centre (SAT
-# only there: centre-point), a chart witness mapped back and valued at the
-# inequation (chart-witness) and the perturbation of a certified witness
+# sentences that reach the singular locus (where the inequation vanishes:
+# cone; where the descent answers SAT at the origin: cone-locus), the
+# blow-up centre (SAT only there: centre-point), a chart witness mapped back
+# and valued at the inequation (chart-witness) and the perturbation of a
+# certified witness
 EXTRA = [
     ("cone", F3, "exists X, Y, Z. X*X - 2*Y*Y = t*Z*Z & ~(Z = 0)", RunConfig(max_precision=8)),
+    ("cone-locus", F3, "exists X, Y, Z. X*X - 2*Y*Y = t*Z*Z & ~(X = 1)",
+     RunConfig(max_precision=16)),
     ("centre-node", F3, "exists X, Y. X*Y = 0 & ~(X = 1)", None),
     ("centre-circle", F3, "exists X, Y. X*X + Y*Y = 0 & ~(X = 0)", None),
     ("centre-point", F3, "exists X, Y. X*X + Y*Y = 0", None),

@@ -259,7 +259,9 @@ def test_cli_verify_failure_exits_2(monkeypatch, capsys, fmt, tampered, problem)
         report = json.loads(out)
         assert report["verified"] is False and problem in report["verify_problems"]
     else:
-        assert "verified: False" in out.splitlines()
+        lines = out.splitlines()
+        assert "verified: False" in lines
+        assert f"verify_problem: {problem}" in lines
 
 
 def _radical_branch(text, ctx):
@@ -365,6 +367,28 @@ def test_system_file_roundtrip(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "sat"
     assert report["verified"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_system_file_unsat_by_radical_membership_names_its_evidence(tmp_path, capsys, fmt):
+    # X = 1 forces the inequation X - 1 to vanish: one radical certificate,
+    # reported at the top level since a system file has no disjunction
+    path = tmp_path / "radical.system"
+    path.write_text("vars X\neq X - 1\nneq X - 1\n", encoding="utf-8")
+    code, out = run_cli(
+        ["--field", "p=3", "--system-file", str(path), "--verify", "--format", fmt], capsys
+    )
+    assert code == 0
+    if fmt == "json":
+        report = json.loads(out)
+        assert (report["status"], report["evidence"], report["verified"]) == (
+            "unsat", "radical-membership", True
+        )
+        assert "disjuncts" not in report
+    else:
+        lines = out.splitlines()
+        assert lines[0] == "status: unsat"
+        assert "evidence: radical-membership" in lines and "verified: True" in lines
 
 
 def test_system_file_merges_neq_lines(tmp_path):

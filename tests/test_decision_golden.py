@@ -13,7 +13,12 @@ and `chart-witness`, SAT through a chart witness mapped back, were added
 then so that the centre's descent and the map-back still run.  It was
 regenerated again when the last truncation level stopped certifying: only
 `perturb` changed, in trace only, losing its level-8 "certificate found but
-confirmation precision 16 exceeds budget 8" line.  Every record must stay
+confirmation precision 16 exceeds budget 8" line.  It was regenerated
+when the singular-locus descent came to run only where it can answer SAT:
+`cone` and `cone-p2` to `cone-p7` changed in trace only, their descent,
+refuted because Z vanishes on the singular locus, giving way to one line
+saying so.  `cone-locus`, whose descent answers SAT at the origin, was
+added then so that the descent still runs.  Every record must stay
 identical: verdicts, refutation levels, certificates, witnesses, radical
 cofactors, attached systems and trace text.  On failure the test names the
 records that differ and those among them that differ outside their traces.
@@ -76,14 +81,18 @@ def test_decision_loop_matches_golden(monkeypatch):
 
     # every rewritten path ran: the blow-up centre through descend, the
     # perturbation certified through certify_liftable, the inequation
-    # helper, and the singular-locus descent read off the regularity report
+    # helper, and the singular-locus descent read off the regularity report,
+    # skipped where the inequation vanishes on the locus
     assert calls["descend"] >= 2
     assert calls["_decide_singular_curve"] >= 2
     assert calls["_sat_with_inequation"] >= 1
     assert calls["certify_perturbed"] >= 1
     assert calls["valuation_at"] >= 1
     cone = actual["verdicts"]["cone"]["verdict"]
-    assert "descending to the singular locus" in cone["trace"]
+    assert "inequation vanishes on the singular locus: no descent" in cone["trace"]
+    cone_locus = actual["verdicts"]["cone-locus"]["verdict"]
+    assert cone_locus["status"] == "sat"
+    assert "descending to the singular locus" in cone_locus["trace"]
 
 
 def test_without_trace_drops_traces_at_every_depth():
