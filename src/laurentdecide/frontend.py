@@ -5,10 +5,16 @@ systems, and aggregate the per-system verdicts.
 
 Quantified variables range over the valuation ring F_q[[t]]; constants may be
 arbitrary F_q(t) values, so O(c) for a constant c is a real condition.  Every
-unknown is integral, so each O-atom needs one fresh unknown and one equation:
-the positive atom O(s) becomes  exists y: y = s,  which holds exactly when s
-is integral; the negative atom becomes  exists w: t*s*w = 1,  which holds for
-some w in F_q[[t]] exactly when v(s) = -1 - v(w) < 0.  The paper's
+unknown is integral, so a polynomial over F_q[t] in the unknowns (a term with
+no division and no explicit F_q(t) constant) is integral too: the positive
+atom O(s) of such a term always holds and becomes the true literal 0 = 0,
+with no fresh unknown.  Every other O-atom needs one fresh unknown and one
+equation: O(s) becomes  exists y: y = s,  which holds exactly when s is
+integral; the negative atom becomes  exists w: t*s*w = 1,  which holds for
+some w in F_q[[t]] exactly when v(s) = -1 - v(w) < 0.  ~O(s) keeps that
+equation even for polynomial s, where it is unsolvable: the truncation
+decider refutes it at level 1, and that refutation level is part of the
+verdict, which a false literal in its place would lose.  The paper's
 Artin-Schreier form  y^2 + y = t*s^2  is needed only where unknowns range
 over all of F_q((t)).
 Systems are built over F_q[X, t]; F_q(t) appears here only as the type of an
@@ -413,11 +419,23 @@ def _fresh(base, taken, counter):
             return name, counter
 
 
+def _is_polynomial(term) -> bool:
+    """Whether term is a polynomial over F_q[t] in the unknowns: it has no
+    division and no explicit F_q(t) constant."""
+    if isinstance(term, TOp):
+        return term.op != "/" and _is_polynomial(term.left) and _is_polynomial(term.right)
+    return not isinstance(term, TConst)
+
+
 def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
-    """Rewrite O-atoms away, each with one fresh unknown: O(s) as the linear
-    equation y = s, ~O(s) as t*s*w = 1.  Both are sound because y and w
-    range over F_q[[t]]: with s = N/d, d*y = N has an integral solution
-    exactly when N/d is integral."""
+    """Rewrite O-atoms away: O(s) of a polynomial s as the true literal
+    0 = 0, every other O(s) as the linear equation y = s in one fresh
+    unknown y, and every ~O(s) as t*s*w = 1 in one fresh unknown w.  All are
+    sound because the unknowns, y and w among them, range over F_q[[t]]: a
+    polynomial in them is integral, and with s = N/d, d*y = N has an
+    integral solution exactly when N/d is integral.  ~O(s) of a polynomial s
+    is false, yet keeps its equation: the truncation decider refutes
+    t*s*w = 1 at level 1, and the verdict keeps that refutation level."""
     matrix = nnf(sentence.formula)
     taken = set(sentence.variables) | _UNIFORMIZER_NAMES
     new_vars = list(sentence.variables)
@@ -434,6 +452,8 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
         if isinstance(f, Or):
             return Or(rewrite(f.left), rewrite(f.right))
         if isinstance(f, InRing):
+            if _is_polynomial(f.term):
+                return Eq(TNum(0), TNum(0))
             # y ranges over F_q[[t]], so y = s says v(s) >= 0
             return Eq(fresh("y"), f.term)
         if isinstance(f, Not):

@@ -211,6 +211,15 @@ def certify_liftable(table, point, precision=None, exclude_col=None):
     return table.choose(minors, precision)
 
 
+def recertified(certificate):
+    """certificate, certify_liftable's answer at a point newton_lift
+    returned; None there breaks Hensel's lemma (newton_lift's contract),
+    and CertificateError says so."""
+    if certificate is None:
+        raise CertificateError("a lifted point did not re-certify")
+    return certificate
+
+
 def newton_lift(table, point, certificate, target, trace=None):
     """Lift the point, certified on the system of the MinorTable table, to
     residual valuations >= target.
@@ -329,5 +338,5 @@ def smooth_perturb(table, point, certificate, g, budget: PerturbBudget):
                     continue
                 lifted = newton_lift(table, xs, cert2, precision)
                 if val_exact(valuation_at(g, lifted)):
-                    return tuple(lifted), certify_liftable(table, list(lifted))
+                    return tuple(lifted), recertified(certify_liftable(table, list(lifted)))
     return None

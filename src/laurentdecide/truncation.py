@@ -22,7 +22,7 @@ from bisect import bisect
 from dataclasses import dataclass
 
 from .ff import FqContext
-from .hensel import PerturbBudget, certify_liftable, newton_lift, smooth_perturb
+from .hensel import PerturbBudget, certify_liftable, newton_lift, recertified, smooth_perturb
 from .poly import PolyRing
 from .series import TruncatedSeries, val_exact, valuation_at
 from .verdict import SAT, UNKNOWN, UNSAT, Verdict
@@ -419,7 +419,7 @@ def decide_positive(system, config: RunConfig | None = None, trace: list | None 
                 if cert is None:
                     continue
                 lifted = newton_lift(table, list(point), cert, target)
-                final = certify_liftable(table, list(lifted), precision=target)
+                final = recertified(certify_liftable(table, list(lifted), precision=target))
                 gval = None if g is None else valuation_at(g, lifted)
                 if gval is not None and not val_exact(gval):
                     if fallback is None:
@@ -455,7 +455,7 @@ def _sat_with_inequation(system, witness, cert, config, trace):
     target = min(config.max_precision, 2 * cert.e + budget.depth + 2)
     if target > witness[0].precision:
         witness = newton_lift(table, list(witness), cert, target)
-        cert = certify_liftable(table, list(witness), precision=target)
+        cert = recertified(certify_liftable(table, list(witness), precision=target))
     out = smooth_perturb(table, list(witness), cert, g, budget)
     if out is None:
         trace.append("perturbation budget exhausted without meeting the inequation")

@@ -18,10 +18,16 @@ when the singular-locus descent came to run only where it can answer SAT:
 `cone` and `cone-p2` to `cone-p7` changed in trace only, their descent,
 refuted because Z vanishes on the singular locus, giving way to one line
 saying so.  `cone-locus`, whose descent answers SAT at the origin, was
-added then so that the descent still runs.  Every record must stay
-identical: verdicts, refutation levels, certificates, witnesses, radical
-cofactors, attached systems and trace text.  On failure the test names the
-records that differ and those among them that differ outside their traces.
+added then so that the descent still runs.  It was regenerated when the
+front end came to settle O(s) for a polynomial s as true, with no fresh
+unknown: the 32 records with such an atom (c8-7 and 31 fuzz sentences)
+kept every status, reason, refutation level and inequation valuation,
+branches included; their witnesses, certificates, attached systems and
+traces lost the fresh unknown, in some records in branches or traces
+only.  Every record must stay identical: verdicts, refutation levels,
+certificates, witnesses, radical cofactors, attached systems and trace
+text.  On failure the test names the records that differ and those among
+them that differ outside their traces.
 """
 
 import json

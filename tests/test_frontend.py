@@ -237,11 +237,18 @@ def test_nnf_de_morgan():
 
 
 def test_eliminate_positive_inring():
-    s = Sentence([], InRing(TUnif()))
-    out = eliminate_valuation_atoms(s)
+    one_over_t = TOp("/", TNum(1), TUnif())
+    out = eliminate_valuation_atoms(Sentence([], InRing(one_over_t)))
     assert out.variables == ["y1"]
-    # y = t: y ranges over F_q[[t]], so the equation says t is integral
-    assert out.formula == Eq(TVar("y1"), TUnif())
+    # y = 1/t: y ranges over F_q[[t]], so the equation says 1/t is integral
+    assert out.formula == Eq(TVar("y1"), one_over_t)
+    # a polynomial in the unknowns is integral: O(X*X + t) always holds
+    s = Sentence(["X"], InRing(TOp("+", TOp("*", TVar("X"), TVar("X")), TUnif())))
+    out = eliminate_valuation_atoms(s)
+    assert out.variables == ["X"]
+    assert out.formula == Eq(TNum(0), TNum(0))
+    (system,) = to_systems(out, F3)
+    assert system.equations == [] and system.inequation is None
 
 
 def test_eliminate_negative_inring():
@@ -252,10 +259,10 @@ def test_eliminate_negative_inring():
 
 
 def test_eliminate_fresh_names_avoid_collisions():
-    s = Sentence(["y1"], And(Eq(TVar("y1"), TNum(0)), InRing(TVar("y1"))))
+    atom = InRing(TOp("/", TVar("y1"), TUnif()))
+    s = Sentence(["y1"], And(Eq(TVar("y1"), TNum(0)), atom))
     out = eliminate_valuation_atoms(s)
-    assert out.variables[0] == "y1"
-    assert len(set(out.variables)) == len(out.variables)
+    assert out.variables == ["y1", "y2"]
 
 
 # -- to_systems ------------------------------------------------------------------

@@ -31,10 +31,12 @@ F3 = FqContext(3)
 F5 = FqContext(5)
 
 
-def _fuzz_systems():
+def _fuzz_systems(count=45):
+    """The systems of the first count sentences of each seed of
+    test_fuzz_sentences_f3 and _f2, which decide 45."""
     for seed, ctx in ((777001, F3), (424242, F2)):
         rng = random.Random(seed)
-        for _ in range(45):
+        for _ in range(count):
             sentence = eliminate_valuation_atoms(parse(random_sentence(rng)))
             yield from to_systems(sentence, ctx)
 
