@@ -255,7 +255,7 @@ class _Parser:
             return Not(self.parse_unary())
         if kind == "(":
             # parenthesized formula or a term-level parenthesis of an atom:
-            # try formula first by scanning for a top-level comparison
+            # parse a formula, and on a ParseError back up and parse an atom
             save = self.pos
             try:
                 self.next()

@@ -3,15 +3,16 @@
 A system of equations over F_q[t] has a solution in F_q[[t]] iff its
 reduction mod t^N is solvable for every N; unsolvability at a single level
 is therefore a sound refutation.  Solvability mod t^N is an F_q-question
-after expanding each unknown into N series digits (Weil restriction), and
-the digit system, term maps keyed by sorted digit-index tuples from the
-restriction through the search, is searched by exhaustive enumeration with
-pruning; the rest of a residue class whose certification failed is counted
-in closed form, not walked, when its remaining digits are free.  A mod-t^N
-solution becomes a SAT verdict once Hensel certification succeeds and the
-Newton lift to doubled precision fits the budget (so the last level only
-refutes); a certified point always lifts, and certifies again at the lift.
-Both verdicts stay sound, and UNKNOWN is a legal outcome.
+after expanding each unknown into N series digits (Weil restriction; in
+characteristic p, x^(pd) is the Frobenius image of x^d), and the digit
+system, term maps keyed by sorted digit-index tuples from the restriction
+through the search, is searched by exhaustive enumeration with pruning; the
+rest of a residue class whose certification failed is counted in closed
+form, not walked, when its remaining digits are free.  A mod-t^N solution
+becomes a SAT verdict once Hensel certification succeeds and the Newton
+lift to doubled precision fits the budget (so the last level only refutes);
+a certified point always lifts, and certifies again at the lift.  Both
+verdicts stay sound, and UNKNOWN is a legal outcome.
 An inequation g != 0 is met here too: by a confirmed witness at which g has
 exact valuation, or else by perturbing one along its free coordinates.
 """
@@ -123,19 +124,40 @@ def _power_step(prev, j, m, n):
     return out
 
 
+def _frobenius(prev, p, n):
+    """prev^p mod t^n in characteristic p: slot k moves to slot kp and each
+    digit index repeats p times; the multinomial coefficients lie in F_p."""
+    out = [{} for _ in range(n)]
+    for k in range(min(len(prev), (n + p - 1) // p)):
+        out[k * p] = {tuple(i for i in e for _ in range(p)): c for e, c in prev[k].items()}
+    return out
+
+
+def _square(j, m, n, unit):
+    """(sum_k X_j_k t^k)^2 mod t^n for odd p: slot s holds X_j_a X_j_b,
+    a <= b = s - a, in increasing a, times 2 when a < b."""
+    two = unit + unit
+    return [
+        {(a * m + j, (s - a) * m + j): two if 2 * a < s else unit for a in range(s // 2 + 1)}
+        for s in range(n)
+    ]
+
+
 def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     """Coefficients of t^0..t^(level-1) of each equation after substituting
     the digit expansion for every unknown.
 
     Each unknown is a vector of digit term maps, one per power of t, and all
     products are taken mod t^level, so no t-degree at or above the level is
-    ever built.  Powers of each unknown are computed once per call, each
-    from the one below it by _power_step: the digit expansion's coefficients
-    are all 1, so a step inserts digit indices and multiplies nothing.  A
-    monomial's first unknown factor is its power vector itself; the others
-    multiply in with _mul_mod.  Each restricted equation is the term map the
-    products built, in their insertion order; zero and repeated ones are
-    dropped.
+    ever built.  Powers of each unknown are computed once per call: x^d for
+    p | d as the Frobenius image of x^(d/p), x^2 for odd p written out, and
+    every other power from the one below it by _power_step (the digit
+    expansion's coefficients are all 1, so a step inserts digit indices and
+    multiplies nothing); all three build the same term maps in the same
+    insertion order.  A monomial's first unknown factor is its power vector
+    itself; the others multiply in with _mul_mod.  Each restricted equation
+    is the term map the products built, in their insertion order; zero and
+    repeated ones are dropped.
     """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -153,6 +175,7 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     digits = PolyRing(ctx, digit_names)
     unit = ctx.one()
     one = {(): unit}
+    p = ctx.p
 
     # powers[j][d] = (sum_k X_j_k t^k)^d mod t^level
     powers = [[[one], [{(k * m + j,): unit} for k in range(level)]] for j in range(m)]
@@ -160,7 +183,13 @@ def weil_restrict(equations, ring: PolyRing, level: int) -> WeilRestriction:
     def power(j, d):
         pw = powers[j]
         while len(pw) <= d:
-            pw.append(_power_step(pw[-1], j, m, level))
+            e = len(pw)
+            if e % p == 0:
+                pw.append(_frobenius(pw[e // p], p, level))
+            elif e == 2:
+                pw.append(_square(j, m, level, unit))
+            else:
+                pw.append(_power_step(pw[-1], j, m, level))
         return pw[d]
 
     restricted = []
@@ -201,7 +230,12 @@ def _assign(poly: dict, i: int, pw):
             if not c:
                 continue
             mono = mono[k:]
-        _accumulate(out, mono, c)
+        if mono in out:
+            c = out[mono] + c
+            if not c:
+                del out[mono]
+                continue
+        out[mono] = c
     return out
 
 

@@ -12,6 +12,7 @@ cases for the t-content, an inseparable equation, g = 0, and a g that the
 equation divides only over F_q(t).
 """
 
+import hashlib
 import random
 from collections import Counter
 
@@ -95,6 +96,13 @@ def _cases():
 CASES = list(_cases())
 
 
+def _case_id(source, system):
+    """The case's source and a digest of its system's text, so that adding
+    or dropping one case leaves every other id as it was."""
+    text = f"{system.ring!r}: {system.equations!r} != {system.inequation!r}"
+    return f"{source}-{hashlib.sha1(text.encode()).hexdigest()[:10]}"
+
+
 def _test_polys(system):
     """The inequation, 0, each unknown, and each equation with its largest
     power of t divided out and times an unknown: members and non-members."""
@@ -114,10 +122,11 @@ def test_the_sources_are_covered():
     counts = Counter(source for source, _ in CASES)
     assert counts["fuzz"] >= 20 and counts["criterion-1"] >= 40, counts
     assert counts["charts"] == 8 and counts["hand"] == 9, counts
+    assert len({_case_id(*case) for case in CASES}) == len(CASES)
 
 
 @pytest.mark.parametrize(
-    "system", [system for _, system in CASES], ids=[f"{s}-{i}" for i, (s, _) in enumerate(CASES)]
+    "system", [system for _, system in CASES], ids=[_case_id(*case) for case in CASES]
 )
 def test_answers_over_the_polynomial_ring_match_the_groebner_route(system):
     if system.equations:

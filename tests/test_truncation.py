@@ -42,6 +42,7 @@ from laurentdecide.truncation import (
     SearchBudgetExceeded,
     SkipRequest,
     WeilRestriction,
+    _assign,
     decide_positive,
     iter_solutions,
     solve_finite,
@@ -631,21 +632,33 @@ def test_weil_restrict_matches_dense_oracle_on_the_fuzz_systems():
     assert checked > 100
 
 
-# weil_restrict builds each power of an unknown from the one below it with a
-# step whose factor has unit coefficients, and takes the first unknown factor
-# of a monomial as its power vector itself.  In characteristic p the step
-# deletes terms partway through a product (binomial coefficients vanish);
-# a term deleted and met again moves to the end of its map, which the term
-# order check sees.
+# weil_restrict builds X^d for p | d as the Frobenius image of X^(d/p), and
+# for odd p writes X^2 out; every other power comes from the one below it by
+# a step whose factor has unit coefficients, and a monomial's first unknown
+# factor is its power vector itself.  In characteristic p the step deletes
+# terms partway through a product (binomial coefficients vanish); a term
+# deleted and met again moves to the end of its map, so the Frobenius and
+# the square must place each term where the step would, which the term
+# order check sees.  Each exponent runs alone and times Y, and the levels
+# cross every slot kp at which the Frobenius drops terms.
 
 
-@pytest.mark.parametrize("ctx", [F2, F3, F5, F4], ids=["F2", "F3", "F5", "F4"])
+@pytest.mark.parametrize(
+    "ctx", [F2, F3, F4, F5, FqContext(7)], ids=["F2", "F3", "F4", "F5", "F7"]
+)
 def test_power_step_matches_dense_oracle_across_char_p_cancellation(ctx):
     R = tring(ctx, "X", "Y")
     x, y = R.var(0), R.var(1)
     p = ctx.p
-    for f in (x**p, x ** (p + 1) * y):
-        _assert_matches_dense_oracle([f], R, range(1, 17))
+    exponents = sorted({2, 3, p, p + 1, p + 2, 2 * p, 2 * p + 1, p * p, 7})
+
+    def eqs(ds):
+        return [x**d * f for d in ds for f in (R.one(), y)]
+
+    _assert_matches_dense_oracle(eqs(exponents), R, range(1, 17))
+    # the dense oracle takes seconds to build X^25 and X^49 at level 32 (7 s
+    # for X^49), so powers above 15 stop at level 16
+    _assert_matches_dense_oracle(eqs(d for d in exponents if d < 16), R, [32])
 
 
 def test_first_factor_matches_dense_oracle_with_a_shift_and_a_constant():
@@ -724,6 +737,57 @@ def test_search_matches_multipoly_oracle_on_a_deep_curve():
     R = tring(F5, "X", "Y")
     x, y, t = R.var(0), R.var(1), R.var(2)
     _assert_search_matches_oracle([y**3 - t * x**7], R, (8, 16))
+
+
+def _flat(mono):
+    """A sorted variable-index tuple as the oracle's (var, exp, ...) tuple."""
+    return tuple(x for i in sorted(set(mono)) for x in (i, mono.count(i)))
+
+
+def _assert_assign_matches_oracle(poly, i, pw):
+    got = _assign(poly, i, pw)
+    expected = weil_oracle._assign({_flat(mono): c for mono, c in poly.items()}, i, pw)
+    assert [(_flat(mono), c) for mono, c in got.items()] == list(expected.items()), poly
+    return got
+
+
+def test_assign_matches_the_oracle_on_collisions_and_cancellations():
+    ctx = F5
+    one, two = ctx.one(), ctx.from_int(2)
+    pw = [two**k for k in range(4)]  # variable 0 set to 2
+    # X0*X1 reduces to 2*X1 and merges into the untouched X1 after it
+    assert _assert_assign_matches_oracle({(0, 1): one, (2,): one, (1,): one}, 0, pw) == {
+        (1,): ctx.from_int(3), (2,): one}
+    # the sum cancels and deletes X1; X0^2*X1 reduces to 4*X1 and lands at
+    # the end; X0 - 2 cancels to nothing as well
+    got = _assert_assign_matches_oracle(
+        {(0, 1): one, (2,): one, (1,): -two, (0, 0, 1): one, (0,): one, (): -two}, 0, pw
+    )
+    assert list(got.items()) == [((2,), one), ((1,), ctx.from_int(4))]
+    # a zero value drops every monomial it touches
+    zero = [ctx.one()] + [ctx.zero()] * 3
+    assert _assert_assign_matches_oracle({(0, 1): one, (1,): one, (0,): one}, 0, zero) == {
+        (1,): one}
+
+    # seeded maps over few variables, so that reduced monomials often meet
+    rng = random.Random(360)
+    checked = Counter()
+    for ctx in (F2, F3, F4, F5):
+        elems = list(ctx.elements())
+        for _ in range(400):
+            i = rng.randrange(3)
+            poly = {}
+            for _ in range(rng.randrange(1, 9)):
+                k = rng.randrange(4)
+                rest = sorted(rng.randrange(i + 1, i + 4) for _ in range(rng.randrange(3)))
+                poly[(i,) * k + tuple(rest)] = rng.choice(elems[1:])
+            v = rng.choice(elems)
+            got = _assert_assign_matches_oracle(poly, i, [v**k for k in range(4)])
+            touched = [mono[mono.count(i):] for mono in poly if mono[:1] == (i,)]
+            kept = [mono for mono in poly if mono[:1] != (i,)]
+            checked["merged"] += any(mono in kept for mono in touched)
+            checked["cancelled"] += any(mono not in got for mono in kept)
+    assert checked["merged"] > 400 and checked["cancelled"] > 100, checked
 
 
 def test_the_digit_layer_neither_imports_nor_builds_multipoly():
