@@ -238,9 +238,6 @@ class FqContext:
         return iter(self._elems[: self.q])
 
 
-fq_context = FqContext
-
-
 class FqElem:
     """An element of F_q: its context and its code.  There is one object per
     element, so equality is identity."""

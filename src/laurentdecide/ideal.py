@@ -315,11 +315,6 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis):
     return f.ring.from_coefficients(_tracked_reduce(_Tracked(f.x_coefficients(), None, 0), basis).poly)
 
 
-def ideal_membership(f: MultiPoly, gb: GroebnerBasis) -> bool:
-    """f lies in the ideal iff its normal form vanishes."""
-    return not normal_form(f, gb)
-
-
 # ---------------------------------------------------------------------------
 # radical membership (Rabinowitsch)
 

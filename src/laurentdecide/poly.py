@@ -530,11 +530,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        """The coefficient of the constant term (field zero if absent)."""
-        z = (0,) * self.ring.nvars
-        return self.terms.get(z, self.ring.field.zero())
-
     def variables(self):
         """Indices of variables occurring with positive exponent."""
         seen = set()
@@ -657,10 +652,6 @@ def nonzero_minors(matrix, k, one):
             if det:
                 minors[rows, cols] = det
     return minors
-
-
-def total_degree(f: MultiPoly) -> int:
-    return f.total_degree()
 
 
 def to_rational_coeffs(f: MultiPoly) -> MultiPoly:

@@ -5,9 +5,11 @@ check emptiness and whether the inequation dies on the whole locus, then ask
 the truncation decider, which meets the inequation itself and needs no
 smoothness.  What it leaves undecided has its regularity tested by spreading
 out (t a variable over the perfect field F_q): does the non-smooth locus meet
-the generic fibre?  Singular plane curves are blown up at rational singular
-points, charts are decided recursively, and the exceptional centre descends
-to a lower-dimensional system.  A SAT may still come from the singular
+the generic fibre?  A singular plane curve is blown up at one rational
+singular point, the first F_q-point of its singular locus in field order:
+the search stops there, though a locus with no F_q-point still tries all
+q^2.  The charts are decided recursively, and the exceptional centre
+descends to a lower-dimensional system.  A SAT may still come from the singular
 locus, decided as a system of lower dimension, unless the inequation
 vanishes there, which one Rabinowitsch test on the regularity basis
 settles.  Everything else, regular systems included, is an honest UNKNOWN:
@@ -242,19 +244,19 @@ def descend(system: AffineSystem, *centre: MultiPoly) -> AffineSystem:
     return lower
 
 
-def _constant_singular_points(locus):
-    """F_q-rational points of the singular locus (generators over
-    F_q[X, Y, t]), in enumeration order: (a, b) is one when every generator
-    vanishes identically in t at X = a, Y = b."""
+def _first_rational_centre(locus):
+    """The first F_q-rational point of the singular locus (generators over
+    F_q[X, Y, t]) in field order, or None: (a, b) is one when every generator
+    vanishes identically in t at X = a, Y = b.  The walk stops at the first
+    such point; a locus with none costs all q^2 points."""
     ring = locus[0].ring
     t = ring.var(ring.tpos)
-    out = []
     for a in ring.field.elements():
         for b in ring.field.elements():
             at = [ring.const(a), ring.const(b), t]
             if not any(h.compose(at, ring) for h in locus):
-                out.append((a, b))
-    return out
+                return a, b
+    return None
 
 
 def decide_existential(
@@ -397,11 +399,11 @@ def _decide_singular_curve(system, report, config, trace, depth):
         trace.append(f"blow-up depth cap {config.max_blowups} reached")
         return Verdict(UNKNOWN, reason="blowup-depth-exhausted", trace=trace)
 
-    centers = _constant_singular_points(report.singular_locus)
-    if not centers:
+    centre = _first_rational_centre(report.singular_locus)
+    if centre is None:
         trace.append("singular locus has no F_q-rational point: cannot pick a center")
         return Verdict(UNKNOWN, reason="non-rational-singular-center", trace=trace)
-    a, b = centers[0]
+    a, b = centre
     trace.append(f"blowing up the singular point ({a!r}, {b!r})")
 
     charts = _blow_up_at(system.equations[0], (a, b))

@@ -83,10 +83,6 @@ class TruncatedSeries:
         z = ctx.zero()
         return cls._make(ctx, [z, ctx.one()] + [z] * (precision - 2), precision)
 
-    @classmethod
-    def constant(cls, ctx, c, precision):
-        return cls(ctx, [c], precision)
-
     def __bool__(self):
         return any(self.coeffs)
 
@@ -250,12 +246,6 @@ class PointTable:
                 if b:
                     acc[j] = acc[j] + c * b
         return TruncatedSeries._make(ctx, acc, n)
-
-
-def evaluate(f: MultiPoly, point) -> TruncatedSeries:
-    """Evaluate a polynomial over F_q (t as a slot) at a series point; see
-    PointTable, which evaluates several polynomials at one point."""
-    return PointTable(f.ring, point)(f)
 
 
 def valuation_at(f: MultiPoly, witness):

@@ -366,11 +366,6 @@ def iter_solutions(system, ring: PolyRing, node_budget: int | None = None,
             i += 1
 
 
-def solve_finite(system, ring: PolyRing):
-    """Lexicographically first solution, or None after exhausting the space."""
-    return next(iter_solutions(system, ring), None)
-
-
 def decide_positive(system, config: RunConfig | None = None, trace: list | None = None) -> Verdict:
     """Decide a system over F_q[[t]]: its equations, and its inequation g
     when it has one.  The system (a resolve.AffineSystem) is read through

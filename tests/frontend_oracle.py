@@ -107,7 +107,7 @@ def _term_to_poly(term, ring: PolyRing, var_index):
         if term.op == "/":
             if not right.is_constant():
                 raise ParseError("division by a variable term is not allowed", term.col)
-            c = right.constant_value()
+            c = right.terms.get((0,) * ring.nvars, ring.field.zero())
             if not c:
                 raise ParseError("division by zero", term.col)
             return left.scale(c.inv())

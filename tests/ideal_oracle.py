@@ -236,7 +236,7 @@ def radical_membership(g: MultiPoly, generators, with_certificate=False):
     if not member:
         return False, None
     idx = next(i for i, h in enumerate(gb.generators) if h.is_constant() and h)
-    unit = gb.generators[idx].constant_value()
+    unit = gb.generators[idx].terms[(0,) * ext.nvars]
     scale = unit.inv()
     cof = [c.scale(scale) for c in gb.cofactors[idx]]
     cert = RadicalCertificate(ext, lifted, aux, cof)

@@ -1,6 +1,6 @@
-"""Oracle for the differential test of laurentdecide.series.evaluate and
-series_point: both as they stood before point evaluation shared one power
-table per point, copied verbatim.  Every term is a full series product of its
+"""Oracle for the differential test of laurentdecide.series.PointTable and
+series_point: point evaluation and series_point as they stood before point
+evaluation shared one power table per point, copied verbatim.  Every term is a full series product of its
 coefficient with each coordinate raised by binary powering, the t slot
 included."""
 

@@ -23,8 +23,8 @@ from laurentdecide.poly import (
     UniPoly,
 )
 from laurentdecide.resolve import AffineSystem, blow_up_origin, decide_existential, regularity_check
-from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_ge, valuation
-from laurentdecide.truncation import solve_finite, weil_restrict
+from laurentdecide.series import TruncatedSeries, point_table, val_ge, valuation
+from laurentdecide.truncation import iter_solutions, weil_restrict
 
 F2 = FqContext(2)
 F3 = FqContext(3)
@@ -109,8 +109,8 @@ def _direct_truncation_solution(eqs, ring, n):
     elems = list(ctx.elements())
     for digits in itertools.product(elems, repeat=n * m):
         point = [TruncatedSeries(ctx, list(digits[j * n : (j + 1) * n]), n) for j in range(m)]
-        pt = series_point(ring, point, n)
-        if all(not evaluate(f, pt) for f in eqs):
+        at = point_table(ring, point, n)
+        if all(not at(f) for f in eqs):
             return point
     return None
 
@@ -130,7 +130,7 @@ def test_criterion_1_truncation_oracle_equivalence():
                 if ctx.q ** (n * m) > 7000:
                     continue  # keep the direct oracle inside the time budget
                 restriction = weil_restrict(eqs, ring, n)
-                found = solve_finite(restriction.restricted, restriction.ring)
+                found = next(iter_solutions(restriction.restricted, restriction.ring), None)
                 direct = _direct_truncation_solution(eqs, ring, n)
                 assert (found is None) == (direct is None), (
                     f"disagreement at q={ctx.q} N={n}: {eqs}"
@@ -138,8 +138,8 @@ def test_criterion_1_truncation_oracle_equivalence():
                 if found is not None:
                     # the reported digit solution maps to a direct solution
                     point = restriction.point(found)
-                    pt = series_point(ring, list(point), n)
-                    assert all(not evaluate(f, pt) for f in eqs)
+                    at = point_table(ring, point, n)
+                    assert all(not at(f) for f in eqs)
                 checks += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
@@ -292,7 +292,7 @@ def test_criterion_5_hensel_convergence():
             assert b >= 2 * a - 2 * cert.e, f"iteration {a} -> {b} with e={cert.e}"
             steps += 1
         for f in eqs:
-            res = evaluate(f, series_point(ring, list(lifted), target))
+            res = point_table(ring, lifted, target)(f)
             assert val_ge(valuation(res), target)
     print(f"\nACCEPTANCE 5: PASS - 10-system lifting suite, {steps} Newton steps "
           "all at least doubling (minus 2e)")
@@ -466,7 +466,7 @@ def test_criterion_2_sat_soundness():
             failures.append(f"{label}: lift failed ({err})")
             continue
         for f in eqs:
-            res = evaluate(f, series_point(system.ring, list(lifted), target))
+            res = point_table(system.ring, lifted, target)(f)
             if not val_ge(valuation(res), target):
                 failures.append(f"{label}: residual below doubled precision")
     assert not failures, failures
@@ -502,7 +502,7 @@ def test_criterion_9_determinism(capsys):
             ring, eqs = _random_system(rng, ctx, 2)
             for n in (1, 2):
                 w = weil_restrict(eqs, ring, n)
-                sol = solve_finite(w.restricted, w.ring)
+                sol = next(iter_solutions(w.restricted, w.ring), None)
                 parts.append(repr(sol))
         return "|".join(parts)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laurentdecide.ff import FqContext, _is_irreducible, _smallest_irreducible, fq_context, is_prime
+from laurentdecide.ff import FqContext, _is_irreducible, _smallest_irreducible, is_prime
 from laurentdecide.frontend import decide
 from laurentdecide.series import TruncatedSeries, invert_unit
 
@@ -144,14 +144,13 @@ def test_pth_root_inverts_frobenius(ctx):
 
 
 def test_context_cache():
-    assert fq_context(3) is fq_context(3)
-    assert fq_context(2, 2) is fq_context(2, 2)
+    assert FqContext(3) is FqContext(3)
+    assert FqContext(2, 2) is FqContext(2, 2)
 
 
 def test_contexts_are_interned():
     assert FqContext(2, 2) is FqContext(2, 2, (1, 1, 1)) is FqContext(2, 2, [3, 1, 1])
     assert FqContext(3, 2) is not FqContext(3, 2, (2, 1, 1))
-    assert fq_context is FqContext
     assert FqContext(5).elem(7) is FqContext(5).elem(2)
     assert copy.deepcopy(FqContext(3, 2).gen()) is FqContext(3, 2).gen()
 

@@ -14,7 +14,7 @@ import random
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide
 from laurentdecide.resolve import RunConfig
-from laurentdecide.series import TruncatedSeries, evaluate, series_point, val_exact, val_ge, valuation
+from laurentdecide.series import TruncatedSeries, point_table, val_exact, val_ge, valuation
 
 F2 = FqContext(2)
 F3 = FqContext(3)
@@ -63,12 +63,12 @@ def brute_force_level(system, n, cap=200000):
     elems = list(ctx.elements())
     for digits in itertools.product(elems, repeat=n * m):
         point = [TruncatedSeries(ctx, list(digits[j * n : (j + 1) * n]), n) for j in range(m)]
-        pt = series_point(ring, point, n)
-        if all(not evaluate(f, pt) for f in system.equations):
+        at = point_table(ring, point, n)
+        if all(not at(f) for f in system.equations):
             if system.inequation is None:
                 return True
             # a nonzero inequation value at this truncation witnesses g != 0
-            if evaluate(system.inequation, pt):
+            if at(system.inequation):
                 return True
     return False
 
@@ -78,11 +78,11 @@ def check_verdict(text, ctx, verdict):
         system = verdict.system
         witness = list(verdict.witness)
         precision = witness[0].precision if witness else 1
-        pt = series_point(system.ring, witness, precision) if witness else None
+        at = point_table(system.ring, witness, precision)
         for f in system.equations:
-            assert val_ge(valuation(evaluate(f, pt)), precision), (text, f)
+            assert val_ge(valuation(at(f)), precision), (text, f)
         if system.inequation is not None and witness:
-            assert val_exact(valuation(evaluate(system.inequation, pt))), text
+            assert val_exact(valuation(at(system.inequation))), text
         return
     if verdict.is_unsat:
         for branch in verdict.branches or [verdict]:

@@ -23,9 +23,7 @@ from laurentdecide.poly import PolyRing
 from laurentdecide.resolve import AffineSystem
 from laurentdecide.series import (
     TruncatedSeries,
-    evaluate,
     point_table,
-    series_point,
     val_ge,
     valuation,
 )
@@ -154,7 +152,7 @@ def test_newton_lift_re_verifies_at_double_precision():
     again = newton_lift(table, list(lifted), certify_liftable(table, list(lifted)), 8)
     # low-order coefficients are preserved by re-lifting
     assert again[0].coeffs[:4] == lifted[0].coeffs
-    res = evaluate(eqs[0], series_point(eqs[0].ring, list(again), 8))
+    res = point_table(eqs[0].ring, again, 8)(eqs[0])
     assert val_ge(valuation(res), 8)
 
 
@@ -168,7 +166,7 @@ def test_newton_lift_higher_valuation_minor():
     cert = certify_liftable(table, point)
     assert cert is not None and cert.e == 1
     lifted = newton_lift(table, point, cert, 6)
-    res = evaluate(f, series_point(R, list(lifted), 6))
+    res = point_table(R, lifted, 6)(f)
     assert val_ge(valuation(res), 6)
     # witness congruent to the input mod t^(N-e)
     assert lifted[0].coeffs[:2] == point[0].coeffs[:2]
@@ -203,7 +201,7 @@ def test_smooth_perturb_hyperbola():
     out = smooth_perturb(table, point, cert, g, PerturbBudget())
     assert out is not None
     (x, y), _ = out
-    gv = valuation(evaluate(g, series_point(R, [x, y], 4)))
+    gv = valuation(point_table(R, [x, y], 4)(g))
     assert gv == 1
     prod = x * y
     assert prod == TruncatedSeries.one(F3, 4)

@@ -9,7 +9,6 @@ from laurentdecide.ideal import (
     dimension,
     exact_divide,
     gcd_multivariate,
-    ideal_membership,
     normal_form,
     primitive_monic,
     radical_membership,
@@ -120,7 +119,7 @@ def test_buchberger_ideal_equality_preserved():
         # every input reduces to zero against the basis, and every basis
         # element is certified by its cofactors over the inputs
         for f in gens:
-            assert ideal_membership(f, gb)
+            assert not normal_form(f, gb)
         assert _recomposes(buchberger(gens, ring=R, track=True), gens)
 
 
@@ -179,7 +178,7 @@ def test_normal_form_cofactor_identity():
         assert acc == f
         # f - NF(f) lies in the ideal, and the normal form is the remainder
         # made monic
-        assert ideal_membership(f - r, gb)
+        assert not normal_form(f - r, gb)
         assert normal_form(f, gb) == r.monic()
 
 
@@ -190,10 +189,10 @@ def test_membership_examples():
     R = ring(F3, "X", "Y")
     x, y = R.var(0), R.var(1)
     gb_x2 = buchberger([x**2])
-    assert not ideal_membership(x, gb_x2)
+    assert normal_form(x, gb_x2)
     gb_parab = buchberger([y - x**2])
-    assert ideal_membership(y - x**2, gb_parab)
-    assert ideal_membership(x**2 * y - x**4, gb_parab)
+    assert not normal_form(y - x**2, gb_parab)
+    assert not normal_form(x**2 * y - x**4, gb_parab)
 
 
 # -- radical membership ----------------------------------------------------------
@@ -218,7 +217,7 @@ def test_radical_membership_implied_by_membership():
             continue
         gb = buchberger(gens, ring=R)
         f = rand_poly(rng, R)
-        if ideal_membership(f, gb):
+        if not normal_form(f, gb):
             assert radical_membership(f, gens)
 
 

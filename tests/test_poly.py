@@ -12,7 +12,6 @@ from laurentdecide.poly import (
     UniPoly,
     jacobian,
     to_rational_coeffs,
-    total_degree,
     uni_gcd,
 )
 
@@ -229,17 +228,17 @@ def test_jacobian_is_derivation_on_products():
             assert lhs == rhs
 
 
-# -- total_degree ------------------------------------------------------------
+# -- MultiPoly.total_degree -------------------------------------------------
 
 
 def test_total_degree_counts_t():
     R = ring(F3, "X", "t")
-    assert total_degree(R.from_terms({(2, 0): 1, (0, 0): 1})) == 2
+    assert R.from_terms({(2, 0): 1, (0, 0): 1}).total_degree() == 2
     # t*X + t^3 has total degree 3 (t counted as a variable)
-    assert total_degree(R.from_terms({(1, 1): 1, (0, 3): 1})) == 3
-    assert total_degree(R.one()) == 0
+    assert R.from_terms({(1, 1): 1, (0, 3): 1}).total_degree() == 3
+    assert R.one().total_degree() == 0
     with pytest.raises(ValueError):
-        total_degree(R.zero())
+        R.zero().total_degree()
 
 
 def test_total_degree_multiplicative_over_domain():
@@ -249,7 +248,7 @@ def test_total_degree_multiplicative_over_domain():
         f = R.from_terms({(rng.randrange(3), rng.randrange(3)): rng.randrange(1, 5) for _ in range(2)})
         g = R.from_terms({(rng.randrange(3), rng.randrange(3)): rng.randrange(1, 5) for _ in range(2)})
         if f and g:
-            assert total_degree(f * g) == total_degree(f) + total_degree(g)
+            assert (f * g).total_degree() == f.total_degree() + g.total_degree()
 
 
 # -- retags ------------------------------------------------------------------

@@ -16,11 +16,11 @@ from laurentdecide.cli import verify_verdict
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import decide, eliminate_valuation_atoms, parse, to_systems
 from laurentdecide.ideal import buchberger, dimension, radical_membership
-from laurentdecide.poly import PolyRing, RationalFunctionField
+from laurentdecide.poly import MultiPoly, PolyRing, RationalFunctionField
 from laurentdecide.resolve import (
     AffineSystem,
     _blow_up_at,
-    _constant_singular_points,
+    _first_rational_centre,
     blow_up_origin,
     decide_existential,
     descend,
@@ -28,9 +28,7 @@ from laurentdecide.resolve import (
 )
 from laurentdecide.series import (
     TruncatedSeries,
-    evaluate,
     point_table,
-    series_point,
     val_exact,
     val_ge,
     valuation,
@@ -252,18 +250,19 @@ def _check_against_blowup_oracle(system, center, rng, witnesses=3, n=5):
             assert mapped == blowup_oracle.map_chart_witness(old_chart, center_rational, witness, ring)
 
 
-def _singular_points_against_oracle(system):
-    """The F_q-points of the singular locus agree with the F_q(t) reading;
-    returns them."""
+def _centre_against_oracle(system):
+    """The blow-up centre is the first F_q-point of the singular locus in the
+    F_q(t) reading, or None when it has none; returns it."""
     report = regularity_check(system)
     old = blowup_oracle.constant_singular_points(blowup_oracle.singular_locus(system))
-    if report.status == "singular":
-        assert report.singular_locus[0].ring == system.ring
-        assert _constant_singular_points(report.singular_locus) == old
-    else:
+    if report.status != "singular":
         # the locus meets no fibre, so no F_q-point lies on it
         assert report.status == "regular" and old == []
-    return old
+        return None
+    assert report.singular_locus[0].ring == system.ring
+    centre = _first_rational_centre(report.singular_locus)
+    assert centre == (old[0] if old else None)
+    return centre
 
 
 def test_blow_up_matches_the_rational_oracle_on_classic_singularities():
@@ -281,9 +280,9 @@ def test_blow_up_matches_the_rational_oracle_on_classic_singularities():
         for name, f in curves.items():
             for g in (None, x, x - one + t * y, (y - two) * x):
                 system = AffineSystem(T, [f], g)
-                points = _singular_points_against_oracle(system)
-                assert points, name
-                _check_against_blowup_oracle(system, points[0], rng)
+                centre = _centre_against_oracle(system)
+                assert centre is not None, name
+                _check_against_blowup_oracle(system, centre, rng)
 
 
 def test_blow_up_matches_the_rational_oracle_on_random_curves():
@@ -302,10 +301,73 @@ def test_blow_up_matches_the_rational_oracle_on_random_curves():
         g = _random_poly(rng, T, 2, rng.randrange(1, 4)) if rng.randrange(3) else None
         system = AffineSystem(T, [f], g)
         _check_against_blowup_oracle(system, center, rng)
-        points = _singular_points_against_oracle(system)
-        singular += bool(points)
+        singular += _centre_against_oracle(system) is not None
         checked += 1
     assert checked >= 40 and singular >= 5, (checked, singular)
+
+
+def _planted_curve(rng, T, rational):
+    """A random curve over F_q[X, Y, t] singular at a planted centre for every
+    t: every term lies in the square of the centre's ideal.  The centre is a
+    random F_q-point (u, v) = (X - a, Y - b) when rational, else the pair of
+    conjugate points u = X^2 + c1*X + c0 = 0, v = Y = 0 with u irreducible."""
+    x, y, t = T.var(0), T.var(1), T.var(2)
+    elems = list(T.field.elements())
+    nonzero = elems[1:]
+    if rational:
+        u, v = x - T.const(rng.choice(elems)), y - T.const(rng.choice(elems))
+        monomials = [(i, j) for i in range(4) for j in range(4) if 2 <= i + j <= 3]
+    else:
+        c1, c0 = rng.choice(elems), rng.choice(nonzero)
+        while any(not (a * a + c1 * a + c0) for a in elems):
+            c1, c0 = rng.choice(elems), rng.choice(nonzero)
+        u, v = x * x + T.const(c1) * x + T.const(c0), y
+        monomials = [(2, 0), (1, 1), (0, 2), (0, 3), (1, 2)]
+    f = T.zero()
+    for i, j in rng.sample(monomials, rng.randrange(2, len(monomials) + 1)):
+        f = f + T.const(rng.choice(nonzero)) * t ** rng.randrange(2) * u**i * v**j
+    return f
+
+
+def test_first_centre_matches_the_oracle_on_planted_centres():
+    """Seeded curves with a planted rational centre, and curves whose planted
+    singular points are conjugate over F_q: the centre search returns the
+    oracle's first F_q-point of the locus, or None when it has none."""
+    rng = random.Random(2037)
+    seen = Counter()
+    for ctx in (F3, F5, FqContext(7), FqContext(2, 2), FqContext(3, 2)):
+        T = tring(ctx, "X", "Y")
+        for k in range(12):
+            rational = k % 3 != 2
+            centre = _centre_against_oracle(AffineSystem(T, [_planted_curve(rng, T, rational)]))
+            seen[rational, centre is not None] += 1
+    assert seen[True, True] == 40 and seen[False, False] >= 15, seen
+
+
+def test_the_centre_search_stops_at_its_first_centre(monkeypatch):
+    """Over F_211 the cusp X^2 = t*Y^3 has its one centre at the origin, the
+    first point in field order: the search composes each locus generator
+    there once and tries no other point of the 211^2."""
+    searches = []
+    compositions = []
+    search, compose = resolve._first_rational_centre, MultiPoly.compose
+
+    def counted_compose(self, *args, **kwargs):
+        compositions.append(self)
+        return compose(self, *args, **kwargs)
+
+    def counted_search(locus):
+        before = len(compositions)
+        centre = search(locus)
+        searches.append((len(locus), len(compositions) - before, centre))
+        return centre
+
+    monkeypatch.setattr(MultiPoly, "compose", counted_compose)
+    monkeypatch.setattr(resolve, "_first_rational_centre", counted_search)
+    v = decide("exists X, Y. X^2 = t*Y^3 & ~(Y = 0)", FqContext(211))
+    assert (v.status, v.reason) == ("unknown", "recertification-failed")
+    zero = FqContext(211).zero()
+    assert searches == [(4, 4, (zero, zero))]
 
 
 # -- descend ---------------------------------------------------------------------
@@ -418,7 +480,7 @@ def test_decide_cusp_with_inequation():
     assert val_exact(v.inequation_valuation)
     # witness satisfies the curve to its precision and the inequation exactly
     n = v.witness[0].precision
-    res = evaluate(f, series_point(R, list(v.witness), n))
+    res = point_table(R, v.witness, n)(f)
     assert val_ge(valuation(res), n)
 
 
@@ -467,7 +529,7 @@ def test_decide_singular_curve_sat_via_blowup_machinery():
     v = decide_existential(AffineSystem(R, [f], g))
     assert v.is_sat
     n = v.witness[0].precision
-    res = evaluate(f, series_point(R, list(v.witness), n))
+    res = point_table(R, v.witness, n)(f)
     assert val_ge(valuation(res), n)
     assert val_exact(v.inequation_valuation)
 
@@ -573,7 +635,7 @@ def test_decide_cone_via_singular_locus_descent():
     # witness on the B-axis: A = C = 0
     n = v.witness[0].precision
     assert not v.witness[0] and not v.witness[2]
-    res = evaluate(f, series_point(R, list(v.witness), n))
+    res = point_table(R, v.witness, n)(f)
     assert val_ge(valuation(res), n)
 
 
@@ -613,7 +675,7 @@ def test_decide_inequation_needs_deeper_precision():
     assert v.is_sat
     assert v.inequation_valuation == 5
     n = v.witness[0].precision
-    res = evaluate(f, series_point(R, list(v.witness), n))
+    res = point_table(R, v.witness, n)(f)
     assert val_ge(valuation(res), n)
 
 
@@ -626,9 +688,9 @@ def test_decide_tacnode_with_inequation():
     v = decide_existential(AffineSystem(R, [f], g))
     assert v.is_sat
     n = v.witness[0].precision
-    res = evaluate(f, series_point(R, list(v.witness), n))
+    res = point_table(R, v.witness, n)(f)
     assert val_ge(valuation(res), n)
-    gval = valuation(evaluate(g, series_point(R, list(v.witness), n)))
+    gval = valuation(point_table(R, v.witness, n)(g))
     assert val_exact(gval)
 
 

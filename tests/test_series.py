@@ -9,7 +9,6 @@ from laurentdecide.series import (
     AtLeast,
     PointTable,
     TruncatedSeries,
-    evaluate,
     invert_unit,
     series_point,
     shift_right,
@@ -173,7 +172,7 @@ def test_evaluate_with_t_slot():
     f = R.from_terms({(2, 0): 1, (0, 1): -1})
     x = S(F3, [0, 1], 3)
     point = series_point(R, [x], 3)
-    got = evaluate(f, point)
+    got = PointTable(f.ring, point)(f)
     assert got.coeffs == tuple(F3.elem(c) for c in (0, 2, 1))
 
 
@@ -181,7 +180,7 @@ def test_evaluate_product_at_units():
     # (XY - 1) at (1, 1) over F_3 vanishes
     R = PolyRing(F3, ("X", "Y"))
     f = R.var(0) * R.var(1) - R.one()
-    got = evaluate(f, [S(F3, [1], 2), S(F3, [1], 2)])
+    got = PointTable(f.ring, [S(F3, [1], 2), S(F3, [1], 2)])(f)
     assert not got
 
 
@@ -190,7 +189,7 @@ def test_evaluate_exact_over_f4():
     R = PolyRing(F4, ("X", "Y"))
     f = R.var(0) + R.var(1)
     a = F4.gen()
-    s = evaluate(f, [TruncatedSeries.constant(F4, F4.one(), 1), TruncatedSeries.constant(F4, a, 1)])
+    s = PointTable(R, [S(F4, [F4.one()], 1), S(F4, [a], 1)])(f)
     assert s.coeffs == (F4.elem((1, 1)),)
 
 
@@ -198,11 +197,11 @@ def test_evaluate_precision_mismatch():
     R = PolyRing(F3, ("X",))
     f = R.var(0)
     with pytest.raises(ValueError):
-        evaluate(f, [])  # arity
+        PointTable(f.ring, [])(f)  # arity
     R2 = PolyRing(F3, ("X", "Y"))
     g = R2.var(0) + R2.var(1)
     with pytest.raises(ValueError):
-        evaluate(g, [S(F3, [1], 2), S(F3, [1], 3)])  # mixed precision
+        PointTable(g.ring, [S(F3, [1], 2), S(F3, [1], 3)])(g)  # mixed precision
 
 
 # -- field mixing is checked once per polynomial or series operation ---------
@@ -215,7 +214,7 @@ MIXED = {
     "series-add": lambda: S(F3, [1, 1]) + S(F5, [1, 1]),
     "series-mul": lambda: S(F3, [1, 1]) * S(F5, [1, 1]),
     "unipoly-add": lambda: UniPoly(F3, [1, 1]) + UniPoly(F5, [1, 1]),
-    "evaluate": lambda: evaluate(R3.var(0), [S(F5, [0, 1]), S(F5, [0, 1])]),
+    "evaluate": lambda: PointTable(R3, [S(F5, [0, 1]), S(F5, [0, 1])])(R3.var(0)),
 }
 
 
@@ -246,7 +245,7 @@ def _random_series(rng, ctx, n):
 
 def test_evaluate_matches_oracle_on_random_polynomials():
     """One table per point, shared by several polynomials, equals the
-    oracle's per-term powering; so does evaluate at points whose t slot holds
+    oracle's per-term powering; so does a table at points whose t slot holds
     an arbitrary series, and series_point equals the oracle's."""
     rng = random.Random(20261018)
     checked = 0
@@ -273,7 +272,7 @@ def test_evaluate_matches_oracle_on_random_polynomials():
             point = list(point)
             point[ring.tpos] = _random_series(rng, ctx, n)
             for f in polys:
-                assert evaluate(f, point) == series_oracle.evaluate(f, point)
+                assert PointTable(f.ring, point)(f) == series_oracle.evaluate(f, point)
                 checked += 1
     assert checked > 1500
 
@@ -301,8 +300,8 @@ def test_evaluate_errors_match_oracle():
     ]
     for g, point in cases:
         expected = _raised(lambda: series_oracle.evaluate(g, point))
-        assert _raised(lambda: evaluate(g, point)) == expected
-    assert [_raised(lambda: evaluate(g, p)) is None for g, p in cases] == [
+        assert _raised(lambda: PointTable(g.ring, point)(g)) == expected
+    assert [_raised(lambda: PointTable(g.ring, p)(g)) is None for g, p in cases] == [
         False, False, False, False, False, True, False
     ]
 
@@ -324,7 +323,7 @@ def test_point_table_builds_each_power_once(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
-    fv = evaluate(f, point)
+    fv = PointTable(f.ring, point)(f)
     assert len(products) == 7
     table = PointTable(R, point)
     assert table(f) == fv

@@ -30,8 +30,7 @@ from laurentdecide.poly import MultiPoly, PolyRing
 from laurentdecide.resolve import AffineSystem
 from laurentdecide.series import (
     TruncatedSeries,
-    evaluate,
-    series_point,
+    point_table,
     val_exact,
     val_ge,
     valuation,
@@ -45,7 +44,6 @@ from laurentdecide.truncation import (
     _assign,
     decide_positive,
     iter_solutions,
-    solve_finite,
     weil_restrict,
 )
 from test_acceptance import _curated_systems, _random_system, minor_table
@@ -105,7 +103,7 @@ def test_weil_restrict_exactness_oracle():
     elems = list(F3.elements())
     for digits in itertools.product(elems, repeat=n):
         x = TruncatedSeries(F3, list(digits), n)
-        direct = evaluate(f, series_point(R, [x], n))
+        direct = point_table(R, [x], n)(f)
         restricted_ok = all(not _value(g, digits) for g in w.restricted)
         assert (not direct) == restricted_ok
 
@@ -117,28 +115,28 @@ def _value(terms, point):
                ctx.zero())
 
 
-# -- solve_finite ---------------------------------------------------------------
+# -- the first solution of iter_solutions --------------------------------------
 
 
 def test_solve_finite_unsat_pair():
     D = PolyRing(F3, ("Y0", "Y1"))
     system = [D.from_terms({(2, 0): 1}), D.from_terms({(1, 1): 2, (0, 0): -1})]
-    assert solve_finite(list(map(digit_terms, system)), D) is None
+    assert next(iter_solutions(list(map(digit_terms, system)), D), None) is None
 
 
 def test_solve_finite_single_var():
     D = PolyRing(F2, ("Y",))
-    assert solve_finite([digit_terms(D.var(0))], D) == (F2.zero(),)
+    assert next(iter_solutions([digit_terms(D.var(0))], D), None) == (F2.zero(),)
 
 
 def test_solve_finite_artin_schreier():
     # Y^2 + Y + 1: no root in F_2, root a in F_4 (a^2 + a = 1 with x^2+x+1)
     D2 = PolyRing(F2, ("Y",))
     f2 = D2.from_terms({(2,): 1, (1,): 1, (0,): 1})
-    assert solve_finite([digit_terms(f2)], D2) is None
+    assert next(iter_solutions([digit_terms(f2)], D2), None) is None
     D4 = PolyRing(F4, ("Y",))
     f4 = D4.from_terms({(2,): 1, (1,): 1, (0,): 1})
-    sol = solve_finite([digit_terms(f4)], D4)
+    sol = next(iter_solutions([digit_terms(f4)], D4), None)
     assert sol == (F4.gen(),)
 
 
@@ -250,7 +248,7 @@ def test_decide_positive_witness_verifies():
     v = decide_positive(AffineSystem(R, [f1, f2]))
     assert v.is_sat
     for f in (f1, f2):
-        r = evaluate(f, series_point(R, list(v.witness), v.witness[0].precision))
+        r = point_table(R, v.witness, v.witness[0].precision)(f)
         assert val_ge(valuation(r), v.witness[0].precision)
 
 
@@ -260,7 +258,7 @@ def test_unsat_monotone_in_level():
     f = R.from_terms({(2, 0): 1, (0, 1): -1})
     for n in (2, 3, 4):
         w = weil_restrict([f], R, n)
-        assert solve_finite(w.restricted, w.ring) is None
+        assert next(iter_solutions(w.restricted, w.ring), None) is None
 
 
 @pytest.mark.parametrize("max_precision", [1, 6, 8, 64])
