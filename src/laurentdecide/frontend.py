@@ -17,8 +17,8 @@ decider refutes it at level 1, and that refutation level is part of the
 verdict, which a false literal in its place would lose.  The paper's
 Artin-Schreier form  y^2 + y = t*s^2  is needed only where unknowns range
 over all of F_q((t)).
-Systems are built over F_q[X, t]; F_q(t) appears here only as the type of an
-explicit constant.
+Systems are built over F_q[X, t], each atom once; F_q(t) appears here only
+as the type of an explicit constant.
 """
 
 from __future__ import annotations
@@ -473,49 +473,55 @@ def eliminate_valuation_atoms(sentence: Sentence) -> Sentence:
 # systems
 
 
-# A term is built as a pair (N, d) standing for N/d: N over the system's
-# ring F_q[X, t] and d a nonzero polynomial in t alone.  Nothing is reduced
-# on the way; an equation is cleared once at the end, and the cleared
-# polynomial depends on N/d only, not on the pair that stands for it.
+# A term is built as a pair (N, d) standing for N/d: N over the system's ring
+# F_q[X, t] and d a nonzero polynomial in t alone, or None for 1, which is
+# neither multiplied nor cleared.  Nothing is reduced on the way; an equation
+# is cleared once at the end, and the result depends on N/d only.
+
+
+def _times(a, b):
+    """a * b for polynomials a, b, either of them None for 1."""
+    return b if a is None else a if b is None else a * b
 
 
 def _combine(op, a, b):
     """The pair of a op b, op one of + - *."""
     (n1, d1), (n2, d2) = a, b
     if op == "*":
-        return n1 * n2, d1 * d2
+        return n1 * n2, _times(d1, d2)
     if d1 != d2:
-        n1, n2, d1 = n1 * d2, n2 * d1, d1 * d2
+        n1, n2, d1 = _times(n1, d2), _times(n2, d1), _times(d1, d2)
     return (n1 + n2 if op == "+" else n1 - n2), d1
 
 
 def term_pair(term, ring: PolyRing, var_index):
     """The term as a pair (N, d) standing for N/d, N over ring = F_q[X, t]
-    and d a nonzero polynomial in t alone; division by an X-free term
+    and d a nonzero polynomial in t alone, or None for a term with no
+    division and no explicit constant; division by an X-free term
     multiplies across.  Errors carry the column of their token."""
     if isinstance(term, TNum):
-        return ring.const(term.value), ring.one()
+        return ring.const(term.value), None
     if isinstance(term, TConst):
         x0, value = (0,) * len(ring.xslots), term.value
         return tuple(ring.from_coefficients({x0: u}) for u in (value.num, value.den))
     if isinstance(term, TUnif):
-        return ring.var(ring.tpos), ring.one()
+        return ring.var(ring.tpos), None
     if isinstance(term, TVar):
         if term.name not in var_index:
             raise ParseError(f"unbound variable {term.name!r}", term.col)
-        return ring.var(var_index[term.name]), ring.one()
+        return ring.var(var_index[term.name]), None
     if isinstance(term, TOp):
         left = term_pair(term.left, ring, var_index)
         if term.op == "^":
             k = term.right.value
-            return left[0] ** k, left[1] ** k
+            return left[0] ** k, None if left[1] is None else left[1] ** k
         right = term_pair(term.right, ring, var_index)
         if term.op == "/":
             if right[0].x_degree() > 0:
                 raise ParseError("division by a variable term is not allowed", term.col)
             if not right[0]:
                 raise ParseError("division by zero", term.col)
-            return left[0] * right[1], left[1] * right[0]
+            return _times(left[0], right[1]), _times(left[1], right[0])
         if term.op in ("+", "-", "*"):
             return _combine(term.op, left, right)
         raise AssertionError(f"unknown operator {term.op}")
@@ -525,9 +531,9 @@ def term_pair(term, ring: PolyRing, var_index):
 def _cleared(pair):
     """N/d scaled by the lcm of its reduced coefficient denominators, for the
     pair (N, d): N divided by gcd(d, c), c the F_q[t] content of N, and by
-    the leading coefficient of d."""
+    the leading coefficient of d; N itself when d is None."""
     n, d = pair
-    if not n:
+    if not n or d is None:
         return n
     scale = d.lead_coeff().inv()
     if not d.is_constant():
@@ -561,9 +567,11 @@ def to_systems(sentence: Sentence, ctx: FqContext):
     F_q[X, t]: equalities as f = 0, negated equalities merged into a single
     product inequation.  Each side of an atom is built as a pair (N, d) over
     F_q[X, t] (see term_pair) and each equation is cleared once, so nothing
-    is built over F_q(t)."""
+    is built over F_q(t).  Each atom is built once, in the first disjunct
+    that has it, and before any system is decided."""
     ring = PolyRing(ctx, tuple(sentence.variables) + ("t",))
     var_index = {name: i for i, name in enumerate(sentence.variables)}
+    pairs = {}  # id of an atom of the formula -> the pair of left - right
     systems = []
     for disjunct in _dnf(sentence.formula):
         eqs = []
@@ -574,9 +582,10 @@ def to_systems(sentence: Sentence, ctx: FqContext):
             atom = literal.inner if negated else literal
             if not isinstance(atom, Eq):
                 raise AssertionError("to_systems needs an O-free literal matrix")
-            f = _combine(
-                "-", term_pair(atom.left, ring, var_index), term_pair(atom.right, ring, var_index)
-            )
+            if id(atom) not in pairs:
+                pairs[id(atom)] = _combine("-", term_pair(atom.left, ring, var_index),
+                                           term_pair(atom.right, ring, var_index))
+            f = pairs[id(atom)]
             if f[0].x_degree() <= 0:
                 # a nonzero constant = 0 and ~(0 = 0) are false; 0 = 0 and a
                 # nonzero constant != 0 are true

@@ -29,6 +29,7 @@ Rabinowitsch construction, _rabinowitsch, with the fresh variable after t.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -37,15 +38,15 @@ from .poly import MultiPoly, PolyRing, UniPoly, grevlex_key, uni_gcd
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass
@@ -99,7 +100,7 @@ def _is_one(u: UniPoly) -> bool:
 def _sub_shifted(work, poly, shift, b):
     """work -= b * x^shift * poly over F_q[t], in place."""
     for e, c in poly.items():
-        e = tuple(x + y for x, y in zip(e, shift))
+        e = tuple(map(operator.add, e, shift))
         d = c * b
         w = work.get(e)
         if w is None:
@@ -114,7 +115,7 @@ def _sub_shifted(work, poly, shift, b):
 
 def _combine(p, a, sp, q, b, sq):
     """a * x^sp * p - b * x^sq * q over F_q[t], as a new polynomial."""
-    out = {tuple(x + y for x, y in zip(e, sp)): c * a for e, c in p.items()}
+    out = {tuple(map(operator.add, e, sp)): c * a for e, c in p.items()}
     _sub_shifted(out, q, sq, b)
     return out
 
@@ -229,7 +230,7 @@ def buchberger(generators, ring: PolyRing | None = None, track: bool = False) ->
         new = [(_mono_lcm(lms[g], lm_h), g) for g in active]
         kept = []
         for k, (lcm, g) in enumerate(new):
-            coprime = lcm == tuple(a + b for a, b in zip(lms[g], lm_h))
+            coprime = lcm == tuple(map(operator.add, lms[g], lm_h))
             # M and F: another new lcm divides this one (the last of an equal
             # group stays, a coprime pair stands for its group)
             rest = [m for m, _, _ in kept] + [m for m, _ in new[k + 1 :]]
@@ -313,6 +314,13 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis):
         poly = g.x_coefficients()
         basis.append(_Tracked(poly, None, 0, _lead(poly)))
     return f.ring.from_coefficients(_tracked_reduce(_Tracked(f.x_coefficients(), None, 0), basis).poly)
+
+
+def in_ideal(f: MultiPoly, gb: GroebnerBasis) -> bool:
+    """Whether a nonzero f lies in the ideal of gb, by a zero normal form; none
+    is taken when no leading monomial of gb divides f's, which would remain."""
+    lm = _lead(f.x_coefficients())
+    return any(_divides(_lead(g.x_coefficients()), lm) for g in gb.generators) and not normal_form(f, gb)
 
 
 # ---------------------------------------------------------------------------

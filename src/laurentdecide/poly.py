@@ -26,6 +26,7 @@ polynomial is the empty term map.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add, neg
 
 from .ff import FqContext, FqElem
 
@@ -316,7 +317,7 @@ class RationalFunctionField:
 
 def grevlex_key(exps):
     """Sort key: larger key = larger monomial in graded reverse lex."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 if e in out:
                     s = out[e] + c
@@ -458,6 +459,8 @@ class MultiPoly:
         return MultiPoly(self.ring, out)
 
     def __pow__(self, k: int):
+        if len(self.terms) == 1:  # written out: exponents times k, coefficient to the k
+            return MultiPoly(self.ring, {tuple(a * k for a in e): c**k for e, c in self.terms.items()})
         return power(self, k, self.ring.one())
 
     def scale(self, c):
@@ -472,7 +475,7 @@ class MultiPoly:
             return self.ring.zero()
         return MultiPoly(
             self.ring,
-            {tuple(a + b for a, b in zip(e, exps)): cc * c for e, cc in self.terms.items()},
+            {tuple(map(add, e, exps)): cc * c for e, cc in self.terms.items()},
         )
 
     # -- order-dependent accessors

@@ -11,9 +11,9 @@ the search stops there, though a locus with no F_q-point still tries all
 q^2.  The charts are decided recursively, and the exceptional centre
 descends to a lower-dimensional system.  A SAT may still come from the singular
 locus, decided as a system of lower dimension, unless the inequation
-vanishes there, which one Rabinowitsch test on the regularity basis
-settles.  Everything else, regular systems included, is an honest UNKNOWN:
-verdicts must stay sound.
+vanishes there, which its normal form by the regularity basis or one
+Rabinowitsch test on it settles.  Everything else, regular systems
+included, is an honest UNKNOWN: verdicts must stay sound.
 
 Everything here lives over the system's own ring F_q[X, t]: systems,
 singular loci, blow-up charts and back maps (a centre is an F_q-point and a
@@ -47,6 +47,7 @@ from .ideal import (
     buchberger,
     dimension,
     exact_divide,
+    in_ideal,
     primitive_part,
     radical_membership,
     squarefree_equation,
@@ -264,6 +265,7 @@ def decide_existential(
     config: RunConfig | None = None,
     trace: list | None = None,
     _depth: int = 0,
+    _g_lives: bool = False,
 ) -> Verdict:
     """SAT/UNSAT/UNKNOWN for: do the equations vanish and the inequation not,
     somewhere on F_q[[t]]^m?
@@ -275,7 +277,7 @@ def decide_existential(
     if trace is None:
         trace = []
     normalized = _normalize(system, trace)
-    out = _decide_normalized(normalized, config, trace, _depth)
+    out = _decide_normalized(normalized, config, trace, _depth, _g_lives)
     if out.system is None:
         out.system = normalized
     return out
@@ -285,12 +287,12 @@ def _normalize(system, trace):
     """Drop a nonzero constant inequation and replace each equation of X-degree
     two or more by its squarefree part over F_q[X, t] with the F_q[t] content
     divided out (zero sets over F_q((t)) unchanged), when that lowers its total
-    X-degree, which it cannot when a partial of f is a nonzero polynomial in t
-    alone (Jacobian criterion: a repeated factor of positive X-degree divides
-    every partial); when two or more equations have a principal reduced basis
-    the system IS a hypersurface in disguise (e.g. {X, X*Y}), and the basis's
-    one generator replaces them; no basis is built for fewer.  Settles in at
-    most two rounds, and returns the input object when nothing changes."""
+    X-degree, which it cannot when a partial of f shows that f has no
+    repeated factor of positive X-degree (_squarefree_by_a_partial); when
+    two or more equations have a principal reduced basis the system IS a
+    hypersurface in disguise (e.g. {X, X*Y}), and the basis's one generator
+    replaces them; no basis is built for fewer.  Settles in at most two
+    rounds, and returns the input object when nothing changes."""
     ring = system.ring
     g = system.inequation
     # a zero inequation stays: the radical test handles it
@@ -304,7 +306,7 @@ def _normalize(system, trace):
         changed = False
         for f in system.equations:
             # X-degree adds up over factors: an X-linear equation keeps its own
-            if f.x_degree() > 1 and not any(f.partial(i).x_degree() == 0 for i in range(ring.nvars)):
+            if f.x_degree() > 1 and not _squarefree_by_a_partial(f):
                 sf = squarefree_equation(f)
                 if sf.x_degree() < f.x_degree():
                     changed = True
@@ -320,28 +322,39 @@ def _normalize(system, trace):
         return system
 
 
-def _decide_normalized(system, config, trace, depth):
+def _squarefree_by_a_partial(f):
+    """Whether a partial of f is a nonzero polynomial in t alone, or a single
+    term that no unknown dividing f divides.  A repeated factor of positive
+    X-degree divides every partial (Jacobian criterion), so f has none."""
+    dividing = [j for j in f.ring.xslots if all(e[j] for e in f.terms)]
+    for d in map(f.partial, range(f.ring.nvars)):
+        if d.x_degree() == 0 or len(d.terms) == 1 and not any(a[j] for a in d.terms for j in dividing):
+            return True
+    return False
+
+
+def _decide_normalized(system, config, trace, depth, g_lives):
     """The verdict on a normalized system; decide_existential attaches it.
     Emptiness, then g on the locus, then one truncation decision: only its
     UNKNOWN goes on to the regularity check, the blow-ups and the descent.
 
     The descent to the singular locus is kept only when it answers SAT, so
-    it runs only where it can: one uncertified Rabinowitsch test on the
-    regularity basis skips it when g vanishes on the singular locus.  No
-    verdict changes.  Radical membership depends only on the ideal, and the
-    reduced basis generates the same ideal as equations + minors; the
-    descent's _normalize keeps the zero set.  So when the test says yes, the
-    descent would end UNSAT: its locus is empty (the unit ideal) or g
-    vanishes on it, and every verdict of the descent but SAT is dropped.
-    When g is None or does not vanish there, the descent runs as before; its
-    own inequation test then builds a tracked basis after this one."""
+    it runs only where it can: g's normal form by the regularity basis
+    (ideal.in_ideal), or else one uncertified Rabinowitsch test on it, skips
+    it when g vanishes on the singular locus.  No verdict changes.  Radical
+    membership depends only on the ideal, and the reduced basis generates
+    the same ideal as equations + minors; the descent's _normalize keeps the
+    zero set.  So when the test says yes, the descent would end UNSAT: its
+    locus is empty (the unit ideal) or g vanishes on it, and every verdict
+    of the descent but SAT is dropped.  When g is None or does not vanish
+    there, the descent runs, told so by g_lives, and does not ask again."""
     g = system.inequation
     if system.dim is None:
         _, cert = radical_membership(system.ring.one(), system.equations, with_certificate=True)
         trace.append("equations generate the unit ideal over F_q(t)")
         return Verdict(UNSAT, radical=cert, trace=trace)
 
-    if g is not None:
+    if g is not None and not g_lives:
         member, rcert = vanishes_on_locus(system, g, with_certificate=True)
         if member:
             trace.append("inequation vanishes identically on the locus")
@@ -377,16 +390,13 @@ def _decide_normalized(system, config, trace, depth):
         and depth < config.max_blowups
         and report.locus_dimension < report.dimension
     ):
-        if g is not None and radical_membership(g, report.locus_basis.generators):
+        basis = report.locus_basis
+        if g is not None and (in_ideal(g, basis) or radical_membership(g, basis.generators)):
             trace.append("inequation vanishes on the singular locus: no descent")
             return out
         trace.append("descending to the singular locus")
-        v_sing = decide_existential(
-            AffineSystem(system.ring, report.singular_locus, g),
-            config,
-            trace,
-            depth + 1,
-        )
+        locus = AffineSystem(system.ring, report.singular_locus, g)
+        v_sing = decide_existential(locus, config, trace, depth + 1, True)
         if v_sing.is_sat:
             return v_sing
     return out

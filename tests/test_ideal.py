@@ -9,6 +9,7 @@ from laurentdecide.ideal import (
     dimension,
     exact_divide,
     gcd_multivariate,
+    in_ideal,
     normal_form,
     primitive_monic,
     radical_membership,
@@ -193,6 +194,30 @@ def test_membership_examples():
     gb_parab = buchberger([y - x**2])
     assert not normal_form(y - x**2, gb_parab)
     assert not normal_form(x**2 * y - x**4, gb_parab)
+
+
+def test_in_ideal_is_a_zero_normal_form(monkeypatch):
+    # nonzero f, with a t slot too; the normal form is taken only when a
+    # leading monomial of the basis divides f's, which it must for f in the ideal
+    import laurentdecide.ideal as ideal
+
+    rng = random.Random(38038)
+    taken = skipped = 0
+    for R in (ring(F3, "X", "Y"), ring(F5, "X", "Y", "t")):
+        for _ in range(30):
+            gb = buchberger([rand_poly(rng, R) for _ in range(2)], ring=R)
+            if not gb.generators:
+                continue
+            for f in (rand_poly(rng, R), rand_poly(rng, R) * gb.generators[0]):
+                if not f:
+                    continue
+                calls = []
+                monkeypatch.setattr(ideal, "normal_form",
+                                    lambda *args: calls.append(args) or normal_form(*args))
+                assert in_ideal(f, gb) == (not normal_form(f, gb)), (f, gb.generators)
+                taken += len(calls)
+                skipped += not calls
+    assert taken >= 20 and skipped >= 10, (taken, skipped)
 
 
 # -- radical membership ----------------------------------------------------------

@@ -10,13 +10,21 @@ is run directly for every singular report: wherever the engine skips it,
 it must end UNSAT, so no verdict can change.  The cone's only point over
 F_q((t)) is its centre (a, b, c) when p is odd (the form is anisotropic),
 and the inequations are picked so that both the skip and the descent occur.
+
+The skip asks radical membership only when g's normal form by the locus
+basis is not zero, and the descent it lets run does not ask again whether
+g vanishes on its locus: the golden cones show both by their calls.
 """
 
+import json
 import random
+
+import make_decision_golden as golden
+import pytest
 
 from laurentdecide import resolve
 from laurentdecide.ff import FqContext
-from laurentdecide.frontend import eliminate_valuation_atoms, parse, to_systems
+from laurentdecide.frontend import decide, eliminate_valuation_atoms, parse, to_systems
 from laurentdecide.ideal import radical_membership
 from laurentdecide.resolve import AffineSystem, RunConfig, decide_existential
 
@@ -81,3 +89,50 @@ def test_a_skipped_descent_would_have_ended_unsat(monkeypatch):
     # both branches occur, so the sweep cannot pass vacuously
     assert skipped >= 20
     assert ran >= 20
+
+
+def _golden_decision(monkeypatch, label):
+    """(verdict record, the locus bases of the regularity reports, the
+    generator lists radical_membership was asked about) for a golden record."""
+    bases, asked = [], []
+    real_check, real_member = resolve.regularity_check, resolve.radical_membership
+
+    def recording(system):
+        report = real_check(system)
+        bases.append(report.locus_basis)
+        return report
+
+    def member(g, generators, *args, **kwargs):
+        asked.append(generators)
+        return real_member(g, generators, *args, **kwargs)
+
+    monkeypatch.setattr(resolve, "regularity_check", recording)
+    monkeypatch.setattr(resolve, "radical_membership", member)
+    ctx, text, config = next((c, t, cfg) for name, c, t, cfg in golden.sentence_corpus()
+                             if name == label)
+    record = golden.verdict_record(decide(text, ctx, config))
+    expected = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))["verdicts"][label]["verdict"]
+    assert record == expected, label
+    return record, [b for b in bases if b is not None], asked
+
+
+@pytest.mark.parametrize("label, skip_calls", [("cone-p2", 1), ("cone-p3", 0), ("cone-p5", 0),
+                                               ("cone-p7", 0), ("cone", 0)])
+def test_a_zero_normal_form_skips_the_rabinowitsch_test(monkeypatch, label, skip_calls):
+    # over F_3, F_5 and F_7 the locus basis is [Z, Y, X] and g = Z reduces to
+    # 0; over F_2 it is [Z^2, X^2 + Y^2], whose leading monomials do not
+    # divide Z, so no normal form is taken and radical membership decides
+    record, bases, asked = _golden_decision(monkeypatch, label)
+    assert SKIP_LINE in record["trace"]
+    (basis,) = bases
+    assert sum(generators is basis.generators for generators in asked) == skip_calls
+    assert len(asked) == skip_calls
+
+
+def test_a_descent_does_not_ask_again_what_the_skip_answered(monkeypatch):
+    # cone-locus: g = X - 1 does not vanish on the singular locus, so the
+    # descent runs and its own inequation test is not asked: one call, the
+    # skip's, where the descent used to build a tracked basis after it
+    record, (basis,), asked = _golden_decision(monkeypatch, "cone-locus")
+    assert DESCENT_LINE in record["trace"] and record["status"] == "sat"
+    assert len(asked) == 1 and asked[0] is basis.generators

@@ -177,6 +177,23 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
 
 
+def test_a_single_term_power_is_the_repeated_product():
+    # one term is raised by its exponents and coefficient; check against k
+    # multiplications, over F_q[X, t] and over F_q(t)
+    t = RationalFunction.from_unipoly(UniPoly(F3, [0, 1]))
+    cases = [
+        (ring(F3, "X", "t"), [{(1, 0): 1}, {(0, 1): 1}, {(2, 3): 2}, {(0, 0): 2}, {}]),
+        (ring(FqContext(2, 2), "X", "Y"), [{(1, 2): (0, 1)}, {(3, 0): (1, 1)}]),
+        (ring(RationalFunctionField(F3), "X"), [{(2,): t + RationalFunction.const(F3, 1)}]),
+    ]
+    for R, terms in cases:
+        for f in (R.from_terms(x) for x in terms):
+            product = R.one()
+            for k in range(6):
+                assert (f**k).terms == product.terms, (f, k)
+                product = product * f
+
+
 def test_domain_mismatch_rejected():
     with pytest.raises(ValueError):
         ring(F2, "X").var(0) + ring(F3, "X").var(0)

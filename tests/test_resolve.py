@@ -592,6 +592,86 @@ def test_normalization_skips_only_squarefree_parts_that_cannot_lower_a_degree(mo
     assert calls[resolve] < calls[normalize_oracle], calls
 
 
+def _counting_squarefree(monkeypatch):
+    calls = []
+    real = resolve.squarefree_equation
+    monkeypatch.setattr(resolve, "squarefree_equation", lambda f: calls.append(f) or real(f))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ctx, names, text",
+    [(F3, "B", "B^2*t + 2"), (F2, "X, Y", "X^3 + Y^2"), (F3, "X, Y, Z", "X^2 - 2*Y^2 - t*Z^2")],
+)
+def test_a_single_term_partial_settles_normalization(monkeypatch, ctx, names, text):
+    # no partial lies in F_q[t], but one is a single term whose unknowns do
+    # not divide f, so a repeated factor of positive X-degree, dividing that
+    # term, cannot exist: no squarefree part is taken
+    calls = _counting_squarefree(monkeypatch)
+    system = _system(f"exists {names}. {text} = 0", ctx)
+    f = system.equations[0]
+    assert not any(f.partial(i).x_degree() == 0 for i in range(f.ring.nvars))
+    assert resolve._normalize(system, []) is system
+    assert calls == []
+    assert normalize_oracle._normalize(system, []) is system
+
+
+@pytest.mark.parametrize("text, normalized", [("A^2*B", "A*B"), ("A*B", "A*B")])
+def test_a_single_term_partial_whose_unknown_divides_f_settles_nothing(monkeypatch, text,
+                                                                       normalized):
+    # every partial of A^2*B and of A*B is a single term divisible by A or B,
+    # which divides f: the squarefree part is taken, and A^2*B loses its square
+    calls = _counting_squarefree(monkeypatch)
+    system = _system(f"exists A, B. {text} = 0", F3)
+    out = resolve._normalize(system, [])
+    assert out.equations == _system(f"exists A, B. {normalized} = 0", F3).equations
+    assert calls == system.equations
+
+
+def _random_equation(rng, R):
+    """Half the time a sparse sum with a term in t alone, which no unknown
+    divides, so single-term partials are common; otherwise a product with a
+    squared factor."""
+    elems = list(R.field.elements())[1:]
+
+    def sparse(n):
+        return R.from_terms({tuple(rng.randrange(4) for _ in range(R.nvars)): rng.choice(elems)
+                             for _ in range(n)})
+
+    if rng.random() < 0.5:
+        return sparse(rng.randrange(1, 4)) + R.from_terms({(0, 0, rng.randrange(3)): 1})
+    return sparse(rng.randrange(1, 3)) * sparse(rng.randrange(1, 3)) ** 2
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, FqContext(2, 2), F5, FqContext(7)], ids=repr)
+def test_normalization_matches_the_oracle_on_random_equations(monkeypatch, ctx):
+    # the oracle takes every squarefree part; the criterion may skip one only
+    # where it would not have lowered the X-degree
+    calls = Counter()
+    for module in (resolve, normalize_oracle):
+        real = module.squarefree_equation
+        monkeypatch.setattr(module, "squarefree_equation",
+                            lambda f, _key=module, _real=real: calls.update([_key]) or _real(f))
+    rng = random.Random(38000 + ctx.q)
+    R = tring(ctx, "X", "Y")
+    single_term_only = replaced = 0
+    for _ in range(40):
+        f, g = _random_equation(rng, R), rng.choice([None, R.var(0) - R.var(2)])
+        system = AffineSystem(R, [f], g)
+        trace, old_trace = [], []
+        new, old = resolve._normalize(system, trace), normalize_oracle._normalize(system, old_trace)
+        assert trace == old_trace and new.inequation == old.inequation, f
+        assert [list(h.terms.items()) for h in new.equations] == [
+            list(h.terms.items()) for h in old.equations
+        ], f
+        in_t = any(f.partial(i).x_degree() == 0 for i in range(R.nvars))
+        single_term_only += f.x_degree() > 1 and resolve._squarefree_by_a_partial(f) and not in_t
+        replaced += bool(trace)
+    # both the new shortcut and real squarefree parts occur
+    assert single_term_only >= 5 and replaced >= 5, (single_term_only, replaced)
+    assert calls[resolve] < calls[normalize_oracle], calls
+
+
 def test_decide_t_content_beside_a_cube_char3():
     # t*X^3*(Y^2 - t) over F_3 normalizes to X*(Y^2 - t): the point X = 0,
     # Y = 1 is smooth on it and meets Y != 0

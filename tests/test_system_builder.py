@@ -4,11 +4,13 @@ of the F_q(t) route in frontend_oracle, equation for equation and term for
 term, and the same parse errors."""
 
 import random
+from collections import Counter
 
 import frontend_oracle as old
 import pytest
 from test_acceptance import CORPUS as CRITERION_8
 
+from laurentdecide import frontend
 from laurentdecide.cli import load_system_file
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import (
@@ -22,9 +24,10 @@ from laurentdecide.frontend import (
     eliminate_valuation_atoms,
     parse,
     parse_term_text,
+    term_pair,
     to_systems,
 )
-from laurentdecide.poly import RationalFunction, UniPoly
+from laurentdecide.poly import PolyRing, RationalFunction, UniPoly
 
 FIELDS = [FqContext(2), FqContext(3), FqContext(2, 2), FqContext(5), FqContext(7)]
 F3 = FIELDS[1]
@@ -85,6 +88,60 @@ def test_criterion_8_systems_match_the_rational_route(label, ctx, text):
 )
 def test_denominator_edge_cases_match_the_rational_route(text):
     check_sentence(text, F3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # powers of a single term are written out, its exponents times k
+        "exists X. X = t^7",
+        "exists X. (2*X)^3 = t",
+        "exists X. (X*t)^0 = X",
+        "exists X, Y. (2*X*Y*t)^4 = (t*t)^3 + X^5",
+        # denominators t^3 and (1 + t)^2, beside terms with none
+        "exists X, Y. X/t^3 = Y/(1 + t)^2",
+        "exists X. (X/t^3)^2 + X/(1 + t)^2 = 1 + X",
+        "exists X. ~((X*t)^2/(1 + t)^2 = t^3) & X = 1/t^3",
+        # atoms repeated across disjuncts
+        "exists X, Y. (X = t | Y = 1) & ~(X*Y/(1 + t)^2 = t^3)",
+        "exists X, Y. (X^2 = Y | X = 1/t^3) & (X^2 = Y | ~(Y = 0)) & (Y = 2 | ~(X^2 = Y))",
+    ],
+)
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_powers_denominators_and_repeated_atoms_match_the_rational_route(ctx, text):
+    check_sentence(text, ctx)
+
+
+def test_a_pair_carries_no_denominator_for_a_polynomial():
+    ring = PolyRing(F3, ("X", "t"))
+    t = ring.var(1)
+    for text in ("X*t + 1", "(2*X)^3 - t^7", "(X + t)^2 - X"):
+        assert term_pair(parse_term_text(text), ring, {"X": 0})[1] is None, text
+    assert term_pair(parse_term_text("X/t^3"), ring, {"X": 0})[1] == t**3
+    assert term_pair(parse_term_text("X/(1 + t)^2"), ring, {"X": 0})[1] == (t + ring.one()) ** 2
+
+
+def test_each_atom_is_built_once_per_sentence(monkeypatch):
+    # four disjuncts, each atom in two of them; term_pair meets every node of
+    # the formula once, the sides of each atom at the top level
+    text = "exists X, Y. (X = t | Y = 1/(1 + t)^2) & (X*Y = t^3 | ~(X = Y/t^3))"
+    sentence = eliminate_valuation_atoms(parse(text))
+    calls = Counter()
+    real = frontend.term_pair
+
+    def counting(term, *args):
+        calls[id(term)] += 1
+        return real(term, *args)
+
+    monkeypatch.setattr(frontend, "term_pair", counting)
+    systems = to_systems(sentence, F3)
+    assert len(systems) == 4
+    assert set(calls.values()) == {1}
+    atoms = [literal.inner if isinstance(literal, Not) else literal
+             for disjunct in frontend._dnf(sentence.formula) for literal in disjunct]
+    assert len(atoms) == 8 and len({id(atom) for atom in atoms}) == 4
+    assert {id(side) for atom in atoms for side in (atom.left, atom.right)} <= set(calls)
+    assert_same_systems(systems, old.to_systems(sentence, F3))
 
 
 def test_explicit_constants_enter_as_their_fraction():
@@ -159,6 +216,7 @@ SYSTEM_FILES = [
     "vars X Y\neq (X/t + Y/(1 + t))^2 - 1/(t*t + t)\nneq (X - 1)/(t - 1)\nneq Y/t\n",
     "vars X\nneq X\nneq 1 + 2\n",
     "vars X\neq X/(1 + 2)\n",
+    "vars X Y\neq X/t^3 - (2*Y)^3\nneq (X*t)^0 - Y/(1 + t)^2\nneq t^7*X\n",
 ]
 
 

@@ -43,7 +43,8 @@ candidates it still yields count.
 Two functions that call themselves are counted per corpus at the top level
 only, through every binding the package has, leaving out the calls they
 make on themselves: `squarefree_part`, which normalization skips when a
-partial of the equation is a nonzero polynomial in t alone, and
+partial of the equation is a nonzero polynomial in t alone, or a single
+term none of whose unknowns divides the equation, and
 `gcd_multivariate` on two polynomials in t alone, which should be none:
 contents over F_q[t] are taken with `uni_gcd`.
 """
