@@ -17,8 +17,8 @@ decider refutes it at level 1, and that refutation level is part of the
 verdict, which a false literal in its place would lose.  The paper's
 Artin-Schreier form  y^2 + y = t*s^2  is needed only where unknowns range
 over all of F_q((t)).
-Systems are built over F_q[X, t], each atom once; F_q(t) appears here only
-as the type of an explicit constant.
+Systems are built over F_q[X, t]; F_q(t) appears here only as the type of an
+explicit constant.
 """
 
 from __future__ import annotations
@@ -567,11 +567,9 @@ def to_systems(sentence: Sentence, ctx: FqContext):
     F_q[X, t]: equalities as f = 0, negated equalities merged into a single
     product inequation.  Each side of an atom is built as a pair (N, d) over
     F_q[X, t] (see term_pair) and each equation is cleared once, so nothing
-    is built over F_q(t).  Each atom is built once, in the first disjunct
-    that has it, and before any system is decided."""
+    is built over F_q(t)."""
     ring = PolyRing(ctx, tuple(sentence.variables) + ("t",))
     var_index = {name: i for i, name in enumerate(sentence.variables)}
-    pairs = {}  # id of an atom of the formula -> the pair of left - right
     systems = []
     for disjunct in _dnf(sentence.formula):
         eqs = []
@@ -582,10 +580,9 @@ def to_systems(sentence: Sentence, ctx: FqContext):
             atom = literal.inner if negated else literal
             if not isinstance(atom, Eq):
                 raise AssertionError("to_systems needs an O-free literal matrix")
-            if id(atom) not in pairs:
-                pairs[id(atom)] = _combine("-", term_pair(atom.left, ring, var_index),
-                                           term_pair(atom.right, ring, var_index))
-            f = pairs[id(atom)]
+            f = _combine(
+                "-", term_pair(atom.left, ring, var_index), term_pair(atom.right, ring, var_index)
+            )
             if f[0].x_degree() <= 0:
                 # a nonzero constant = 0 and ~(0 = 0) are false; 0 = 0 and a
                 # nonzero constant != 0 are true

@@ -265,7 +265,6 @@ def decide_existential(
     config: RunConfig | None = None,
     trace: list | None = None,
     _depth: int = 0,
-    _g_lives: bool = False,
 ) -> Verdict:
     """SAT/UNSAT/UNKNOWN for: do the equations vanish and the inequation not,
     somewhere on F_q[[t]]^m?
@@ -277,7 +276,7 @@ def decide_existential(
     if trace is None:
         trace = []
     normalized = _normalize(system, trace)
-    out = _decide_normalized(normalized, config, trace, _depth, _g_lives)
+    out = _decide_normalized(normalized, config, trace, _depth)
     if out.system is None:
         out.system = normalized
     return out
@@ -327,34 +326,33 @@ def _squarefree_by_a_partial(f):
     term that no unknown dividing f divides.  A repeated factor of positive
     X-degree divides every partial (Jacobian criterion), so f has none."""
     dividing = [j for j in f.ring.xslots if all(e[j] for e in f.terms)]
-    for d in map(f.partial, range(f.ring.nvars)):
-        if d.x_degree() == 0 or len(d.terms) == 1 and not any(a[j] for a in d.terms for j in dividing):
-            return True
-    return False
+    return any(d.x_degree() == 0 or len(d.terms) == 1 and not any(a[j] for a in d.terms for j in dividing)
+               for d in map(f.partial, range(f.ring.nvars)))
 
 
-def _decide_normalized(system, config, trace, depth, g_lives):
+def _decide_normalized(system, config, trace, depth):
     """The verdict on a normalized system; decide_existential attaches it.
     Emptiness, then g on the locus, then one truncation decision: only its
     UNKNOWN goes on to the regularity check, the blow-ups and the descent.
 
     The descent to the singular locus is kept only when it answers SAT, so
-    it runs only where it can: g's normal form by the regularity basis
-    (ideal.in_ideal), or else one uncertified Rabinowitsch test on it, skips
-    it when g vanishes on the singular locus.  No verdict changes.  Radical
-    membership depends only on the ideal, and the reduced basis generates
-    the same ideal as equations + minors; the descent's _normalize keeps the
-    zero set.  So when the test says yes, the descent would end UNSAT: its
-    locus is empty (the unit ideal) or g vanishes on it, and every verdict
-    of the descent but SAT is dropped.  When g is None or does not vanish
-    there, the descent runs, told so by g_lives, and does not ask again."""
+    it runs only where it can: a zero normal form of g by the regularity basis
+    (ideal.in_ideal), or else one uncertified Rabinowitsch test on that basis,
+    skips it when g vanishes on the singular locus.  No verdict changes.
+    Radical membership depends only on the ideal, and the reduced basis
+    generates the same ideal as equations + minors; the descent's _normalize
+    keeps the zero set.  So when the test says yes, the descent would end
+    UNSAT: its locus is empty (the unit ideal) or g vanishes on it, and every
+    verdict of the descent but SAT is dropped.  When g is None or does not
+    vanish there, the descent runs as before; its own inequation test then
+    builds a tracked basis after this one."""
     g = system.inequation
     if system.dim is None:
         _, cert = radical_membership(system.ring.one(), system.equations, with_certificate=True)
         trace.append("equations generate the unit ideal over F_q(t)")
         return Verdict(UNSAT, radical=cert, trace=trace)
 
-    if g is not None and not g_lives:
+    if g is not None:
         member, rcert = vanishes_on_locus(system, g, with_certificate=True)
         if member:
             trace.append("inequation vanishes identically on the locus")
@@ -395,8 +393,12 @@ def _decide_normalized(system, config, trace, depth, g_lives):
             trace.append("inequation vanishes on the singular locus: no descent")
             return out
         trace.append("descending to the singular locus")
-        locus = AffineSystem(system.ring, report.singular_locus, g)
-        v_sing = decide_existential(locus, config, trace, depth + 1, True)
+        v_sing = decide_existential(
+            AffineSystem(system.ring, report.singular_locus, g),
+            config,
+            trace,
+            depth + 1,
+        )
         if v_sing.is_sat:
             return v_sing
     return out

@@ -2,7 +2,7 @@
 
 `resolve._decide_normalized` keeps the descent to the singular locus only
 when it answers SAT, and skips it when the inequation vanishes on the
-locus, asked once of the regularity basis without a certificate.  Over a
+locus, asked of the regularity basis without a certificate.  Over a
 seeded sweep of planted cones (X-a)^2 - n*(Y-b)^2 = t^k*(Z-c)^2, n a
 non-square (1 over F_2), each with an inequation, the descent the engine
 ran before the skip, `decide_existential` on the singular locus at depth 1,
@@ -12,8 +12,7 @@ F_q((t)) is its centre (a, b, c) when p is odd (the form is anisotropic),
 and the inequations are picked so that both the skip and the descent occur.
 
 The skip asks radical membership only when g's normal form by the locus
-basis is not zero, and the descent it lets run does not ask again whether
-g vanishes on its locus: the golden cones show both by their calls.
+basis is not zero: the golden cones show it by their calls.
 """
 
 import json
@@ -128,11 +127,3 @@ def test_a_zero_normal_form_skips_the_rabinowitsch_test(monkeypatch, label, skip
     assert sum(generators is basis.generators for generators in asked) == skip_calls
     assert len(asked) == skip_calls
 
-
-def test_a_descent_does_not_ask_again_what_the_skip_answered(monkeypatch):
-    # cone-locus: g = X - 1 does not vanish on the singular locus, so the
-    # descent runs and its own inequation test is not asked: one call, the
-    # skip's, where the descent used to build a tracked basis after it
-    record, (basis,), asked = _golden_decision(monkeypatch, "cone-locus")
-    assert DESCENT_LINE in record["trace"] and record["status"] == "sat"
-    assert len(asked) == 1 and asked[0] is basis.generators

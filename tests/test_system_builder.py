@@ -4,13 +4,11 @@ of the F_q(t) route in frontend_oracle, equation for equation and term for
 term, and the same parse errors."""
 
 import random
-from collections import Counter
 
 import frontend_oracle as old
 import pytest
 from test_acceptance import CORPUS as CRITERION_8
 
-from laurentdecide import frontend
 from laurentdecide.cli import load_system_file
 from laurentdecide.ff import FqContext
 from laurentdecide.frontend import (
@@ -119,29 +117,6 @@ def test_a_pair_carries_no_denominator_for_a_polynomial():
         assert term_pair(parse_term_text(text), ring, {"X": 0})[1] is None, text
     assert term_pair(parse_term_text("X/t^3"), ring, {"X": 0})[1] == t**3
     assert term_pair(parse_term_text("X/(1 + t)^2"), ring, {"X": 0})[1] == (t + ring.one()) ** 2
-
-
-def test_each_atom_is_built_once_per_sentence(monkeypatch):
-    # four disjuncts, each atom in two of them; term_pair meets every node of
-    # the formula once, the sides of each atom at the top level
-    text = "exists X, Y. (X = t | Y = 1/(1 + t)^2) & (X*Y = t^3 | ~(X = Y/t^3))"
-    sentence = eliminate_valuation_atoms(parse(text))
-    calls = Counter()
-    real = frontend.term_pair
-
-    def counting(term, *args):
-        calls[id(term)] += 1
-        return real(term, *args)
-
-    monkeypatch.setattr(frontend, "term_pair", counting)
-    systems = to_systems(sentence, F3)
-    assert len(systems) == 4
-    assert set(calls.values()) == {1}
-    atoms = [literal.inner if isinstance(literal, Not) else literal
-             for disjunct in frontend._dnf(sentence.formula) for literal in disjunct]
-    assert len(atoms) == 8 and len({id(atom) for atom in atoms}) == 4
-    assert {id(side) for atom in atoms for side in (atom.left, atom.right)} <= set(calls)
-    assert_same_systems(systems, old.to_systems(sentence, F3))
 
 
 def test_explicit_constants_enter_as_their_fraction():
