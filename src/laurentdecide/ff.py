@@ -16,6 +16,8 @@ contexts once per operation.
 
 from __future__ import annotations
 
+from itertools import product
+
 # a context holds one element object per code, an extension field also its
 # q x q tables: both sizes are capped
 MAX_PRIME = 1 << 16
@@ -41,12 +43,7 @@ def _is_irreducible(modulus, p: int) -> bool:
     for d in range(1, n // 2 + 1):
         # all monic polynomials of degree d: coefficient tuples over Z/p
         for code in range(p**d):
-            div = []
-            c = code
-            for _ in range(d):
-                div.append(c % p)
-                c //= p
-            div.append(1)
+            div = _digits(code, p, d) + [1]
             # does div divide modulus? compute remainder
             r = list(modulus)
             for i in range(len(r) - 1, d - 1, -1):
@@ -61,19 +58,10 @@ def _is_irreducible(modulus, p: int) -> bool:
 
 def _smallest_irreducible(p: int, n: int):
     """Lexicographically smallest monic irreducible of degree n over Z/p."""
-    # enumerate tuples (c_0..c_{n-1}) in lexicographic order, c_0 slowest
-    def tuples(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(p):
-            for rest in tuples(k - 1):
-                yield (first,) + rest
-
-    for tail in tuples(n):
-        cand = list(tail) + [1]
-        if _is_irreducible(cand, p):
-            return tuple(tail) + (1,)
+    # coefficient tuples (c_0..c_{n-1}) in lexicographic order, c_0 slowest
+    for tail in product(range(p), repeat=n):
+        if _is_irreducible(list(tail) + [1], p):
+            return tail + (1,)
     raise ValueError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 

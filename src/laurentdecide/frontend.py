@@ -110,8 +110,9 @@ class Sentence:
     variables: list
     formula: object
 
-    def unbound_variables(self):
-        """The TVar nodes of names the sentence does not bind, in order."""
+    def check_bound(self):
+        """The sentence, once its formula names no variable it does not bind;
+        a ParseError at the first that it does name."""
         bound = set(self.variables)
 
         def walk_term(t):
@@ -133,7 +134,10 @@ class Sentence:
             elif isinstance(f, InRing):
                 yield from walk_term(f.term)
 
-        return [v for v in walk(self.formula) if v.name not in bound]
+        for v in walk(self.formula):
+            if v.name not in bound:
+                raise ParseError(f"unbound variable {v.name!r}", v.col)
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +232,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        sentence = Sentence(variables, formula)
-        unbound = sentence.unbound_variables()
-        if unbound:
-            raise ParseError(f"unbound variable {unbound[0].name!r}", unbound[0].col)
-        return sentence
+        return Sentence(variables, formula).check_bound()
 
     def parse_formula(self):
         left = self.parse_conjunction()
@@ -600,9 +600,16 @@ def to_systems(sentence: Sentence, ctx: FqContext):
 
 def decide(sentence, ctx: FqContext, config: RunConfig | None = None) -> Verdict:
     """Decide a sentence over F_q((t)): SAT if some disjunct is SAT (first in
-    order), UNSAT if all are, otherwise UNKNOWN."""
+    order), UNSAT if all are, otherwise UNKNOWN.  A Sentence is checked as
+    parse checks text: its variables are declared as an exists clause
+    declares them, and its formula may use no other (ParseError)."""
     if isinstance(sentence, str):
         sentence = parse(sentence)
+    else:
+        declared = []
+        for name in sentence.variables:
+            _declare(declared, ("word", name, 1))
+        sentence.check_bound()
     if config is None:
         config = RunConfig()
     eliminated = eliminate_valuation_atoms(sentence)

@@ -11,9 +11,9 @@ the search stops there, though a locus with no F_q-point still tries all
 q^2.  The charts are decided recursively, and the exceptional centre
 descends to a lower-dimensional system.  A SAT may still come from the singular
 locus, decided as a system of lower dimension, unless the inequation
-vanishes there, which its normal form by the regularity basis or one
-Rabinowitsch test on it settles.  Everything else, regular systems
-included, is an honest UNKNOWN: verdicts must stay sound.
+vanishes there, which vanishes_on_locus settles from that system's basis.
+Everything else, regular systems included, is an honest UNKNOWN: verdicts
+must stay sound.
 
 Everything here lives over the system's own ring F_q[X, t]: systems,
 singular loci, blow-up charts and back maps (a centre is an F_q-point and a
@@ -31,8 +31,9 @@ reduced Groebner basis, its dimension and the minor table of the Hensel
 layer, each computed at most once and only when a question needs it; every
 certification, lift and perturbation on the system shares its one table.
 The blow-up centre is adjoined through `descend`, which checks that the
-dimension drops; the descent to the singular locus builds its system from
-the locus generators directly, its drop read off the regularity report.
+dimension drops; the singular locus is one such system, built by the
+regularity check with its basis and dimension, and the descent decides that
+object itself once its dimension is below the system's.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ from functools import cached_property
 from .ff import FqContext
 from .hensel import MinorTable, certify_liftable, system_dimension
 from .ideal import (
-    GroebnerBasis,
     buchberger,
-    dimension,
     exact_divide,
     in_ideal,
     primitive_part,
@@ -103,11 +102,13 @@ class AffineSystem:
 
 @dataclass
 class RegularityReport:
-    status: str  # "regular" | "singular" | "inconclusive"
-    dimension: int | None = None
-    singular_locus: list | None = None  # equations + minors, over F_q[X, t]
-    locus_dimension: int | None = None  # dimension of the singular locus
-    locus_basis: GroebnerBasis | None = None  # reduced basis of singular_locus
+    """A status, "regular", "singular" or "inconclusive", and the singular
+    locus once the check builds it: one AffineSystem of the equations plus
+    the nonzero Jacobian minors, with the system's inequation, whose dim is
+    None exactly when it leaves the status "regular"."""
+
+    status: str
+    locus: AffineSystem | None = None
 
 
 @dataclass
@@ -126,7 +127,8 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
 
     A nonzero minor in t alone (dF/dt = -k*c*t^(k-1) for F = G(X) - c*t^k
     with p not dividing k, say) is a unit of F_q(t), so it settles Regular
-    before any Groebner basis.
+    before any Groebner basis.  Otherwise the locus system is built, and
+    Regular means its dim is None (its basis is the unit ideal).
 
     Requires an established equidimensional dimension: a hypersurface, a
     zero-dimensional locus, or codimension = number of given equations
@@ -136,7 +138,7 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
     ring = system.ring
     m = len(system.xnames)
     if not eqs:
-        return RegularityReport("regular", dimension=m)
+        return RegularityReport("regular")
     dim = system.dim
     if dim is None:
         raise ValueError("emptiness is decided before the regularity check")
@@ -146,16 +148,13 @@ def regularity_check(system: AffineSystem) -> RegularityReport:
         len(eqs) == 1 or dim == 0 or k == len(eqs) or k == len(system.basis.generators)
     )
     if not equidimensional:
-        return RegularityReport("inconclusive", dimension=dim)
+        return RegularityReport("inconclusive")
     # minors of the spread-out scheme: derivatives in the X's and in t
     minors = list(nonzero_minors(jacobian(eqs, range(ring.nvars)), k, ring.one()).values())
     if any(h.x_degree() == 0 for h in minors):
-        return RegularityReport("regular", dimension=dim)
-    gb_locus = buchberger(eqs + minors, ring=ring)
-    if gb_locus.contains_one():
-        return RegularityReport("regular", dimension=dim)
-    return RegularityReport("singular", dimension=dim, singular_locus=eqs + minors,
-                            locus_dimension=dimension(gb_locus), locus_basis=gb_locus)
+        return RegularityReport("regular")
+    locus = AffineSystem(ring, eqs + minors, system.inequation)
+    return RegularityReport("regular" if locus.dim is None else "singular", locus)
 
 
 def blow_up_origin(curve: MultiPoly):
@@ -217,13 +216,20 @@ def vanishes_on_locus(system: AffineSystem, g: MultiPoly, with_certificate=False
     With no equation g must be 0.  A normalized equation f has no repeated
     factor of positive X-degree, so its primitive part f0 generates a radical
     ideal over F_q(t), and g vanishes on the locus iff f0 divides g, over
-    F_q[X, t] by Gauss's lemma.  Rabinowitsch's Groebner test runs only for
-    two or more equations, and for a certificate, which is built only when g
-    does vanish.
+    F_q[X, t] by Gauss's lemma.  Two or more equations ask the system's own
+    reduced basis, which generates the same ideal: a zero normal form
+    (ideal.in_ideal, which takes a nonzero g) puts g in it, and otherwise one
+    Rabinowitsch test on the basis decides.  A certificate is built only when
+    g does vanish, and always over the equations themselves: it is checked
+    (cli._radical_problems) as a recomposition of 1 from the system's
+    equations, in order, not from a basis.
     """
     eqs = system.equations
     if len(eqs) > 1:
-        return radical_membership(g, eqs, with_certificate)
+        if with_certificate:
+            return radical_membership(g, eqs, with_certificate=True)
+        basis = system.basis
+        return not g or in_ideal(g, basis) or radical_membership(g, basis.generators)
     member = exact_divide(g, primitive_part(eqs[0])) is not None if eqs else not g
     if not with_certificate:
         return member
@@ -335,17 +341,15 @@ def _decide_normalized(system, config, trace, depth):
     Emptiness, then g on the locus, then one truncation decision: only its
     UNKNOWN goes on to the regularity check, the blow-ups and the descent.
 
-    The descent to the singular locus is kept only when it answers SAT, so
-    it runs only where it can: a zero normal form of g by the regularity basis
-    (ideal.in_ideal), or else one uncertified Rabinowitsch test on that basis,
-    skips it when g vanishes on the singular locus.  No verdict changes.
-    Radical membership depends only on the ideal, and the reduced basis
-    generates the same ideal as equations + minors; the descent's _normalize
-    keeps the zero set.  So when the test says yes, the descent would end
-    UNSAT: its locus is empty (the unit ideal) or g vanishes on it, and every
-    verdict of the descent but SAT is dropped.  When g is None or does not
-    vanish there, the descent runs as before; its own inequation test then
-    builds a tracked basis after this one."""
+    The descent decides the report's locus system itself, reusing the
+    basis and dimension the regularity check built when _normalize keeps
+    it, and only a SAT from it is kept.  So it is skipped when
+    vanishes_on_locus(report.locus, g) holds, and no verdict changes: the
+    descent would decide that very system, its _normalize keeps the zero
+    set, so the normalized locus is empty or g vanishes on all of it, and
+    the descent could only end UNSAT.  When g is None or does not vanish
+    there, the descent runs; its own certified inequation test then builds
+    a tracked basis after the untracked one."""
     g = system.inequation
     if system.dim is None:
         _, cert = radical_membership(system.ring.one(), system.equations, with_certificate=True)
@@ -366,7 +370,7 @@ def _decide_normalized(system, config, trace, depth):
         return direct
 
     report = regularity_check(system)
-    trace.append(f"regularity: {report.status} (dimension {report.dimension})")
+    trace.append(f"regularity: {report.status} (dimension {system.dim})")
 
     if report.status == "regular":
         return direct
@@ -386,19 +390,13 @@ def _decide_normalized(system, config, trace, depth):
     if (
         report.status == "singular"
         and depth < config.max_blowups
-        and report.locus_dimension < report.dimension
+        and report.locus.dim < system.dim
     ):
-        basis = report.locus_basis
-        if g is not None and (in_ideal(g, basis) or radical_membership(g, basis.generators)):
+        if g is not None and vanishes_on_locus(report.locus, g):
             trace.append("inequation vanishes on the singular locus: no descent")
             return out
         trace.append("descending to the singular locus")
-        v_sing = decide_existential(
-            AffineSystem(system.ring, report.singular_locus, g),
-            config,
-            trace,
-            depth + 1,
-        )
+        v_sing = decide_existential(report.locus, config, trace, depth + 1)
         if v_sing.is_sat:
             return v_sing
     return out
@@ -411,7 +409,7 @@ def _decide_singular_curve(system, report, config, trace, depth):
         trace.append(f"blow-up depth cap {config.max_blowups} reached")
         return Verdict(UNKNOWN, reason="blowup-depth-exhausted", trace=trace)
 
-    centre = _first_rational_centre(report.singular_locus)
+    centre = _first_rational_centre(report.locus.equations)
     if centre is None:
         trace.append("singular locus has no F_q-rational point: cannot pick a center")
         return Verdict(UNKNOWN, reason="non-rational-singular-center", trace=trace)

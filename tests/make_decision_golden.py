@@ -154,7 +154,8 @@ def resolution_records():
     for label, curve in curves:
         charts = []
         for chart in blow_up_origin(curve):
-            report = regularity_check(AffineSystem(ring, clear_denominators([chart.strict])))
+            system = AffineSystem(ring, clear_denominators([chart.strict]))
+            report = regularity_check(system)
             charts.append({
                 "index": chart.index,
                 "strict": repr(chart.strict),
@@ -163,8 +164,8 @@ def resolution_records():
                 "exceptional": repr(chart.exceptional),
                 "regularity": [
                     report.status,
-                    report.dimension,
-                    _reprs(report.singular_locus) if report.singular_locus is not None else None,
+                    system.dim,
+                    _reprs(report.locus.equations) if report.status == "singular" else None,
                 ],
             })
         out[label] = charts

@@ -57,6 +57,35 @@ def test_default_modulus_is_deterministic():
     assert f8.modulus == (1, 0, 1, 1)
 
 
+def _monic_products(p, n):
+    """The coefficient tuples (c_0..c_{n-1}) of every product of two monic
+    polynomials over Z/p of degrees d and n - d, 0 < d < n."""
+    out = set()
+    for d in range(1, n // 2 + 1):
+        for a in itertools.product(range(p), repeat=d):
+            for b in itertools.product(range(p), repeat=n - d):
+                u, v = a + (1,), b + (1,)
+                prod = [0] * (n + 1)
+                for i, x in enumerate(u):
+                    for j, y in enumerate(v):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                out.add(tuple(prod[:n]))
+    return out
+
+
+def test_default_moduli_of_the_extension_fields_up_to_1024():
+    # the default modulus fixes the order of elements(), so every witness
+    # over an extension field depends on it: pin it for all 26 fields with
+    # n >= 2 and q <= 1024 against the first tuple in lexicographic order
+    # (c_0 slowest) that is no product of two monic factors
+    fields = [(p, n) for p in range(2, 32) if is_prime(p) for n in range(2, 11) if p**n <= 1024]
+    assert len(fields) == 26
+    for p, n in fields:
+        reducible = _monic_products(p, n)
+        expected = min(set(itertools.product(range(p), repeat=n)) - reducible)
+        assert _smallest_irreducible(p, n) == expected + (1,), (p, n)
+
+
 def test_f2_addition():
     f2 = FqContext(2)
     one = f2.one()

@@ -263,6 +263,24 @@ def test_eliminate_fresh_names_avoid_collisions():
     s = Sentence(["y1"], And(Eq(TVar("y1"), TNum(0)), atom))
     out = eliminate_valuation_atoms(s)
     assert out.variables == ["y1", "y2"]
+    # declared, y1 is an unknown of the sentence, and decide takes it
+    assert decide(s, F3).is_sat
+
+
+@pytest.mark.parametrize("variables, formula, message", [
+    # unbound: O-elimination's fresh y1 would otherwise capture it (UNSAT)
+    (["X"], And(InRing(TOp("/", TNum(1), TUnif())), Eq(TVar("y1"), TNum(0))),
+     "unbound variable 'y1'"),
+    # declared twice: would fail late, in the Weil restriction
+    (["X", "X"], Eq(TOp("*", TVar("X"), TVar("X")), TUnif()), "duplicate variable 'X'"),
+    # reserved names: the uniformizer would clash with the t slot, and O
+    # would be answered SAT
+    (["t"], Eq(TVar("t"), TNum(1)), "'t' cannot be a variable"),
+    (["O"], Eq(TVar("O"), TNum(1)), "'O' cannot be a variable"),
+])
+def test_decide_checks_a_sentence_as_parse_checks_text(variables, formula, message):
+    with pytest.raises(ParseError, match=message):
+        decide(Sentence(variables, formula), F3)
 
 
 # -- to_systems ------------------------------------------------------------------

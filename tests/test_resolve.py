@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import fields
 from itertools import chain
 
 import blowup_oracle
@@ -56,21 +55,21 @@ def test_regularity_frobenius_line():
     for ctx in (F2, F3, F5):
         R = tring(ctx, "X")
         f = R.from_terms({(ctx.p, 0): 1, (0, 1): -1})
-        report = regularity_check(AffineSystem(R, [f]))
-        assert report.status == "regular"
-        assert report.dimension == 0
+        system = AffineSystem(R, [f])
+        assert regularity_check(system).status == "regular"
+        assert system.dim == 0
 
 
 def test_regularity_cusp_singular():
     R = tring(F5, "X", "Y")
     f = R.from_terms({(0, 2, 0): 1, (3, 0, 0): -1})  # Y^2 - X^3
-    report = regularity_check(AffineSystem(R, [f]))
+    system = AffineSystem(R, [f])
+    report = regularity_check(system)
     assert report.status == "singular"
-    assert report.dimension == 1
+    assert system.dim == 1
     # the singular locus must pin the origin: X and Y vanish on it
-    locus_gb = buchberger(report.singular_locus, ring=R)
-    assert radical_membership(R.var(0), locus_gb.generators)
-    assert radical_membership(R.var(1), locus_gb.generators)
+    assert radical_membership(R.var(0), report.locus.equations)
+    assert radical_membership(R.var(1), report.locus.equations)
 
 
 def test_regularity_hyperbola_regular():
@@ -259,8 +258,8 @@ def _centre_against_oracle(system):
         # the locus meets no fibre, so no F_q-point lies on it
         assert report.status == "regular" and old == []
         return None
-    assert report.singular_locus[0].ring == system.ring
-    centre = _first_rational_centre(report.singular_locus)
+    assert report.locus.ring == system.ring
+    centre = _first_rational_centre(report.locus.equations)
     assert centre == (old[0] if old else None)
     return centre
 
@@ -448,8 +447,9 @@ def test_decide_keeps_a_normalized_input_system():
 def test_singular_report_carries_the_locus_dimension():
     R = tring(F3, "X", "Y")
     f = R.from_terms({(0, 2, 0): 1, (3, 0, 0): -1})  # the cusp, singular at 0
-    report = regularity_check(AffineSystem(R, [f]))
-    assert (report.status, report.dimension, report.locus_dimension) == ("singular", 1, 0)
+    system = AffineSystem(R, [f])
+    report = regularity_check(system)
+    assert (report.status, system.dim, report.locus.dim) == ("singular", 1, 0)
 
 
 def test_decide_perturbs_a_witness_missing_the_inequation():
@@ -889,14 +889,16 @@ def test_regularity_shortcut_matches_the_groebner_path(ctx, text):
     system = _system(text, ctx)
     report = regularity_check(system)
     expected = regularity_oracle.regularity_check(system)
-    # the oracle predates the locus basis: every other field must agree
-    for field in fields(expected):
-        if field.name != "locus_basis":
-            assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    assert (report.status, system.dim) == (expected.status, expected.dimension)
     if report.status == "singular":
-        assert report.locus_basis == buchberger(report.singular_locus, ring=system.ring)
+        locus = report.locus
+        assert (locus.equations, locus.dim) == (expected.locus, expected.locus_dimension)
+        assert locus.inequation is system.inequation
+        assert locus.basis == buchberger(locus.equations, ring=system.ring)
     else:
-        assert report.locus_basis is None
+        # a regular locus, when built, is the unit ideal
+        assert expected.locus is None
+        assert report.locus is None or report.locus.dim is None
 
 
 @pytest.mark.parametrize("k, calls", [(1, 0), (3, 1)])
